@@ -14,6 +14,7 @@ to the guarded horizon.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,8 @@ HORIZON_GUARD = 1e-6
 
 _NEWTON_MAX_ITER = 50
 _RESIDUAL_TOL = 1e-12
+#: dense samples of u0' taken before golden-section refinement of its minimum
+_SLOPE_SAMPLES = 4096
 
 
 class HorizonError(ValueError):
@@ -36,9 +39,27 @@ class RootFindError(RuntimeError):
 
 @dataclass(frozen=True)
 class InitialField:
-    """Odd initial data with closed-form value and slope evaluators."""
+    """Odd initial data with closed-form value and slope evaluators.
+
+    Trailing zero coefficients are dropped on construction (at least one
+    mode is kept), so every evaluation costs O(K) per point for the K
+    active modes rather than the padded N.
+    """
 
     spectrum: SineSpectrum
+
+    def __post_init__(self):
+        psi = self.spectrum.psi
+        active = np.flatnonzero(psi)
+        K = int(active[-1]) + 1 if active.size else 1
+        if K < psi.size:
+            object.__setattr__(self, "spectrum", SineSpectrum(psi[:K]))
+
+    @cached_property
+    def t_max(self) -> float:
+        """Classical blowup time 1 / (-min u0'), searched once per field."""
+        m = min_initial_slope(self)
+        return np.inf if m >= 0.0 else 1.0 / (-m)
 
     def value(self, x):
         return evaluate_field(self.spectrum, x)
@@ -70,22 +91,19 @@ def _golden_min(f, a: float, b: float, tol: float = 1e-12) -> float:
     return 0.5 * (a + b)
 
 
-def min_initial_slope(u0: InitialField, samples: int = 4096) -> float:
+def min_initial_slope(u0: InitialField) -> float:
     """Global minimum of u0' located by dense sampling plus refinement."""
-    x = np.linspace(-np.pi, np.pi, samples, endpoint=False)
+    x = np.linspace(-np.pi, np.pi, _SLOPE_SAMPLES, endpoint=False)
     slopes = u0.slope(x)
     i = int(np.argmin(slopes))
-    h = 2.0 * np.pi / samples
+    h = 2.0 * np.pi / _SLOPE_SAMPLES
     x_star = _golden_min(lambda xi: float(u0.slope(xi)), x[i] - h, x[i] + h)
     return float(min(np.min(slopes), u0.slope(x_star)))
 
 
-def tmax_inviscid(u0: InitialField, samples: int = 4096) -> float:
+def tmax_inviscid(u0: InitialField) -> float:
     """Classical blowup time 1 / (-min u0'), or +inf for nondecreasing data."""
-    m = min_initial_slope(u0, samples)
-    if m >= 0.0:
-        return np.inf
-    return 1.0 / (-m)
+    return u0.t_max
 
 
 def _check_horizon(u0: InitialField, t: float, guard: float) -> None:
@@ -96,39 +114,54 @@ def _check_horizon(u0: InitialField, t: float, guard: float) -> None:
         raise HorizonError(f"t={t} is past the guarded horizon {t_max * (1.0 - guard):.6g}")
 
 
-def _bisect_root(g, lo: float, hi: float, tol: float) -> float:
-    glo = g(lo)
+def _bisect_feet(u0: InitialField, x: np.ndarray, t: float) -> np.ndarray:
+    """Bisect xi + t*u0(xi) = x for all points of x at once.
+
+    The bracket x -/+ t*sup|u0| holds every root.  A point stops at the
+    first midpoint with residual <= _RESIDUAL_TOL, or after 200 halvings.
+    """
+    half_width = t * u0.sup_bound
+    lo, hi = x - half_width, x + half_width
+    glo = lo + t * u0.value(lo) - x
+    feet = np.empty_like(x)
+    todo = np.arange(x.size)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if abs(gm) <= tol:
-            return mid
-        if (glo < 0) == (gm < 0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo[todo] + hi[todo])
+        gm = mid + t * u0.value(mid) - x[todo]
+        feet[todo] = mid
+        up = (glo[todo] < 0) == (gm < 0)
+        lo[todo[up]], glo[todo[up]] = mid[up], gm[up]
+        hi[todo[~up]] = mid[~up]
+        todo = todo[np.abs(gm) > _RESIDUAL_TOL]
+        if todo.size == 0:
+            return feet
+    feet[todo] = 0.5 * (lo[todo] + hi[todo])
+    return feet
 
 
 def _solve_feet(u0: InitialField, x: np.ndarray, t: float) -> np.ndarray:
-    """Solve xi + t*u0(xi) = x for every point of x."""
+    """Solve xi + t*u0(xi) = x for every point of x.
+
+    Newton steps only the points still above tolerance; those left after
+    _NEWTON_MAX_ITER steps are bisected together, so the cost follows the
+    number of unsolved points rather than a Python loop over them.
+    """
     xi = np.array(x, dtype=float, copy=True)
     res = xi + t * u0.value(xi) - x
+    todo = np.flatnonzero(np.abs(res) > _RESIDUAL_TOL)
     for _ in range(_NEWTON_MAX_ITER):
-        if np.all(np.abs(res) <= _RESIDUAL_TOL):
-            break
-        deriv = 1.0 + t * u0.slope(xi)
-        xi = xi - res / deriv
-        res = xi + t * u0.value(xi) - x
-    bad = np.abs(res) > _RESIDUAL_TOL
-    if np.any(bad):
-        half_width = t * u0.sup_bound
-        for i in np.nonzero(bad)[0]:
-            g = lambda z: z + t * float(u0.value(z)) - x[i]
-            xi[i] = _bisect_root(g, x[i] - half_width, x[i] + half_width, _RESIDUAL_TOL)
-        res = xi + t * u0.value(xi) - x
-        if np.any(np.abs(res) > 10.0 * _RESIDUAL_TOL):
+        if todo.size == 0:
+            return xi
+        z = xi[todo]
+        z = z - res[todo] / (1.0 + t * u0.slope(z))
+        r = z + t * u0.value(z) - x[todo]
+        xi[todo], res[todo] = z, r
+        todo = todo[np.abs(r) > _RESIDUAL_TOL]
+    if todo.size:
+        z = _bisect_feet(u0, x[todo], t)
+        if np.any(np.abs(z + t * u0.value(z) - x[todo]) > 10.0 * _RESIDUAL_TOL):
             raise RootFindError("characteristic foot not found to tolerance")
+        xi[todo] = z
     return xi
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -38,7 +39,7 @@ from .blowup import (
     corollary_condition,
     detect_numerical_blowup,
 )
-from .characteristics import HorizonError, InitialField, tmax_inviscid
+from .characteristics import HorizonError, InitialField, RootFindError, tmax_inviscid
 from .dynamics import (
     TERMINATION_STEP_FAILURE,
     DiagnosticsConfig,
@@ -119,6 +120,10 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"{cfg.mode} requires --alpha")
         if cfg.nu is None:
             raise ConfigError(f"{cfg.mode} requires --nu")
+    for name in ("alpha", "nu", "dt", "t_end", "tail_threshold"):
+        value = getattr(cfg, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     if cfg.alpha is not None and not 0.0 < cfg.alpha <= 1.0:
         raise ConfigError(f"alpha must lie in (0, 1], got {cfg.alpha}")
     if cfg.nu is not None and cfg.nu < 0:
@@ -355,8 +360,9 @@ def main(argv=None) -> int:
     try:
         cfg = merge_config(args.mode, args)
         return RUNNERS[cfg.mode](cfg)
-    except (ValueError, FileNotFoundError) as exc:
-        # covers ConfigError, HorizonError, regime/series guards, bad files
+    except (ValueError, FileNotFoundError, RootFindError) as exc:
+        # covers ConfigError, HorizonError, regime/series guards, bad files,
+        # and a characteristic foot the root finder could not reach
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,6 +24,7 @@ advances the transformed nonlinearity, reducing to plain RK4 when nu = 0.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -64,8 +65,8 @@ class ModelParams:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.nu < 0.0:
-            raise ValueError(f"nu must be >= 0, got {self.nu}")
+        if not (math.isfinite(self.nu) and self.nu >= 0.0):
+            raise ValueError(f"nu must be finite and >= 0, got {self.nu}")
 
     @property
     def inviscid(self) -> bool:

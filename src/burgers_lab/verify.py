@@ -8,7 +8,6 @@ broken build (e.g. a sign flip in the tail sum) can be shown to fail.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -141,18 +140,3 @@ def run_suites(seed: int = 0, only: str | None = None) -> list[SuiteResult]:
         raise ValueError(f"unknown suite {only!r}; choose from {sorted(SUITES)}")
     return [SUITES[name](seed=seed) for name in names]
 
-
-def kernel_timings(N: int = 4096, repeats: int = 5, seed: int = 0) -> dict[str, float]:
-    """Median wall time of one evaluation per kernel at size N."""
-    rng = np.random.default_rng(seed)
-    psi = rng.uniform(-1.0, 1.0, N)
-    out = {}
-    for name, fn in (("direct", nonlinear_direct), ("pseudospectral", nonlinear_pseudospectral)):
-        fn(psi)  # warm caches
-        samples = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn(psi)
-            samples.append(time.perf_counter() - t0)
-        out[name] = float(np.median(samples))
-    return out

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from burgers_lab import characteristics
+from burgers_lab.attractors import attractor_decay_series, optimal_r
 from burgers_lab.characteristics import (
     HorizonError,
     InitialField,
@@ -9,6 +11,7 @@ from burgers_lab.characteristics import (
     sample_solution,
     tmax_inviscid,
 )
+from burgers_lab.cli import main
 from burgers_lab.spectral import (
     SineSpectrum,
     evaluate_field,
@@ -49,6 +52,9 @@ class TestTmax:
 
     def test_zero_data_never_breaks(self):
         assert tmax_inviscid(InitialField(SineSpectrum([0.0]))) == np.inf
+        padded = InitialField(SineSpectrum.zeros(256))
+        assert padded.spectrum.N == 1
+        assert tmax_inviscid(padded) == np.inf
 
     def test_refined_minimum_beats_dense_sampling(self, rng):
         u0 = InitialField(SineSpectrum(rng.uniform(-1, 1, 8)))
@@ -86,6 +92,21 @@ class TestEvalCharacteristics:
             assert eval_characteristics(u0, x, t) == pytest.approx(
                 float(evaluate_field(spec, foot)), abs=1e-11
             )
+
+    @pytest.mark.parametrize("newton_steps", [0, 4])
+    def test_bisection_fallback_against_bisection_oracle(self, rng, monkeypatch, newton_steps):
+        # capping Newton sends all points but x = 0 (0 steps) or 4 of 13 (4 steps) to bisection
+        spec = SineSpectrum(rng.uniform(-0.5, 0.5, 5))
+        u0 = InitialField(spec)
+        t = 0.9 * tmax_inviscid(u0)
+        x = np.linspace(-3, 3, 13)
+        monkeypatch.setattr(characteristics, "_NEWTON_MAX_ITER", newton_steps)
+        got = eval_characteristics(u0, x, t)
+        for xj, uj in zip(x, got):
+            foot = bisect_characteristic_foot(
+                lambda z: float(evaluate_field(spec, z)), xj, t, t * u0.sup_bound + 1e-9
+            )
+            assert uj == pytest.approx(float(evaluate_field(spec, foot)), abs=1e-11)
 
     def test_horizon_guard(self):
         with pytest.raises(HorizonError):
@@ -149,3 +170,39 @@ class TestPdeResidual:
             for r in (0.5 * r0, r0, 2.0 * r0):
                 bound = attractor_distance(spec, r) / (r * energy)
                 assert t_max <= bound + 1e-9
+
+
+class TestZeroPadding:
+    """A zero-padded spectrum gives the same oracle answers as its active modes."""
+
+    @pytest.mark.parametrize(
+        "psi",
+        [[0.5], [0.3, -0.1, 0.05, 0.02, -0.04]],
+        ids=["sine", "multimode"],
+    )
+    def test_padded_field_gives_the_same_solution_and_decay_table(self, psi):
+        spec = SineSpectrum(psi)
+        fields = [InitialField(spec), InitialField(spec.padded(256))]
+        assert fields[1].spectrum.N == len(psi)
+        t_max = tmax_inviscid(fields[0])
+        times = np.linspace(0.0, 0.8 * t_max, 5)
+        r = optimal_r(spec).r0
+        grids = [sample_solution(u0, float(times[-1]), 1024).samples for u0 in fields]
+        tables = [attractor_decay_series(u0, times, r=r, M=1024) for u0 in fields]
+        assert np.max(np.abs(grids[0] - grids[1])) <= 1e-13
+        assert np.max(np.abs(tables[0].distance - tables[1].distance)) <= 1e-13
+        assert np.max(np.abs(tables[0].predicted - tables[1].predicted)) <= 1e-13
+        assert tmax_inviscid(fields[1]) == t_max
+
+    def test_inviscid_run_searches_tmax_once(self, tmp_path, monkeypatch):
+        calls = []
+        search = characteristics.min_initial_slope
+
+        def counted(u0):
+            calls.append(u0.spectrum.N)
+            return search(u0)
+
+        monkeypatch.setattr(characteristics, "min_initial_slope", counted)
+        argv = ["inviscid", "--init", "sine:1", "--dt", "0.1", "--t-end", "0.9", "--grid-size", "256"]
+        assert main([*argv, "--out", str(tmp_path / "inv")]) == 0
+        assert calls == [1]

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from burgers_lab import characteristics
 from burgers_lab.cli import (
     ConfigError,
     build_parser,
@@ -144,6 +145,16 @@ class TestInviscid:
         assert rc == 1
         assert "horizon" in capsys.readouterr().err
 
+    def test_root_find_failure_exits_one(self, tmp_path, capsys, monkeypatch):
+        def fail(u0, x, t):
+            raise characteristics.RootFindError("characteristic foot not found to tolerance")
+
+        monkeypatch.setattr(characteristics, "_solve_feet", fail)
+        rc = main(["inviscid", "--init", "sine:1", "--dt", "0.5", "--t-end", "0.5", "--out", str(tmp_path / "inv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestVerify:
     def test_full_table_passes(self, capsys):
@@ -279,6 +290,26 @@ class TestDeterminism:
         )
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
+
+
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--alpha", "nan", "--nu", "0"],
+            ["simulate", "--alpha", "0.5", "--nu", "nan"],
+            ["simulate", "--alpha", "0.5", "--nu", "inf"],
+            ["simulate", "--alpha", "0.5", "--nu", "0", "--dt", "nan"],
+            ["simulate", "--alpha", "0.5", "--nu", "0", "--t-end", "inf"],
+            ["simulate", "--alpha", "0.5", "--nu", "0", "--tail-threshold", "nan"],
+            ["inviscid", "--t-end", "nan"],
+        ],
+    )
+    def test_rejected_with_one_line_error(self, argv, tmp_path, capsys):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigHandling:

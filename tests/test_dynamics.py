@@ -35,6 +35,11 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(alpha=0.5, nu=-1.0)
 
+    @pytest.mark.parametrize("nu", [np.nan, np.inf])
+    def test_nonfinite_nu(self, nu):
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(alpha=0.5, nu=nu)
+
     def test_symbol(self):
         sym = dissipation_symbol(ModelParams(0.5, 2.0), 3)
         np.testing.assert_allclose(sym, 2.0 * np.array([1.0, 2.0, 3.0]))

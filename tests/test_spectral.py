@@ -191,6 +191,10 @@ class TestPointwiseEvaluation:
         spec = SineSpectrum(rng.uniform(-1, 1, 12))
         g = synthesize(spec, 128)
         np.testing.assert_allclose(evaluate_field(spec, g.x), g.samples, atol=1e-12)
+        # a scalar or a few points take the direct sum, the whole grid Horner's rule
+        for j in (0, 17, 64):
+            assert evaluate_field(spec, g.x[j]) == pytest.approx(g.samples[j], abs=1e-12)
+        np.testing.assert_allclose(evaluate_field(spec, g.x[:5]), g.samples[:5], atol=1e-12)
 
     def test_slope_matches_finite_differences(self, rng):
         spec = SineSpectrum(rng.uniform(-1, 1, 12))
@@ -202,7 +206,10 @@ class TestPointwiseEvaluation:
     def test_slope_grid_synthesis(self, rng):
         spec = SineSpectrum(rng.uniform(-1, 1, 12))
         got = synthesize_slope(spec, 128)
-        np.testing.assert_allclose(got, evaluate_slope(spec, grid_points(128)), atol=1e-12)
+        x = grid_points(128)
+        np.testing.assert_allclose(got, evaluate_slope(spec, x), atol=1e-12)
+        for j in (0, 17, 64):
+            assert evaluate_slope(spec, x[j]) == pytest.approx(got[j], abs=1e-12)
 
 
 class TestGridFunction:

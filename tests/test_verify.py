@@ -4,7 +4,6 @@ import pytest
 from burgers_lab.verify import (
     SUITES,
     energy_neutrality_suite,
-    kernel_timings,
     lyapunov_identity_suite,
     run_suites,
 )
@@ -55,8 +54,3 @@ def test_injected_sign_error_fails_lyapunov_identity():
     broken = lyapunov_identity_suite(seed=0, cases=5, nonlinear=_tail_sign_flipped)
     assert not broken.passed
 
-
-def test_kernel_timings_report():
-    timings = kernel_timings(N=512, repeats=3)
-    assert set(timings) == {"direct", "pseudospectral"}
-    assert all(v > 0 for v in timings.values())
