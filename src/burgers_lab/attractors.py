@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .characteristics import HORIZON_GUARD, InitialField, _golden_min, sample_solution
-from .dynamics import nonlinear_direct
+from .dynamics import F_L2_NORM_SQ, nonlinear_direct
 from .spectral import (
     FOUR_PI,
     SineSpectrum,
@@ -37,9 +37,6 @@ from .spectral import (
     evaluate_slope,
     sobolev_norm,
 )
-
-#: ||F||_{L2}^2 = 4*pi * sum 1/n^2 = 2*pi^3/3
-F_L2_NORM_SQ = 2.0 * np.pi**3 / 3.0
 
 
 class InvalidAttractorError(ValueError):

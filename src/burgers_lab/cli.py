@@ -18,8 +18,10 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -70,7 +72,7 @@ class ExperimentConfig:
     grid_size: int = 4096
     stride: int = 10
     attractor: str = "F"
-    r: str = "auto"
+    r: str | float = "auto"
     out: str = "out"
     seed: int = 0
     tail_threshold: float = 1e-3
@@ -83,13 +85,45 @@ class ExperimentConfig:
 
 
 _CONFIG_KEYS = {f for f in ExperimentConfig.__dataclass_fields__ if f != "mode"}
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
+#: relative tolerance within which t_end/dt counts as a whole number of steps
+_STEP_COUNT_RTOL = 1e-9
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _has_type(value, annotation) -> bool:
+    if annotation is bool:
+        return isinstance(value, bool)
+    if annotation is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if annotation is float:
+        # an int beyond the float range would overflow in the checks that follow
+        return _is_number(value) and (isinstance(value, float) or abs(value) <= sys.float_info.max)
+    if annotation is str:
+        return isinstance(value, str)
+    if annotation is list:
+        return isinstance(value, list) and all(_is_number(v) for v in value)
+    if annotation is type(None):
+        return value is None
+    # a union such as float | None
+    return any(_has_type(value, member) for member in annotation.__args__)
 
 
 def load_config(path: str | Path) -> dict:
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
     unknown = set(payload) - _CONFIG_KEYS - {"mode"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in payload.items():
+        expected = _FIELD_TYPES[key]
+        if not _has_type(value, expected):
+            name = getattr(expected, "__name__", None) or str(expected)
+            raise ConfigError(f"config key {key!r} must be of type {name}, got {value!r}")
     return payload
 
 
@@ -131,6 +165,11 @@ def _validate(cfg: ExperimentConfig) -> None:
     for name in ("dt", "t_end"):
         if getattr(cfg, name) <= 0:
             raise ConfigError(f"{name} must be positive")
+    if cfg.mode == "simulate" or (cfg.mode == "sweep" and cfg.simulate):
+        # evolve takes round(t_end/dt) steps; anything else would stop early or late
+        steps = cfg.t_end / cfg.dt
+        if not (math.isfinite(steps) and abs(steps - round(steps)) <= _STEP_COUNT_RTOL * steps):
+            raise ConfigError(f"t_end/dt must be a whole number of steps, got {cfg.t_end}/{cfg.dt} = {steps}")
     for name in ("modes", "grid_size", "stride"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be a positive integer")
@@ -337,7 +376,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tail-threshold", dest="tail_threshold", type=float)
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (it keeps no parse state)."""
     parser = argparse.ArgumentParser(prog="burgers-lab", description=__doc__)
     subs = parser.add_subparsers(dest="mode", required=True)
     for mode in MODES:

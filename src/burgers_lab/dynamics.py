@@ -12,9 +12,13 @@ pairing cancellation sum_n psi_n * Nonlinear(psi)_n = 0 exact at any N.
 
 Two independent evaluators of the same right-hand side are provided:
 ``rhs_direct`` computes the quadratic sums by O(N^2) convolution, and
-``rhs_pseudospectral`` squares the field on a 3N-padded grid (products of
-modes <= N reach 2N; with M > 3N their aliases land above N, so the
-retained modes are alias-free).
+``rhs_pseudospectral`` squares the field on a half-length grid.  Since u
+is odd and u^2 even, both live on the staggered half grid
+xi_k = pi (k + 1/2) / L, k = 0..L-1: a type-3 DST of the zero-padded psi
+gives the samples of u, and a type-2 DCT of u^2 gives its cosine modes.
+Products of modes <= N reach 2N, and on this grid mode j of u^2 aliases
+(with a sign flip) onto 2L - j; with 2L > 3N that lands above N, so the
+retained modes are alias-free.
 
 Time stepping is fixed-step integrating-factor RK4: the dissipative part
 is absorbed exactly through exp(-nu n^{2 alpha} dt) and classical RK4
@@ -31,18 +35,15 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+from scipy.fft import next_fast_len
+from scipy.fftpack import dct, dst
 
-from .spectral import (
-    FOUR_PI,
-    SineSpectrum,
-    next_pow2,
-    _alternating_signs,
-)
+from .spectral import FOUR_PI, SineSpectrum, next_pow2, synthesize_slope
 
-# L2 norm squared of the unit-slope attractor profile; its sine
-# coefficients 1/n make  L = 4*pi*sum(psi_n/n)  the natural Lyapunov
-# diagnostic of this system (duplicated as a public constant in attractors).
-_F_L2_SQ = 2.0 * np.pi**3 / 3.0
+#: ||F||_{L2}^2 = 4*pi * sum 1/n^2 = 2*pi^3/3 for the attractor profile F,
+#: whose sine coefficients 1/n make  L = 4*pi*sum(psi_n/n)  the natural
+#: Lyapunov diagnostic of this system (re-exported by attractors)
+F_L2_NORM_SQ = 2.0 * np.pi**3 / 3.0
 
 Kernel = Callable[[np.ndarray], np.ndarray]
 
@@ -99,27 +100,33 @@ def nonlinear_direct(psi: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _padded_transform_arrays(N: int) -> tuple[int, np.ndarray, np.ndarray]:
-    M = next_pow2(3 * N)
-    alt = _alternating_signs(M // 2 + 1)
-    n = np.arange(1, N + 1, dtype=float)
-    return M, alt, n
+def _half_grid(N: int) -> tuple[int, np.ndarray]:
+    """Half-grid length L (2L > 3N, fast FFT size) and the output scale -n/(4L).
+
+    The scale is read-only: the cache is shared by every thread.
+    """
+    L = next_fast_len(3 * N // 2 + 1, real=True)
+    scale = -np.arange(1, N + 1, dtype=float) / (4.0 * L)
+    scale.flags.writeable = False
+    return L, scale
 
 
 def nonlinear_pseudospectral(psi: np.ndarray) -> np.ndarray:
-    """Same quadratic term via squaring on a 3N-padded grid.
+    """Same quadratic term via squaring on the staggered half grid.
 
-    The square of the field is even, so its transform is recovered from
-    the real part; mode n of -(u^2/2)_x is then -(n/2) * w_hat(n).
+    Unnormalised DST-III of psi (zero-padded to L) gives -u(xi_k); the
+    midpoint rule on (0, pi) turns the unnormalised DCT-II of u^2 into
+    2L times its Fourier coefficients w_hat(n), and mode n of -(u^2/2)_x
+    is -(n/2) * w_hat(n).
     """
     psi = np.asarray(psi, dtype=float)
     N = psi.size
-    M, alt, n = _padded_transform_arrays(N)
-    coeffs = np.zeros(M // 2 + 1, dtype=complex)
-    coeffs[1 : N + 1] = 1j * M * alt[1 : N + 1] * psi
-    u = np.fft.irfft(coeffs, n=M)
-    w_hat = np.fft.rfft(u * u).real * alt / M
-    return -0.5 * n * w_hat[1 : N + 1]
+    L, scale = _half_grid(N)
+    u = np.zeros(L)
+    u[:N] = psi
+    u = dst(u, type=3, overwrite_x=True)
+    u *= u
+    return scale * dct(u, type=2, overwrite_x=True)[1 : N + 1]
 
 
 _KERNELS: dict[str, Kernel] = {
@@ -244,16 +251,7 @@ def lyapunov_diagnostic(psi: np.ndarray) -> float:
 
 
 def _distance_to_scaled_attractor(energy: float, lyap: float, r: float) -> float:
-    return energy - 2.0 * r * lyap + r * r * _F_L2_SQ
-
-
-def _min_slope(psi: np.ndarray, M: int) -> float:
-    coeffs = np.zeros(M // 2 + 1, dtype=complex)
-    N = psi.size
-    n = np.arange(1, N + 1, dtype=float)
-    alt = _alternating_signs(N + 1)
-    coeffs[1 : N + 1] = -M * n * alt[1:] * psi
-    return float(np.fft.irfft(coeffs, n=M).min())
+    return energy - 2.0 * r * lyap + r * r * F_L2_NORM_SQ
 
 
 def evolve(
@@ -285,13 +283,16 @@ def evolve(
     if diag.r is not None:
         r = diag.r
     else:
-        r = np.sqrt(energy0 / _F_L2_SQ)
+        r = np.sqrt(energy0 / F_L2_NORM_SQ)
 
     rows: list[tuple] = []
     spectra: list[np.ndarray] | None = [] if diag.store_spectra else None
 
-    def hs_alpha_sq(psi: np.ndarray) -> float:
-        return float(FOUR_PI * np.sum(n ** (2.0 * params.alpha) * psi**2))
+    # g(psi) = 2 nu ||psi||_{H^alpha}^2, the dissipation rate
+    diss_weights = 2.0 * params.nu * FOUR_PI * n ** (2.0 * params.alpha)
+
+    def diss_rate(psi: np.ndarray) -> float:
+        return float(np.sum(diss_weights * psi**2))
 
     def record(k: int, psi: np.ndarray, diss: float):
         energy = float(FOUR_PI * np.sum(psi**2))
@@ -305,7 +306,7 @@ def evolve(
                 _distance_to_scaled_attractor(energy, lyap, r),
                 float(np.sqrt(FOUR_PI * np.sum(n**2 * psi**2))),
                 tail_energy_fraction(psi),
-                _min_slope(psi, M_diag),
+                float(synthesize_slope(SineSpectrum(psi), M_diag).min()),
             )
         )
         if spectra is not None:
@@ -313,7 +314,7 @@ def evolve(
 
     psi = spec0.psi.copy()
     diss_acc = 0.0
-    g_prev = 2.0 * params.nu * hs_alpha_sq(psi)
+    g_prev = diss_rate(psi)
     record(0, psi, diss_acc)
     termination = TERMINATION_T_END
     for k in range(1, n_steps + 1):
@@ -325,7 +326,7 @@ def evolve(
             termination = TERMINATION_STEP_FAILURE
             break
         psi = out
-        g_new = 2.0 * params.nu * hs_alpha_sq(psi)
+        g_new = diss_rate(psi)
         diss_acc += 0.5 * dt * (g_prev + g_new)
         g_prev = g_new
         if k % diag.stride == 0 or k == n_steps:

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from burgers_lab import characteristics
+from burgers_lab import characteristics, cli
 from burgers_lab.cli import (
     ConfigError,
     build_parser,
@@ -312,6 +312,36 @@ class TestNonFiniteSettings:
         assert not (tmp_path / "out").exists()
 
 
+class TestStepCount:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--alpha", "0.5", "--nu", "0.1"],
+            ["sweep", "--alphas", "0.25", "--nus", "0.04", "--Rs", "2", "--simulate"],
+        ],
+    )
+    def test_partial_last_step_rejected(self, argv, tmp_path, capsys):
+        # 1/0.3 steps: round() would stop at t = 0.9 and report t_end_reached
+        assert main([*argv, "--dt", "0.3", "--t-end", "1", "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: t_end/dt") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
+class TestParserReuse:
+    def test_flags_do_not_leak_between_calls(self, monkeypatch, tmp_path):
+        seen = []
+        for mode in ("simulate", "sweep"):
+            monkeypatch.setitem(cli.RUNNERS, mode, lambda cfg: seen.append(cfg) or 0)
+        simulate = ["simulate", "--alpha", "0.5", "--nu", "0.1", "--out", str(tmp_path)]
+        sweep = ["sweep", "--alphas", "0.25", "--nus", "0.04", "--Rs", "2", "--out", str(tmp_path)]
+        for argv in ([*simulate, "--certify"], simulate, [*sweep, "--simulate"], sweep):
+            assert main(argv) == 0
+        assert [cfg.certify for cfg in seen[:2]] == [True, False]
+        assert [cfg.simulate for cfg in seen[2:]] == [True, False]
+        assert build_parser() is build_parser()
+
+
 class TestConfigHandling:
     def test_flags_override_config(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
@@ -322,6 +352,41 @@ class TestConfigHandling:
         cfg = merge_config("simulate", args)
         assert cfg.alpha == 0.25  # flag wins
         assert cfg.nu == 0.1 and cfg.modes == 64  # config survives
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"modes": "abc"},
+            {"modes": True},
+            {"modes": 2.5},
+            {"modes": None},
+            {"dt": "1e-3"},
+            {"dt": 10**400},
+            {"nu": False},
+            {"init": 1},
+            {"certify": 1},
+            {"alphas": 0.2},
+            {"alphas": [0.2, "x"]},
+            {"alphas": [True]},
+            {"suite": 3},
+            [0.25],
+        ],
+    )
+    def test_wrongly_typed_config_exits_one(self, payload, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(payload))
+        argv = ["simulate", "--alpha", "0.5", "--nu", "0.1", "--config", str(cfg_file)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_typed_config_values_accepted(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"alpha": None, "nu": 1, "r": 0.5, "alphas": [0.2, 1], "certify": False}))
+        args = build_parser().parse_args(["simulate", "--config", str(cfg_file), "--alpha", "0.25"])
+        cfg = merge_config("simulate", args)
+        assert (cfg.alpha, cfg.nu, cfg.r, cfg.alphas, cfg.certify) == (0.25, 1, 0.5, [0.2, 1], False)
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

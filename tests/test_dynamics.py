@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from burgers_lab.dynamics import (
     ModelParams,
     SimulationRecord,
     StepFailureError,
+    _half_grid,
     dissipation_symbol,
     evolve,
     nonlinear_direct,
@@ -19,7 +23,7 @@ from burgers_lab.dynamics import (
     tail_energy_fraction,
     write_record_metadata,
 )
-from burgers_lab.spectral import SineSpectrum, synthesize
+from burgers_lab.spectral import SineSpectrum, synthesize, synthesize_slope
 
 from conftest import brute_force_nonlinear
 
@@ -76,12 +80,47 @@ class TestPseudospectralKernel:
     def test_zero(self):
         assert np.max(np.abs(nonlinear_pseudospectral(np.zeros(16)))) == 0.0
 
-    @pytest.mark.parametrize("N", [3, 64, 256, 341, 1024])
+    @pytest.mark.parametrize("N", [*range(1, 41), 64, 127, 129, 256, 341, 1000, 1024, 4096])
     def test_oracle_equivalence(self, N, rng):
         psi = rng.uniform(-1.0, 1.0, N)
         d = nonlinear_direct(psi)
         p = nonlinear_pseudospectral(psi)
-        assert np.max(np.abs(d - p)) <= 1e-10 * np.max(np.abs(d))
+        # a single mode has no quadratic term to be relative to
+        scale = np.max(np.abs(d)) if N > 1 else psi[0] ** 2
+        assert np.max(np.abs(d - p)) <= 1e-10 * scale
+
+    def test_half_grid_is_alias_free(self):
+        for N in range(1, 5001):
+            L, scale = _half_grid(N)
+            assert 2 * L > 3 * N and scale.size == N and not scale.flags.writeable
+
+    def test_concurrent_calls_match_direct(self, rng):
+        # the sweep pool runs evolve on several threads at once
+        inputs = [rng.uniform(-1.0, 1.0, N) for N in (128, 512, 128, 512)]
+        expected = [nonlinear_pseudospectral(psi) for psi in inputs]
+        for psi, want in zip(inputs, expected):
+            d = nonlinear_direct(psi)
+            assert np.max(np.abs(want - d)) <= 1e-10 * np.max(np.abs(d))
+        mismatches = []
+
+        def worker(offset):
+            for i in range(2000):
+                k = (i + offset) % len(inputs)
+                if not np.array_equal(nonlinear_pseudospectral(inputs[k]), expected[k]):
+                    mismatches.append((offset, i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(offset,)) for offset in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
 
     def test_full_rhs_agreement(self, rng):
         spec = SineSpectrum(rng.uniform(-1, 1, 128))
@@ -97,6 +136,13 @@ class TestStructuralIdentities:
             psi = rng.uniform(-1, 1, 256)
             scale = np.sum(np.abs(psi)) ** 3
             assert abs(np.dot(psi, nonlinear_direct(psi))) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("N", [2, 3, 64, 127, 256, 1000, 4096])
+    def test_pseudospectral_pairing_vanishes(self, N, rng):
+        for _ in range(5):
+            psi = rng.uniform(-1, 1, N)
+            nl = nonlinear_pseudospectral(psi)
+            assert abs(np.dot(psi, nl)) <= 1e-12 * np.dot(np.abs(psi), np.abs(nl))
 
     def test_lyapunov_identity_half_support(self, rng):
         N = 256
@@ -209,6 +255,18 @@ class TestEvolve:
         assert np.all((rec.tail_fraction >= 0) & (rec.tail_fraction <= 1))
         assert np.all(np.diff(rec.times) > 0)
         assert len(rec.spectra) == rec.times.size
+
+    def test_min_slope_is_grid_slope_minimum(self):
+        rec = evolve(
+            SineSpectrum([0.4, -0.1, 0.05]).padded(200),
+            ModelParams(0.3, 0.02),
+            0.05,
+            1e-3,
+            DiagnosticsConfig(stride=5, store_spectra=True),
+        )
+        M = 512  # the default diagnostic grid for N = 200
+        mins = [synthesize_slope(SineSpectrum(psi), M).min() for psi in rec.spectra]
+        assert rec.min_ux.tolist() == mins
 
     def test_tail_fraction_zero_field(self):
         assert tail_energy_fraction(np.zeros(64)) == 0.0
