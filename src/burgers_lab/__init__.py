@@ -18,8 +18,6 @@ from .dynamics import (
     SimulationRecord,
     StepFailureError,
     evolve,
-    rhs_direct,
-    rhs_pseudospectral,
     step,
 )
 from .characteristics import (

@@ -10,8 +10,10 @@ M*sqrt(t) with M = C_alpha sqrt(nu) ||u0||.  The scalar comparison lemma
 then yields the singular lower bound (3/y0 - kappa t)^{-1} and the
 horizon 3/(kappa y0), provided y0^3 >= 12 M^2 / kappa; for y0 = L0 that
 hypothesis is exactly L0^3 > 16 pi^3 C_alpha^2 ||u0||^2 nu, and the
-certified bound is T < 4 pi^3 / L0.  The same chain runs for any
-validated odd increasing profile H, with kappa = m / (2 ||H||^2).
+certified bound is T < 4 pi^3 / L0.  One private core, ``_certificate``,
+runs that chain for every certificate: ``certify_blowup_F``,
+``certify_blowup_H`` (any validated odd increasing profile H, with
+kappa = m / (2 ||H||^2)) and ``corollary_condition`` only choose its inputs.
 
 Numerical blowup detection is a resolution-loss proxy (spectral tail
 fraction, gradient-norm growth), not a proof.
@@ -21,28 +23,20 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .attractors import (
-    AttractorFn,
-    c_alpha,
-    lyapunov,
-    make_F,
-    power_sum,
-    validate_H,
-)
+from . import attractors
+from .attractors import AttractorFn, c_alpha, lyapunov, power_sum, validate_H
 from .dynamics import ModelParams, SimulationRecord, dissipation_symbol, nonlinear_direct
 from .spectral import FOUR_PI, SineSpectrum, sobolev_norm
 
 #: Riccati coefficient attached to the profile F: 3 / (4 pi^3)
 KAPPA_F = 3.0 / (4.0 * np.pi**3)
-
-_F = make_F()
 
 
 class OutsideValidityError(ValueError):
@@ -81,6 +75,11 @@ def comparison_lower_bound(y0: float, kappa: float, M: float, t: float) -> float
     return 1.0 / bracket
 
 
+def _lemma_threshold(kappa: float, M: float) -> float:
+    """Right-hand side of the lemma hypothesis y0^3 >= 12 M^2 / kappa."""
+    return 12.0 * M**2 / kappa
+
+
 def simplified_horizon(y0: float, kappa: float) -> float:
     """Blowup horizon 3/(kappa y0) implied by the simplified bound."""
     if y0 <= 0 or kappa <= 0:
@@ -103,10 +102,9 @@ def simplified_lower_bound(y0: float, kappa: float, M: float, t: float) -> float
     """
     if y0 <= 0 or kappa <= 0 or M < 0:
         raise ValueError("need y0 > 0, kappa > 0, M >= 0")
-    if y0**3 < 12.0 * M**2 / kappa:
-        raise HypothesisError(
-            f"y0^3 = {y0**3:.6g} < 12 M^2/kappa = {12.0 * M**2 / kappa:.6g}"
-        )
+    threshold = _lemma_threshold(kappa, M)
+    if y0**3 < threshold:
+        raise HypothesisError(f"y0^3 = {y0**3:.6g} < 12 M^2/kappa = {threshold:.6g}")
     if t < 0 or t >= min(simplified_window(y0, kappa, M), simplified_horizon(y0, kappa)):
         raise OutsideValidityError(f"t={t} outside the simplified bound's window")
     return 1.0 / (3.0 / y0 - kappa * t)
@@ -159,13 +157,12 @@ def verify_comparison_lemma(
     explode.terminal = True
     explode.direction = 1.0
 
-    hypothesis_ok = y0**3 >= 12.0 * M**2 / kappa
+    hypothesis_ok = y0**3 >= _lemma_threshold(kappa, M)
     window_prop = math.inf if M == 0 else (y0 / M) ** 2
     horizon = simplified_horizon(y0, kappa)
-    t_target = min(window_prop, 10.0 * horizon)
     sol = solve_ivp(
         rhs,
-        (0.0, math.sqrt(t_target)),
+        (0.0, math.sqrt(min(window_prop, 10.0 * horizon))),
         [y0],
         method="DOP853",
         rtol=1e-12,
@@ -173,49 +170,39 @@ def verify_comparison_lemma(
         dense_output=True,
         events=explode,
     )
-    if sol.t_events[0].size:
-        t_num = float(sol.t_events[0][0]) ** 2
-    else:
-        t_num = float(sol.t[-1]) ** 2
-
-    def y_at(ts: np.ndarray) -> np.ndarray:
-        return sol.sol(np.sqrt(ts))[0]
+    blew_up = bool(sol.t_events[0].size)
+    t_num = float(sol.t_events[0][0] if blew_up else sol.t[-1]) ** 2
 
     # with f = 0 the first bound has zero slack (it IS the solution), so the
     # samples stay away from the pole where phase error would dominate
     cap = 0.9 / (kappa * y0) if M == 0 else math.inf
-    t_hi = min(t_num * (1.0 - 1e-9), window_prop * (1.0 - 1e-12), cap)
-    ts = np.linspace(t_hi / n_samples, t_hi, n_samples)
-    ys = y_at(ts)
-    bounds = np.array([comparison_lower_bound(y0, kappa, M, float(t)) for t in ts])
-    finite = np.isfinite(bounds)
-    max_comp = float(np.max(bounds[finite] - ys[finite])) if finite.any() else -math.inf
-    violations = [max_comp]
 
+    def sample(*windows: float) -> tuple[np.ndarray, np.ndarray]:
+        """n_samples times below t_num, cap and every window, with y there."""
+        t_hi = min(t_num * (1.0 - 1e-9), cap, *(w * (1.0 - 1e-12) for w in windows))
+        ts = np.linspace(t_hi / n_samples, t_hi, n_samples)
+        return ts, sol.sol(np.sqrt(ts))[0]
+
+    def max_violation(bound: Callable[..., float], ts: np.ndarray, ys: np.ndarray) -> float:
+        values = np.array([bound(y0, kappa, M, float(t)) for t in ts])
+        finite = np.isfinite(values)
+        return float(np.max(values[finite] - ys[finite])) if finite.any() else -math.inf
+
+    ts, ys = sample(window_prop)
+    max_comp = max_violation(comparison_lower_bound, ts, ys)
     max_simp = None
     if hypothesis_ok:
-        t_hi2 = min(
-            t_num * (1.0 - 1e-9),
-            simplified_window(y0, kappa, M) * (1.0 - 1e-12),
-            horizon * (1.0 - 1e-12),
-            cap,
-        )
-        ts2 = np.linspace(t_hi2 / n_samples, t_hi2, n_samples)
-        ys2 = y_at(ts2)
-        bounds2 = np.array([simplified_lower_bound(y0, kappa, M, float(t)) for t in ts2])
-        max_simp = float(np.max(bounds2 - ys2))
-        violations.append(max_simp)
+        max_simp = max_violation(simplified_lower_bound, *sample(simplified_window(y0, kappa, M), horizon))
 
     riccati_err = None
     if M == 0:
         closed = y0 / (1.0 - kappa * y0 * ts)
         riccati_err = float(np.max(np.abs(ys - closed)))
 
-    passed = all(v <= slack for v in violations)
     return ComparisonReport(
-        passed=passed,
+        passed=max_comp <= slack and (max_simp is None or max_simp <= slack),
         hypothesis_ok=hypothesis_ok,
-        numeric_blowup_time=t_num if sol.t_events[0].size else None,
+        numeric_blowup_time=t_num if blew_up else None,
         max_comparison_violation=max_comp,
         max_simplified_violation=max_simp,
         riccati_max_error=riccati_err,
@@ -251,125 +238,100 @@ class BlowupCertificate:
 def _margin(numerator: float, threshold: float) -> float:
     if threshold > 0.0:
         return numerator / threshold
-    if numerator > 0.0:
-        return math.inf
-    if numerator < 0.0:
-        return -math.inf
-    return 0.0
+    return math.copysign(math.inf, numerator) if numerator else 0.0
+
+
+def _certificate(
+    theorem: str, L0: float, kappa: float, M: float, threshold: float, margin: float, diagnostic: str = ""
+) -> BlowupCertificate:
+    """The one certificate body: the comparison lemma started at y0 = L0.
+
+    Hypotheses hold when L0 > 0 and margin > 1; the certified bound is then
+    the horizon 3/(kappa L0), valid on the window L0^2/(4 M^2).
+    """
+    hold = bool(L0 > 0.0 and margin > 1.0)  # numpy inputs would give a numpy bool, which JSON rejects
+    return BlowupCertificate(
+        theorem=theorem,
+        hypotheses_hold=hold,
+        L0=float(L0),
+        threshold=float(threshold),
+        margin=float(margin),
+        predicted_bound_T=simplified_horizon(L0, kappa) if hold else None,
+        y0=float(L0) if hold else None,
+        kappa=float(kappa) if hold else None,
+        forcing_M=float(M) if hold else None,
+        window=simplified_window(L0, kappa, M) if hold else None,
+        diagnostic=diagnostic,
+    )
+
+
+def _profile_certificate(
+    theorem: str, name: str, u0: SineSpectrum, H: AttractorFn, m: float, params: ModelParams, series_tol: float
+) -> BlowupCertificate:
+    """Lemma inputs for a profile H with slope floor m and pairing L0 = <H, u0>.
+
+    kappa = m / (2 ||H||^2) and M = ||H||_{H^alpha} ||u0|| sqrt(nu/2); the
+    margin is L0^3 over the lemma threshold 12 M^2 / kappa.
+    """
+    L0 = lyapunov(u0, H)
+    kappa = m / (2.0 * H.l2_norm**2)
+    hs = math.sqrt(H.hs_norm_sq(params.alpha, series_tol))
+    M = hs * sobolev_norm(u0, 0.0) * math.sqrt(params.nu / 2.0)
+    threshold = _lemma_threshold(kappa, M)
+    diagnostic = "" if L0 > 0 else f"sign condition failed: <{name}, u0> <= 0"
+    return _certificate(theorem, L0, kappa, M, threshold, _margin(L0**3, threshold), diagnostic)
+
+
+def _require_supercritical(params: ModelParams) -> None:
+    if params.alpha >= 0.5:
+        raise UnsupportedRegimeError(f"alpha={params.alpha} is not supercritical (< 1/2)")
 
 
 def certify_blowup_F(u0: SineSpectrum, params: ModelParams, series_tol: float = 1e-9) -> BlowupCertificate:
     """Certificate for odd data paired with F at dissipation alpha < 1/2.
 
-    Checks L0^3 > 16 pi^3 C_alpha^2 ||u0||^2 nu; on success the predicted
-    bound is T < 4 pi^3 / L0 with lower-bound curve (y0, kappa) =
-    (L0, 3/(4 pi^3)) valid up to L0^2/(4 M^2), M = C_alpha sqrt(nu) ||u0||.
+    F's slope floor is exactly 1 and ||F||_{H^alpha}^2 = 2 C_alpha^2, so kappa = 3/(4 pi^3),
+    M = C_alpha sqrt(nu) ||u0||, the hypothesis reads L0^3 > 16 pi^3 C_alpha^2 ||u0||^2 nu
+    and the bound is T < 4 pi^3 / L0.
     """
-    if params.alpha >= 0.5:
-        raise UnsupportedRegimeError(f"alpha={params.alpha} is not supercritical (< 1/2)")
-    L0 = lyapunov(u0, _F)
-    C = c_alpha(params.alpha, series_tol)
-    energy0 = sobolev_norm(u0, 0.0) ** 2
-    threshold = 16.0 * np.pi**3 * C**2 * energy0 * params.nu
-    margin = _margin(L0**3, threshold)
-    hold = L0 > 0.0 and margin > 1.0
-    forcing = C * math.sqrt(params.nu) * math.sqrt(energy0)
-    return BlowupCertificate(
-        theorem="supercritical_F",
-        hypotheses_hold=hold,
-        L0=float(L0),
-        threshold=float(threshold),
-        margin=float(margin),
-        predicted_bound_T=4.0 * np.pi**3 / L0 if hold else None,
-        y0=float(L0) if hold else None,
-        kappa=KAPPA_F if hold else None,
-        forcing_M=forcing if hold else None,
-        window=(math.inf if forcing == 0.0 else L0**2 / (4.0 * forcing**2)) if hold else None,
-        diagnostic="" if L0 > 0 else "sign condition failed: <F, u0> <= 0",
-    )
+    _require_supercritical(params)
+    F = attractors._F
+    return _profile_certificate("supercritical_F", "F", u0, F, F.slope_floor, params, series_tol)
 
 
 def certify_blowup_H(
-    u0: SineSpectrum,
-    H: AttractorFn,
-    params: ModelParams,
-    series_tol: float = 1e-9,
+    u0: SineSpectrum, H: AttractorFn, params: ModelParams, series_tol: float = 1e-9
 ) -> BlowupCertificate:
     """General-profile certificate; with H = F it reproduces certify_blowup_F.
 
-    Checks L0^3 > (12/m) ||H||_{H^alpha}^2 ||H||^2 ||u0||^2 nu and predicts
-    T < 6 ||H||^2 / (m L0), with kappa = m/(2 ||H||^2) and forcing scale
-    M = ||H||_{H^alpha} ||u0|| sqrt(nu/2).
+    The slope floor m comes from sampling (validate_H); the hypothesis reads
+    L0^3 > (12/m) ||H||_{H^alpha}^2 ||H||^2 ||u0||^2 nu and the bound is
+    T < 6 ||H||^2 / (m L0).
     """
-    if params.alpha >= 0.5:
-        raise UnsupportedRegimeError(f"alpha={params.alpha} is not supercritical (< 1/2)")
-    m = validate_H(H)
-    L0 = lyapunov(u0, H)
-    hs_sq = H.hs_norm_sq(params.alpha, series_tol)
-    l2_sq = H.l2_norm**2
-    energy0 = sobolev_norm(u0, 0.0) ** 2
-    threshold = (12.0 / m) * hs_sq * l2_sq * energy0 * params.nu
-    margin = _margin(L0**3, threshold)
-    hold = L0 > 0.0 and margin > 1.0
-    forcing = math.sqrt(hs_sq) * math.sqrt(energy0) * math.sqrt(params.nu / 2.0)
-    return BlowupCertificate(
-        theorem="general_H",
-        hypotheses_hold=hold,
-        L0=float(L0),
-        threshold=float(threshold),
-        margin=float(margin),
-        predicted_bound_T=6.0 * l2_sq / (m * L0) if hold else None,
-        y0=float(L0) if hold else None,
-        kappa=m / (2.0 * l2_sq) if hold else None,
-        forcing_M=forcing if hold else None,
-        window=(math.inf if forcing == 0.0 else L0**2 / (4.0 * forcing**2)) if hold else None,
-        diagnostic="" if L0 > 0 else "sign condition failed: <H, u0> <= 0",
-    )
+    _require_supercritical(params)
+    return _profile_certificate("general_H", "H", u0, H, validate_H(H), params, series_tol)
 
 
 def corollary_condition(R: float, params: ModelParams, series_tol: float = 1e-9) -> BlowupCertificate:
     """Single-sine corollary: u0 = -R sin x blows up when R/nu > 8 pi^2 S(alpha).
 
-    S(alpha) = sum n^{-2(1-alpha)}, so the threshold equals 4 pi C_alpha^2;
-    the certified bound is T < 2 pi^2 / R.  The margin is the ratio of
-    R/nu to the threshold.
+    S(alpha) = sum n^{-2(1-alpha)} = C_alpha^2 / (2 pi).  The lemma runs with L0 = 2 pi R,
+    ||u0||^2 = pi R^2 and F's kappa; the certified bound is T < 2 pi^2 / R.  The margin is
+    R/nu over the threshold, which is twice as strict as F's hypothesis on the same data.
     """
-    if params.alpha >= 0.5:
-        raise UnsupportedRegimeError(f"alpha={params.alpha} is not supercritical (< 1/2)")
+    _require_supercritical(params)
     if R <= 0:
         raise ValueError("amplitude R must be positive")
     S = power_sum(2.0 * (1.0 - params.alpha), series_tol)
     threshold = 8.0 * np.pi**2 * S
     ratio = math.inf if params.nu == 0.0 else R / params.nu
-    margin = ratio / threshold
-    hold = margin > 1.0
-    L0 = 2.0 * np.pi * R
-    C_sq = 2.0 * np.pi * S
-    window = math.inf if params.nu == 0.0 else np.pi / (C_sq * params.nu)
-    return BlowupCertificate(
-        theorem="sine_corollary",
-        hypotheses_hold=hold,
-        L0=float(L0),
-        threshold=float(threshold),
-        margin=float(margin),
-        predicted_bound_T=2.0 * np.pi**2 / R if hold else None,
-        y0=float(L0) if hold else None,
-        kappa=KAPPA_F if hold else None,
-        forcing_M=math.sqrt(C_sq * params.nu * np.pi) * R if hold else None,
-        window=float(window) if hold else None,
-    )
+    M = math.sqrt(2.0 * np.pi * S * params.nu * np.pi) * R
+    return _certificate("sine_corollary", 2.0 * np.pi * R, KAPPA_F, M, threshold, ratio / threshold)
 
 
 def certificate_to_dict(cert: BlowupCertificate) -> dict:
-    return {
-        "theorem": cert.theorem,
-        "hypotheses_hold": cert.hypotheses_hold,
-        "L0": cert.L0,
-        "threshold": cert.threshold,
-        "margin": cert.margin,
-        "predicted_bound_T": cert.predicted_bound_T,
-        "window": cert.window,
-    }
+    """Every field of the certificate, in declaration order."""
+    return asdict(cert)
 
 
 def save_certificate(cert: BlowupCertificate, path: str | Path) -> None:

@@ -40,6 +40,7 @@ from .blowup import (
     certify_blowup_H,
     corollary_condition,
     detect_numerical_blowup,
+    save_certificate,
 )
 from .characteristics import HorizonError, InitialField, RootFindError, tmax_inviscid
 from .dynamics import (
@@ -181,8 +182,13 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"r must be a positive real or 'auto', got {cfg.r!r}")
     if cfg.suite is not None and cfg.suite not in SUITES:
         raise ConfigError(f"unknown suite {cfg.suite!r}; choose from {sorted(SUITES)}")
-    if cfg.mode == "sweep" and not (cfg.alphas and cfg.nus and cfg.Rs):
-        raise ConfigError("sweep requires nonempty --alphas, --nus and --Rs")
+    if cfg.mode == "sweep":
+        if not (cfg.alphas and cfg.nus and cfg.Rs):
+            raise ConfigError("sweep requires nonempty --alphas, --nus and --Rs")
+        # every cell runs the sine corollary, which needs R > 0: refuse before any cell is written
+        bad = [R for R in cfg.Rs if not 0.0 < R < math.inf]
+        if bad:
+            raise ConfigError(f"--Rs entries must be positive and finite, got {bad}")
 
 
 def _initial_spectrum(cfg: ExperimentConfig) -> SineSpectrum:
@@ -231,7 +237,7 @@ def run_simulate(cfg: ExperimentConfig) -> int:
     print(f"termination: {record.termination} at t = {_fmt(float(record.times[-1]))}")
     if cfg.certify and cfg.alpha < 0.5:
         cert = certify_blowup_F(spec0, params)
-        (out / "certificate.json").write_text(json.dumps(certificate_to_dict(cert), indent=2) + "\n")
+        save_certificate(cert, out / "certificate.json")
         print(f"certificate: hypotheses_hold={cert.hypotheses_hold} bound_T="
               f"{_fmt(cert.predicted_bound_T) if cert.predicted_bound_T else 'n/a'}")
     detected = detect_numerical_blowup(record)
@@ -283,15 +289,18 @@ def run_certify(cfg: ExperimentConfig) -> int:
         certs.append(certify_blowup_F(spec0, params))
         kind, _, rest = cfg.init.partition(":")
         if kind == "sine":
-            certs.append(corollary_condition(float(rest), params))
+            # the corollary needs R > 0; without it the theorem's certificate is still written
+            try:
+                certs.append(corollary_condition(float(rest), params))
+            except ValueError as exc:
+                print(f"note: sine corollary skipped: {exc}", file=sys.stderr)
     else:
         certs.append(certify_blowup_H(spec0, _resolve_attractor(cfg.attractor), params))
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     for cert in certs:
-        payload = certificate_to_dict(cert)
-        (out / f"certificate_{cert.theorem}.json").write_text(json.dumps(payload, indent=2) + "\n")
-        print(json.dumps(payload))
+        save_certificate(cert, out / f"certificate_{cert.theorem}.json")
+        print(json.dumps(certificate_to_dict(cert)))
     return 0
 
 
@@ -299,9 +308,7 @@ def _sweep_cell(cfg: ExperimentConfig, alpha: float, nu: float, R: float, out: P
     params = ModelParams(alpha, nu)
     cert = corollary_condition(R, params)
     cell_name = f"cell_a{alpha:g}_nu{nu:g}_R{R:g}"
-    (out / f"{cell_name}.json").write_text(
-        json.dumps(certificate_to_dict(cert), indent=2) + "\n"
-    )
+    save_certificate(cert, out / f"{cell_name}.json")
     detected = None
     if cfg.simulate:
         record = evolve(
@@ -405,6 +412,10 @@ def main(argv=None) -> int:
         # covers ConfigError, HorizonError, regime/series guards, bad files,
         # and a characteristic foot the root finder could not reach
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # e.g. a --modes far beyond memory; numpy names the size it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

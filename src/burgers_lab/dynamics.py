@@ -10,10 +10,11 @@ onto the first N sine modes gives the coefficient system
 The tail sum stops at k = N-n (pure Galerkin truncation), which keeps the
 pairing cancellation sum_n psi_n * Nonlinear(psi)_n = 0 exact at any N.
 
-Two independent evaluators of the same right-hand side are provided:
-``rhs_direct`` computes the quadratic sums by O(N^2) convolution, and
-``rhs_pseudospectral`` squares the field on a half-length grid.  Since u
-is odd and u^2 even, both live on the staggered half grid
+Two independent kernels evaluate the same quadratic term:
+``nonlinear_direct`` computes its sums by O(N^2) convolution, and
+``nonlinear_pseudospectral`` (the default of ``step`` and ``evolve``)
+squares the field on a half-length grid.  Since u is odd and u^2 even,
+both live on the staggered half grid
 xi_k = pi (k + 1/2) / L, k = 0..L-1: a type-3 DST of the zero-padded psi
 gives the samples of u, and a type-2 DCT of u^2 gives its cosine modes.
 Products of modes <= N reach 2N, and on this grid mode j of u^2 aliases
@@ -129,33 +130,6 @@ def nonlinear_pseudospectral(psi: np.ndarray) -> np.ndarray:
     return scale * dct(u, type=2, overwrite_x=True)[1 : N + 1]
 
 
-_KERNELS: dict[str, Kernel] = {
-    "direct": nonlinear_direct,
-    "pseudospectral": nonlinear_pseudospectral,
-}
-
-
-def _resolve_kernel(kernel: str | Kernel) -> Kernel:
-    if callable(kernel):
-        return kernel
-    try:
-        return _KERNELS[kernel]
-    except KeyError:
-        raise ValueError(f"unknown kernel {kernel!r}; use 'direct' or 'pseudospectral'")
-
-
-def rhs_direct(spec: SineSpectrum, params: ModelParams) -> SineSpectrum:
-    """Full right-hand side with the O(N^2) convolution kernel."""
-    return SineSpectrum(nonlinear_direct(spec.psi) - dissipation_symbol(params, spec.N) * spec.psi)
-
-
-def rhs_pseudospectral(spec: SineSpectrum, params: ModelParams) -> SineSpectrum:
-    """Full right-hand side with the padded-transform kernel."""
-    return SineSpectrum(
-        nonlinear_pseudospectral(spec.psi) - dissipation_symbol(params, spec.N) * spec.psi
-    )
-
-
 def _if_rk4_step(psi: np.ndarray, dt: float, half_decay: np.ndarray, nonlinear: Kernel) -> np.ndarray:
     e1 = half_decay
     e2 = half_decay * half_decay
@@ -172,7 +146,7 @@ def step(
     spec: SineSpectrum,
     params: ModelParams,
     dt: float,
-    kernel: str | Kernel = "pseudospectral",
+    kernel: Kernel = nonlinear_pseudospectral,
 ) -> SineSpectrum:
     """One integrating-factor RK4 step of size dt.
 
@@ -180,9 +154,8 @@ def step(
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    nl = _resolve_kernel(kernel)
     half_decay = np.exp(-0.5 * dt * dissipation_symbol(params, spec.N))
-    out = _if_rk4_step(spec.psi, dt, half_decay, nl)
+    out = _if_rk4_step(spec.psi, dt, half_decay, kernel)
     if not np.all(np.isfinite(out)):
         raise StepFailureError(f"non-finite state after step of dt={dt}")
     return SineSpectrum(out)
@@ -260,7 +233,7 @@ def evolve(
     t_end: float,
     dt: float,
     diag: DiagnosticsConfig | None = None,
-    kernel: str | Kernel = "pseudospectral",
+    kernel: Kernel = nonlinear_pseudospectral,
 ) -> SimulationRecord:
     """Fixed-step march to t_end, recording diagnostics every ``stride`` steps.
 
@@ -275,7 +248,6 @@ def evolve(
     n = np.arange(1, N + 1, dtype=float)
     symbol = dissipation_symbol(params, N)
     half_decay = np.exp(-0.5 * dt * symbol)
-    nl = _resolve_kernel(kernel)
     n_steps = max(1, int(round(t_end / dt)))
     M_diag = diag.grid_size or next_pow2(max(256, 2 * (N + 1)))
 
@@ -319,7 +291,7 @@ def evolve(
     termination = TERMINATION_T_END
     for k in range(1, n_steps + 1):
         try:
-            out = _if_rk4_step(psi, dt, half_decay, nl)
+            out = _if_rk4_step(psi, dt, half_decay, kernel)
             if not np.all(np.isfinite(out)):
                 raise StepFailureError(f"non-finite state at t={k * dt}")
         except StepFailureError:

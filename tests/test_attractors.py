@@ -306,6 +306,18 @@ class TestSeriesConstants:
         for p in (1.02, 1.5, 1.9, 2.0, 3.0):
             assert power_sum(p, tol=1e-10) == pytest.approx(scipy.special.zeta(p), abs=2e-10)
 
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+    def test_power_sum_errs_on_the_safe_side(self, tol):
+        # an under-estimate of S(alpha) would loosen the certificate thresholds
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for alpha in np.linspace(0.01, 0.49, 49):
+                p = 2.0 * (1.0 - float(alpha))
+                excess = mpmath.mpf(power_sum(p, tol)) - mpmath.zeta(p)
+                assert excess >= 0, (p, tol)
+                if tol >= 1e-9:  # at 1e-12 partial-sum round-off may add ~1e-15 (see power_sum)
+                    assert excess <= tol, (p, tol)
+
     def test_c_alpha_quarter(self):
         expected = np.sqrt(2 * np.pi * scipy.special.zeta(1.5))
         assert c_alpha(0.25) == pytest.approx(expected, abs=1e-9)

@@ -222,6 +222,10 @@ class TestCorollary:
             if cor.hypotheses_hold:
                 assert thm.hypotheses_hold
                 assert thm.predicted_bound_T == pytest.approx(cor.predicted_bound_T, rel=1e-12)
+                for name in ("window", "forcing_M", "kappa"):
+                    assert getattr(thm, name) == pytest.approx(getattr(cor, name), rel=1e-12)
+            # the same lemma on the same data: the corollary's threshold is twice as strict
+            assert thm.margin == pytest.approx(2.0 * cor.margin, rel=1e-12)
 
 
 class TestCertificateSerialization:
@@ -235,7 +239,11 @@ class TestCertificateSerialization:
             "threshold",
             "margin",
             "predicted_bound_T",
+            "y0",
+            "kappa",
+            "forcing_M",
             "window",
+            "diagnostic",
         }
         path = tmp_path / "cert.json"
         save_certificate(cert, path)
@@ -252,6 +260,39 @@ class TestCertificateSerialization:
         import json
 
         assert json.loads(path.read_text())["predicted_bound_T"] is None
+
+    @pytest.mark.parametrize(
+        "make_cert",
+        [
+            lambda: certify_blowup_F(SINE10, SUPER),
+            lambda: certify_blowup_F(SineSpectrum([-0.5]), SUPER),  # sign diagnostic, null bounds
+            lambda: certify_blowup_F(SINE10, ModelParams(0.25, 0.0)),  # Infinity margin and window
+            lambda: certify_blowup_H(SineSpectrum([-5.0]), make_sawtooth(), SUPER),
+            lambda: certify_blowup_H(SINE10, make_Phi(), SUPER),
+            lambda: corollary_condition(10.0, SUPER),
+            lambda: corollary_condition(1.0, ModelParams(0.25, 0.1)),
+        ],
+    )
+    def test_every_field_round_trips(self, make_cert, tmp_path):
+        import dataclasses
+        import json
+
+        cert = make_cert()
+        path = tmp_path / "cert.json"
+        save_certificate(cert, path)
+        back = json.loads(path.read_text())
+        assert back == certificate_to_dict(cert)
+        assert back == {f.name: getattr(cert, f.name) for f in dataclasses.fields(cert)}
+        assert type(back["hypotheses_hold"]) is bool
+
+    def test_failed_certificate_says_why(self, tmp_path):
+        import json
+
+        path = tmp_path / "cert.json"
+        save_certificate(certify_blowup_F(SineSpectrum([-0.5]), SUPER), path)
+        assert json.loads(path.read_text())["diagnostic"] == "sign condition failed: <F, u0> <= 0"
+        save_certificate(certify_blowup_H(SINE10, make_sawtooth(), SUPER), path)
+        assert json.loads(path.read_text())["diagnostic"] == "sign condition failed: <H, u0> <= 0"
 
 
 class TestDetection:

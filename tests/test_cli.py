@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from burgers_lab import characteristics, cli
+from burgers_lab.blowup import certificate_to_dict, certify_blowup_F, corollary_condition
 from burgers_lab.cli import (
     ConfigError,
     build_parser,
@@ -13,6 +14,8 @@ from burgers_lab.cli import (
     merge_config,
     normalized_dict,
 )
+from burgers_lab.dynamics import ModelParams
+from burgers_lab.spectral import SineSpectrum
 
 R0_SINE = np.sqrt(3.0) / (np.pi * np.sqrt(2.0))
 
@@ -221,6 +224,26 @@ class TestCertify:
         cert = json.loads((out / "certificate_general_H.json").read_text())
         assert cert["hypotheses_hold"] is True
 
+    def test_negative_amplitude_writes_the_theorem_certificate(self, tmp_path, capsys):
+        out = tmp_path / "cert"
+        rc = main(["certify", "--alpha", "0.25", "--nu", "0.04", "--init", "sine:-10", "--out", str(out)])
+        assert rc == 0
+        assert sorted(p.name for p in out.iterdir()) == ["certificate_supercritical_F.json"]
+        thm = json.loads((out / "certificate_supercritical_F.json").read_text())
+        assert thm["hypotheses_hold"] is False
+        assert thm["diagnostic"] == "sign condition failed: <F, u0> <= 0"
+        err = capsys.readouterr().err
+        assert "corollary skipped" in err and err.count("\n") == 1
+
+    def test_normalized_profile_certificate(self, tmp_path):
+        # Phi's coefficients are numpy floats; the verdict must still serialize
+        out = tmp_path / "cert"
+        rc = main(
+            ["certify", "--alpha", "0.25", "--nu", "0.04", "--init", "sine:10", "--attractor", "phi", "--out", str(out)]
+        )
+        assert rc == 0
+        assert json.loads((out / "certificate_general_H.json").read_text())["hypotheses_hold"] is True
+
 
 class TestSweep:
     def test_margin_crosses_threshold(self, tmp_path):
@@ -244,6 +267,21 @@ class TestSweep:
     def test_empty_grid_exits_one(self):
         assert main(["sweep", "--alphas", "", "--nus", "1", "--Rs", "1"]) == 1
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ["--alphas", "0.25", "--nus", "0.04", "--Rs=-1,2"],
+            ["--alphas", "0.25", "--nus", "0.04", "--Rs", "0,2"],
+            ["--alphas", "0.25", "--nus", "0.04", "--Rs", "2,nan"],
+        ],
+    )
+    def test_bad_amplitude_refused_before_any_file(self, grid, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert main(["sweep", *grid, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_single_cell_matches_simulate(self, tmp_path):
         common = ["--alpha", "0.25", "--nu", "0.04", "--modes", "64", "--dt", "1e-3", "--t-end", "0.2"]
         out_sim = tmp_path / "sim"
@@ -262,6 +300,33 @@ class TestSweep:
         sim_bytes = (out_sim / "run.csv").read_bytes()
         cell_bytes = (out_sweep / "cell_a0.25_nu0.04_R2.csv").read_bytes()
         assert sim_bytes == cell_bytes
+
+
+class TestCertificateFiles:
+    """Every command writes the full certificate, as certificate_to_dict gives it."""
+
+    def test_simulate_certify(self, tmp_path):
+        out = tmp_path / "run"
+        argv = ["simulate", "--alpha", "0.25", "--nu", "0.04", "--init", "sine:10", "--modes", "64"]
+        assert main([*argv, "--dt", "1e-3", "--t-end", "0.01", "--certify", "--out", str(out)]) == 0
+        want = certify_blowup_F(SineSpectrum.sine_wave(10.0, N=64), ModelParams(0.25, 0.04))
+        assert json.loads((out / "certificate.json").read_text()) == certificate_to_dict(want)
+
+    def test_certify(self, tmp_path):
+        out = tmp_path / "cert"
+        assert main(["certify", "--alpha", "0.25", "--nu", "0.04", "--init", "sine:10", "--out", str(out)]) == 0
+        params = ModelParams(0.25, 0.04)
+        thm = certify_blowup_F(SineSpectrum.sine_wave(10.0, N=256), params)
+        assert json.loads((out / "certificate_supercritical_F.json").read_text()) == certificate_to_dict(thm)
+        cor = corollary_condition(10.0, params)
+        assert json.loads((out / "certificate_sine_corollary.json").read_text()) == certificate_to_dict(cor)
+
+    def test_sweep_cell(self, tmp_path):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--alphas", "0.25", "--nus", "0.04", "--Rs", "1,10", "--out", str(out)]) == 0
+        for R in (1.0, 10.0):
+            want = certificate_to_dict(corollary_condition(R, ModelParams(0.25, 0.04)))
+            assert json.loads((out / f"cell_a0.25_nu0.04_R{R:g}.json").read_text()) == want
 
 
 class TestDeterminism:
@@ -387,6 +452,15 @@ class TestConfigHandling:
         args = build_parser().parse_args(["simulate", "--config", str(cfg_file), "--alpha", "0.25"])
         cfg = merge_config("simulate", args)
         assert (cfg.alpha, cfg.nu, cfg.r, cfg.alphas, cfg.certify) == (0.25, 1, 0.5, [0.2, 1], False)
+
+    def test_mode_count_beyond_memory_exits_one(self, tmp_path, capsys):
+        # 10^14 modes ask for 728 TiB, which the allocator refuses at once
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"alpha": 0.25, "nu": 0.04, "modes": 10**14}))
+        assert main(["certify", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
