@@ -18,6 +18,7 @@ from .dynamics import (
     SimulationRecord,
     StepFailureError,
     evolve,
+    evolve_batch,
     step,
 )
 from .characteristics import (

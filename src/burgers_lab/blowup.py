@@ -32,7 +32,7 @@ from scipy.integrate import solve_ivp
 
 from . import attractors
 from .attractors import AttractorFn, c_alpha, lyapunov, power_sum, validate_H
-from .dynamics import ModelParams, SimulationRecord, dissipation_symbol, nonlinear_direct
+from .dynamics import ModelParams, SimulationRecord, dissipation_symbol, lyapunov_diagnostic, nonlinear_direct
 from .spectral import FOUR_PI, SineSpectrum, sobolev_norm
 
 #: Riccati coefficient attached to the profile F: 3 / (4 pi^3)
@@ -403,8 +403,8 @@ def monitor_lyapunov_bound(
         N = psi.size
         n = np.arange(1, N + 1, dtype=float)
         rhs = nonlinear_direct(psi) - dissipation_symbol(params, N) * psi
-        dLdt = float(FOUR_PI * np.sum(rhs / n))
-        L = float(FOUR_PI * np.sum(psi / n))
+        dLdt = lyapunov_diagnostic(rhs)
+        L = lyapunov_diagnostic(psi)
         hs = math.sqrt(FOUR_PI * float(np.sum(n ** (2.0 * params.alpha) * psi**2)))
         bound = -math.sqrt(2.0) * C * params.nu * hs + KAPPA_F * L * L
         slack[i] = dLdt - bound

@@ -6,7 +6,9 @@ floating-point output is printed with 17 significant digits so files
 round-trip exactly.
 
 Exit codes: 0 on completion, 1 on configuration/validation errors, 2 when
-a simulation step fails.
+a simulation step fails.  ``sweep`` finishes every cell it can and then
+exits 2 if any cell had a step failure, else 1 if any cell lies outside
+the certificates' regime.
 """
 
 from __future__ import annotations
@@ -14,9 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -35,6 +35,7 @@ from .attractors import (
     optimal_r,
 )
 from .blowup import (
+    UnsupportedRegimeError,
     certificate_to_dict,
     certify_blowup_F,
     certify_blowup_H,
@@ -48,6 +49,7 @@ from .dynamics import (
     DiagnosticsConfig,
     ModelParams,
     evolve,
+    evolve_batch,
     record_to_csv,
     write_record_metadata,
 )
@@ -189,6 +191,12 @@ def _validate(cfg: ExperimentConfig) -> None:
         bad = [R for R in cfg.Rs if not 0.0 < R < math.inf]
         if bad:
             raise ConfigError(f"--Rs entries must be positive and finite, got {bad}")
+        bad = [a for a in cfg.alphas if not 0.0 < a <= 1.0]
+        if bad:
+            raise ConfigError(f"--alphas entries must lie in (0, 1], got {bad}")
+        bad = [nu for nu in cfg.nus if not 0.0 <= nu < math.inf]
+        if bad:
+            raise ConfigError(f"--nus entries must be finite and >= 0, got {bad}")
 
 
 def _initial_spectrum(cfg: ExperimentConfig) -> SineSpectrum:
@@ -304,57 +312,55 @@ def run_certify(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _sweep_cell(cfg: ExperimentConfig, alpha: float, nu: float, R: float, out: Path) -> dict:
-    params = ModelParams(alpha, nu)
-    cert = corollary_condition(R, params)
-    cell_name = f"cell_a{alpha:g}_nu{nu:g}_R{R:g}"
-    save_certificate(cert, out / f"{cell_name}.json")
-    detected = None
-    if cfg.simulate:
-        record = evolve(
-            SineSpectrum.sine_wave(R, N=cfg.modes),
-            params,
+def run_sweep(cfg: ExperimentConfig) -> int:
+    """Certify every (alpha, nu, R) cell, march the supported ones as one batch, tabulate.
+
+    A cell outside the certificates' regime gets status 'unsupported' and no
+    files; a cell whose march fails gets 'step_failure' and its partial CSV.
+    """
+    cells = sorted(product(map(float, cfg.alphas), map(float, cfg.nus), map(float, cfg.Rs)))
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    rows, batch = [], []
+    for alpha, nu, R in cells:
+        name = f"cell_a{alpha:g}_nu{nu:g}_R{R:g}"
+        row = {"alpha": alpha, "nu": nu, "R": R, "margin": None, "bound_T": None, "detected_T": None, "status": "ok"}
+        rows.append(row)
+        params = ModelParams(alpha, nu)
+        try:
+            cert = corollary_condition(R, params)
+        except UnsupportedRegimeError as exc:
+            row["status"] = "unsupported"
+            print(f"error: {name}: {exc}", file=sys.stderr)
+            continue
+        save_certificate(cert, out / f"{name}.json")
+        row.update(margin=cert.margin, bound_T=cert.predicted_bound_T)
+        if cfg.simulate:
+            batch.append((name, row, params))
+    if batch:
+        records = evolve_batch(
+            [SineSpectrum.sine_wave(row["R"], N=cfg.modes) for _, row, _ in batch],
+            [params for _, _, params in batch],
             cfg.t_end,
             cfg.dt,
             DiagnosticsConfig(stride=cfg.stride, tail_threshold=cfg.tail_threshold),
         )
-        record_to_csv(record, out / f"{cell_name}.csv")
-        detected = detect_numerical_blowup(record)
-    return {
-        "alpha": alpha,
-        "nu": nu,
-        "R": R,
-        "margin": cert.margin,
-        "bound_T": cert.predicted_bound_T,
-        "detected_T": detected,
-    }
-
-
-def run_sweep(cfg: ExperimentConfig) -> int:
-    cells = sorted(product(map(float, cfg.alphas), map(float, cfg.nus), map(float, cfg.Rs)))
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    workers = int(os.environ.get("BURGERS_LAB_THREADS", "0")) or min(len(cells), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        rows = list(pool.map(lambda c: _sweep_cell(cfg, *c, out), cells))
-    rows.sort(key=lambda row: (row["alpha"], row["nu"], row["R"]))
-    lines = ["alpha,nu,R,margin,bound_T,detected_T"]
+        for (name, row, _), record in zip(batch, records):
+            record_to_csv(record, out / f"{name}.csv")
+            row["detected_T"] = detect_numerical_blowup(record)
+            if record.termination == TERMINATION_STEP_FAILURE:
+                row["status"] = TERMINATION_STEP_FAILURE
+                print(f"error: {name}: step failure after t = {_fmt(float(record.times[-1]))}", file=sys.stderr)
+    lines = ["alpha,nu,R,margin,bound_T,detected_T,status"]
     for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(row["alpha"]),
-                    _fmt(row["nu"]),
-                    _fmt(row["R"]),
-                    _fmt(row["margin"]),
-                    _fmt(row["bound_T"]) if row["bound_T"] is not None else "",
-                    _fmt(row["detected_T"]) if row["detected_T"] is not None else "",
-                ]
-            )
-        )
+        numbers = [row[key] for key in ("alpha", "nu", "R", "margin", "bound_T", "detected_T")]
+        lines.append(",".join([*("" if v is None else _fmt(v) for v in numbers), row["status"]]))
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} cells)")
-    return 0
+    statuses = {row["status"] for row in rows}
+    if TERMINATION_STEP_FAILURE in statuses:
+        return 2
+    return 1 if "unsupported" in statuses else 0
 
 
 RUNNERS = {

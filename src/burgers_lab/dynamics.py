@@ -21,9 +21,15 @@ Products of modes <= N reach 2N, and on this grid mode j of u^2 aliases
 (with a sign flip) onto 2L - j; with 2L > 3N that lands above N, so the
 retained modes are alias-free.
 
+Kernel contract: a kernel maps an array of shape (..., N) to the quadratic
+term of each row along the last axis, one row independently of the
+others, so one call evaluates a whole stack of spectra.
+
 Time stepping is fixed-step integrating-factor RK4: the dissipative part
 is absorbed exactly through exp(-nu n^{2 alpha} dt) and classical RK4
 advances the transformed nonlinearity, reducing to plain RK4 when nu = 0.
+``evolve_batch`` marches a (B, N) stack of spectra at once; ``evolve`` is
+its one-row case.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -85,9 +91,12 @@ def nonlinear_direct(psi: np.ndarray) -> np.ndarray:
     """Quadratic term (n/2)*S1(n) - n*S2(n) by direct convolution.
 
     S1(n) = sum_{j+k=n} psi_j psi_k  and  S2(n) = sum_k psi_k psi_{k+n},
-    both over the truncated support only.
+    both over the truncated support only.  A (..., N) stack is done row
+    by row.
     """
     psi = np.asarray(psi, dtype=float)
+    if psi.ndim > 1:
+        return np.apply_along_axis(nonlinear_direct, -1, psi)
     N = psi.size
     n = np.arange(1, N + 1, dtype=float)
     s1 = np.zeros(N)
@@ -118,28 +127,28 @@ def nonlinear_pseudospectral(psi: np.ndarray) -> np.ndarray:
     Unnormalised DST-III of psi (zero-padded to L) gives -u(xi_k); the
     midpoint rule on (0, pi) turns the unnormalised DCT-II of u^2 into
     2L times its Fourier coefficients w_hat(n), and mode n of -(u^2/2)_x
-    is -(n/2) * w_hat(n).
+    is -(n/2) * w_hat(n).  Both transforms run along the last axis.
     """
     psi = np.asarray(psi, dtype=float)
-    N = psi.size
+    N = psi.shape[-1]
     L, scale = _half_grid(N)
-    u = np.zeros(L)
-    u[:N] = psi
+    u = np.zeros(psi.shape[:-1] + (L,))
+    u[..., :N] = psi
     u = dst(u, type=3, overwrite_x=True)
     u *= u
-    return scale * dct(u, type=2, overwrite_x=True)[1 : N + 1]
+    return scale * dct(u, type=2, overwrite_x=True)[..., 1 : N + 1]
 
 
-def _if_rk4_step(psi: np.ndarray, dt: float, half_decay: np.ndarray, nonlinear: Kernel) -> np.ndarray:
-    e1 = half_decay
-    e2 = half_decay * half_decay
-    # overflow here is reported as StepFailureError by the callers
+def _if_rk4_step(psi: np.ndarray, dt: float, e1: np.ndarray, e2: np.ndarray, nonlinear: Kernel) -> np.ndarray:
+    """One step with the half- and full-step decay factors e1 and e2 = e1 * e1."""
+    # overflow here is caught by the callers' finiteness checks
     with np.errstate(over="ignore", invalid="ignore"):
         k1 = nonlinear(psi)
         k2 = nonlinear(e1 * (psi + 0.5 * dt * k1))
         k3 = nonlinear(e1 * psi + 0.5 * dt * k2)
-        k4 = nonlinear(e2 * psi + dt * e1 * k3)
-        return e2 * psi + dt / 6.0 * (e2 * k1 + 2.0 * e1 * (k2 + k3) + k4)
+        e2_psi = e2 * psi
+        k4 = nonlinear(e2_psi + dt * e1 * k3)
+        return e2_psi + dt / 6.0 * (e2 * k1 + 2.0 * e1 * (k2 + k3) + k4)
 
 
 def step(
@@ -155,7 +164,7 @@ def step(
     if dt <= 0:
         raise ValueError("dt must be positive")
     half_decay = np.exp(-0.5 * dt * dissipation_symbol(params, spec.N))
-    out = _if_rk4_step(spec.psi, dt, half_decay, kernel)
+    out = _if_rk4_step(spec.psi, dt, half_decay, half_decay * half_decay, kernel)
     if not np.all(np.isfinite(out)):
         raise StepFailureError(f"non-finite state after step of dt={dt}")
     return SineSpectrum(out)
@@ -209,22 +218,27 @@ class SimulationRecord:
         }
 
 
-def tail_energy_fraction(psi: np.ndarray) -> float:
-    """Energy in the top eighth of the modes over total energy (0 if empty)."""
-    total = float(np.sum(psi**2))
-    if total == 0.0:
-        return 0.0
-    cut = psi.size - psi.size // 8
-    return float(np.sum(psi[cut:] ** 2) / total)
+#: the per-record series of a SimulationRecord besides ``times``, in CSV order
+_DIAGNOSTIC_COLUMNS = ("energy", "diss_integral", "lyapunov", "dist_rF", "h1_norm", "tail_fraction", "min_ux")
 
 
-def lyapunov_diagnostic(psi: np.ndarray) -> float:
-    n = np.arange(1, psi.size + 1, dtype=float)
-    return float(FOUR_PI * np.sum(psi / n))
+def tail_energy_fraction(psi: np.ndarray) -> float | np.ndarray:
+    """Energy in the top eighth of the modes over total energy (0 if empty).
+
+    Reduces along the last axis: one value per row of a (..., N) stack.
+    """
+    total = np.sum(psi**2, axis=-1)
+    cut = psi.shape[-1] - psi.shape[-1] // 8
+    tail = np.sum(psi[..., cut:] ** 2, axis=-1)
+    frac = np.divide(tail, total, out=np.zeros_like(total), where=total != 0.0)
+    return frac if psi.ndim > 1 else float(frac)
 
 
-def _distance_to_scaled_attractor(energy: float, lyap: float, r: float) -> float:
-    return energy - 2.0 * r * lyap + r * r * F_L2_NORM_SQ
+def lyapunov_diagnostic(psi: np.ndarray) -> float | np.ndarray:
+    """L = 4 pi sum psi_n / n, the pairing with F; one value per row of a stack."""
+    n = np.arange(1, psi.shape[-1] + 1, dtype=float)
+    lyap = FOUR_PI * np.sum(psi / n, axis=-1)
+    return lyap if psi.ndim > 1 else float(lyap)
 
 
 def evolve(
@@ -235,95 +249,136 @@ def evolve(
     diag: DiagnosticsConfig | None = None,
     kernel: Kernel = nonlinear_pseudospectral,
 ) -> SimulationRecord:
-    """Fixed-step march to t_end, recording diagnostics every ``stride`` steps.
+    """Fixed-step march of one spectrum: ``evolve_batch`` with a single row."""
+    return evolve_batch([spec0], [params], t_end, dt, diag, kernel)[0]
 
-    Halts early with termination 'blowup_detected' when the spectral tail
-    fraction exceeds its threshold (a resolution-loss proxy, not a proof),
-    and with 'step_failure' (partial record) on non-finite states.
+
+def evolve_batch(
+    spectra: Sequence[SineSpectrum],
+    params: Sequence[ModelParams],
+    t_end: float,
+    dt: float,
+    diag: DiagnosticsConfig | None = None,
+    kernel: Kernel = nonlinear_pseudospectral,
+) -> list[SimulationRecord]:
+    """Fixed-step march of a stack of spectra to t_end, one record per spectrum.
+
+    The spectra share N, dt, t_end and ``diag``; alpha and nu may differ
+    from row to row.  Diagnostics are recorded every ``stride`` steps.  A
+    row halts on its own, with termination 'blowup_detected' when its
+    spectral tail fraction exceeds the threshold at a record (a
+    resolution-loss proxy, not a proof), or 'step_failure' (partial record)
+    on a non-finite state; the other rows march on.  Each record equals the
+    one its spectrum gives when marched alone.
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
+    if not spectra or len(spectra) != len(params):
+        raise ValueError("need at least one spectrum and one ModelParams per spectrum")
+    N = spectra[0].N
+    if any(spec.N != N for spec in spectra):
+        raise ValueError("all spectra must have the same mode count")
     diag = diag or DiagnosticsConfig()
-    N = spec0.N
     n = np.arange(1, N + 1, dtype=float)
-    symbol = dissipation_symbol(params, N)
-    half_decay = np.exp(-0.5 * dt * symbol)
     n_steps = max(1, int(round(t_end / dt)))
     M_diag = diag.grid_size or next_pow2(max(256, 2 * (N + 1)))
 
-    energy0 = float(FOUR_PI * np.sum(spec0.psi**2))
-    if diag.r is not None:
-        r = diag.r
-    else:
-        r = np.sqrt(energy0 / F_L2_NORM_SQ)
-
-    rows: list[tuple] = []
-    spectra: list[np.ndarray] | None = [] if diag.store_spectra else None
-
+    # one row per spectrum, each built exactly as a single-row march builds it
+    half_decay = np.stack([np.exp(-0.5 * dt * dissipation_symbol(p, N)) for p in params])
     # g(psi) = 2 nu ||psi||_{H^alpha}^2, the dissipation rate
-    diss_weights = 2.0 * params.nu * FOUR_PI * n ** (2.0 * params.alpha)
+    diss_weights = np.stack([2.0 * p.nu * FOUR_PI * n ** (2.0 * p.alpha) for p in params])
 
-    def diss_rate(psi: np.ndarray) -> float:
-        return float(np.sum(diss_weights * psi**2))
+    psi = np.stack([spec.psi for spec in spectra])
+    if diag.r is not None:
+        r = np.full(len(spectra), float(diag.r))
+    else:
+        r = np.sqrt(FOUR_PI * np.sum(psi**2, axis=-1) / F_L2_NORM_SQ)
+    if len(spectra) == 1:
+        # a lone spectrum marches as a plain (N,) row, without the cost of a stack
+        psi, half_decay, diss_weights = psi[0], half_decay[0], diss_weights[0]
+    decay = half_decay * half_decay
 
-    def record(k: int, psi: np.ndarray, diss: float):
-        energy = float(FOUR_PI * np.sum(psi**2))
+    log: list[tuple[int, np.ndarray, np.ndarray]] = []  # (step, active spectra, diagnostics x rows)
+    stored: list[list[np.ndarray]] | None = [[] for _ in spectra] if diag.store_spectra else None
+    terminations = [TERMINATION_T_END] * len(spectra)
+    active = np.arange(len(spectra))  # the spectrum each row of psi belongs to
+
+    def record(k: int, psi: np.ndarray, diss) -> np.ndarray:
+        """Log the diagnostics of every active spectrum; return their tail fractions."""
+        psi = psi.reshape(-1, N)
+        energy = FOUR_PI * np.sum(psi**2, axis=-1)
         lyap = lyapunov_diagnostic(psi)
-        rows.append(
-            (
-                k * dt,
+        r_act = r[active]
+        tail = tail_energy_fraction(psi)
+        values = np.stack(
+            [
                 energy,
-                diss,
+                np.reshape(diss, -1),
                 lyap,
-                _distance_to_scaled_attractor(energy, lyap, r),
-                float(np.sqrt(FOUR_PI * np.sum(n**2 * psi**2))),
-                tail_energy_fraction(psi),
-                float(synthesize_slope(SineSpectrum(psi), M_diag).min()),
-            )
+                energy - 2.0 * r_act * lyap + r_act * r_act * F_L2_NORM_SQ,
+                np.sqrt(FOUR_PI * np.sum(n**2 * psi**2, axis=-1)),
+                tail,
+                synthesize_slope(psi, M_diag).min(axis=-1),
+            ]
         )
-        if spectra is not None:
-            spectra.append(psi.copy())
+        log.append((k, active, values))
+        if stored is not None:
+            for cell, row in zip(active, psi):
+                stored[cell].append(row.copy())
+        return tail
 
-    psi = spec0.psi.copy()
-    diss_acc = 0.0
-    g_prev = diss_rate(psi)
+    def retire(ended, reason: str) -> np.ndarray:
+        """Give the rows in ``ended`` their termination; return the mask of rows that march on."""
+        ended = np.reshape(ended, -1)
+        for cell in active[ended]:
+            terminations[cell] = reason
+        return ~ended
+
+    diss_acc = np.zeros(psi.shape[:-1])
+    g_prev = np.sum(diss_weights * psi**2, axis=-1)
     record(0, psi, diss_acc)
-    termination = TERMINATION_T_END
     for k in range(1, n_steps + 1):
-        try:
-            out = _if_rk4_step(psi, dt, half_decay, kernel)
-            if not np.all(np.isfinite(out)):
-                raise StepFailureError(f"non-finite state at t={k * dt}")
-        except StepFailureError:
-            termination = TERMINATION_STEP_FAILURE
-            break
+        out = _if_rk4_step(psi, dt, half_decay, decay, kernel)
+        if not np.all(np.isfinite(out)):
+            keep = retire(~np.all(np.isfinite(out), axis=-1), TERMINATION_STEP_FAILURE)
+            if not keep.any():
+                break
+            active, out, half_decay, decay, diss_weights, diss_acc, g_prev = (
+                a[keep] for a in (active, out, half_decay, decay, diss_weights, diss_acc, g_prev)
+            )
         psi = out
-        g_new = diss_rate(psi)
-        diss_acc += 0.5 * dt * (g_prev + g_new)
+        g_new = np.sum(diss_weights * psi**2, axis=-1)
+        diss_acc = diss_acc + 0.5 * dt * (g_prev + g_new)
         g_prev = g_new
         if k % diag.stride == 0 or k == n_steps:
-            record(k, psi, diss_acc)
-            if tail_energy_fraction(psi) > diag.tail_threshold:
-                termination = TERMINATION_BLOWUP
-                break
+            blown = record(k, psi, diss_acc) > diag.tail_threshold
+            if blown.any():
+                keep = retire(blown, TERMINATION_BLOWUP)
+                if not keep.any():
+                    break
+                active, psi, half_decay, decay, diss_weights, diss_acc, g_prev = (
+                    a[keep] for a in (active, psi, half_decay, decay, diss_weights, diss_acc, g_prev)
+                )
 
-    cols = [np.array(c) for c in zip(*rows)]
-    return SimulationRecord(
-        params=params,
-        N=N,
-        dt=dt,
-        r=float(r),
-        times=cols[0],
-        energy=cols[1],
-        diss_integral=cols[2],
-        lyapunov=cols[3],
-        dist_rF=cols[4],
-        h1_norm=cols[5],
-        tail_fraction=cols[6],
-        min_ux=cols[7],
-        termination=termination,
-        spectra=spectra,
-    )
+    # spectra only ever leave the stack, so each one's records are a prefix of the log
+    times = np.array([k * dt for k, _, _ in log])
+    table = np.empty((len(log), len(_DIAGNOSTIC_COLUMNS), len(spectra)))
+    for i, (_, cells, values) in enumerate(log):
+        table[i][:, cells] = values
+    counts = np.bincount(np.concatenate([cells for _, cells, _ in log]), minlength=len(spectra))
+    return [
+        SimulationRecord(
+            params=p,
+            N=N,
+            dt=dt,
+            r=float(r[cell]),
+            times=times[: counts[cell]].copy(),
+            **dict(zip(_DIAGNOSTIC_COLUMNS, table[: counts[cell], :, cell].T.copy())),
+            termination=terminations[cell],
+            spectra=stored[cell] if stored is not None else None,
+        )
+        for cell, p in enumerate(params)
+    ]
 
 
 def record_to_csv(record: SimulationRecord, path: str | Path) -> None:

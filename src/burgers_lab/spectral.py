@@ -143,20 +143,29 @@ def _alternating_signs(count: int) -> np.ndarray:
     return alt
 
 
+def _alternating_synthesis(psi: np.ndarray, M: int, prefactor) -> np.ndarray:
+    """Inverse real FFT, along the last axis, of mode n = prefactor_n (-1)^n psi_n.
+
+    The sign (-1)^n moves the samples onto x_j = -pi + 2 pi j/M.  ``psi``
+    may be one coefficient row or a (..., N) stack; M >= 2N resolves every
+    mode.
+    """
+    N = psi.shape[-1]
+    if M < 2 * N:
+        raise UnderResolvedError(f"grid size {M} < 2N = {2 * N}")
+    coeffs = np.zeros(psi.shape[:-1] + (M // 2 + 1,), dtype=complex)
+    coeffs[..., 1 : N + 1] = prefactor * _alternating_signs(N + 1)[1:] * psi
+    return np.fft.irfft(coeffs, n=M)
+
+
 def synthesize(spec: SineSpectrum, M: int) -> GridFunction:
     """Evaluate -2 sum psi_n sin(n x_j) on the M-point grid, exactly.
 
     Requires M >= 2N so every stored mode is resolved.
     """
-    if M < 2 * spec.N:
-        raise UnderResolvedError(f"grid size {M} < 2N = {2 * spec.N}")
     if M < 4 or (M & (M - 1)) != 0:
         raise ValueError("grid size must be a power of two, at least 4")
-    coeffs = np.zeros(M // 2 + 1, dtype=complex)
-    n_max = min(spec.N, M // 2)
-    alt = _alternating_signs(n_max + 1)
-    coeffs[1 : n_max + 1] = 1j * M * alt[1:] * spec.psi[:n_max]
-    u = np.fft.irfft(coeffs, n=M)
+    u = _alternating_synthesis(spec.psi, M, 1j * M)
     return GridFunction(u, odd_residual=odd_symmetry_residual(u))
 
 
@@ -169,15 +178,13 @@ def synthesize_direct(spec: SineSpectrum, M: int) -> np.ndarray:
     return u
 
 
-def synthesize_slope(spec: SineSpectrum, M: int) -> np.ndarray:
-    """Samples of du/dx = -2 sum n psi_n cos(n x_j) (an even function)."""
-    if M < 2 * spec.N:
-        raise UnderResolvedError(f"grid size {M} < 2N = {2 * spec.N}")
-    coeffs = np.zeros(M // 2 + 1, dtype=complex)
-    n = np.arange(1, spec.N + 1)
-    alt = _alternating_signs(spec.N + 1)
-    coeffs[1 : spec.N + 1] = -M * n * alt[1:] * spec.psi
-    return np.fft.irfft(coeffs, n=M)
+def synthesize_slope(spec: SineSpectrum | np.ndarray, M: int) -> np.ndarray:
+    """Samples of du/dx = -2 sum n psi_n cos(n x_j) (an even function).
+
+    Takes a spectrum or a (..., N) stack of coefficient rows.
+    """
+    psi = spec.psi if isinstance(spec, SineSpectrum) else spec
+    return _alternating_synthesis(psi, M, -M * np.arange(1, psi.shape[-1] + 1))
 
 
 def oddness_residual(samples: np.ndarray) -> float:

@@ -20,12 +20,17 @@ from burgers_lab.spectral import SineSpectrum
 R0_SINE = np.sqrt(3.0) / (np.pi * np.sqrt(2.0))
 
 
+def _number(value):
+    try:
+        return float(value) if value else np.nan
+    except ValueError:  # a text column, such as sweep.csv's status
+        return np.nan
+
+
 def read_csv(path):
     lines = path.read_text().strip().split("\n")
     header = lines[0].split(",")
-    data = np.array(
-        [[float(v) if v else np.nan for v in line.split(",")] for line in lines[1:]]
-    )
+    data = np.array([[_number(v) for v in line.split(",")] for line in lines[1:]])
     return header, data
 
 
@@ -259,7 +264,7 @@ class TestSweep:
         )
         assert rc == 0
         header, data = read_csv(out / "sweep.csv")
-        assert header == ["alpha", "nu", "R", "margin", "bound_T", "detected_T"]
+        assert header == ["alpha", "nu", "R", "margin", "bound_T", "detected_T", "status"]
         margins = data[:, 3]
         assert margins[0] < 1 < margins[1] < margins[2]
         assert (out / "cell_a0.25_nu0.04_R10.json").exists()
@@ -282,24 +287,72 @@ class TestSweep:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
-    def test_single_cell_matches_simulate(self, tmp_path):
-        common = ["--alpha", "0.25", "--nu", "0.04", "--modes", "64", "--dt", "1e-3", "--t-end", "0.2"]
+    # cells that stop at different times: t_end, two blowup detections, a step failure
+    GRID = {"alphas": "0.25,0.3", "nus": "0.04", "Rs": "2,10,40,1e150"}
+    MARCH = ["--modes", "64", "--dt", "1e-3", "--t-end", "0.2"]
+
+    @pytest.fixture(scope="class")
+    def grid_sweep(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("grid") / "sweep"
+        argv = ["sweep", *(f"--{key}={value}" for key, value in self.GRID.items()), *self.MARCH]
+        rc = main([*argv, "--simulate", "--out", str(out)])
+        return rc, out
+
+    @pytest.mark.parametrize(
+        "alpha, R", [("0.25", "2"), ("0.25", "10"), ("0.3", "40"), ("0.3", "1e150")], ids=lambda v: v
+    )
+    def test_single_cell_matches_simulate(self, grid_sweep, alpha, R, tmp_path):
+        rc, out_sweep = grid_sweep
+        assert rc == 2  # the 1e150 cells overflow
         out_sim = tmp_path / "sim"
-        assert main(["simulate", *common, "--init", "sine:2", "--out", str(out_sim)]) == 0
-        out_sweep = tmp_path / "sweep"
-        rc = main(
-            [
-                "sweep",
-                "--alphas", "0.25", "--nus", "0.04", "--Rs", "2",
-                "--modes", "64", "--dt", "1e-3", "--t-end", "0.2",
-                "--simulate",
-                "--out", str(out_sweep),
-            ]
-        )
-        assert rc == 0
+        argv = ["simulate", "--alpha", alpha, "--nu", "0.04", *self.MARCH, "--init", f"sine:{R}"]
+        assert main([*argv, "--out", str(out_sim)]) == (2 if R == "1e150" else 0)
         sim_bytes = (out_sim / "run.csv").read_bytes()
-        cell_bytes = (out_sweep / "cell_a0.25_nu0.04_R2.csv").read_bytes()
+        cell_bytes = (out_sweep / f"cell_a{alpha}_nu0.04_R{float(R):g}.csv").read_bytes()
         assert sim_bytes == cell_bytes
+
+    def test_cells_stop_at_different_times(self, grid_sweep):
+        _, out = grid_sweep
+        stops = {path.read_text().strip().split("\n")[-1].split(",")[0] for path in out.glob("cell_*.csv")}
+        assert len(stops) >= 3
+        _, data = read_csv(out / "sweep.csv")
+        statuses = [line.rsplit(",", 1)[1] for line in (out / "sweep.csv").read_text().split("\n")[1:-1]]
+        assert statuses == ["ok", "ok", "ok", "step_failure"] * 2
+        assert np.isnan(data[3, 5]) and np.isfinite(data[2, 5])
+
+    def test_unsupported_cell_listed_and_others_written(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--alphas", "0.25,0.6", "--nus", "0.04", "--Rs", "2", "--modes", "32"]
+        assert main([*argv, "--dt", "1e-3", "--t-end", "0.01", "--simulate", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cell_a0.6_nu0.04_R2: ") and err.count("\n") == 1
+        lines = (out / "sweep.csv").read_text().split("\n")
+        assert lines[0].endswith(",status") and len(lines) == 4 and lines[3] == ""
+        assert lines[1].startswith("0.25,") and lines[1].endswith(",ok")
+        assert lines[2] == "0.59999999999999998,0.040000000000000001,2,,,,unsupported"
+        assert (out / "cell_a0.25_nu0.04_R2.json").exists() and (out / "cell_a0.25_nu0.04_R2.csv").exists()
+        assert not list(out.glob("cell_a0.6*"))
+
+    def test_overflowing_cell_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--alphas", "0.25", "--nus", "0.04", "--Rs", "2,1e150", "--modes", "32"]
+        assert main([*argv, "--dt", "1e-3", "--t-end", "0.01", "--simulate", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cell_a0.25_nu0.04_R1e+150: step failure") and err.count("\n") == 1
+        lines = (out / "sweep.csv").read_text().split("\n")
+        assert lines[1].endswith(",ok") and lines[2].endswith(",step_failure")
+        assert (out / "cell_a0.25_nu0.04_R1e+150.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--alphas", "0.25,1.5"), ("--alphas", "0,0.25"), ("--nus", "-1"), ("--nus", "inf")]
+    )
+    def test_bad_alpha_or_nu_refused_before_any_file(self, flag, value, tmp_path, capsys):
+        grid = {"--alphas": "0.25", "--nus": "0.04", "--Rs": "2", flag: value}
+        out = tmp_path / "sweep"
+        assert main(["sweep", *(f"{k}={v}" for k, v in grid.items()), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestCertificateFiles:

@@ -14,6 +14,8 @@ from burgers_lab.dynamics import (
     _half_grid,
     dissipation_symbol,
     evolve,
+    evolve_batch,
+    lyapunov_diagnostic,
     nonlinear_direct,
     nonlinear_pseudospectral,
     record_to_csv,
@@ -95,7 +97,7 @@ class TestPseudospectralKernel:
             assert 2 * L > 3 * N and scale.size == N and not scale.flags.writeable
 
     def test_concurrent_calls_match_direct(self, rng):
-        # the sweep pool runs evolve on several threads at once
+        # library callers may run evolve on several threads at once
         inputs = [rng.uniform(-1.0, 1.0, N) for N in (128, 512, 128, 512)]
         expected = [nonlinear_pseudospectral(psi) for psi in inputs]
         for psi, want in zip(inputs, expected):
@@ -121,6 +123,18 @@ class TestPseudospectralKernel:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert mismatches == []
+
+    @pytest.mark.parametrize("shape", [(24, 128), (8, 256), (2, 512), (24, 512), (1, 64), (2, 3, 40)])
+    def test_stack_matches_rows(self, shape, rng):
+        psi = rng.uniform(-1.0, 1.0, shape)
+        got = nonlinear_pseudospectral(psi)
+        rows = psi.reshape(-1, shape[-1])
+        want = np.stack([nonlinear_pseudospectral(row) for row in rows]).reshape(shape)
+        assert np.array_equal(got, want)
+        direct = np.stack([nonlinear_direct(row) for row in rows]).reshape(shape)
+        assert np.array_equal(nonlinear_direct(psi), direct)
+        scale = np.max(np.abs(direct), axis=-1, keepdims=True)
+        assert np.all(np.abs(got - direct) <= 1e-10 * scale)
 
     def test_full_rhs_agreement(self, rng):
         psi = rng.uniform(-1, 1, 128)
@@ -270,6 +284,79 @@ class TestEvolve:
 
     def test_tail_fraction_zero_field(self):
         assert tail_energy_fraction(np.zeros(64)) == 0.0
+
+    def test_diagnostics_reduce_along_last_axis(self, rng):
+        psi = rng.uniform(-1.0, 1.0, (5, 48))
+        psi[2] = 0.0
+        tails = tail_energy_fraction(psi)
+        lyaps = lyapunov_diagnostic(psi)
+        assert tails.shape == lyaps.shape == (5,)
+        assert tails.tolist() == [tail_energy_fraction(row) for row in psi]
+        assert lyaps.tolist() == [lyapunov_diagnostic(row) for row in psi]
+        assert isinstance(tail_energy_fraction(psi[0]), float) and isinstance(lyapunov_diagnostic(psi[0]), float)
+
+
+def _assert_same_record(got, want):
+    assert got.termination == want.termination
+    assert (got.params, got.N, got.dt, got.r) == (want.params, want.N, want.dt, want.r)
+    for name in ("times", "energy", "diss_integral", "lyapunov", "dist_rF", "h1_norm", "tail_fraction", "min_ux"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert (got.spectra is None) == (want.spectra is None)
+    if got.spectra is not None:
+        assert len(got.spectra) == len(want.spectra)
+        assert all(np.array_equal(a, b) for a, b in zip(got.spectra, want.spectra))
+
+
+class TestEvolveBatch:
+    # (alpha, nu, R): runs to t_end, blows up, overflows, runs to t_end with strong damping
+    CELLS = [(0.25, 0.04, 2.0), (0.25, 0.04, 40.0), (0.3, 0.02, 1e150), (0.75, 0.5, 1.0)]
+
+    @pytest.mark.parametrize("store", [False, True])
+    def test_mixed_batch_matches_single_rows(self, store):
+        specs = [SineSpectrum.sine_wave(R, 64) for _, _, R in self.CELLS]
+        params = [ModelParams(a, nu) for a, nu, _ in self.CELLS]
+        diag = DiagnosticsConfig(stride=5, store_spectra=store)
+        records = evolve_batch(specs, params, 0.2, 1e-3, diag)
+        assert [rec.termination for rec in records] == [
+            "t_end_reached", "blowup_detected", "step_failure", "t_end_reached"
+        ]
+        assert len({rec.times.size for rec in records}) == 3
+        for spec, p, rec in zip(specs, params, records):
+            _assert_same_record(rec, evolve(spec, p, 0.2, 1e-3, diag))
+
+    def test_fixed_r_and_random_spectra(self, rng):
+        N = 40
+        specs = [SineSpectrum(rng.uniform(-1.0, 1.0, N) / np.arange(1, N + 1) ** 2) for _ in range(5)]
+        params = [ModelParams(a, nu) for a, nu in ((0.2, 0.01), (0.4, 0.0), (0.45, 0.1), (1.0, 0.3), (0.2, 0.01))]
+        diag = DiagnosticsConfig(stride=3, r=1.3)
+        for spec, p, rec in zip(specs, params, evolve_batch(specs, params, 0.05, 1e-3, diag)):
+            _assert_same_record(rec, evolve(spec, p, 0.05, 1e-3, diag))
+
+    def test_all_rows_end(self):
+        specs = [SineSpectrum.sine_wave(1e150, 16), SineSpectrum.sine_wave(1e150, 16)]
+        params = [ModelParams(0.25, 0.04), ModelParams(0.3, 0.1)]
+        records = evolve_batch(specs, params, 1.0, 1e-3)
+        assert [rec.termination for rec in records] == ["step_failure"] * 2
+        assert [rec.times.tolist() for rec in records] == [[0.0], [0.0]]
+
+    def test_direct_kernel_row_wise(self):
+        specs = [SineSpectrum.sine_wave(R, 24) for R in (1.0, 3.0)]
+        params = [ModelParams(0.25, 0.04)] * 2
+        records = evolve_batch(specs, params, 0.02, 1e-3, kernel=nonlinear_direct)
+        for spec, p, rec in zip(specs, params, records):
+            _assert_same_record(rec, evolve(spec, p, 0.02, 1e-3, kernel=nonlinear_direct))
+
+    @pytest.mark.parametrize(
+        "specs, params",
+        [
+            ([], []),
+            ([SineSpectrum.sine_wave(1.0, 16)], []),
+            ([SineSpectrum.sine_wave(1.0, 16), SineSpectrum.sine_wave(1.0, 32)], [ModelParams(0.25, 0.1)] * 2),
+        ],
+    )
+    def test_rejects_inconsistent_input(self, specs, params):
+        with pytest.raises(ValueError):
+            evolve_batch(specs, params, 0.1, 1e-3)
 
 
 class TestOddSubspacePreservation:

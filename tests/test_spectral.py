@@ -211,6 +211,14 @@ class TestPointwiseEvaluation:
         for j in (0, 17, 64):
             assert evaluate_slope(spec, x[j]) == pytest.approx(got[j], abs=1e-12)
 
+    def test_slope_of_a_stack_matches_rows(self, rng):
+        psi = rng.uniform(-1, 1, (6, 40))
+        got = synthesize_slope(psi, 128)
+        assert got.shape == (6, 128)
+        assert np.array_equal(got, np.stack([synthesize_slope(SineSpectrum(row), 128) for row in psi]))
+        with pytest.raises(UnderResolvedError):
+            synthesize_slope(psi, 64)
+
 
 class TestGridFunction:
     def test_power_of_two_required(self):
