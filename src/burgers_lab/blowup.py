@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import attractors
 from .attractors import AttractorFn, c_alpha, lyapunov, power_sum, validate_H
@@ -143,6 +142,9 @@ def verify_comparison_lemma(
     at y = 1e9.  For M = 0 the solution is also compared against the
     closed-form Riccati solution y0/(1 - kappa y0 t).
     """
+    # imported on first use: no other path integrates, and the import costs about 0.3 s
+    from scipy.integrate import solve_ivp
+
     if y0 <= 0 or kappa <= 0 or M < 0:
         raise ValueError("need y0 > 0, kappa > 0, M >= 0")
     f = f_shape if f_shape is not None else _default_forcing(M)

@@ -48,6 +48,7 @@ from .dynamics import (
     TERMINATION_STEP_FAILURE,
     DiagnosticsConfig,
     ModelParams,
+    _step_count,
     evolve,
     evolve_batch,
     record_to_csv,
@@ -89,8 +90,6 @@ class ExperimentConfig:
 
 _CONFIG_KEYS = {f for f in ExperimentConfig.__dataclass_fields__ if f != "mode"}
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
-#: relative tolerance within which t_end/dt counts as a whole number of steps
-_STEP_COUNT_RTOL = 1e-9
 
 
 def _is_number(value) -> bool:
@@ -169,10 +168,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         if getattr(cfg, name) <= 0:
             raise ConfigError(f"{name} must be positive")
     if cfg.mode == "simulate" or (cfg.mode == "sweep" and cfg.simulate):
-        # evolve takes round(t_end/dt) steps; anything else would stop early or late
-        steps = cfg.t_end / cfg.dt
-        if not (math.isfinite(steps) and abs(steps - round(steps)) <= _STEP_COUNT_RTOL * steps):
-            raise ConfigError(f"t_end/dt must be a whole number of steps, got {cfg.t_end}/{cfg.dt} = {steps}")
+        try:
+            _step_count(cfg.t_end, cfg.dt)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     for name in ("modes", "grid_size", "stride"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be a positive integer")
@@ -197,6 +196,16 @@ def _validate(cfg: ExperimentConfig) -> None:
         bad = [nu for nu in cfg.nus if not 0.0 <= nu < math.inf]
         if bad:
             raise ConfigError(f"--nus entries must be finite and >= 0, got {bad}")
+        # one cell file per cell: no repeated value, and no two values with one label
+        for flag, values in (("--alphas", cfg.alphas), ("--nus", cfg.nus), ("--Rs", cfg.Rs)):
+            labels: dict[str, float] = {}
+            for value in map(float, values):
+                if value in labels.values():
+                    raise ConfigError(f"{flag} repeats the entry {value!r}")
+                label = _cell_label(value)
+                if label in labels:
+                    raise ConfigError(f"{flag} entries {labels[label]!r} and {value!r} share the cell-file label {label!r}")
+                labels[label] = value
 
 
 def _initial_spectrum(cfg: ExperimentConfig) -> SineSpectrum:
@@ -227,6 +236,11 @@ def _resolve_attractor(name: str) -> AttractorFn:
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _cell_label(x: float) -> str:
+    """How a sweep value appears in its cell's file name."""
+    return f"{x:g}"
 
 
 def run_simulate(cfg: ExperimentConfig) -> int:
@@ -323,7 +337,7 @@ def run_sweep(cfg: ExperimentConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows, batch = [], []
     for alpha, nu, R in cells:
-        name = f"cell_a{alpha:g}_nu{nu:g}_R{R:g}"
+        name = f"cell_a{_cell_label(alpha)}_nu{_cell_label(nu)}_R{_cell_label(R)}"
         row = {"alpha": alpha, "nu": nu, "R": R, "margin": None, "bound_T": None, "detected_T": None, "status": "ok"}
         rows.append(row)
         params = ModelParams(alpha, nu)

@@ -42,8 +42,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.fftpack import dct, dst
 
 from .spectral import FOUR_PI, SineSpectrum, next_pow2, synthesize_slope
 
@@ -110,15 +108,20 @@ def nonlinear_direct(psi: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _half_grid(N: int) -> tuple[int, np.ndarray]:
-    """Half-grid length L (2L > 3N, fast FFT size) and the output scale -n/(4L).
+def _half_grid(N: int) -> tuple[int, np.ndarray, Callable, Callable]:
+    """Half-grid length L (2L > 3N, fast FFT size), the output scale -n/(4L), DST and DCT.
 
+    scipy's FFT modules load here, on the first N a kernel sees, so that
+    the commands that never march (inviscid, certify) do not import them.
     The scale is read-only: the cache is shared by every thread.
     """
+    from scipy.fft import next_fast_len
+    from scipy.fftpack import dct, dst
+
     L = next_fast_len(3 * N // 2 + 1, real=True)
     scale = -np.arange(1, N + 1, dtype=float) / (4.0 * L)
     scale.flags.writeable = False
-    return L, scale
+    return L, scale, dst, dct
 
 
 def nonlinear_pseudospectral(psi: np.ndarray) -> np.ndarray:
@@ -131,7 +134,7 @@ def nonlinear_pseudospectral(psi: np.ndarray) -> np.ndarray:
     """
     psi = np.asarray(psi, dtype=float)
     N = psi.shape[-1]
-    L, scale = _half_grid(N)
+    L, scale, dst, dct = _half_grid(N)
     u = np.zeros(psi.shape[:-1] + (L,))
     u[..., :N] = psi
     u = dst(u, type=3, overwrite_x=True)
@@ -223,12 +226,16 @@ _DIAGNOSTIC_COLUMNS = ("energy", "diss_integral", "lyapunov", "dist_rF", "h1_nor
 
 
 def tail_energy_fraction(psi: np.ndarray) -> float | np.ndarray:
-    """Energy in the top eighth of the modes over total energy (0 if empty).
+    """Energy in the top eighth of the modes over total energy (0 for a zero field).
 
-    Reduces along the last axis: one value per row of a (..., N) stack.
+    Below N = 8 the tail is the top mode, so that blowup detection still
+    sees energy reach the truncation; a single mode (N = 1) has no
+    quadratic term to feed it and no tail.  Reduces along the last axis:
+    one value per row of a (..., N) stack.
     """
     total = np.sum(psi**2, axis=-1)
-    cut = psi.shape[-1] - psi.shape[-1] // 8
+    N = psi.shape[-1]
+    cut = N - (max(1, N // 8) if N > 1 else 0)
     tail = np.sum(psi[..., cut:] ** 2, axis=-1)
     frac = np.divide(tail, total, out=np.zeros_like(total), where=total != 0.0)
     return frac if psi.ndim > 1 else float(frac)
@@ -253,6 +260,18 @@ def evolve(
     return evolve_batch([spec0], [params], t_end, dt, diag, kernel)[0]
 
 
+#: relative tolerance within which t_end/dt counts as a whole number of steps
+_STEP_COUNT_RTOL = 1e-9
+
+
+def _step_count(t_end: float, dt: float) -> int:
+    """round(t_end/dt); ValueError unless t_end/dt is whole, since any other count stops early or late."""
+    steps = t_end / dt
+    if not (math.isfinite(steps) and abs(steps - round(steps)) <= _STEP_COUNT_RTOL * steps):
+        raise ValueError(f"t_end/dt must be a whole number of steps, got {t_end}/{dt} = {steps}")
+    return round(steps)
+
+
 def evolve_batch(
     spectra: Sequence[SineSpectrum],
     params: Sequence[ModelParams],
@@ -269,10 +288,12 @@ def evolve_batch(
     spectral tail fraction exceeds the threshold at a record (a
     resolution-loss proxy, not a proof), or 'step_failure' (partial record)
     on a non-finite state; the other rows march on.  Each record equals the
-    one its spectrum gives when marched alone.
+    one its spectrum gives when marched alone.  t_end/dt must be a whole
+    number of steps (to a relative 1e-9).
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
+    n_steps = _step_count(t_end, dt)
     if not spectra or len(spectra) != len(params):
         raise ValueError("need at least one spectrum and one ModelParams per spectrum")
     N = spectra[0].N
@@ -280,7 +301,6 @@ def evolve_batch(
         raise ValueError("all spectra must have the same mode count")
     diag = diag or DiagnosticsConfig()
     n = np.arange(1, N + 1, dtype=float)
-    n_steps = max(1, int(round(t_end / dt)))
     M_diag = diag.grid_size or next_pow2(max(256, 2 * (N + 1)))
 
     # one row per spectrum, each built exactly as a single-row march builds it

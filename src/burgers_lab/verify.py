@@ -81,7 +81,7 @@ def lyapunov_identity_suite(
 def oracle_equivalence_suite(
     seed: int = 0, cases: int = 20, sizes: Sequence[int] = (64, 256, 1024)
 ) -> SuiteResult:
-    """Direct-sum and padded-transform kernels agree to 1e-10 relative."""
+    """Direct-sum and half-length DST/DCT kernels agree to 1e-10 relative."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for N in sizes:

@@ -354,6 +354,27 @@ class TestSweep:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [
+            ("--alphas", "0.25,0.25", ["0.25"]),
+            ("--alphas", "0.25000001,0.25000002", ["0.25000001", "0.25000002"]),
+            ("--nus", "0.04,0.04", ["0.04"]),
+            ("--nus", "0.04,0.0400000001", ["0.04", "0.0400000001"]),
+            ("--Rs", "2,2", ["2.0"]),
+            ("--Rs", "2.0000001,2.0000002", ["2.0000001", "2.0000002"]),
+        ],
+    )
+    def test_colliding_cell_names_refused_before_any_file(self, flag, value, named, tmp_path, capsys):
+        # a repeated value, or two values one cell-file label cannot tell apart
+        grid = {"--alphas": "0.25", "--nus": "0.04", "--Rs": "2", flag: value}
+        out = tmp_path / "sweep"
+        assert main(["sweep", *(f"{k}={v}" for k, v in grid.items()), "--simulate", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+        assert all(v in err for v in named)
+        assert not out.exists()
+
 
 class TestCertificateFiles:
     """Every command writes the full certificate, as certificate_to_dict gives it."""
@@ -408,6 +429,45 @@ class TestDeterminism:
         )
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
+
+
+def _scipy_modules_after(code: str) -> list[str]:
+    """The scipy modules a fresh interpreter has loaded after running ``code``."""
+    probe = code + "\nimport sys\nprint('scipy:', *(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    last = proc.stdout.splitlines()[-1]
+    assert last.startswith("scipy:")
+    return last.split()[1:]
+
+
+class TestColdStart:
+    """Commands that never march or integrate load no scipy module they do not use."""
+
+    def test_import_inviscid_and_certify_load_no_scipy(self, tmp_path):
+        assert _scipy_modules_after("import burgers_lab, burgers_lab.cli") == []
+        out = tmp_path / "out"
+        loaded = _scipy_modules_after(
+            "from burgers_lab.cli import main\n"
+            f"assert main(['inviscid', '--dt', '0.1', '--t-end', '0.5', '--out', {str(out / 'inv')!r}]) == 0\n"
+            "import sys\n"
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            f"assert main(['certify', '--alpha', '0.25', '--nu', '0.04', '--init', 'sine:10', "
+            f"'--out', {str(out / 'cert')!r}]) == 0"
+        )
+        assert loaded == []
+        assert (out / "inv" / "decay.csv").exists() and (out / "cert" / "certificate_sine_corollary.json").exists()
+
+    def test_simulate_skips_scipy_integrate_and_verify_loads_it(self, tmp_path):
+        loaded = _scipy_modules_after(
+            "import sys\n"
+            "from burgers_lab.cli import main\n"
+            "assert main(['simulate', '--alpha', '0.25', '--nu', '0.04', '--modes', '32', '--dt', '0.01', "
+            f"'--t-end', '0.1', '--out', {str(tmp_path / 'sim')!r}]) == 0\n"
+            "assert 'scipy.fft' in sys.modules and 'scipy.integrate' not in sys.modules\n"
+            "assert main(['verify', '--suite', 'comparison-lemma']) == 0"
+        )
+        assert "scipy.integrate" in loaded
 
 
 class TestNonFiniteSettings:

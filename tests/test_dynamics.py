@@ -93,7 +93,7 @@ class TestPseudospectralKernel:
 
     def test_half_grid_is_alias_free(self):
         for N in range(1, 5001):
-            L, scale = _half_grid(N)
+            L, scale, _, _ = _half_grid(N)
             assert 2 * L > 3 * N and scale.size == N and not scale.flags.writeable
 
     def test_concurrent_calls_match_direct(self, rng):
@@ -285,6 +285,26 @@ class TestEvolve:
     def test_tail_fraction_zero_field(self):
         assert tail_energy_fraction(np.zeros(64)) == 0.0
 
+    def test_tail_fraction_below_eight_modes_is_the_top_mode(self):
+        # a lone mode has no quadratic term, hence no tail
+        assert tail_energy_fraction(np.array([3.0])) == 0.0
+        for N in range(2, 8):
+            assert tail_energy_fraction(np.ones(N)) == pytest.approx(1.0 / N, rel=1e-15)
+        assert tail_energy_fraction(np.array([1.0, 0.0, 0.0, 1.0])) == 0.5
+
+    def test_tail_fraction_from_eight_modes_is_the_top_eighth(self, rng):
+        for N in (8, 9, 15, 16, 64, 257):
+            psi = rng.uniform(-1.0, 1.0, N)
+            assert tail_energy_fraction(psi) == float(np.sum(psi[N - N // 8 :] ** 2) / np.sum(psi**2))
+
+    @pytest.mark.parametrize("N", [2, 4, 6])
+    def test_small_mode_counts_detect_blowup(self, N):
+        rec = evolve(SineSpectrum.sine_wave(40.0, N), ModelParams(0.25, 0.04), 0.2, 1e-3, DiagnosticsConfig(stride=5))
+        assert rec.termination == "blowup_detected" and rec.times[-1] < 0.2
+        # a strongly damped, small field at the same N stays resolved
+        rec = evolve(SineSpectrum.sine_wave(0.1, N), ModelParams(1.0, 1.0), 0.2, 1e-3, DiagnosticsConfig(stride=5))
+        assert rec.termination == "t_end_reached"
+
     def test_diagnostics_reduce_along_last_axis(self, rng):
         psi = rng.uniform(-1.0, 1.0, (5, 48))
         psi[2] = 0.0
@@ -357,6 +377,19 @@ class TestEvolveBatch:
     def test_rejects_inconsistent_input(self, specs, params):
         with pytest.raises(ValueError):
             evolve_batch(specs, params, 0.1, 1e-3)
+
+    def test_partial_last_step_rejected(self):
+        # round(1.5) steps would stop at t = 0.2 and report t_end_reached
+        specs, params = [SineSpectrum.sine_wave(1.0, 16)], [ModelParams(0.5, 0.1)]
+        with pytest.raises(ValueError, match="whole number of steps"):
+            evolve_batch(specs, params, 0.15, 0.1)
+        with pytest.raises(ValueError, match="whole number of steps"):
+            evolve(specs[0], params[0], 0.15, 0.1)
+
+    def test_whole_step_count_within_round_off_accepted(self):
+        assert 0.3 / 0.1 != 3.0  # 2.9999999999999996
+        rec = evolve(SineSpectrum.sine_wave(1.0, 16), ModelParams(0.5, 0.1), 0.3, 0.1, DiagnosticsConfig(stride=1))
+        assert rec.termination == "t_end_reached" and rec.times.size == 4
 
 
 class TestOddSubspacePreservation:

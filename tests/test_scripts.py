@@ -29,3 +29,18 @@ def test_blowup_threshold_sweep_table():
     assert [float(row[1]) for row in rows] == pytest.approx([0.5, 2.0], rel=1e-4)
     assert rows[0][2] == "-"
     assert float(rows[1][2]) == pytest.approx(2 * 3.141592653589793**2 / float(rows[1][0]), rel=1e-3)
+
+
+def test_decay_law_experiment_table():
+    proc = run_script("decay_law_experiment.py", "--points", "3")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert lines[0].startswith("u0 = -1 sin x   T_max = 1.000000")
+    assert len(lines) == 5
+    for line in lines[1:4]:
+        # the measured slope is the predicted one, and the law holds to round-off
+        measured, predicted = (float(line.split(key)[1].split()[0]) for key in ("measured slope =", "predicted ="))
+        assert measured == pytest.approx(predicted, rel=1e-8)
+        assert float(line.rsplit("max law error = ", 1)[1]) <= 1e-10
+    assert lines[4].startswith("sawtooth profile:")
+    assert float(lines[4].split("margin min over t = ")[1].split()[0]) >= 0.0
