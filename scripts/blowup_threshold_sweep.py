@@ -31,10 +31,12 @@ def main():
         cert = corollary_condition(R, params)
         detected = ""
         if args.simulate:
+            # evolve marches whole steps only: round the horizon 3 pi^2 / R to a multiple of dt
+            steps = max(1, round(3.0 * np.pi**2 / R / args.dt))
             record = evolve(
                 SineSpectrum.sine_wave(R, args.modes),
                 params,
-                3.0 * np.pi**2 / R,
+                steps * args.dt,
                 args.dt,
                 DiagnosticsConfig(stride=10),
             )

@@ -196,13 +196,11 @@ def _validate(cfg: ExperimentConfig) -> None:
         bad = [nu for nu in cfg.nus if not 0.0 <= nu < math.inf]
         if bad:
             raise ConfigError(f"--nus entries must be finite and >= 0, got {bad}")
-        # one cell file per cell: no repeated value, and no two values with one label
+        # one cell file per cell: a repeated value, or two values one label cannot tell apart, is refused
         for flag, values in (("--alphas", cfg.alphas), ("--nus", cfg.nus), ("--Rs", cfg.Rs)):
             labels: dict[str, float] = {}
             for value in map(float, values):
-                if value in labels.values():
-                    raise ConfigError(f"{flag} repeats the entry {value!r}")
-                label = _cell_label(value)
+                label = _cell_label(value + 0.0)  # + 0.0 folds -0.0 into 0.0, whose labels differ
                 if label in labels:
                     raise ConfigError(f"{flag} entries {labels[label]!r} and {value!r} share the cell-file label {label!r}")
                 labels[label] = value

@@ -361,6 +361,7 @@ class TestSweep:
             ("--alphas", "0.25000001,0.25000002", ["0.25000001", "0.25000002"]),
             ("--nus", "0.04,0.04", ["0.04"]),
             ("--nus", "0.04,0.0400000001", ["0.04", "0.0400000001"]),
+            ("--nus", "0,-0", ["0.0", "-0.0"]),
             ("--Rs", "2,2", ["2.0"]),
             ("--Rs", "2.0000001,2.0000002", ["2.0000001", "2.0000002"]),
         ],

@@ -31,6 +31,18 @@ def test_blowup_threshold_sweep_table():
     assert float(rows[1][2]) == pytest.approx(2 * 3.141592653589793**2 / float(rows[1][0]), rel=1e-3)
 
 
+def test_blowup_threshold_sweep_simulate():
+    # the horizon 3 pi^2 / R is no whole number of steps; the script rounds it to one
+    proc = run_script(
+        "blowup_threshold_sweep.py", "--ratios", "0.5", "2", "--simulate", "--modes", "32", "--dt", "1e-3"
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.strip().splitlines()[2:]]
+    assert len(rows) == 2
+    for R, _, _, detected in rows:
+        assert detected == "none" or 0.0 < float(detected) <= 3 * 3.141592653589793**2 / float(R) + 1e-3
+
+
 def test_decay_law_experiment_table():
     proc = run_script("decay_law_experiment.py", "--points", "3")
     assert proc.returncode == 0, proc.stderr
