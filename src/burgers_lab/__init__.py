@@ -6,7 +6,6 @@ from .spectral import (
     SineSpectrum,
     UnderResolvedError,
     analyze,
-    inner_product,
     load_spectrum,
     save_spectrum,
     sobolev_norm,
@@ -24,7 +23,6 @@ from .dynamics import (
 from .characteristics import (
     HorizonError,
     InitialField,
-    eval_characteristics,
     sample_solution,
     tmax_inviscid,
 )
@@ -36,7 +34,6 @@ from .attractors import (
     attractor_decay_series,
     attractor_distance,
     c_alpha,
-    key_identity_residual,
     lyapunov,
     make_F,
     make_Phi,

@@ -32,6 +32,7 @@ from .dynamics import F_L2_NORM_SQ, nonlinear_direct
 from .spectral import (
     FOUR_PI,
     SineSpectrum,
+    _is_number,
     analyze,
     evaluate_field,
     evaluate_slope,
@@ -79,9 +80,6 @@ class AttractorFn:
             )
         return self.coeff_scale**2 * FOUR_PI * power_sum(2.0 * (1.0 - alpha), tol)
 
-    def hs_norm(self, alpha: float, tol: float = 1e-9) -> float:
-        return float(np.sqrt(self.hs_norm_sq(alpha, tol)))
-
 
 def make_F() -> AttractorFn:
     """Unit-slope profile with the jump at the origin; phi_n = 1/n."""
@@ -103,17 +101,17 @@ def make_F() -> AttractorFn:
 
 
 def make_Phi() -> AttractorFn:
-    """F normalized to unit L2 norm."""
-    scaled_f = scale_attractor(make_F(), 1.0 / np.sqrt(F_L2_NORM_SQ))
+    """F normalized to unit L2 norm: c F with c = 1 / ||F||."""
+    F, c = make_F(), 1.0 / np.sqrt(F_L2_NORM_SQ)
     return AttractorFn(
         kind="Phi",
-        evaluate=scaled_f.evaluate,
-        derivative=scaled_f.derivative,
-        slope_floor=scaled_f.slope_floor,
+        evaluate=lambda x: c * F.evaluate(x),
+        derivative=lambda x: c * F.derivative(x),
+        slope_floor=c,
         jump_location="origin",
         l2_norm=1.0,
-        sine_coeff=scaled_f.sine_coeff,
-        coeff_scale=scaled_f.coeff_scale,
+        sine_coeff=lambda n: c * F.sine_coeff(n),
+        coeff_scale=c,
     )
 
 
@@ -140,26 +138,6 @@ def make_sawtooth() -> AttractorFn:
         l2_norm=float(np.sqrt(F_L2_NORM_SQ)),
         sine_coeff=sine_coeff,
         coeff_scale=1.0,
-    )
-
-
-def scale_attractor(base: AttractorFn, c: float) -> AttractorFn:
-    """Positive multiple c*H of an attractor, keeping analytic structure."""
-    if c <= 0:
-        raise ValueError("scale must be positive")
-    coeff = None
-    if base.sine_coeff is not None:
-        inner = base.sine_coeff
-        coeff = lambda n: c * inner(n)
-    return AttractorFn(
-        kind="custom",
-        evaluate=lambda x: c * base.evaluate(x),
-        derivative=lambda x: c * base.derivative(x),
-        slope_floor=c * base.slope_floor,
-        jump_location=base.jump_location,
-        l2_norm=c * base.l2_norm,
-        sine_coeff=coeff,
-        coeff_scale=None if base.coeff_scale is None else c * base.coeff_scale,
     )
 
 
@@ -216,15 +194,6 @@ def lyapunov(spec: SineSpectrum, attractor: AttractorFn, quad_nodes: int | None 
     )
 
 
-def lyapunov_quadrature(spec: SineSpectrum, attractor: AttractorFn, total_nodes: int = 4096) -> float:
-    """Quadrature evaluation of <H, u>, kept as the independent cross-check."""
-    return integrate_torus(
-        lambda x: evaluate_field(spec, x) * attractor.evaluate(x),
-        attractor.jump_location,
-        total_nodes,
-    )
-
-
 def key_identity_residuals(spec: SineSpectrum, quad_nodes: int | None = None) -> tuple[float, float]:
     """Both evaluations of <F, u u_x> + ||u||^2/2 (coefficient, quadrature).
 
@@ -247,12 +216,6 @@ def key_identity_residuals(spec: SineSpectrum, quad_nodes: int | None = None) ->
     )
     res_quad = float(quad + 0.5 * energy)
     return res_coeff, res_quad
-
-
-def key_identity_residual(spec: SineSpectrum, quad_nodes: int | None = None) -> float:
-    """Larger magnitude of the two key-identity residuals (should be ~0)."""
-    res_coeff, res_quad = key_identity_residuals(spec, quad_nodes)
-    return max(abs(res_coeff), abs(res_quad))
 
 
 def attractor_distance(spec: SineSpectrum, r: float) -> float:
@@ -424,40 +387,18 @@ def c_alpha(alpha: float, tol: float = 1e-9) -> float:
     return float(np.sqrt(2.0 * np.pi * power_sum(2.0 * (1.0 - alpha), tol)))
 
 
-def f_hs_norm_sq(alpha: float, tol: float = 1e-9) -> float:
-    """||F||^2 in the fractional norm: 4*pi * sum n^{-2(1-alpha)} = 2 C^2."""
-    return _F.hs_norm_sq(alpha, tol)
-
-
 # ---------------------------------------------------------------------------
-# serialization
-
-def attractor_to_dict(att: AttractorFn, alpha: float = 0.25, tol: float = 1e-9) -> dict:
-    try:
-        value = att.hs_norm(alpha, tol)
-    except (ValueError, DivergentSeriesError):
-        value = None
-    return {
-        "kind": att.kind,
-        "m": att.slope_floor,
-        "l2_norm": att.l2_norm,
-        "alpha_norm": {"alpha": alpha, "value": value},
-    }
-
-
-def save_attractor(att: AttractorFn, path: str | Path, alpha: float = 0.25) -> None:
-    Path(path).write_text(json.dumps(attractor_to_dict(att, alpha), indent=2) + "\n")
-
+# attractor files
 
 def load_attractor(path: str | Path) -> AttractorFn:
     payload = json.loads(Path(path).read_text())
-    kind = payload.get("kind")
+    kind = payload.get("kind") if isinstance(payload, dict) else None
     makers = {"F": make_F, "Phi": make_Phi, "sawtooth": make_sawtooth}
-    if kind not in makers:
-        raise ValueError(f"cannot reconstruct attractor of kind {kind!r} from JSON")
+    if not (isinstance(kind, str) and kind in makers):
+        raise ValueError(f"{path}: need a JSON object whose kind is F, Phi or sawtooth, got kind {kind!r}")
     att = makers[kind]()
     for key, got in (("m", att.slope_floor), ("l2_norm", att.l2_norm)):
         stored = payload.get(key)
-        if stored is not None and not math.isclose(stored, got, rel_tol=1e-9):
-            raise ValueError(f"{path}: stored {key}={stored} disagrees with {kind} ({got})")
+        if stored is not None and not (_is_number(stored) and math.isclose(stored, got, rel_tol=1e-9)):
+            raise ValueError(f"{path}: stored {key}={stored!r} disagrees with {kind} ({got})")
     return att

@@ -32,7 +32,7 @@ import numpy as np
 from . import attractors
 from .attractors import AttractorFn, c_alpha, lyapunov, power_sum, validate_H
 from .dynamics import ModelParams, SimulationRecord, dissipation_symbol, lyapunov_diagnostic, nonlinear_direct
-from .spectral import FOUR_PI, SineSpectrum, sobolev_norm
+from .spectral import FOUR_PI, SineSpectrum, _weighted_energy, sobolev_norm
 
 #: Riccati coefficient attached to the profile F: 3 / (4 pi^3)
 KAPPA_F = 3.0 / (4.0 * np.pi**3)
@@ -407,11 +407,11 @@ def monitor_lyapunov_bound(
         rhs = nonlinear_direct(psi) - dissipation_symbol(params, N) * psi
         dLdt = lyapunov_diagnostic(rhs)
         L = lyapunov_diagnostic(psi)
-        hs = math.sqrt(FOUR_PI * float(np.sum(n ** (2.0 * params.alpha) * psi**2)))
+        hs = math.sqrt(_weighted_energy(psi, n ** (2.0 * params.alpha)))
         bound = -math.sqrt(2.0) * C * params.nu * hs + KAPPA_F * L * L
         slack[i] = dLdt - bound
         pairing = float(FOUR_PI * np.sum(n ** (2.0 * params.alpha) * psi / n))
-        half_energy = 0.5 * float(FOUR_PI * np.sum(psi**2))
+        half_energy = 0.5 * float(_weighted_energy(psi))
         exact_residual[i] = abs(dLdt - (-params.nu * pairing + half_energy))
 
     resolved = record.tail_fraction[:count] <= resolved_tail

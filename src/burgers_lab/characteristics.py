@@ -165,15 +165,6 @@ def _solve_feet(u0: InitialField, x: np.ndarray, t: float) -> np.ndarray:
     return xi
 
 
-def eval_characteristics(u0: InitialField, x, t: float, guard: float = HORIZON_GUARD):
-    """u(x, t) = u0(xi) with xi + t*u0(xi) = x, residual below 1e-12."""
-    _check_horizon(u0, t, guard)
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    feet = _solve_feet(u0, xa, t)
-    vals = u0.value(feet)
-    return vals if np.ndim(x) else float(vals[0])
-
-
 def sample_solution(u0: InitialField, t: float, M: int, guard: float = HORIZON_GUARD) -> GridFunction:
     """Characteristics solution sampled on the M-point grid, tagged odd."""
     _check_horizon(u0, t, guard)

@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
@@ -35,6 +35,7 @@ from .attractors import (
     optimal_r,
 )
 from .blowup import (
+    DetectionPolicy,
     UnsupportedRegimeError,
     certificate_to_dict,
     certify_blowup_F,
@@ -54,7 +55,7 @@ from .dynamics import (
     record_to_csv,
     write_record_metadata,
 )
-from .spectral import SineSpectrum, load_spectrum
+from .spectral import SineSpectrum, _is_number, load_spectrum
 from .verify import SUITES, run_suites
 
 MODES = ("simulate", "inviscid", "verify", "certify", "sweep")
@@ -92,18 +93,13 @@ _CONFIG_KEYS = {f for f in ExperimentConfig.__dataclass_fields__ if f != "mode"}
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _has_type(value, annotation) -> bool:
     if annotation is bool:
         return isinstance(value, bool)
     if annotation is int:
         return isinstance(value, int) and not isinstance(value, bool)
     if annotation is float:
-        # an int beyond the float range would overflow in the checks that follow
-        return _is_number(value) and (isinstance(value, float) or abs(value) <= sys.float_info.max)
+        return _is_number(value)
     if annotation is str:
         return isinstance(value, str)
     if annotation is list:
@@ -127,11 +123,6 @@ def load_config(path: str | Path) -> dict:
             name = getattr(expected, "__name__", None) or str(expected)
             raise ConfigError(f"config key {key!r} must be of type {name}, got {value!r}")
     return payload
-
-
-def normalized_dict(cfg: ExperimentConfig) -> dict:
-    """Canonical flat form of a config (what a config file should contain)."""
-    return {k: v for k, v in sorted(asdict(cfg).items())}
 
 
 def merge_config(mode: str, args: argparse.Namespace) -> ExperimentConfig:
@@ -255,12 +246,16 @@ def run_simulate(cfg: ExperimentConfig) -> int:
     record_to_csv(record, out / "run.csv")
     write_record_metadata(record, out / "run.json", extra={"init": cfg.init, "seed": cfg.seed})
     print(f"termination: {record.termination} at t = {_fmt(float(record.times[-1]))}")
-    if cfg.certify and cfg.alpha < 0.5:
-        cert = certify_blowup_F(spec0, params)
-        save_certificate(cert, out / "certificate.json")
-        print(f"certificate: hypotheses_hold={cert.hypotheses_hold} bound_T="
-              f"{_fmt(cert.predicted_bound_T) if cert.predicted_bound_T else 'n/a'}")
-    detected = detect_numerical_blowup(record)
+    if cfg.certify:
+        try:
+            cert = certify_blowup_F(spec0, params)
+        except UnsupportedRegimeError as exc:
+            print(f"note: certificate skipped: {exc}", file=sys.stderr)
+        else:
+            save_certificate(cert, out / "certificate.json")
+            print(f"certificate: hypotheses_hold={cert.hypotheses_hold} bound_T="
+                  f"{_fmt(cert.predicted_bound_T) if cert.predicted_bound_T else 'n/a'}")
+    detected = detect_numerical_blowup(record, DetectionPolicy(tail_threshold=cfg.tail_threshold))
     if detected is not None:
         print(f"numerical blowup proxy tripped at t = {_fmt(detected)}")
     print(f"wrote {out / 'run.csv'} and {out / 'run.json'}")
@@ -297,7 +292,8 @@ def run_verify(cfg: ExperimentConfig) -> int:
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        print(f"{r.name:<{width}}  {status}  worst={r.worst:.3e}  ({r.detail})")
+        named = f" [{' '.join(f'{key}={value:.3e}' for key, value in r.worsts.items())}]" if r.worsts else ""
+        print(f"{r.name:<{width}}  {status}  worst={r.worst:.3e}{named} at {r.where}  ({r.detail})")
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -350,6 +346,7 @@ def run_sweep(cfg: ExperimentConfig) -> int:
         if cfg.simulate:
             batch.append((name, row, params))
     if batch:
+        policy = DetectionPolicy(tail_threshold=cfg.tail_threshold)
         records = evolve_batch(
             [SineSpectrum.sine_wave(row["R"], N=cfg.modes) for _, row, _ in batch],
             [params for _, _, params in batch],
@@ -359,7 +356,7 @@ def run_sweep(cfg: ExperimentConfig) -> int:
         )
         for (name, row, _), record in zip(batch, records):
             record_to_csv(record, out / f"{name}.csv")
-            row["detected_T"] = detect_numerical_blowup(record)
+            row["detected_T"] = detect_numerical_blowup(record, policy)
             if record.termination == TERMINATION_STEP_FAILURE:
                 row["status"] = TERMINATION_STEP_FAILURE
                 print(f"error: {name}: step failure after t = {_fmt(float(record.times[-1]))}", file=sys.stderr)
@@ -426,9 +423,9 @@ def main(argv=None) -> int:
     try:
         cfg = merge_config(args.mode, args)
         return RUNNERS[cfg.mode](cfg)
-    except (ValueError, FileNotFoundError, RootFindError) as exc:
-        # covers ConfigError, HorizonError, regime/series guards, bad files,
-        # and a characteristic foot the root finder could not reach
+    except (ValueError, OSError, RootFindError) as exc:
+        # covers ConfigError, HorizonError, regime/series guards, malformed or
+        # unreadable files, and a characteristic foot the root finder could not reach
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .spectral import FOUR_PI, SineSpectrum, next_pow2, synthesize_slope
+from .spectral import FOUR_PI, SineSpectrum, _weighted_energy, next_pow2, synthesize_slope
 
 #: ||F||_{L2}^2 = 4*pi * sum 1/n^2 = 2*pi^3/3 for the attractor profile F,
 #: whose sine coefficients 1/n make  L = 4*pi*sum(psi_n/n)  the natural
@@ -188,6 +188,10 @@ class DiagnosticsConfig:
             raise ValueError("tail threshold must be positive")
 
 
+#: the per-record series of a SimulationRecord besides ``times``, in CSV order
+_DIAGNOSTIC_COLUMNS = ("energy", "diss_integral", "lyapunov", "dist_rF", "h1_norm", "tail_fraction", "min_ux")
+
+
 @dataclass
 class SimulationRecord:
     """Diagnostic time series of one fixed-step run."""
@@ -207,7 +211,7 @@ class SimulationRecord:
     termination: str
     spectra: list[np.ndarray] | None = field(default=None, repr=False)
 
-    CSV_HEADER = "t,energy,diss_integral,lyapunov,dist_rF,h1_norm,tail_fraction,min_ux"
+    CSV_HEADER = ",".join(("t",) + _DIAGNOSTIC_COLUMNS)
 
     def metadata(self) -> dict:
         return {
@@ -219,10 +223,6 @@ class SimulationRecord:
             "t_final": float(self.times[-1]),
             "termination": self.termination,
         }
-
-
-#: the per-record series of a SimulationRecord besides ``times``, in CSV order
-_DIAGNOSTIC_COLUMNS = ("energy", "diss_integral", "lyapunov", "dist_rF", "h1_norm", "tail_fraction", "min_ux")
 
 
 def tail_energy_fraction(psi: np.ndarray) -> float | np.ndarray:
@@ -312,7 +312,7 @@ def evolve_batch(
     if diag.r is not None:
         r = np.full(len(spectra), float(diag.r))
     else:
-        r = np.sqrt(FOUR_PI * np.sum(psi**2, axis=-1) / F_L2_NORM_SQ)
+        r = np.sqrt(_weighted_energy(psi) / F_L2_NORM_SQ)
     if len(spectra) == 1:
         # a lone spectrum marches as a plain (N,) row, without the cost of a stack
         psi, half_decay, diss_weights = psi[0], half_decay[0], diss_weights[0]
@@ -326,7 +326,7 @@ def evolve_batch(
     def record(k: int, psi: np.ndarray, diss) -> np.ndarray:
         """Log the diagnostics of every active spectrum; return their tail fractions."""
         psi = psi.reshape(-1, N)
-        energy = FOUR_PI * np.sum(psi**2, axis=-1)
+        energy = _weighted_energy(psi)
         lyap = lyapunov_diagnostic(psi)
         r_act = r[active]
         tail = tail_energy_fraction(psi)
@@ -336,7 +336,7 @@ def evolve_batch(
                 np.reshape(diss, -1),
                 lyap,
                 energy - 2.0 * r_act * lyap + r_act * r_act * F_L2_NORM_SQ,
-                np.sqrt(FOUR_PI * np.sum(n**2 * psi**2, axis=-1)),
+                np.sqrt(_weighted_energy(psi, n**2)),
                 tail,
                 synthesize_slope(psi, M_diag).min(axis=-1),
             ]
@@ -403,23 +403,8 @@ def evolve_batch(
 
 def record_to_csv(record: SimulationRecord, path: str | Path) -> None:
     """CSV time series, 17 significant digits per value."""
-    lines = [SimulationRecord.CSV_HEADER]
-    for i in range(record.times.size):
-        lines.append(
-            ",".join(
-                f"{v:.17g}"
-                for v in (
-                    record.times[i],
-                    record.energy[i],
-                    record.diss_integral[i],
-                    record.lyapunov[i],
-                    record.dist_rF[i],
-                    record.h1_norm[i],
-                    record.tail_fraction[i],
-                    record.min_ux[i],
-                )
-            )
-        )
+    columns = [record.times] + [getattr(record, name) for name in _DIAGNOSTIC_COLUMNS]
+    lines = [SimulationRecord.CSV_HEADER] + [",".join(f"{v:.17g}" for v in row) for row in zip(*columns)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

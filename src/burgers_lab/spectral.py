@@ -19,6 +19,7 @@ rejects grids with cosine/mean energy instead of silently projecting.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -67,19 +68,11 @@ class SineSpectrum:
         return self.psi.size
 
     @classmethod
-    def zeros(cls, N: int) -> "SineSpectrum":
-        return cls(np.zeros(N))
-
-    @classmethod
-    def single_mode(cls, n: int, value: float, N: int | None = None) -> "SineSpectrum":
-        psi = np.zeros(N if N is not None else n)
-        psi[n - 1] = value
-        return cls(psi)
-
-    @classmethod
     def sine_wave(cls, amplitude: float, N: int = 1) -> "SineSpectrum":
         """Spectrum of u0(x) = -amplitude * sin(x), i.e. psi_1 = amplitude/2."""
-        return cls.single_mode(1, 0.5 * amplitude, N=N)
+        psi = np.zeros(N)
+        psi[0] = 0.5 * amplitude
+        return cls(psi)
 
     def padded(self, N: int) -> "SineSpectrum":
         if N < self.N:
@@ -169,15 +162,6 @@ def synthesize(spec: SineSpectrum, M: int) -> GridFunction:
     return GridFunction(u, odd_residual=odd_symmetry_residual(u))
 
 
-def synthesize_direct(spec: SineSpectrum, M: int) -> np.ndarray:
-    """O(N*M) summation oracle for synthesize; kept slow and obvious."""
-    x = grid_points(M)
-    u = np.zeros(M)
-    for n in range(1, spec.N + 1):
-        u -= 2.0 * spec.psi[n - 1] * np.sin(n * x)
-    return u
-
-
 def synthesize_slope(spec: SineSpectrum | np.ndarray, M: int) -> np.ndarray:
     """Samples of du/dx = -2 sum n psi_n cos(n x_j) (an even function).
 
@@ -226,13 +210,6 @@ def analyze(grid: GridFunction | np.ndarray, N: int, odd_tol: float = ODDNESS_TO
     return SineSpectrum(psi)
 
 
-def analyze_direct(samples: np.ndarray, N: int) -> np.ndarray:
-    """O(N*M) projection oracle: psi_n = -(1/M) sum_j u_j sin(n x_j)."""
-    u = np.asarray(samples, dtype=float)
-    x = grid_points(u.size)
-    return np.array([-np.dot(u, np.sin(n * x)) / u.size for n in range(1, N + 1)])
-
-
 #: points x modes up to which one exp over all phases n*x beats Horner's
 #: rule, whose N array operations each cost about a microsecond of overhead
 _DIRECT_POINT_MODES = 512
@@ -271,18 +248,20 @@ def evaluate_slope(spec: SineSpectrum, x) -> np.ndarray | float:
     return out if xa.ndim else float(out)
 
 
+def _weighted_energy(psi: np.ndarray, weights: np.ndarray | None = None):
+    """4*pi * sum_n w_n psi_n^2 along the last axis, one value per row of a (..., N) stack.
+
+    Without weights it is the energy ||u||^2; with w_n = n^{2s}, the squared H^s norm.
+    """
+    return FOUR_PI * np.sum(psi**2 if weights is None else weights * psi**2, axis=-1)
+
+
 def sobolev_norm(spec: SineSpectrum, s: float) -> float:
     """Homogeneous Sobolev norm sqrt(4*pi * sum n^{2s} psi_n^2); s=0 is L2."""
     if s < 0:
         raise ValueError("order s must be >= 0")
     n = np.arange(1, spec.N + 1, dtype=float)
-    return float(np.sqrt(FOUR_PI * np.sum(n ** (2.0 * s) * spec.psi**2)))
-
-
-def inner_product(a: SineSpectrum, b: SineSpectrum) -> float:
-    """Torus L2 pairing: 4*pi * sum psi_n phi_n (shorter side zero-padded)."""
-    m = min(a.N, b.N)
-    return float(FOUR_PI * np.dot(a.psi[:m], b.psi[:m]))
+    return float(np.sqrt(_weighted_energy(spec.psi, n ** (2.0 * s))))
 
 
 def grid_lq_norm(grid: GridFunction | np.ndarray, q: float) -> float:
@@ -296,11 +275,6 @@ def grid_lq_norm(grid: GridFunction | np.ndarray, q: float) -> float:
     return float((h * np.sum(np.abs(u) ** q)) ** (1.0 / q))
 
 
-def grid_l2_norm_sq(grid: GridFunction | np.ndarray) -> float:
-    u = grid.samples if isinstance(grid, GridFunction) else np.asarray(grid, dtype=float)
-    return float(2.0 * np.pi / u.size * np.sum(u**2))
-
-
 def save_spectrum(spec: SineSpectrum, path: str | Path) -> None:
     payload = {
         "convention": SPECTRUM_CONVENTION,
@@ -310,9 +284,14 @@ def save_spectrum(spec: SineSpectrum, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
+def _is_number(value) -> bool:
+    """A JSON number that converts to a float: a float, or an int (not bool) within the float range."""
+    return isinstance(value, float) or (type(value) is int and abs(value) <= sys.float_info.max)
+
+
 def load_spectrum(path: str | Path) -> SineSpectrum:
     payload = json.loads(Path(path).read_text())
-    psi = payload["psi"]
-    if payload.get("N") != len(psi):
-        raise ValueError(f"{path}: N field does not match coefficient count")
+    psi = payload.get("psi") if isinstance(payload, dict) else None
+    if not (isinstance(psi, list) and all(map(_is_number, psi)) and payload.get("N") == len(psi)):
+        raise ValueError(f"{path}: a spectrum file holds a JSON object with a list of numbers 'psi' and its length 'N'")
     return SineSpectrum(np.asarray(psi, dtype=float))

@@ -8,7 +8,7 @@ broken build (e.g. a sign flip in the tail sum) can be shown to fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -16,35 +16,55 @@ import numpy as np
 from .attractors import key_identity_residuals
 from .blowup import verify_comparison_lemma
 from .characteristics import InitialField, sample_solution, tmax_inviscid
-from .dynamics import nonlinear_direct, nonlinear_pseudospectral
+from .dynamics import Kernel, nonlinear_direct, nonlinear_pseudospectral
 from .spectral import SineSpectrum, grid_lq_norm, sobolev_norm, synthesize
 
 
 @dataclass(frozen=True)
 class SuiteResult:
+    """Outcome of one suite: its largest deviation ``worst``, found at ``where``.
+
+    A suite with more than one pinned quantity names the worst of each in
+    ``worsts``; ``worst`` and ``where`` belong to the largest of them.
+    """
+
     name: str
     passed: bool
     worst: float
+    where: str
     detail: str
+    worsts: dict[str, float] = field(default_factory=dict)
 
 
-Kernel = Callable[[np.ndarray], np.ndarray]
+def _check(deviations: Sequence[float], pin: float, where: Callable[[int], str]) -> tuple[bool, float, str]:
+    """(largest deviation <= pin, largest deviation, where(i) of its case i); a NaN is the largest and fails."""
+    i = int(np.argmax(deviations))
+    return bool(deviations[i] <= pin), float(deviations[i]), where(i)
+
+
+def _named_result(name: str, detail: str, checks: dict[str, tuple[bool, float, str]]) -> SuiteResult:
+    """Result of a suite with one ``_check`` per pinned quantity."""
+    parts = list(checks.values())
+    _, worst, where = parts[int(np.argmax([value for _, value, _ in parts]))]
+    worsts = {key: value for key, (_, value, _) in checks.items()}
+    return SuiteResult(name, all(ok for ok, _, _ in parts), worst, where, detail, worsts)
 
 
 def key_identity_suite(seed: int = 0, cases: int = 50, quad_nodes: int = 4096) -> SuiteResult:
-    """<F, u u_x> + ||u||^2/2 = 0 over random odd trig polynomials, both paths."""
+    """<F, u u_x> + ||u||^2/2 = 0 over random odd trig polynomials, each path pinned on its own."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    ok = True
+    coeff, quad, sizes = [], [], []
     for _ in range(cases):
         N = int(rng.integers(1, 33))
         spec = SineSpectrum(rng.uniform(-1.0, 1.0, N))
         energy = sobolev_norm(spec, 0.0) ** 2
         res_coeff, res_quad = key_identity_residuals(spec, quad_nodes)
-        rel = abs(res_coeff) / max(energy, 1e-300)
-        worst = max(worst, rel, abs(res_quad))
-        ok = ok and rel <= 1e-10 and abs(res_quad) <= 1e-6
-    return SuiteResult("key-identity", ok, worst, f"{cases} odd polynomials, N<=32")
+        coeff.append(abs(res_coeff) / max(energy, 1e-300))
+        quad.append(abs(res_quad))
+        sizes.append(N)
+    at = lambda i: f"seed {seed}, case {i}, N={sizes[i]}"
+    checks = {"coefficient": _check(coeff, 1e-10, at), "quadrature": _check(quad, 1e-6, at)}
+    return _named_result("key-identity", f"{cases} odd polynomials, N<=32", checks)
 
 
 def energy_neutrality_suite(
@@ -53,12 +73,13 @@ def energy_neutrality_suite(
     """sum psi_n * Nonlinear(psi)_n = 0 exactly under truncation."""
     nl = nonlinear or nonlinear_direct
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    deviations = []
     for _ in range(cases):
         psi = rng.uniform(-1.0, 1.0, N)
         scale = float(np.sum(np.abs(psi))) ** 3
-        worst = max(worst, abs(float(np.dot(psi, nl(psi)))) / scale)
-    return SuiteResult("energy-neutrality", worst <= 1e-12, worst, f"{cases} spectra at N={N}")
+        deviations.append(abs(float(np.dot(psi, nl(psi)))) / scale)
+    at = lambda i: f"seed {seed}, case {i}, N={N}"
+    return SuiteResult("energy-neutrality", *_check(deviations, 1e-12, at), f"{cases} spectra at N={N}")
 
 
 def lyapunov_identity_suite(
@@ -68,14 +89,15 @@ def lyapunov_identity_suite(
     nl = nonlinear or nonlinear_direct
     rng = np.random.default_rng(seed)
     n = np.arange(1, N + 1, dtype=float)
-    worst = 0.0
+    deviations = []
     for _ in range(cases):
         psi = np.zeros(N)
         psi[: N // 2] = rng.uniform(-1.0, 1.0, N // 2)
         scale = float(np.sum(np.abs(psi))) ** 2
         res = abs(float(np.sum(nl(psi) / n)) - 0.5 * float(np.sum(psi**2)))
-        worst = max(worst, res / scale)
-    return SuiteResult("lyapunov-identity", worst <= 1e-12, worst, f"{cases} half-supported spectra at N={N}")
+        deviations.append(res / scale)
+    at = lambda i: f"seed {seed}, case {i}, N={N}"
+    return SuiteResult("lyapunov-identity", *_check(deviations, 1e-12, at), f"{cases} half-supported spectra at N={N}")
 
 
 def oracle_equivalence_suite(
@@ -83,30 +105,33 @@ def oracle_equivalence_suite(
 ) -> SuiteResult:
     """Direct-sum and half-length DST/DCT kernels agree to 1e-10 relative."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    deviations, case_sizes = [], []
     for N in sizes:
         for _ in range(cases):
             psi = rng.uniform(-1.0, 1.0, N)
             d = nonlinear_direct(psi)
             p = nonlinear_pseudospectral(psi)
-            worst = max(worst, float(np.max(np.abs(d - p))) / max(float(np.max(np.abs(d))), 1e-300))
-    return SuiteResult("oracle-equivalence", worst <= 1e-10, worst, f"{cases} spectra per N in {tuple(sizes)}")
+            deviations.append(float(np.max(np.abs(d - p))) / max(float(np.max(np.abs(d))), 1e-300))
+            case_sizes.append(N)
+    at = lambda i: f"seed {seed}, case {i}, N={case_sizes[i]}"
+    return SuiteResult("oracle-equivalence", *_check(deviations, 1e-10, at), f"{cases} spectra per N in {tuple(sizes)}")
 
 
 def comparison_lemma_suite(seed: int = 0) -> SuiteResult:
-    """Scalar comparison bounds hold along integrated equality-case runs."""
+    """Scalar comparison bounds hold along integrated equality-case runs.
+
+    The violation is the worst over all four runs, the unforced one (M = 0)
+    included; that run must also match the closed-form Riccati solution.
+    """
     del seed  # deterministic cases
-    worst = -np.inf
-    ok = True
-    for y0, kappa, M in ((1.0, 1.0, 0.2), (2.0, 1.0, 0.5), (1.0, 0.5, 0.1)):
-        rep = verify_comparison_lemma(y0, kappa, M)
-        ok = ok and rep.passed
-        worst = max(worst, rep.max_comparison_violation)
-        if rep.max_simplified_violation is not None:
-            worst = max(worst, rep.max_simplified_violation)
-    rep0 = verify_comparison_lemma(1.0, 1.0, 0.0)
-    ok = ok and rep0.passed and rep0.riccati_max_error <= 1e-9
-    return SuiteResult("comparison-lemma", ok, worst, "3 forced cases + closed-form check")
+    cases = ((1.0, 1.0, 0.2), (2.0, 1.0, 0.5), (1.0, 0.5, 0.1), (1.0, 1.0, 0.0))
+    reports = [verify_comparison_lemma(*case) for case in cases]
+    pairs = [(rep.max_comparison_violation, rep.max_simplified_violation) for rep in reports]
+    violations = [np.max([v for v in pair if v is not None]) for pair in pairs]
+    at = lambda i: "y0={:g}, kappa={:g}, M={:g}".format(*cases[i])
+    riccati = _check([reports[-1].riccati_max_error], 1e-9, lambda _: at(len(cases) - 1))
+    checks = {"violation": _check(violations, 1e-9, at), "riccati": riccati}
+    return _named_result("comparison-lemma", "3 forced cases + closed-form check", checks)
 
 
 def lq_conservation_suite(seed: int = 0, M: int = 4096) -> SuiteResult:
@@ -115,13 +140,15 @@ def lq_conservation_suite(seed: int = 0, M: int = 4096) -> SuiteResult:
     u0 = InitialField(SineSpectrum([0.5]))
     t_max = tmax_inviscid(u0)
     ref = synthesize(u0.spectrum, M)
-    worst = 0.0
+    deviations, cases = [], []
     for frac in np.arange(0.1, 0.95, 0.1):
         grid = sample_solution(u0, float(frac * t_max), M)
         for q in (1.0, 2.0, np.inf):
             a, b = grid_lq_norm(grid, q), grid_lq_norm(ref, q)
-            worst = max(worst, abs(a - b) / b)
-    return SuiteResult("lq-conservation", worst <= 1e-6, worst, "q in {1,2,inf}, t/Tmax in 0.1..0.9")
+            deviations.append(abs(a - b) / b)
+            cases.append(f"t/Tmax={frac:.1f}, q={q:g}")
+    detail = "q in {1,2,inf}, t/Tmax in 0.1..0.9"
+    return SuiteResult("lq-conservation", *_check(deviations, 1e-6, cases.__getitem__), detail)
 
 
 SUITES: dict[str, Callable[..., SuiteResult]] = {

@@ -3,6 +3,34 @@
 import numpy as np
 import pytest
 
+from burgers_lab.attractors import integrate_torus
+from burgers_lab.spectral import evaluate_field, grid_points
+
+
+def synthesize_direct(spec, M):
+    """O(N*M) summation oracle for synthesize; kept slow and obvious."""
+    x = grid_points(M)
+    u = np.zeros(M)
+    for n in range(1, spec.N + 1):
+        u -= 2.0 * spec.psi[n - 1] * np.sin(n * x)
+    return u
+
+
+def analyze_direct(samples, N):
+    """O(N*M) projection oracle: psi_n = -(1/M) sum_j u_j sin(n x_j)."""
+    u = np.asarray(samples, dtype=float)
+    x = grid_points(u.size)
+    return np.array([-np.dot(u, np.sin(n * x)) / u.size for n in range(1, N + 1)])
+
+
+def lyapunov_quadrature(spec, attractor, total_nodes=4096):
+    """Quadrature evaluation of <H, u>, the independent cross-check of the coefficient rule."""
+    return integrate_torus(
+        lambda x: evaluate_field(spec, x) * attractor.evaluate(x),
+        attractor.jump_location,
+        total_nodes,
+    )
+
 
 def brute_force_nonlinear(psi):
     """Triple-loop evaluation of the quadratic Galerkin term."""

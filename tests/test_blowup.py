@@ -390,7 +390,7 @@ class TestLyapunovMonitor:
 
     def test_zero_field(self):
         rec = evolve(
-            SineSpectrum.zeros(16),
+            SineSpectrum(np.zeros(16)),
             ModelParams(0.25, 0.1),
             0.01,
             1e-3,

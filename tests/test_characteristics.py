@@ -6,7 +6,6 @@ from burgers_lab.attractors import attractor_decay_series, optimal_r
 from burgers_lab.characteristics import (
     HorizonError,
     InitialField,
-    eval_characteristics,
     min_initial_slope,
     sample_solution,
     tmax_inviscid,
@@ -52,7 +51,7 @@ class TestTmax:
 
     def test_zero_data_never_breaks(self):
         assert tmax_inviscid(InitialField(SineSpectrum([0.0]))) == np.inf
-        padded = InitialField(SineSpectrum.zeros(256))
+        padded = InitialField(SineSpectrum(np.zeros(256)))
         assert padded.spectrum.N == 1
         assert tmax_inviscid(padded) == np.inf
 
@@ -65,44 +64,44 @@ class TestTmax:
 
 
 class TestEvalCharacteristics:
+    """Point values u(x, t) = u0(foot) of sample_solution on small grids."""
+
     def test_identity_at_t_zero(self):
-        x = np.linspace(-2, 2, 11)
-        np.testing.assert_allclose(
-            eval_characteristics(minus_sine(), x, 0.0), -np.sin(x), atol=1e-14
-        )
+        g = sample_solution(minus_sine(), 0.0, 16)
+        np.testing.assert_allclose(g.samples, -np.sin(g.x), atol=1e-14)
 
     def test_origin_is_fixed_point(self):
         for t in (0.1, 0.5, 0.9):
-            assert eval_characteristics(minus_sine(), 0.0, t) == pytest.approx(0.0, abs=1e-12)
+            g = sample_solution(minus_sine(), t, 16)
+            assert g.x[8] == 0.0 and g.samples[8] == pytest.approx(0.0, abs=1e-12)
 
     def test_against_bisection_oracle(self):
-        u0 = minus_sine()
-        got = eval_characteristics(u0, np.pi / 2, 0.5)
+        g = sample_solution(minus_sine(), 0.5, 16)
+        assert g.x[12] == np.pi / 2
         foot = bisect_characteristic_foot(lambda z: -np.sin(z), np.pi / 2, 0.5, 0.5, tol=1e-14)
-        assert got == pytest.approx(-np.sin(foot), abs=1e-12)
+        assert g.samples[12] == pytest.approx(-np.sin(foot), abs=1e-12)
 
     def test_multimode_against_bisection_oracle(self, rng):
         spec = SineSpectrum(rng.uniform(-0.5, 0.5, 5))
         u0 = InitialField(spec)
         t = 0.4 * tmax_inviscid(u0)
-        for x in np.linspace(-3, 3, 7):
+        g = sample_solution(u0, t, 8)
+        for x, u in zip(g.x, g.samples):
             foot = bisect_characteristic_foot(
                 lambda z: float(evaluate_field(spec, z)), x, t, t * u0.sup_bound + 1e-9
             )
-            assert eval_characteristics(u0, x, t) == pytest.approx(
-                float(evaluate_field(spec, foot)), abs=1e-11
-            )
+            assert u == pytest.approx(float(evaluate_field(spec, foot)), abs=1e-11)
 
     @pytest.mark.parametrize("newton_steps", [0, 4])
     def test_bisection_fallback_against_bisection_oracle(self, rng, monkeypatch, newton_steps):
-        # capping Newton sends all points but x = 0 (0 steps) or 4 of 13 (4 steps) to bisection
+        # capping Newton sends all points but x = -pi and x = 0 (0 steps),
+        # or 4 of the 16 (4 steps), to bisection
         spec = SineSpectrum(rng.uniform(-0.5, 0.5, 5))
         u0 = InitialField(spec)
         t = 0.9 * tmax_inviscid(u0)
-        x = np.linspace(-3, 3, 13)
         monkeypatch.setattr(characteristics, "_NEWTON_MAX_ITER", newton_steps)
-        got = eval_characteristics(u0, x, t)
-        for xj, uj in zip(x, got):
+        g = sample_solution(u0, t, 16)
+        for xj, uj in zip(g.x, g.samples):
             foot = bisect_characteristic_foot(
                 lambda z: float(evaluate_field(spec, z)), xj, t, t * u0.sup_bound + 1e-9
             )
@@ -110,11 +109,11 @@ class TestEvalCharacteristics:
 
     def test_horizon_guard(self):
         with pytest.raises(HorizonError):
-            eval_characteristics(minus_sine(), 0.3, 1.0 - 1e-9)
+            sample_solution(minus_sine(), 1.0 - 1e-9, 16)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            eval_characteristics(minus_sine(), 0.3, -0.1)
+            sample_solution(minus_sine(), -0.1, 16)
 
 
 class TestSampleSolution:

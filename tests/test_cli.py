@@ -1,4 +1,6 @@
 import json
+import re
+from dataclasses import asdict
 import subprocess
 import sys
 
@@ -12,7 +14,6 @@ from burgers_lab.cli import (
     build_parser,
     main,
     merge_config,
-    normalized_dict,
 )
 from burgers_lab.dynamics import ModelParams
 from burgers_lab.spectral import SineSpectrum
@@ -101,6 +102,30 @@ class TestSimulate:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("threshold, termination", [("1e-6", "blowup_detected"), ("0.5", "t_end_reached")])
+    def test_tail_threshold_also_sets_the_detector(self, threshold, termination, tmp_path, capsys):
+        # the march stops at a tail fraction above the threshold; the proxy must trip there too, and only there
+        out = tmp_path / "run"
+        argv = ["simulate", "--alpha", "0.25", "--nu", "0.04", "--init", "sine:10", "--modes", "128",
+                "--dt", "5e-4", "--t-end", "0.5", "--tail-threshold", threshold, "--out", str(out)]
+        assert main(argv) == 0
+        meta = json.loads((out / "run.json").read_text())
+        assert meta["termination"] == termination
+        tripped = re.search(r"proxy tripped at t = (\S+)", capsys.readouterr().out)
+        if termination == "blowup_detected":
+            assert tripped is not None and float(tripped.group(1)) == meta["t_final"]
+        else:
+            assert tripped is None
+
+    def test_certify_outside_the_regime_notes_the_skip(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["simulate", "--alpha", "0.5", "--nu", "0.1", "--modes", "16", "--dt", "0.01", "--t-end", "0.1",
+                "--certify", "--out", str(out)]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("note: certificate skipped: ") and "supercritical" in err and err.count("\n") == 1
+        assert sorted(p.name for p in out.iterdir()) == ["run.csv", "run.json"]
+
 
 class TestInviscid:
     def test_decay_table_slope(self, tmp_path, capsys):
@@ -187,6 +212,14 @@ class TestVerify:
     def test_unknown_suite_exits_one(self):
         assert main(["verify", "--suite", "nope"]) == 1
 
+    def test_named_worsts_and_where(self, capsys):
+        assert main(["verify", "--suite", "key-identity", "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        found = re.search(r"worst=(\S+) \[coefficient=(\S+) quadrature=(\S+)\] at seed 1, case \d+, N=\d+", out)
+        assert found is not None, out
+        worst, coefficient, quadrature = map(float, found.groups())
+        assert worst == max(coefficient, quadrature)
+
 
 class TestCertify:
     def test_writes_both_certificates_for_sine(self, tmp_path, capsys):
@@ -268,6 +301,15 @@ class TestSweep:
         margins = data[:, 3]
         assert margins[0] < 1 < margins[1] < margins[2]
         assert (out / "cell_a0.25_nu0.04_R10.json").exists()
+
+    def test_tail_threshold_also_sets_detected_T(self, tmp_path):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--alphas", "0.25", "--nus", "0.04", "--Rs", "10", "--modes", "128", "--dt", "5e-4",
+                "--t-end", "0.5", "--tail-threshold", "1e-6", "--simulate", "--out", str(out)]
+        assert main(argv) == 0
+        _, rows = read_csv(out / "sweep.csv")
+        _, series = read_csv(out / "cell_a0.25_nu0.04_R10.csv")
+        assert series[-1, 0] < 0.5 and rows[0, 5] == series[-1, 0]
 
     def test_empty_grid_exits_one(self):
         assert main(["sweep", "--alphas", "", "--nus", "1", "--Rs", "1"]) == 1
@@ -375,6 +417,40 @@ class TestSweep:
         assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
         assert all(v in err for v in named)
         assert not out.exists()
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize(
+        "flag, payload",
+        [
+            ("--init", {"N": 1}),
+            ("--init", [0.5]),
+            ("--init", {"N": 1, "psi": ["0.5"]}),
+            ("--init", {"N": 1, "psi": [10**400]}),
+            ("--init", None),
+            ("--attractor", ["F"]),
+            ("--attractor", {"kind": "F", "m": "x"}),
+            ("--attractor", {"kind": "F", "m": 10**400}),
+            ("--attractor", {"kind": ["F"]}),
+            ("--attractor", None),
+            ("--config", None),
+        ],
+        ids=["init-no-psi", "init-list", "init-text-psi", "init-huge-psi", "init-directory", "attractor-list",
+             "attractor-text-m", "attractor-huge-m", "attractor-list-kind", "attractor-directory", "config-directory"],
+    )
+    def test_one_line_error(self, flag, payload, tmp_path, capsys):
+        # None stands for a directory where a file is expected
+        path = tmp_path / "input"
+        if payload is None:
+            path.mkdir()
+        else:
+            path.write_text(json.dumps(payload))
+        value = str(path) if flag == "--config" else f"file:{path}"
+        argv = ["inviscid", "--dt", "0.1", "--t-end", "0.2", flag, value, "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestCertificateFiles:
@@ -547,6 +623,7 @@ class TestConfigHandling:
             {"alphas": 0.2},
             {"alphas": [0.2, "x"]},
             {"alphas": [True]},
+            {"nus": [10**400]},
             {"suite": 3},
             [0.25],
         ],
@@ -588,12 +665,12 @@ class TestConfigHandling:
         cfg_file.write_text(json.dumps({"alpha": 0.25, "nu": 0.04, "init": "sine:10", "dt": 5e-05}))
         args = build_parser().parse_args(["simulate", "--config", str(cfg_file)])
         cfg = merge_config("simulate", args)
-        normalized = normalized_dict(cfg)
+        normalized = asdict(cfg)
         # feeding the normalized form back yields the identical normal form
         full_file = tmp_path / "full.json"
         full_file.write_text(json.dumps(normalized))
         args2 = build_parser().parse_args(["simulate", "--config", str(full_file)])
-        assert normalized_dict(merge_config("simulate", args2)) == normalized
+        assert asdict(merge_config("simulate", args2)) == normalized
 
     def test_validation_errors(self):
         with pytest.raises(ConfigError):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from burgers_lab.dynamics import nonlinear_direct
 from burgers_lab.verify import (
     SUITES,
     energy_neutrality_suite,
@@ -14,6 +15,7 @@ def test_all_suites_pass_at_default_seed():
     assert [r.name for r in results] == list(SUITES)
     for r in results:
         assert r.passed, f"{r.name} failed with worst={r.worst}"
+        assert r.where, f"{r.name} does not name its worst case"
 
 
 def test_suites_pass_at_other_seeds():
@@ -53,4 +55,16 @@ def test_injected_sign_error_fails_energy_neutrality():
 def test_injected_sign_error_fails_lyapunov_identity():
     broken = lyapunov_identity_suite(seed=0, cases=5, nonlinear=_tail_sign_flipped)
     assert not broken.passed
+
+
+def test_non_finite_kernel_output_fails_and_is_located():
+    calls = []
+
+    def nan_on_third_call(psi):
+        calls.append(psi)
+        return np.full_like(psi, np.nan) if len(calls) == 3 else nonlinear_direct(psi)
+
+    broken = energy_neutrality_suite(seed=0, cases=5, N=16, nonlinear=nan_on_third_call)
+    assert not broken.passed and np.isnan(broken.worst)
+    assert broken.where == "seed 0, case 2, N=16"
 
