@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -156,6 +157,18 @@ def _panel_rule(a: float, b: float, n_panels: int, nodes: np.ndarray, weights: n
     return pts, wts
 
 
+@lru_cache(maxsize=1)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 32-point Gauss-Legendre rule on [-1, 1], computed once per process.
+
+    Both arrays are read-only: the cache shares them with every caller.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def integrate_torus(f, jump_location: str = "origin", total_nodes: int = 4096) -> float:
     """Integrate f over [-pi, pi] with Gauss-Legendre panels split at the jump.
 
@@ -163,7 +176,7 @@ def integrate_torus(f, jump_location: str = "origin", total_nodes: int = 4096) -
     integrands converge to machine precision; the jump point itself is
     never a node.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(32)
+    nodes, weights = _gauss_legendre()
     if jump_location == "origin":
         pieces = [(-np.pi, 0.0), (0.0, np.pi)]
     elif jump_location == "pi":

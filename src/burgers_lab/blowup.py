@@ -111,7 +111,10 @@ def simplified_lower_bound(y0: float, kappa: float, M: float, t: float) -> float
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Outcome of integrating y' = -f + kappa y^2 against both bounds."""
+    """Outcome of integrating y' = -f + kappa y^2 against both bounds.
+
+    ``steps`` counts the integrator's accepted steps.
+    """
 
     passed: bool
     hypothesis_ok: bool
@@ -119,11 +122,60 @@ class ComparisonReport:
     max_comparison_violation: float
     max_simplified_violation: float | None
     riccati_max_error: float | None
+    steps: int
 
 
 def _default_forcing(M: float, eps: float = 1e-12) -> Callable[[float], float]:
     # saturates the integral condition: int_0^t f = M (sqrt(t+eps) - sqrt(eps))
     return lambda t: M / (2.0 * math.sqrt(t + eps))
+
+
+def _equality_case(
+    y0: float, kappa: float, f: Callable[[float], float], t_end: float
+) -> tuple[Callable[[np.ndarray], np.ndarray], float, bool, int]:
+    """Integrate y' = kappa y^2 - f(t), y(0) = y0, on [0, t_end] until y = 1e9.
+
+    Returns y on the times reached, the last time reached, whether y hit
+    1e9 there, and the accepted step count.  See ``verify_comparison_lemma``
+    for the linear system that is integrated.
+    """
+    # imported on first use: no other path integrates, and the import costs about 0.3 s
+    from scipy.integrate import solve_ivp
+
+    def rhs(s, wv):
+        w, v = wv
+        return [2.0 * s * v, 2.0 * s * kappa * f(s * s) * w]
+
+    def explode(s, wv):
+        return -wv[1] - 1e9 * kappa * wv[0]
+
+    explode.terminal = True
+    explode.direction = 1.0
+
+    sol = solve_ivp(
+        rhs,
+        (0.0, math.sqrt(t_end)),
+        [1.0, -kappa * y0],
+        method="DOP853",
+        rtol=1e-12,
+        atol=1e-14,
+        dense_output=True,
+        events=explode,
+        # The default forcing's 2 s f(s^2) = M s / sqrt(s^2 + 1e-12) rises from
+        # 0 to M within s ~ 1e-6.  The automatic first step (about 4e-6) spans
+        # that kink unnoticed by the error estimate, which left y off by up to
+        # 9e-10 relative against a 25-digit reference; a first step at a tenth
+        # of the kink's width lets the error control resolve it (<= 5e-12).
+        first_step=1e-7,
+    )
+    blew_up = bool(sol.t_events[0].size)
+    t_num = float(sol.t_events[0][0] if blew_up else sol.t[-1]) ** 2
+
+    def y(t: np.ndarray) -> np.ndarray:
+        w, v = sol.sol(np.sqrt(t))
+        return -v / (kappa * w)
+
+    return y, t_num, blew_up, int(sol.t.size - 1)
 
 
 def verify_comparison_lemma(
@@ -137,43 +189,26 @@ def verify_comparison_lemma(
     """Integrate the equality case of the differential inequality and check
     that the solution dominates both lower bounds on their windows.
 
-    The integration runs in s = sqrt(t) (which removes the integrable
-    forcing singularity at 0) with a high-order adaptive solver, stopping
-    at y = 1e9.  For M = 0 the solution is also compared against the
-    closed-form Riccati solution y0/(1 - kappa y0 t).
-    """
-    # imported on first use: no other path integrates, and the import costs about 0.3 s
-    from scipy.integrate import solve_ivp
+    The equality case y' = kappa y^2 - f(t) is integrated through its
+    linearisation: with y = -w'/(kappa w) it becomes w'' = kappa f w, which
+    in s = sqrt(t) (removing the integrable forcing singularity at 0) is
 
+        dW/ds = 2 s V,   dV/ds = 2 s kappa f(s^2) W,   W(0) = 1, V(0) = -kappa y0,
+
+    and y = -V/(kappa W).  W = exp(-kappa int y) stays positive until y
+    blows up and then crosses zero linearly, so the solver never walks
+    into the pole of y, where the Riccati form spent about 80% of its
+    steps.  The run stops at y = 1e9, which is -V - 1e9 kappa W = 0 (the
+    sign of y - 1e9 while W > 0).  For M = 0 the solution is also compared
+    against the closed-form Riccati solution y0/(1 - kappa y0 t).
+    """
     if y0 <= 0 or kappa <= 0 or M < 0:
         raise ValueError("need y0 > 0, kappa > 0, M >= 0")
     f = f_shape if f_shape is not None else _default_forcing(M)
-
-    def rhs(s, y):
-        t = s * s
-        return 2.0 * s * (kappa * y[0] ** 2 - f(t))
-
-    def explode(s, y):
-        return y[0] - 1e9
-
-    explode.terminal = True
-    explode.direction = 1.0
-
     hypothesis_ok = y0**3 >= _lemma_threshold(kappa, M)
     window_prop = math.inf if M == 0 else (y0 / M) ** 2
     horizon = simplified_horizon(y0, kappa)
-    sol = solve_ivp(
-        rhs,
-        (0.0, math.sqrt(min(window_prop, 10.0 * horizon))),
-        [y0],
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-14,
-        dense_output=True,
-        events=explode,
-    )
-    blew_up = bool(sol.t_events[0].size)
-    t_num = float(sol.t_events[0][0] if blew_up else sol.t[-1]) ** 2
+    y, t_num, blew_up, steps = _equality_case(y0, kappa, f, min(window_prop, 10.0 * horizon))
 
     # with f = 0 the first bound has zero slack (it IS the solution), so the
     # samples stay away from the pole where phase error would dominate
@@ -183,7 +218,7 @@ def verify_comparison_lemma(
         """n_samples times below t_num, cap and every window, with y there."""
         t_hi = min(t_num * (1.0 - 1e-9), cap, *(w * (1.0 - 1e-12) for w in windows))
         ts = np.linspace(t_hi / n_samples, t_hi, n_samples)
-        return ts, sol.sol(np.sqrt(ts))[0]
+        return ts, y(ts)
 
     def max_violation(bound: Callable[..., float], ts: np.ndarray, ys: np.ndarray) -> float:
         values = np.array([bound(y0, kappa, M, float(t)) for t in ts])
@@ -208,6 +243,7 @@ def verify_comparison_lemma(
         max_comparison_violation=max_comp,
         max_simplified_violation=max_simp,
         riccati_max_error=riccati_err,
+        steps=steps,
     )
 
 

@@ -134,6 +134,13 @@ def merge_config(mode: str, args: argparse.Namespace) -> ExperimentConfig:
         if val is not None:
             settings[key] = val
     settings.pop("mode", None)
+    # a march samples min du/dx on a grid that --modes sets, so a grid size asked of it is refused, not
+    # ignored; a config file's grid_size at its default, as the normal form asdict(cfg) writes it, asks nothing
+    default_grid = ExperimentConfig.grid_size
+    if mode in ("simulate", "sweep") and (
+        getattr(args, "grid_size", None) is not None or settings.get("grid_size", default_grid) != default_grid
+    ):
+        raise ConfigError(f"{mode} does not take --grid-size (grid_size); only inviscid samples on that grid")
     cfg = ExperimentConfig(mode=mode, **settings)
     _validate(cfg)
     return cfg
@@ -389,7 +396,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--modes", type=int)
     sub.add_argument("--dt", type=float)
     sub.add_argument("--t-end", dest="t_end", type=float)
-    sub.add_argument("--grid-size", dest="grid_size", type=int)
+    sub.add_argument("--grid-size", dest="grid_size", type=int, help="inviscid only: sample grid points")
     sub.add_argument("--stride", type=int)
     sub.add_argument("--attractor", help="F | phi | sawtooth | file:PATH")
     sub.add_argument("--r", help="positive real or 'auto'")

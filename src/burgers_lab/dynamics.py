@@ -179,7 +179,6 @@ class DiagnosticsConfig:
     r: float | None = None  # None: use ||u0|| / ||F|| for the distance diagnostic
     tail_threshold: float = 1e-3
     store_spectra: bool = False
-    grid_size: int | None = None  # grid for the min du/dx diagnostic
 
     def __post_init__(self):
         if self.stride < 1:
@@ -301,7 +300,7 @@ def evolve_batch(
         raise ValueError("all spectra must have the same mode count")
     diag = diag or DiagnosticsConfig()
     n = np.arange(1, N + 1, dtype=float)
-    M_diag = diag.grid_size or next_pow2(max(256, 2 * (N + 1)))
+    M_diag = next_pow2(max(256, 2 * (N + 1)))  # grid of the min du/dx diagnostic
 
     # one row per spectrum, each built exactly as a single-row march builds it
     half_decay = np.stack([np.exp(-0.5 * dt * dissipation_symbol(p, N)) for p in params])

@@ -11,6 +11,8 @@ from burgers_lab.blowup import (
     HypothesisError,
     OutsideValidityError,
     UnsupportedRegimeError,
+    _default_forcing,
+    _equality_case,
     certificate_to_dict,
     certify_blowup_F,
     certify_blowup_H,
@@ -89,6 +91,8 @@ class TestVerifyComparisonLemma:
         assert rep.max_simplified_violation <= 1e-9
         assert rep.numeric_blowup_time is not None
         assert rep.numeric_blowup_time <= simplified_horizon(case[0], case[1]) + 1e-6
+        # the linear system has no pole to walk into: tens of steps, where the Riccati form took ~320
+        assert 0 < rep.steps < 50
 
     def test_riccati_closed_form(self):
         rep = verify_comparison_lemma(1.0, 1.0, 0.0)
@@ -101,6 +105,34 @@ class TestVerifyComparisonLemma:
         assert not rep.hypothesis_ok
         assert rep.max_simplified_violation is None
         assert rep.max_comparison_violation <= 1e-9
+
+    @pytest.mark.parametrize("y0", [0.5, 1.0, 2.0, 5.0])
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 3.0])
+    def test_unforced_run_matches_closed_form_to_round_off(self, y0, kappa):
+        # the linearised integration keeps y0/(1 - kappa y0 t) to 1e-12 up to t = 0.9/(kappa y0)
+        rep = verify_comparison_lemma(y0, kappa, 0.0)
+        assert rep.riccati_max_error <= 1e-12
+
+    @pytest.mark.parametrize("case", [(2.0, 0.25, 0.05), (1.0, 1.0, 0.2)])
+    def test_forced_solution_matches_high_precision_reference(self, case):
+        # (2, 0.25, 0.05) is off by up to 9e-10 when the first step skips the forcing's kink at s ~ 1e-6
+        mpmath = pytest.importorskip("mpmath")
+        y0, kappa, M = case
+        y, t_num, blew_up, _ = _equality_case(y0, kappa, _default_forcing(M), 10.0 * simplified_horizon(y0, kappa))
+        assert blew_up
+        with mpmath.workdps(25):
+            k, m, eps = mpmath.mpf(kappa), mpmath.mpf(M), mpmath.mpf("1e-12")
+            # the Riccati form itself in s = sqrt(t), by Taylor series to 1e-18
+            ref = mpmath.odefun(
+                lambda s, r: 2 * s * (k * r * r - m / (2 * mpmath.sqrt(s * s + eps))),
+                0,
+                mpmath.mpf(y0),
+                tol=mpmath.mpf("1e-18"),
+            )
+            for frac in (0.1, 0.5, 0.9):
+                t = frac * t_num
+                exact = ref(mpmath.sqrt(t))
+                assert float(abs((y(np.array([t]))[0] - exact) / exact)) <= 1e-10, frac
 
 
 SINE10 = SineSpectrum.sine_wave(10.0, N=4)

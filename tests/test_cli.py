@@ -583,6 +583,27 @@ class TestStepCount:
         assert not (tmp_path / "out").exists()
 
 
+class TestGridSize:
+    MARCHES = {
+        "simulate": ["simulate", "--alpha", "0.25", "--nu", "0.1", "--modes", "32", "--dt", "1e-3", "--t-end", "0.01"],
+        "sweep": ["sweep", "--alphas", "0.25", "--nus", "0.1", "--Rs", "1", "--modes", "32", "--dt", "1e-3",
+                  "--t-end", "0.01", "--simulate"],
+    }  # fmt: skip
+
+    @pytest.mark.parametrize("mode", ["simulate", "sweep"])
+    @pytest.mark.parametrize("given", [["--grid-size", "64"], ["--grid-size", "4096"], {"grid_size": 64}])
+    def test_march_refuses_a_grid_size(self, mode, given, tmp_path, capsys):
+        # the march's min du/dx grid follows --modes: a grid size asked of it used to be ignored
+        if isinstance(given, dict):
+            cfg_file = tmp_path / "cfg.json"
+            cfg_file.write_text(json.dumps(given))
+            given = ["--config", str(cfg_file)]
+        assert main([*self.MARCHES[mode], *given, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {mode} does not take --grid-size") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
 class TestParserReuse:
     def test_flags_do_not_leak_between_calls(self, monkeypatch, tmp_path):
         seen = []

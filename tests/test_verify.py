@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from burgers_lab.dynamics import nonlinear_direct
 from burgers_lab.verify import (
     SUITES,
+    comparison_lemma_suite,
     energy_neutrality_suite,
     lyapunov_identity_suite,
     run_suites,
@@ -21,6 +24,12 @@ def test_all_suites_pass_at_default_seed():
 def test_suites_pass_at_other_seeds():
     for seed in (1, 12345):
         assert all(r.passed for r in run_suites(seed=seed))
+
+
+def test_comparison_lemma_prints_its_step_total():
+    # the integrator's accepted steps over the four runs: 1279 for the Riccati form, 84 for its linearisation
+    steps = re.search(r", (\d+) steps$", comparison_lemma_suite().detail)
+    assert steps and 0 < int(steps.group(1)) < 200
 
 
 def test_suite_filter():
