@@ -7,7 +7,6 @@ from .spectral import (
     UnderResolvedError,
     analyze,
     load_spectrum,
-    save_spectrum,
     sobolev_norm,
     synthesize,
 )
@@ -15,10 +14,8 @@ from .dynamics import (
     DiagnosticsConfig,
     ModelParams,
     SimulationRecord,
-    StepFailureError,
     evolve,
     evolve_batch,
-    step,
 )
 from .characteristics import (
     HorizonError,

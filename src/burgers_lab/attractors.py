@@ -194,17 +194,10 @@ def integrate_torus(f, jump_location: str = "origin", total_nodes: int = 4096) -
 # ---------------------------------------------------------------------------
 # functionals
 
-def lyapunov(spec: SineSpectrum, attractor: AttractorFn, quad_nodes: int | None = None) -> float:
-    """<H, u> = 4*pi * sum psi_n phi_n; quadrature fallback for custom H."""
-    if attractor.sine_coeff is not None:
-        n = np.arange(1, spec.N + 1)
-        return float(FOUR_PI * np.dot(spec.psi, attractor.sine_coeff(n)))
-    nodes = quad_nodes or max(4096, 8 * spec.N)
-    return integrate_torus(
-        lambda x: evaluate_field(spec, x) * attractor.evaluate(x),
-        attractor.jump_location,
-        nodes,
-    )
+def lyapunov(spec: SineSpectrum, attractor: AttractorFn) -> float:
+    """<H, u> = 4*pi * sum psi_n phi_n, from H's sine coefficients."""
+    n = np.arange(1, spec.N + 1)
+    return float(FOUR_PI * np.dot(spec.psi, attractor.sine_coeff(n)))
 
 
 def key_identity_residuals(spec: SineSpectrum, quad_nodes: int | None = None) -> tuple[float, float]:

@@ -1,7 +1,8 @@
 """Command-line runner for reproducible experiments.
 
 Subcommands: simulate, inviscid, verify, certify, sweep.  Settings come
-from a flat JSON config file (--config) and/or flags; flags win.  All
+from a flat JSON config file (--config) and/or flags; flags win.  Each
+command takes only the settings it reads (SETTINGS) and refuses others.  All
 floating-point output is printed with 17 significant digits so files
 round-trip exactly.
 
@@ -58,7 +59,14 @@ from .dynamics import (
 from .spectral import SineSpectrum, _is_number, load_spectrum
 from .verify import SUITES, run_suites
 
-MODES = ("simulate", "inviscid", "verify", "certify", "sweep")
+#: the ExperimentConfig keys each command reads: its flags and config keys, and no others
+SETTINGS = {
+    "simulate": ("alpha", "nu", "init", "modes", "dt", "t_end", "stride", "r", "out", "seed", "tail_threshold", "certify"),
+    "inviscid": ("init", "modes", "dt", "t_end", "grid_size", "attractor", "r", "out"),
+    "verify": ("seed", "suite"),
+    "certify": ("alpha", "nu", "init", "modes", "attractor", "out"),
+    "sweep": ("alphas", "nus", "Rs", "modes", "dt", "t_end", "stride", "tail_threshold", "simulate", "out"),
+}
 
 
 class ConfigError(ValueError):
@@ -89,7 +97,6 @@ class ExperimentConfig:
     simulate: bool = False
 
 
-_CONFIG_KEYS = {f for f in ExperimentConfig.__dataclass_fields__ if f != "mode"}
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 
@@ -110,13 +117,14 @@ def _has_type(value, annotation) -> bool:
     return any(_has_type(value, member) for member in annotation.__args__)
 
 
-def load_config(path: str | Path) -> dict:
+def load_config(path: str | Path, mode: str) -> dict:
+    """The settings of a flat JSON config file, each one a key that ``mode`` reads, of its field's type."""
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    unknown = set(payload) - _CONFIG_KEYS - {"mode"}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    unread = sorted(set(payload) - set(SETTINGS[mode]))
+    if unread:
+        raise ConfigError(f"{mode} does not take --{unread[0].replace('_', '-')}")
     for key, value in payload.items():
         expected = _FIELD_TYPES[key]
         if not _has_type(value, expected):
@@ -126,29 +134,17 @@ def load_config(path: str | Path) -> dict:
 
 
 def merge_config(mode: str, args: argparse.Namespace) -> ExperimentConfig:
-    settings: dict = {}
-    if getattr(args, "config", None):
-        settings.update(load_config(args.config))
-    for key in _CONFIG_KEYS:
-        val = getattr(args, key, None)
+    settings = load_config(args.config, mode) if args.config else {}
+    for key in SETTINGS[mode]:
+        val = getattr(args, key)
         if val is not None:
             settings[key] = val
-    settings.pop("mode", None)
-    # a march samples min du/dx on a grid that --modes sets, so a grid size asked of it is refused, not
-    # ignored; a config file's grid_size at its default, as the normal form asdict(cfg) writes it, asks nothing
-    default_grid = ExperimentConfig.grid_size
-    if mode in ("simulate", "sweep") and (
-        getattr(args, "grid_size", None) is not None or settings.get("grid_size", default_grid) != default_grid
-    ):
-        raise ConfigError(f"{mode} does not take --grid-size (grid_size); only inviscid samples on that grid")
     cfg = ExperimentConfig(mode=mode, **settings)
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.mode not in MODES:
-        raise ConfigError(f"unknown mode {cfg.mode!r}")
     if cfg.mode in ("simulate", "certify"):
         if cfg.alpha is None:
             raise ConfigError(f"{cfg.mode} requires --alpha")
@@ -275,13 +271,12 @@ def run_inviscid(cfg: ExperimentConfig) -> int:
     t_max = tmax_inviscid(u0)
     scaling = optimal_r(spec0)
     times = np.arange(0.0, cfg.t_end + 0.5 * cfg.dt, cfg.dt)
+    r = None if cfg.r == "auto" else float(cfg.r)
     if cfg.attractor == "F":
-        r = scaling.r0 if cfg.r == "auto" else float(cfg.r)
-        table = attractor_decay_series(u0, times, r=r, M=cfg.grid_size)
+        table = attractor_decay_series(u0, times, r=scaling.r0 if r is None else r, M=cfg.grid_size)
     else:
-        table = attractor_decay_series(
-            u0, times, attractor=_resolve_attractor(cfg.attractor), M=cfg.grid_size
-        )
+        # an --r given here is refused there: it scales F only
+        table = attractor_decay_series(u0, times, r=r, attractor=_resolve_attractor(cfg.attractor), M=cfg.grid_size)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["t,dist,predicted"]
@@ -388,51 +383,59 @@ RUNNERS = {
 }
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat JSON config file; flags override it")
-    sub.add_argument("--alpha", type=float)
-    sub.add_argument("--nu", type=float)
-    sub.add_argument("--init", help="sine:R or file:PATH")
-    sub.add_argument("--modes", type=int)
-    sub.add_argument("--dt", type=float)
-    sub.add_argument("--t-end", dest="t_end", type=float)
-    sub.add_argument("--grid-size", dest="grid_size", type=int, help="inviscid only: sample grid points")
-    sub.add_argument("--stride", type=int)
-    sub.add_argument("--attractor", help="F | phi | sawtooth | file:PATH")
-    sub.add_argument("--r", help="positive real or 'auto'")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--tail-threshold", dest="tail_threshold", type=float)
+def float_list(text: str) -> list[float]:
+    """A comma-separated list of reals, such as --Rs 2,10,40."""
+    return [float(v) for v in text.split(",") if v]
+
+
+#: how a flag reads its value; a flag not listed takes text
+_FLAG_TYPES = {
+    **dict.fromkeys(("alpha", "nu", "dt", "t_end", "tail_threshold"), float),
+    **dict.fromkeys(("modes", "grid_size", "stride", "seed"), int),
+    **dict.fromkeys(("alphas", "nus", "Rs"), float_list),
+}
+_HELP = {
+    "init": "sine:R or file:PATH",
+    "grid_size": "sample grid points",
+    "attractor": "F | phi | sawtooth | file:PATH",
+    "r": "positive real or 'auto'",
+    "out": "output directory",
+    "suite": f"run only one of {sorted(SUITES)}",
+}
 
 
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process (it keeps no parse state)."""
-    parser = argparse.ArgumentParser(prog="burgers-lab", description=__doc__)
+    """The command-line parser, built once per process (it keeps no parse state).
+
+    Each command offers the flags of its SETTINGS keys and --config.  A bad
+    value raises argparse.ArgumentError rather than exiting, and abbreviated
+    flags are not expanded: ``sweep --alpha`` is refused, not read as --alphas.
+    """
+    parser = argparse.ArgumentParser(prog="burgers-lab", description=__doc__, exit_on_error=False)
     subs = parser.add_subparsers(dest="mode", required=True)
-    for mode in MODES:
-        sub = subs.add_parser(mode)
-        _add_common(sub)
-        if mode == "simulate":
-            sub.add_argument("--certify", action="store_const", const=True, default=None)
-        if mode == "verify":
-            sub.add_argument("--suite", help=f"run only one of {sorted(SUITES)}")
-        if mode == "sweep":
-            sub.add_argument("--alphas", type=lambda s: [float(v) for v in s.split(",") if v])
-            sub.add_argument("--nus", type=lambda s: [float(v) for v in s.split(",") if v])
-            sub.add_argument("--Rs", type=lambda s: [float(v) for v in s.split(",") if v])
-            sub.add_argument("--simulate", action="store_const", const=True, default=None)
+    for mode, keys in SETTINGS.items():
+        sub = subs.add_parser(mode, allow_abbrev=False, exit_on_error=False)
+        sub.add_argument("--config", help="flat JSON config file; flags override it")
+        for key in keys:
+            flag = "--" + key.replace("_", "-")
+            if _FIELD_TYPES[key] is bool:
+                sub.add_argument(flag, dest=key, action="store_const", const=True)
+            else:
+                sub.add_argument(flag, dest=key, type=_FLAG_TYPES.get(key), help=_HELP.get(key))
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args, unread = build_parser().parse_known_args(argv)
+        if unread:
+            raise ConfigError(f"{args.mode} does not take {unread[0].partition('=')[0]}")
         cfg = merge_config(args.mode, args)
         return RUNNERS[cfg.mode](cfg)
-    except (ValueError, OSError, RootFindError) as exc:
-        # covers ConfigError, HorizonError, regime/series guards, malformed or
-        # unreadable files, and a characteristic foot the root finder could not reach
+    except (argparse.ArgumentError, ValueError, OSError, RootFindError) as exc:
+        # covers a flag value argparse cannot read, ConfigError, HorizonError, regime/series guards,
+        # malformed or unreadable files, and a characteristic foot the root finder could not reach
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

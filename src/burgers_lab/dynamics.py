@@ -12,7 +12,7 @@ pairing cancellation sum_n psi_n * Nonlinear(psi)_n = 0 exact at any N.
 
 Two independent kernels evaluate the same quadratic term:
 ``nonlinear_direct`` computes its sums by O(N^2) convolution, and
-``nonlinear_pseudospectral`` (the default of ``step`` and ``evolve``)
+``nonlinear_pseudospectral`` (the default of ``evolve`` and ``evolve_batch``)
 squares the field on a half-length grid.  Since u is odd and u^2 even,
 both live on the staggered half grid
 xi_k = pi (k + 1/2) / L, k = 0..L-1: a type-3 DST of the zero-padded psi
@@ -55,10 +55,6 @@ Kernel = Callable[[np.ndarray], np.ndarray]
 TERMINATION_T_END = "t_end_reached"
 TERMINATION_BLOWUP = "blowup_detected"
 TERMINATION_STEP_FAILURE = "step_failure"
-
-
-class StepFailureError(RuntimeError):
-    """A time step produced non-finite coefficients."""
 
 
 @dataclass(frozen=True)
@@ -152,25 +148,6 @@ def _if_rk4_step(psi: np.ndarray, dt: float, e1: np.ndarray, e2: np.ndarray, non
         e2_psi = e2 * psi
         k4 = nonlinear(e2_psi + dt * e1 * k3)
         return e2_psi + dt / 6.0 * (e2 * k1 + 2.0 * e1 * (k2 + k3) + k4)
-
-
-def step(
-    spec: SineSpectrum,
-    params: ModelParams,
-    dt: float,
-    kernel: Kernel = nonlinear_pseudospectral,
-) -> SineSpectrum:
-    """One integrating-factor RK4 step of size dt.
-
-    Raises StepFailureError when the result is not finite.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    half_decay = np.exp(-0.5 * dt * dissipation_symbol(params, spec.N))
-    out = _if_rk4_step(spec.psi, dt, half_decay, half_decay * half_decay, kernel)
-    if not np.all(np.isfinite(out)):
-        raise StepFailureError(f"non-finite state after step of dt={dt}")
-    return SineSpectrum(out)
 
 
 @dataclass(frozen=True)

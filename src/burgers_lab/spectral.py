@@ -27,10 +27,6 @@ import numpy as np
 
 FOUR_PI = 4.0 * np.pi
 
-SPECTRUM_CONVENTION = "u(x) = -2 * sum_n psi_n * sin(n*x)"
-
-#: default absolute tolerance for analyze <-> synthesize round trips
-ROUNDTRIP_TOL = 1e-12
 #: default relative tolerance above which a grid is rejected as non-odd
 ODDNESS_TOL = 1e-10
 
@@ -105,10 +101,6 @@ class GridFunction:
     @property
     def M(self) -> int:
         return self.samples.size
-
-    @property
-    def x(self) -> np.ndarray:
-        return grid_points(self.M)
 
 
 def grid_points(M: int) -> np.ndarray:
@@ -273,15 +265,6 @@ def grid_lq_norm(grid: GridFunction | np.ndarray, q: float) -> float:
         raise ValueError("q must be >= 1")
     h = 2.0 * np.pi / u.size
     return float((h * np.sum(np.abs(u) ** q)) ** (1.0 / q))
-
-
-def save_spectrum(spec: SineSpectrum, path: str | Path) -> None:
-    payload = {
-        "convention": SPECTRUM_CONVENTION,
-        "N": spec.N,
-        "psi": [float(v) for v in spec.psi],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def _is_number(value) -> bool:

@@ -155,19 +155,6 @@ class TestLyapunov:
             b = lyapunov_quadrature(spec, att, 8 * 24)
             assert abs(a - b) <= 1e-6 * max(1.0, abs(a))
 
-    def test_quadrature_fallback_for_custom(self, rng):
-        spec = SineSpectrum(rng.uniform(-1, 1, 8))
-        F = make_F()
-        stripped = AttractorFn(
-            kind="custom",
-            evaluate=F.evaluate,
-            derivative=F.derivative,
-            slope_floor=1.0,
-            jump_location="origin",
-            l2_norm=F.l2_norm,
-        )
-        assert lyapunov(spec, stripped) == pytest.approx(lyapunov(spec, F), abs=1e-10)
-
 
 class TestKeyIdentity:
     def test_minus_sine_closed_form(self):
@@ -292,7 +279,7 @@ class TestDecaySeries:
         table = attractor_decay_series(u0, [t], r=R0_SINE)
         g = sample_solution(u0, t, 8192)
         F = make_F()
-        integrand = (g.samples - R0_SINE * F.evaluate(g.x)) ** 2
+        integrand = (g.samples - R0_SINE * F.evaluate(grid_points(g.M))) ** 2
         quad = 2 * np.pi / g.M * np.sum(integrand)
         assert table.distance[0] == pytest.approx(quad, rel=5e-3)
 

@@ -68,16 +68,16 @@ class TestEvalCharacteristics:
 
     def test_identity_at_t_zero(self):
         g = sample_solution(minus_sine(), 0.0, 16)
-        np.testing.assert_allclose(g.samples, -np.sin(g.x), atol=1e-14)
+        np.testing.assert_allclose(g.samples, -np.sin(grid_points(g.M)), atol=1e-14)
 
     def test_origin_is_fixed_point(self):
         for t in (0.1, 0.5, 0.9):
             g = sample_solution(minus_sine(), t, 16)
-            assert g.x[8] == 0.0 and g.samples[8] == pytest.approx(0.0, abs=1e-12)
+            assert grid_points(g.M)[8] == 0.0 and g.samples[8] == pytest.approx(0.0, abs=1e-12)
 
     def test_against_bisection_oracle(self):
         g = sample_solution(minus_sine(), 0.5, 16)
-        assert g.x[12] == np.pi / 2
+        assert grid_points(g.M)[12] == np.pi / 2
         foot = bisect_characteristic_foot(lambda z: -np.sin(z), np.pi / 2, 0.5, 0.5, tol=1e-14)
         assert g.samples[12] == pytest.approx(-np.sin(foot), abs=1e-12)
 
@@ -86,7 +86,7 @@ class TestEvalCharacteristics:
         u0 = InitialField(spec)
         t = 0.4 * tmax_inviscid(u0)
         g = sample_solution(u0, t, 8)
-        for x, u in zip(g.x, g.samples):
+        for x, u in zip(grid_points(g.M), g.samples):
             foot = bisect_characteristic_foot(
                 lambda z: float(evaluate_field(spec, z)), x, t, t * u0.sup_bound + 1e-9
             )
@@ -101,7 +101,7 @@ class TestEvalCharacteristics:
         t = 0.9 * tmax_inviscid(u0)
         monkeypatch.setattr(characteristics, "_NEWTON_MAX_ITER", newton_steps)
         g = sample_solution(u0, t, 16)
-        for xj, uj in zip(g.x, g.samples):
+        for xj, uj in zip(grid_points(g.M), g.samples):
             foot = bisect_characteristic_foot(
                 lambda z: float(evaluate_field(spec, z)), xj, t, t * u0.sup_bound + 1e-9
             )

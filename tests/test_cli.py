@@ -10,7 +10,9 @@ import pytest
 from burgers_lab import characteristics, cli
 from burgers_lab.blowup import certificate_to_dict, certify_blowup_F, corollary_condition
 from burgers_lab.cli import (
+    SETTINGS,
     ConfigError,
+    ExperimentConfig,
     build_parser,
     main,
     merge_config,
@@ -164,6 +166,14 @@ class TestInviscid:
         assert rc == 0
         _, data = read_csv(out / "decay.csv")
         assert np.all(data[1:, 1] <= data[0, 1] - data[1:, 0] + 1e-6 * data[0, 1])
+
+    def test_r_refused_for_a_profile_other_than_F(self, tmp_path, capsys):
+        # --r scales F only; with the sawtooth it used to be ignored
+        out = tmp_path / "inv"
+        argv = ["inviscid", "--attractor", "sawtooth", "--r", "7", "--dt", "0.25", "--t-end", "0.5", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: r applies only to the scaled-F mode\n"
+        assert not out.exists()
 
     def test_horizon_exits_one(self, tmp_path, capsys):
         rc = main(
@@ -629,41 +639,49 @@ class TestConfigHandling:
         assert cfg.alpha == 0.25  # flag wins
         assert cfg.nu == 0.1 and cfg.modes == 64  # config survives
 
+    # each payload goes to a command that reads its keys, so that the type check is what refuses it
+    TYPED = {"simulate": ["simulate", "--alpha", "0.5", "--nu", "0.1"], "sweep": ["sweep", "--Rs", "1"], "verify": ["verify"]}
+
     @pytest.mark.parametrize(
-        "payload",
+        "mode, payload",
         [
-            {"modes": "abc"},
-            {"modes": True},
-            {"modes": 2.5},
-            {"modes": None},
-            {"dt": "1e-3"},
-            {"dt": 10**400},
-            {"nu": False},
-            {"init": 1},
-            {"certify": 1},
-            {"alphas": 0.2},
-            {"alphas": [0.2, "x"]},
-            {"alphas": [True]},
-            {"nus": [10**400]},
-            {"suite": 3},
-            [0.25],
+            ("simulate", {"modes": "abc"}),
+            ("simulate", {"modes": True}),
+            ("simulate", {"modes": 2.5}),
+            ("simulate", {"modes": None}),
+            ("simulate", {"dt": "1e-3"}),
+            ("simulate", {"dt": 10**400}),
+            ("simulate", {"nu": False}),
+            ("simulate", {"init": 1}),
+            ("simulate", {"certify": 1}),
+            ("sweep", {"alphas": 0.2}),
+            ("sweep", {"alphas": [0.2, "x"]}),
+            ("sweep", {"alphas": [True]}),
+            ("sweep", {"nus": [10**400]}),
+            ("verify", {"suite": 3}),
+            ("simulate", [0.25]),
         ],
     )
-    def test_wrongly_typed_config_exits_one(self, payload, tmp_path, capsys):
+    def test_wrongly_typed_config_exits_one(self, mode, payload, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(payload))
-        argv = ["simulate", "--alpha", "0.5", "--nu", "0.1", "--config", str(cfg_file)]
-        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        argv = [*self.TYPED[mode], "--config", str(cfg_file)]
+        assert main(argv if mode == "verify" else [*argv, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert ("must be a JSON object" if isinstance(payload, list) else "must be of type") in err
         assert not (tmp_path / "out").exists()
 
     def test_typed_config_values_accepted(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"alpha": None, "nu": 1, "r": 0.5, "alphas": [0.2, 1], "certify": False}))
+        cfg_file.write_text(json.dumps({"alpha": None, "nu": 1, "r": 0.5, "certify": False}))
         args = build_parser().parse_args(["simulate", "--config", str(cfg_file), "--alpha", "0.25"])
         cfg = merge_config("simulate", args)
-        assert (cfg.alpha, cfg.nu, cfg.r, cfg.alphas, cfg.certify) == (0.25, 1, 0.5, [0.2, 1], False)
+        assert (cfg.alpha, cfg.nu, cfg.r, cfg.certify) == (0.25, 1, 0.5, False)
+        cfg_file.write_text(json.dumps({"alphas": [0.2, 1], "simulate": False}))
+        args = build_parser().parse_args(["sweep", "--config", str(cfg_file), "--nus", "0.04", "--Rs", "2"])
+        cfg = merge_config("sweep", args)
+        assert (cfg.alphas, cfg.simulate) == ([0.2, 1], False)
 
     def test_mode_count_beyond_memory_exits_one(self, tmp_path, capsys):
         # 10^14 modes ask for 728 TiB, which the allocator refuses at once
@@ -686,12 +704,12 @@ class TestConfigHandling:
         cfg_file.write_text(json.dumps({"alpha": 0.25, "nu": 0.04, "init": "sine:10", "dt": 5e-05}))
         args = build_parser().parse_args(["simulate", "--config", str(cfg_file)])
         cfg = merge_config("simulate", args)
-        normalized = asdict(cfg)
-        # feeding the normalized form back yields the identical normal form
+        # the normal form: every key simulate reads, at its value; fed back, it yields the same config
+        normalized = {key: getattr(cfg, key) for key in SETTINGS["simulate"]}
         full_file = tmp_path / "full.json"
         full_file.write_text(json.dumps(normalized))
         args2 = build_parser().parse_args(["simulate", "--config", str(full_file)])
-        assert asdict(merge_config("simulate", args2)) == normalized
+        assert asdict(merge_config("simulate", args2)) == asdict(cfg)
 
     def test_validation_errors(self):
         with pytest.raises(ConfigError):
@@ -703,3 +721,73 @@ class TestConfigHandling:
                 "simulate",
                 build_parser().parse_args(["simulate", "--alpha", "0.5", "--nu", "0", "--dt", "-1"]),
             )
+
+
+class TestSettings:
+    """Each command takes the flags and config keys it reads, and refuses the others."""
+
+    RUNS = {
+        "simulate": ["simulate", "--alpha", "0.25", "--nu", "0.1", "--modes", "16", "--dt", "0.01", "--t-end", "0.02"],
+        "inviscid": ["inviscid", "--dt", "0.1", "--t-end", "0.2"],
+        "verify": ["verify", "--suite", "energy-neutrality"],
+        "certify": ["certify", "--alpha", "0.25", "--nu", "0.04", "--init", "sine:10"],
+        "sweep": ["sweep", "--alphas", "0.25", "--nus", "0.04", "--Rs", "2"],
+    }  # fmt: skip
+
+    def test_every_setting_is_read_by_some_command(self):
+        fields = set(ExperimentConfig.__dataclass_fields__) - {"mode"}
+        assert set().union(*SETTINGS.values()) == fields
+        assert list(SETTINGS) == list(cli.RUNNERS)
+
+    @pytest.mark.parametrize("as_flag", [True, False], ids=["flag", "config"])
+    @pytest.mark.parametrize(
+        "mode, key, value",
+        [
+            ("simulate", "attractor", "sawtooth"),
+            ("inviscid", "nu", 0.1),
+            ("verify", "out", None),
+            ("certify", "dt", 0.01),
+            ("sweep", "init", "sine:1"),
+        ],
+    )
+    def test_unread_setting_refused(self, mode, key, value, as_flag, tmp_path, capsys):
+        out = tmp_path / "out"
+        # None: the refused value is the output directory itself
+        value = str(out) if value is None else value
+        argv = [*self.RUNS[mode], *([] if mode == "verify" else ["--out", str(out)])]
+        if as_flag:
+            argv += [f"--{key}", str(value)]
+        else:
+            cfg_file = tmp_path / "cfg.json"
+            cfg_file.write_text(json.dumps({key: value}))
+            argv += ["--config", str(cfg_file)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {mode} does not take --{key}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["simulate", "--alpha", "0.25", "--nu", "0.1", "--modes", "abc"], "invalid int value: 'abc'"),
+            (["sweep", "--alphas", "0.2,x", "--nus", "0.1", "--Rs", "1"], "--alphas: invalid float_list value: '0.2,x'"),
+            (["inviscid", "--dt"], "--dt: expected one argument"),
+            (["simulate", "--alpah", "0.25", "--nu", "0.1"], "simulate does not take --alpah"),
+            # a flag is not expanded to the one it abbreviates
+            (["sweep", "--alpha", "0.25", "--nus", "0.1", "--Rs", "1"], "sweep does not take --alpha"),
+            (["inviscid", "--dt", "0.1", "--t-end", "0.2", "--grid", "64"], "inviscid does not take --grid"),
+        ],
+        ids=["int", "list", "missing-value", "misspelt", "abbreviated-list", "abbreviated-int"],
+    )
+    def test_unparsable_command_line_exits_one(self, argv, named, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([argv[0], "--out", str(out), *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+        assert not out.exists()
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["sweep", "--help"])
+        assert stop.value.code == 0
+        assert "--alphas" in capsys.readouterr().out
