@@ -68,7 +68,7 @@ class AttractorFn:
     slope_floor: float
     jump_location: str  # "origin" | "pi"
     l2_norm: float
-    sine_coeff: Callable[[np.ndarray], np.ndarray] | None = None
+    sine_coeff: Callable[[np.ndarray], np.ndarray]
     coeff_scale: float | None = None
 
     def hs_norm_sq(self, alpha: float, tol: float = 1e-9) -> float:

@@ -31,8 +31,9 @@ import numpy as np
 
 from . import attractors
 from .attractors import AttractorFn, c_alpha, lyapunov, power_sum, validate_H
-from .dynamics import ModelParams, SimulationRecord, dissipation_symbol, lyapunov_diagnostic, nonlinear_direct
-from .spectral import FOUR_PI, SineSpectrum, _weighted_energy, sobolev_norm
+# nonlinear_direct is not called here; it stays importable because perfbench/tracing.py patches blowup.nonlinear_direct
+from .dynamics import ModelParams, SimulationRecord, nonlinear_direct
+from .spectral import FOUR_PI, SineSpectrum, sobolev_norm
 
 #: Riccati coefficient attached to the profile F: 3 / (4 pi^3)
 KAPPA_F = 3.0 / (4.0 * np.pi**3)
@@ -412,6 +413,24 @@ class LyapunovBoundReport:
     max_exact_residual_resolved: float
 
 
+def quadratic_lyapunov_rate(psi: np.ndarray) -> float:
+    """4 pi sum_n Nonlinear(psi)_n / n, the quadratic part of dL/dt, in O(N).
+
+    Paired with 1/n, both truncated convolution sums of the Galerkin term
+    telescope.  With prefix sums P_m = psi_1 + ... + psi_m,
+
+        4 pi sum_n Nonlinear_n / n
+            = 4 pi [ 1/2 sum_{j=1}^{N-1} psi_j P_{N-j} - 1/2 (P_N^2 - sum_n psi_n^2) ],
+
+    the first term being sum_{j+k<=N} psi_j psi_k and the second the sum
+    over pairs j < k.  It is an exact rearrangement of the sums that
+    ``nonlinear_direct`` evaluates, not an approximation.
+    """
+    prefix = np.cumsum(psi)
+    head = psi.size - 1
+    return 2.0 * np.pi * float(psi[:head] @ prefix[:head][::-1] - prefix[-1] ** 2 + psi @ psi)
+
+
 def monitor_lyapunov_bound(
     record: SimulationRecord,
     params: ModelParams | None = None,
@@ -421,11 +440,19 @@ def monitor_lyapunov_bound(
     """Check dL/dt >= -sqrt(2) C_alpha nu ||u||_{H^alpha} + kappa L^2 stepwise.
 
     dL/dt is evaluated exactly from the Galerkin right-hand side as
-    4*pi * sum rhs_n / n.  The identity dL/dt = -nu * (fractional pairing)
-    + ||u||^2/2 holds exactly only while the quadratic interactions fit
-    inside the truncation, so both the inequality slack and the identity
-    residual are reported per step, with summary values restricted to
-    steps whose tail fraction is at most ``resolved_tail``.
+    4*pi * sum rhs_n / n: its dissipative part is -nu times the fractional
+    pairing 4*pi * sum n^{2 alpha} psi_n / n, and its quadratic part is, with
+    prefix sums P_m = psi_1 + ... + psi_m (``quadratic_lyapunov_rate``),
+
+        4 pi [ 1/2 sum_{j=1}^{N-1} psi_j P_{N-j} - 1/2 (P_N^2 - sum_n psi_n^2) ],
+
+    one cumulative sum and two dot products per stored state.  The identity
+    dL/dt = -nu * (fractional pairing) + ||u||^2/2 holds exactly only while
+    the quadratic interactions fit inside the truncation: ``exact_residual``
+    is the truncation cross term 2 pi |sum_{j+k>N, j,k<=N} psi_j psi_k|.
+    Both the inequality slack and that residual are reported per step, with
+    summary values restricted to steps whose tail fraction is at most
+    ``resolved_tail``.
     """
     if record.spectra is None:
         raise ValueError("record was produced without store_spectra=True")
@@ -434,20 +461,22 @@ def monitor_lyapunov_bound(
         raise UnsupportedRegimeError("the inequality constant needs alpha < 1/2 when nu > 0")
     C = c_alpha(params.alpha, series_tol) if params.nu > 0.0 else 0.0
 
+    # every stored state has the record's N; rows are taken one at a time,
+    # since stacking the whole run costs more memory than the loop costs time
+    n = np.arange(1, record.N + 1, dtype=float)
+    hs_weight = FOUR_PI * n ** (2.0 * params.alpha)
+    L_weight = FOUR_PI / n
+    pairing_weight = hs_weight / n
     count = len(record.spectra)
     slack = np.empty(count)
     exact_residual = np.empty(count)
     for i, psi in enumerate(record.spectra):
-        N = psi.size
-        n = np.arange(1, N + 1, dtype=float)
-        rhs = nonlinear_direct(psi) - dissipation_symbol(params, N) * psi
-        dLdt = lyapunov_diagnostic(rhs)
-        L = lyapunov_diagnostic(psi)
-        hs = math.sqrt(_weighted_energy(psi, n ** (2.0 * params.alpha)))
-        bound = -math.sqrt(2.0) * C * params.nu * hs + KAPPA_F * L * L
-        slack[i] = dLdt - bound
-        pairing = float(FOUR_PI * np.sum(n ** (2.0 * params.alpha) * psi / n))
-        half_energy = 0.5 * float(_weighted_energy(psi))
+        pairing = float(pairing_weight @ psi)
+        dLdt = quadratic_lyapunov_rate(psi) - params.nu * pairing
+        L = float(L_weight @ psi)
+        hs = math.sqrt(float(hs_weight @ (psi * psi)))
+        slack[i] = dLdt - (-math.sqrt(2.0) * C * params.nu * hs + KAPPA_F * L * L)
+        half_energy = 2.0 * np.pi * float(psi @ psi)
         exact_residual[i] = abs(dLdt - (-params.nu * pairing + half_energy))
 
     resolved = record.tail_fraction[:count] <= resolved_tail

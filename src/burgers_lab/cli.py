@@ -413,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     flags are not expanded: ``sweep --alpha`` is refused, not read as --alphas.
     """
     parser = argparse.ArgumentParser(prog="burgers-lab", description=__doc__, exit_on_error=False)
-    subs = parser.add_subparsers(dest="mode", required=True)
+    # not required: argparse would exit 2 on a missing command, the step-failure code; main refuses it
+    subs = parser.add_subparsers(dest="mode")
     for mode, keys in SETTINGS.items():
         sub = subs.add_parser(mode, allow_abbrev=False, exit_on_error=False)
         sub.add_argument("--config", help="flat JSON config file; flags override it")
@@ -429,6 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args, unread = build_parser().parse_known_args(argv)
+        if args.mode is None:
+            given = f"got {unread[0].partition('=')[0]}" if unread else "none given"
+            raise ConfigError(f"choose a command from {', '.join(RUNNERS)} ({given})")
         if unread:
             raise ConfigError(f"{args.mode} does not take {unread[0].partition('=')[0]}")
         cfg = merge_config(args.mode, args)

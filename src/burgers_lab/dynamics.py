@@ -138,16 +138,18 @@ def nonlinear_pseudospectral(psi: np.ndarray) -> np.ndarray:
     return scale * dct(u, type=2, overwrite_x=True)[..., 1 : N + 1]
 
 
-def _if_rk4_step(psi: np.ndarray, dt: float, e1: np.ndarray, e2: np.ndarray, nonlinear: Kernel) -> np.ndarray:
-    """One step with the half- and full-step decay factors e1 and e2 = e1 * e1."""
-    # overflow here is caught by the callers' finiteness checks
-    with np.errstate(over="ignore", invalid="ignore"):
-        k1 = nonlinear(psi)
-        k2 = nonlinear(e1 * (psi + 0.5 * dt * k1))
-        k3 = nonlinear(e1 * psi + 0.5 * dt * k2)
-        e2_psi = e2 * psi
-        k4 = nonlinear(e2_psi + dt * e1 * k3)
-        return e2_psi + dt / 6.0 * (e2 * k1 + 2.0 * e1 * (k2 + k3) + k4)
+def _if_rk4_step(psi: np.ndarray, dt: float, factors: Sequence[np.ndarray], nonlinear: Kernel) -> np.ndarray:
+    """One step; ``factors`` are the half-step decay e1, e2 = e1 * e1, dt * e1 and 2 * e1.
+
+    The caller ignores overflow (np.errstate) and checks the result for finiteness.
+    """
+    e1, e2, dt_e1, two_e1 = factors
+    k1 = nonlinear(psi)
+    k2 = nonlinear(e1 * (psi + 0.5 * dt * k1))
+    k3 = nonlinear(e1 * psi + 0.5 * dt * k2)
+    e2_psi = e2 * psi
+    k4 = nonlinear(e2_psi + dt_e1 * k3)
+    return e2_psi + dt / 6.0 * (e2 * k1 + two_e1 * (k2 + k3) + k4)
 
 
 @dataclass(frozen=True)
@@ -292,7 +294,8 @@ def evolve_batch(
     if len(spectra) == 1:
         # a lone spectrum marches as a plain (N,) row, without the cost of a stack
         psi, half_decay, diss_weights = psi[0], half_decay[0], diss_weights[0]
-    decay = half_decay * half_decay
+    # the step's factors, formed once per march (rows that halt are dropped from each)
+    factors = (half_decay, half_decay * half_decay, dt * half_decay, 2.0 * half_decay)
 
     log: list[tuple[int, np.ndarray, np.ndarray]] = []  # (step, active spectra, diagnostics x rows)
     stored: list[list[np.ndarray]] | None = [[] for _ in spectra] if diag.store_spectra else None
@@ -333,28 +336,31 @@ def evolve_batch(
     diss_acc = np.zeros(psi.shape[:-1])
     g_prev = np.sum(diss_weights * psi**2, axis=-1)
     record(0, psi, diss_acc)
-    for k in range(1, n_steps + 1):
-        out = _if_rk4_step(psi, dt, half_decay, decay, kernel)
-        if not np.all(np.isfinite(out)):
-            keep = retire(~np.all(np.isfinite(out), axis=-1), TERMINATION_STEP_FAILURE)
-            if not keep.any():
-                break
-            active, out, half_decay, decay, diss_weights, diss_acc, g_prev = (
-                a[keep] for a in (active, out, half_decay, decay, diss_weights, diss_acc, g_prev)
-            )
-        psi = out
-        g_new = np.sum(diss_weights * psi**2, axis=-1)
-        diss_acc = diss_acc + 0.5 * dt * (g_prev + g_new)
-        g_prev = g_new
-        if k % diag.stride == 0 or k == n_steps:
-            blown = record(k, psi, diss_acc) > diag.tail_threshold
-            if blown.any():
-                keep = retire(blown, TERMINATION_BLOWUP)
+    # overflow in a step is caught by the finiteness check that follows it; the
+    # diagnostics of a state too large to square read inf, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            out = _if_rk4_step(psi, dt, factors, kernel)
+            if not np.all(np.isfinite(out)):
+                keep = retire(~np.all(np.isfinite(out), axis=-1), TERMINATION_STEP_FAILURE)
                 if not keep.any():
                     break
-                active, psi, half_decay, decay, diss_weights, diss_acc, g_prev = (
-                    a[keep] for a in (active, psi, half_decay, decay, diss_weights, diss_acc, g_prev)
+                active, out, diss_weights, diss_acc, g_prev, *factors = (
+                    a[keep] for a in (active, out, diss_weights, diss_acc, g_prev, *factors)
                 )
+            psi = out
+            g_new = np.sum(diss_weights * psi**2, axis=-1)
+            diss_acc = diss_acc + 0.5 * dt * (g_prev + g_new)
+            g_prev = g_new
+            if k % diag.stride == 0 or k == n_steps:
+                blown = record(k, psi, diss_acc) > diag.tail_threshold
+                if blown.any():
+                    keep = retire(blown, TERMINATION_BLOWUP)
+                    if not keep.any():
+                        break
+                    active, psi, diss_weights, diss_acc, g_prev, *factors = (
+                        a[keep] for a in (active, psi, diss_weights, diss_acc, g_prev, *factors)
+                    )
 
     # spectra only ever leave the stack, so each one's records are a prefix of the log
     times = np.array([k * dt for k, _, _ in log])

@@ -1,10 +1,14 @@
 """Shared brute-force oracles, kept deliberately slow and transparent."""
 
+import math
+
 import numpy as np
 import pytest
 
-from burgers_lab.attractors import integrate_torus
-from burgers_lab.spectral import evaluate_field, grid_points
+from burgers_lab.attractors import c_alpha, integrate_torus
+from burgers_lab.blowup import KAPPA_F
+from burgers_lab.dynamics import dissipation_symbol, lyapunov_diagnostic, nonlinear_direct
+from burgers_lab.spectral import FOUR_PI, evaluate_field, grid_points
 
 
 def synthesize_direct(spec, M):
@@ -45,6 +49,26 @@ def brute_force_nonlinear(psi):
             s2 += psi[k - 1] * psi[k + n - 1]
         out[n - 1] = 0.5 * n * s1 - n * s2
     return out
+
+
+def monitor_direct(record, resolved_tail=1e-8, series_tol=1e-9):
+    """Slack of the Lyapunov inequality per stored state, with dL/dt from the O(N^2) direct kernel.
+
+    dL/dt = 4 pi sum rhs_n / n with rhs the full Galerkin right-hand side;
+    returns the slack and the resolved mask as ``monitor_lyapunov_bound``
+    defines them.
+    """
+    params = record.params
+    C = c_alpha(params.alpha, series_tol) if params.nu > 0.0 else 0.0
+    slack = []
+    for psi in record.spectra:
+        N = psi.size
+        n = np.arange(1, N + 1, dtype=float)
+        rhs = nonlinear_direct(psi) - dissipation_symbol(params, N) * psi
+        L = lyapunov_diagnostic(psi)
+        hs = math.sqrt(FOUR_PI * np.sum(n ** (2.0 * params.alpha) * psi**2))
+        slack.append(lyapunov_diagnostic(rhs) + math.sqrt(2.0) * C * params.nu * hs - KAPPA_F * L * L)
+    return np.array(slack), record.tail_fraction[: len(slack)] <= resolved_tail
 
 
 def bisect_characteristic_foot(u0_value, x, t, half_width, tol=1e-14):

@@ -45,6 +45,7 @@ from burgers_lab.verify import (
     lyapunov_identity_suite,
     oracle_equivalence_suite,
 )
+from conftest import monitor_direct
 
 F_NORM = np.sqrt(2.0 * np.pi**3 / 3.0)
 
@@ -179,6 +180,15 @@ def test_criterion_08_lyapunov_bound_along_trajectories(run_energy_equality, run
             f"({int(rep.resolved.sum())}/{rep.resolved.size} resolved steps)"
         )
     report(8, ok, "differential inequality along runs: " + "; ".join(details))
+
+
+def test_monitor_matches_direct_kernel_reference(run_energy_equality, run_supercritical):
+    # criterion 8's monitor takes dL/dt from a prefix-sum identity; the reference from the direct kernel
+    for rec in (run_energy_equality, run_supercritical):
+        rep = monitor_lyapunov_bound(rec)
+        slack, resolved = monitor_direct(rec)
+        assert np.array_equal(rep.resolved, resolved)
+        assert np.max(np.abs(rep.slack - slack)) <= 1e-12 * rec.lyapunov[0] ** 2
 
 
 def test_criterion_09_certificate_and_detection(run_supercritical):

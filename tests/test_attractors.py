@@ -102,6 +102,7 @@ class TestValidateH:
             slope_floor=0.0,
             jump_location="origin",
             l2_norm=float(np.sqrt(np.pi)),
+            sine_coeff=lambda n: np.where(np.asarray(n) == 1, -0.5, 0.0),  # sin x = -2 * (-1/2) sin x
         )
         with pytest.raises(InvalidAttractorError):
             validate_H(cand)
@@ -114,6 +115,7 @@ class TestValidateH:
             slope_floor=0.0,
             jump_location="origin",
             l2_norm=float(np.sqrt(np.pi)),
+            sine_coeff=lambda n: np.zeros(np.shape(n)),  # even: no sine modes
         )
         with pytest.raises(InvalidAttractorError):
             validate_H(cand)
@@ -128,6 +130,7 @@ class TestValidateH:
             slope_floor=0.3,
             jump_location="pi",
             l2_norm=1.0,
+            sine_coeff=make_sawtooth().sine_coeff,  # evaluates as the sawtooth x
         )
         m = validate_H(cand)
         assert m == pytest.approx(0.3, abs=1e-9)

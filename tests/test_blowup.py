@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from burgers_lab import blowup, dynamics
 from burgers_lab.attractors import make_F, make_Phi, make_sawtooth
 from burgers_lab.blowup import (
     KAPPA_F,
@@ -20,13 +21,14 @@ from burgers_lab.blowup import (
     corollary_condition,
     detect_numerical_blowup,
     monitor_lyapunov_bound,
+    quadratic_lyapunov_rate,
     save_certificate,
     simplified_horizon,
     simplified_lower_bound,
     simplified_window,
     verify_comparison_lemma,
 )
-from burgers_lab.dynamics import DiagnosticsConfig, ModelParams, evolve
+from burgers_lab.dynamics import DiagnosticsConfig, ModelParams, evolve, lyapunov_diagnostic, nonlinear_direct
 from burgers_lab.spectral import FOUR_PI, SineSpectrum
 
 
@@ -472,3 +474,40 @@ class TestLyapunovMonitor:
         rep = monitor_lyapunov_bound(rec)
         assert not rep.resolved.any()
         assert np.any(rep.slack < 0)
+
+    def test_monitor_does_not_call_the_direct_kernel(self, monkeypatch):
+        rec = evolve(
+            SineSpectrum.sine_wave(1.0, 64),
+            ModelParams(0.25, 0.1),
+            0.01,
+            1e-3,
+            DiagnosticsConfig(stride=1, store_spectra=True),
+        )
+
+        def refuse(psi):
+            raise AssertionError("the monitor evaluated the O(N^2) kernel")
+
+        monkeypatch.setattr(blowup, "nonlinear_direct", refuse)
+        monkeypatch.setattr(dynamics, "nonlinear_direct", refuse)
+        rep = monitor_lyapunov_bound(rec)
+        assert rep.slack.size == rec.times.size
+
+
+class TestQuadraticLyapunovRate:
+    """The prefix-sum closed form against 4 pi sum nonlinear_direct(psi)_n / n."""
+
+    @pytest.mark.parametrize("N", [*range(1, 41), 64, 127, 128, 512, 1024, 4096])
+    def test_matches_direct_kernel(self, N, rng):
+        n = np.arange(1, N + 1)
+        for psi in (rng.standard_normal(N), rng.choice([-1.0, 1.0], N) / n):
+            delta = quadratic_lyapunov_rate(psi) - lyapunov_diagnostic(nonlinear_direct(psi))
+            assert abs(delta) <= 1e-14 * FOUR_PI * np.sum(np.abs(psi)) ** 2
+
+    def test_single_mode_is_exactly_zero(self, rng):
+        # one mode has no quadratic interaction inside the truncation
+        for value in (1.0, -3.5, rng.standard_normal()):
+            assert quadratic_lyapunov_rate(np.array([value])) == 0.0
+
+    @pytest.mark.parametrize("N", [1, 2, 17, 512])
+    def test_zero_field(self, N):
+        assert quadratic_lyapunov_rate(np.zeros(N)) == 0.0

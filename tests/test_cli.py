@@ -791,3 +791,16 @@ class TestSettings:
             main(["sweep", "--help"])
         assert stop.value.code == 0
         assert "--alphas" in capsys.readouterr().out
+
+    def test_top_level_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["--help"])
+        assert stop.value.code == 0
+        assert "{simulate,inviscid,verify,certify,sweep}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, given", [([], "none given"), (["--bogus"], "got --bogus")], ids=["none", "bogus"])
+    def test_missing_command_exits_one(self, argv, given, capsys):
+        # argparse alone would exit 2, the step-failure code, with a two-line usage error
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: choose a command from simulate, inviscid, verify, certify, sweep ({given})\n"
