@@ -27,7 +27,7 @@ from .attractors import (
     AttractorFn,
     DivergentSeriesError,
     F_L2_NORM_SQ,
-    InvalidAttractorError,
+    PROFILES,
     attractor_decay_series,
     attractor_distance,
     c_alpha,
@@ -36,7 +36,6 @@ from .attractors import (
     make_Phi,
     make_sawtooth,
     optimal_r,
-    validate_H,
 )
 from .blowup import (
     BlowupCertificate,

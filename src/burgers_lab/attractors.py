@@ -10,7 +10,9 @@ For any C^1 odd field, <F, u u_x> = -||u||^2 / 2 exactly: that single
 identity drives both the linear-in-time decay of ||u - r F||^2 along
 inviscid solutions and the Riccati lower bounds behind the blowup
 certificates.  The same holds, as an inequality with constant m, for any
-bounded odd H with H' >= m > 0 on (0, pi).
+bounded odd H with H' >= m > 0 on (0, pi).  Every profile built here is
+c F(x - s) with s = 0 or pi, whose slope is c off the jump, so there it is
+the equality <H, u u_x> = -c ||u||^2 / 2.
 
 Distances to r*F are always expanded as ||u||^2 - 2r<u,F> + r^2 ||F||^2
 with <u,F> evaluated through the coefficient rule, never by truncating
@@ -24,11 +26,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .characteristics import HORIZON_GUARD, InitialField, _golden_min, sample_solution
+from .characteristics import HORIZON_GUARD, InitialField, sample_solution
 from .dynamics import F_L2_NORM_SQ, nonlinear_direct
 from .spectral import (
     FOUR_PI,
@@ -41,10 +43,6 @@ from .spectral import (
 )
 
 
-class InvalidAttractorError(ValueError):
-    """Candidate is not odd with strictly positive slope on (0, pi)."""
-
-
 class DivergentSeriesError(ValueError):
     """The requested fractional norm diverges (needs exponent < 1/2)."""
 
@@ -53,96 +51,79 @@ def _wrap(x: np.ndarray) -> np.ndarray:
     return (np.asarray(x, dtype=float) + np.pi) % (2.0 * np.pi) - np.pi
 
 
+_F_L2_NORM = float(np.sqrt(F_L2_NORM_SQ))
+
+
 @dataclass(frozen=True)
 class AttractorFn:
-    """Odd, piecewise-differentiable attractor candidate.
+    """The profile c F(x - s): F scaled by c = ``scale`` (> 0 for an attractor) and moved by s.
 
-    ``slope_floor`` is the infimum m of the derivative on (0, pi);
-    ``coeff_scale`` is set when |phi_n| = coeff_scale / n exactly, which
-    makes every fractional norm computable by series summation.
+    ``jump_location`` is "origin" (s = 0) or "pi" (s = pi, where the profile
+    is the identity x on (-pi, pi) times c).  H' = c on (0, pi) away from the
+    jump, phi_n = c (+-1)^n / n and ||H|| = c ||F||, so the slope floor, the
+    pairings and every fractional norm are exact.
     """
 
     kind: str
-    evaluate: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[np.ndarray], np.ndarray]
-    slope_floor: float
+    scale: float
     jump_location: str  # "origin" | "pi"
-    l2_norm: float
-    sine_coeff: Callable[[np.ndarray], np.ndarray]
-    coeff_scale: float | None = None
+
+    def sine_coeff(self, n: np.ndarray) -> np.ndarray:
+        """phi_n: c / n with the jump at the origin, c (-1)^n / n with it at pi."""
+        na = np.asarray(n, dtype=float)
+        if self.jump_location == "origin":
+            return self.scale * (1.0 / na)
+        return self.scale * (np.where(np.asarray(n) % 2 == 0, 1.0, -1.0) / na)
+
+    @property
+    def slope_floor(self) -> float:
+        """The infimum m of H' on (0, pi): exactly c, since H' is constant off the jump."""
+        return self.scale
+
+    @property
+    def l2_norm(self) -> float:
+        return self.scale * _F_L2_NORM
+
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        """Pointwise values; at the jump, the midpoint 0."""
+        xr = _wrap(x)
+        if self.jump_location == "pi":
+            return self.scale * np.where(xr == -np.pi, 0.0, xr)
+        return self.scale * np.where(xr > 0, xr - np.pi, np.where(xr < 0, xr + np.pi, 0.0))
 
     def hs_norm_sq(self, alpha: float, tol: float = 1e-9) -> float:
         """Squared homogeneous fractional norm, finite only for alpha < 1/2."""
-        if self.coeff_scale is None:
-            raise ValueError("fractional norm needs the coefficient decay scale")
         if alpha >= 0.5:
             raise DivergentSeriesError(
                 f"sum n^(-2(1-alpha)) diverges at alpha={alpha} (needs alpha < 1/2)"
             )
-        return self.coeff_scale**2 * FOUR_PI * power_sum(2.0 * (1.0 - alpha), tol)
+        return self.scale**2 * FOUR_PI * power_sum(2.0 * (1.0 - alpha), tol)
+
+
+#: every profile the lab builds, by the kind an attractor file names
+PROFILES = {
+    "F": AttractorFn("F", 1.0, "origin"),
+    "Phi": AttractorFn("Phi", 1.0 / _F_L2_NORM, "origin"),
+    "sawtooth": AttractorFn("sawtooth", 1.0, "pi"),
+}
 
 
 def make_F() -> AttractorFn:
     """Unit-slope profile with the jump at the origin; phi_n = 1/n."""
-
-    def evaluate(x):
-        xr = _wrap(x)
-        return np.where(xr > 0, xr - np.pi, np.where(xr < 0, xr + np.pi, 0.0))
-
-    return AttractorFn(
-        kind="F",
-        evaluate=evaluate,
-        derivative=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        slope_floor=1.0,
-        jump_location="origin",
-        l2_norm=float(np.sqrt(F_L2_NORM_SQ)),
-        sine_coeff=lambda n: 1.0 / np.asarray(n, dtype=float),
-        coeff_scale=1.0,
-    )
+    return PROFILES["F"]
 
 
 def make_Phi() -> AttractorFn:
     """F normalized to unit L2 norm: c F with c = 1 / ||F||."""
-    F, c = make_F(), 1.0 / np.sqrt(F_L2_NORM_SQ)
-    return AttractorFn(
-        kind="Phi",
-        evaluate=lambda x: c * F.evaluate(x),
-        derivative=lambda x: c * F.derivative(x),
-        slope_floor=c,
-        jump_location="origin",
-        l2_norm=1.0,
-        sine_coeff=lambda n: c * F.sine_coeff(n),
-        coeff_scale=c,
-    )
+    return PROFILES["Phi"]
 
 
 def make_sawtooth() -> AttractorFn:
-    """Identity profile x on (-pi, pi), zero at +-pi; the jump sits at pi.
-
-    Coincides with F translated by pi, so phi_n = (-1)^n / n.
-    """
-
-    def evaluate(x):
-        xr = _wrap(x)
-        return np.where(xr == -np.pi, 0.0, xr)
-
-    def sine_coeff(n):
-        na = np.asarray(n, dtype=float)
-        return np.where(np.asarray(n) % 2 == 0, 1.0, -1.0) / na
-
-    return AttractorFn(
-        kind="sawtooth",
-        evaluate=evaluate,
-        derivative=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        slope_floor=1.0,
-        jump_location="pi",
-        l2_norm=float(np.sqrt(F_L2_NORM_SQ)),
-        sine_coeff=sine_coeff,
-        coeff_scale=1.0,
-    )
+    """Identity profile x on (-pi, pi), zero at +-pi: F moved by pi, phi_n = (-1)^n / n."""
+    return PROFILES["sawtooth"]
 
 
-_F = make_F()
+_F = PROFILES["F"]
 
 
 # ---------------------------------------------------------------------------
@@ -257,33 +238,6 @@ def optimal_r(u0: SineSpectrum, check_grid: int = 41) -> OptimalScaling:
     return OptimalScaling(r0=r0, g_r0=g0)
 
 
-def validate_H(candidate: AttractorFn, samples: int = 4096) -> float:
-    """Certify oddness and a positive slope floor by dense sampling.
-
-    Returns the sampled (locally refined) infimum of the derivative on
-    (0, pi).  This is a sampling certificate, not a symbolic proof.
-    """
-    x = np.linspace(0.0, np.pi, samples, endpoint=False)[1:]
-    values = candidate.evaluate(x)
-    mirrored = candidate.evaluate(-x)
-    scale = max(1.0, float(np.max(np.abs(values))))
-    odd_defect = float(np.max(np.abs(values + mirrored)))
-    if odd_defect > 1e-12 * scale:
-        raise InvalidAttractorError(f"odd-symmetry defect {odd_defect:.3e}")
-
-    slopes = np.asarray(candidate.derivative(x), dtype=float)
-    if not np.all(np.isfinite(slopes)):
-        raise InvalidAttractorError("derivative not finite on (0, pi)")
-    i = int(np.argmin(slopes))
-    h = np.pi / samples
-    lo, hi = max(x[i] - h, 1e-12), min(x[i] + h, np.pi - 1e-12)
-    x_star = _golden_min(lambda z: float(candidate.derivative(z)), lo, hi)
-    m = float(min(np.min(slopes), candidate.derivative(x_star)))
-    if m <= 0.0:
-        raise InvalidAttractorError(f"sampled slope floor {m:.3e} is not positive")
-    return m
-
-
 # ---------------------------------------------------------------------------
 # decay tables along the exact inviscid flow
 
@@ -294,9 +248,6 @@ class DecayTable:
     times: np.ndarray
     distance: np.ndarray
     predicted: np.ndarray
-    mode: str  # "rF": exact law; "H": upper bound D(0) - m t
-    r: float | None = None
-    attractor_kind: str | None = None
 
 
 def attractor_decay_series(
@@ -307,53 +258,32 @@ def attractor_decay_series(
     M: int = 4096,
     guard: float = HORIZON_GUARD,
 ) -> DecayTable:
-    """||u(t) - r F||^2 (or ||u(t) - H||^2) along the characteristics oracle.
+    """||u(t) - H||^2 along the characteristics oracle, for H = r F (any real r) or the given profile.
 
-    Each sample is analyzed on the M-point grid and the distance expanded
-    through the coefficient pairing, so the only error is the (spectrally
-    small) analysis error of a smooth pre-blowup field.
+    Each distance is ||u||^2 - 2<H, u> + ||H||^2 with <H, u> from the
+    coefficient pairing and each sample analyzed on the M-point grid, so the
+    only error is the (spectrally small) analysis error of a smooth
+    pre-blowup field.  Since H' = m off the jump, <H, u u_x> = -m ||u||^2 / 2
+    and the predicted line D(0) - m ||u0||^2 t is the exact law.
     """
-    ts = np.asarray(times, dtype=float)
-    energy0 = sobolev_norm(u0.spectrum, 0.0) ** 2
     if attractor is None:
         if r is None:
             raise ValueError("need a scaling r when no attractor is given")
-        target, r_val = _F, float(r)
-        d0 = attractor_distance(u0.spectrum, r_val)
-        predicted = d0 - r_val * energy0 * ts
-        mode = "rF"
-    else:
-        if r is not None:
-            raise ValueError("r applies only to the scaled-F mode")
-        target, r_val = attractor, None
-        d0 = (
-            energy0
-            - 2.0 * lyapunov(u0.spectrum, target)
-            + target.l2_norm**2
-        )
-        predicted = d0 - target.slope_floor * ts
-        mode = "H"
+        attractor = AttractorFn("F", float(r), "origin")
+    elif r is not None:
+        raise ValueError("r applies only to the scaled-F mode")
+    norm_sq = attractor.l2_norm**2
 
-    dist = np.empty(ts.size)
-    for i, t in enumerate(ts):
-        if t == 0.0:
-            dist[i] = d0
-            continue
-        grid = sample_solution(u0, float(t), M, guard)
-        spec_t = analyze(grid, M // 2 - 1)
-        energy_t = sobolev_norm(spec_t, 0.0) ** 2
-        if mode == "rF":
-            dist[i] = attractor_distance(spec_t, r_val)
-        else:
-            dist[i] = energy_t - 2.0 * lyapunov(spec_t, target) + target.l2_norm**2
-    return DecayTable(
-        times=ts,
-        distance=dist,
-        predicted=predicted,
-        mode=mode,
-        r=r_val,
-        attractor_kind=target.kind,
+    def distance(spec: SineSpectrum) -> float:
+        return sobolev_norm(spec, 0.0) ** 2 - 2.0 * lyapunov(spec, attractor) + norm_sq
+
+    ts = np.asarray(times, dtype=float)
+    d0 = distance(u0.spectrum)
+    predicted = d0 - attractor.slope_floor * sobolev_norm(u0.spectrum, 0.0) ** 2 * ts
+    dist = np.array(
+        [d0 if t == 0.0 else distance(analyze(sample_solution(u0, float(t), M, guard), M // 2 - 1)) for t in ts]
     )
+    return DecayTable(times=ts, distance=dist, predicted=predicted)
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +329,9 @@ def c_alpha(alpha: float, tol: float = 1e-9) -> float:
 def load_attractor(path: str | Path) -> AttractorFn:
     payload = json.loads(Path(path).read_text())
     kind = payload.get("kind") if isinstance(payload, dict) else None
-    makers = {"F": make_F, "Phi": make_Phi, "sawtooth": make_sawtooth}
-    if not (isinstance(kind, str) and kind in makers):
+    if not (isinstance(kind, str) and kind in PROFILES):
         raise ValueError(f"{path}: need a JSON object whose kind is F, Phi or sawtooth, got kind {kind!r}")
-    att = makers[kind]()
+    att = PROFILES[kind]
     for key, got in (("m", att.slope_floor), ("l2_norm", att.l2_norm)):
         stored = payload.get(key)
         if stored is not None and not (_is_number(stored) and math.isclose(stored, got, rel_tol=1e-9)):

@@ -12,7 +12,7 @@ horizon 3/(kappa y0), provided y0^3 >= 12 M^2 / kappa; for y0 = L0 that
 hypothesis is exactly L0^3 > 16 pi^3 C_alpha^2 ||u0||^2 nu, and the
 certified bound is T < 4 pi^3 / L0.  One private core, ``_certificate``,
 runs that chain for every certificate: ``certify_blowup_F``,
-``certify_blowup_H`` (any validated odd increasing profile H, with
+``certify_blowup_H`` (any profile H = c F(x - s), with slope floor m = c and
 kappa = m / (2 ||H||^2)) and ``corollary_condition`` only choose its inputs.
 
 Numerical blowup detection is a resolution-loss proxy (spectral tail
@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import attractors
-from .attractors import AttractorFn, c_alpha, lyapunov, power_sum, validate_H
+from .attractors import AttractorFn, c_alpha, lyapunov, power_sum
 # nonlinear_direct is not called here; it stays importable because perfbench/tracing.py patches blowup.nonlinear_direct
 from .dynamics import ModelParams, SimulationRecord, nonlinear_direct
 from .spectral import FOUR_PI, SineSpectrum, sobolev_norm
@@ -305,15 +305,15 @@ def _certificate(
 
 
 def _profile_certificate(
-    theorem: str, name: str, u0: SineSpectrum, H: AttractorFn, m: float, params: ModelParams, series_tol: float
+    theorem: str, name: str, u0: SineSpectrum, H: AttractorFn, params: ModelParams, series_tol: float
 ) -> BlowupCertificate:
-    """Lemma inputs for a profile H with slope floor m and pairing L0 = <H, u0>.
+    """Lemma inputs for a profile H with slope floor m = H.slope_floor and pairing L0 = <H, u0>.
 
     kappa = m / (2 ||H||^2) and M = ||H||_{H^alpha} ||u0|| sqrt(nu/2); the
     margin is L0^3 over the lemma threshold 12 M^2 / kappa.
     """
     L0 = lyapunov(u0, H)
-    kappa = m / (2.0 * H.l2_norm**2)
+    kappa = H.slope_floor / (2.0 * H.l2_norm**2)
     hs = math.sqrt(H.hs_norm_sq(params.alpha, series_tol))
     M = hs * sobolev_norm(u0, 0.0) * math.sqrt(params.nu / 2.0)
     threshold = _lemma_threshold(kappa, M)
@@ -334,8 +334,7 @@ def certify_blowup_F(u0: SineSpectrum, params: ModelParams, series_tol: float = 
     and the bound is T < 4 pi^3 / L0.
     """
     _require_supercritical(params)
-    F = attractors._F
-    return _profile_certificate("supercritical_F", "F", u0, F, F.slope_floor, params, series_tol)
+    return _profile_certificate("supercritical_F", "F", u0, attractors._F, params, series_tol)
 
 
 def certify_blowup_H(
@@ -343,12 +342,12 @@ def certify_blowup_H(
 ) -> BlowupCertificate:
     """General-profile certificate; with H = F it reproduces certify_blowup_F.
 
-    The slope floor m comes from sampling (validate_H); the hypothesis reads
-    L0^3 > (12/m) ||H||_{H^alpha}^2 ||H||^2 ||u0||^2 nu and the bound is
-    T < 6 ||H||^2 / (m L0).
+    The slope floor m = H.slope_floor is exact (H' is constant off the jump);
+    the hypothesis reads L0^3 > (12/m) ||H||_{H^alpha}^2 ||H||^2 ||u0||^2 nu
+    and the bound is T < 6 ||H||^2 / (m L0).
     """
     _require_supercritical(params)
-    return _profile_certificate("general_H", "H", u0, H, validate_H(H), params, series_tol)
+    return _profile_certificate("general_H", "H", u0, H, params, series_tol)
 
 
 def corollary_condition(R: float, params: ModelParams, series_tol: float = 1e-9) -> BlowupCertificate:

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import GridFunction, SineSpectrum, evaluate_field, evaluate_slope, grid_points, odd_symmetry_residual
+from .spectral import GridFunction, SineSpectrum, evaluate_field, evaluate_slope, grid_points
 
 #: fraction of T_max kept away from the horizon, where the map stays monotone
 HORIZON_GUARD = 1e-6
@@ -166,8 +166,8 @@ def _solve_feet(u0: InitialField, x: np.ndarray, t: float) -> np.ndarray:
 
 
 def sample_solution(u0: InitialField, t: float, M: int, guard: float = HORIZON_GUARD) -> GridFunction:
-    """Characteristics solution sampled on the M-point grid, tagged odd."""
+    """Characteristics solution sampled on the M-point grid."""
     _check_horizon(u0, t, guard)
     feet = _solve_feet(u0, grid_points(M), t)
     u = np.asarray(u0.value(feet), dtype=float)
-    return GridFunction(u, odd_residual=odd_symmetry_residual(u))
+    return GridFunction(u)

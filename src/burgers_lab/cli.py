@@ -26,15 +26,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .attractors import (
-    AttractorFn,
-    attractor_decay_series,
-    load_attractor,
-    make_F,
-    make_Phi,
-    make_sawtooth,
-    optimal_r,
-)
+from .attractors import PROFILES, AttractorFn, attractor_decay_series, load_attractor, optimal_r
 from .blowup import (
     DetectionPolicy,
     UnsupportedRegimeError,
@@ -215,14 +207,11 @@ def _initial_spectrum(cfg: ExperimentConfig) -> SineSpectrum:
 
 def _resolve_attractor(name: str) -> AttractorFn:
     kind, _, rest = name.partition(":")
-    if kind in ("F",):
-        return make_F()
-    if kind.lower() == "phi":
-        return make_Phi()
-    if kind == "sawtooth":
-        return make_sawtooth()
     if kind == "file":
         return load_attractor(rest)
+    kind = "Phi" if kind.lower() == "phi" else kind  # phi in any case; the other kinds exactly
+    if kind in PROFILES:
+        return PROFILES[kind]
     raise ConfigError(f"attractor must be F|phi|sawtooth|file:PATH, got {name!r}")
 
 

@@ -291,9 +291,6 @@ def evolve_batch(
         r = np.full(len(spectra), float(diag.r))
     else:
         r = np.sqrt(_weighted_energy(psi) / F_L2_NORM_SQ)
-    if len(spectra) == 1:
-        # a lone spectrum marches as a plain (N,) row, without the cost of a stack
-        psi, half_decay, diss_weights = psi[0], half_decay[0], diss_weights[0]
     # the step's factors, formed once per march (rows that halt are dropped from each)
     factors = (half_decay, half_decay * half_decay, dt * half_decay, 2.0 * half_decay)
 
@@ -302,9 +299,8 @@ def evolve_batch(
     terminations = [TERMINATION_T_END] * len(spectra)
     active = np.arange(len(spectra))  # the spectrum each row of psi belongs to
 
-    def record(k: int, psi: np.ndarray, diss) -> np.ndarray:
+    def record(k: int, psi: np.ndarray, diss: np.ndarray) -> np.ndarray:
         """Log the diagnostics of every active spectrum; return their tail fractions."""
-        psi = psi.reshape(-1, N)
         energy = _weighted_energy(psi)
         lyap = lyapunov_diagnostic(psi)
         r_act = r[active]
@@ -312,7 +308,7 @@ def evolve_batch(
         values = np.stack(
             [
                 energy,
-                np.reshape(diss, -1),
+                diss,
                 lyap,
                 energy - 2.0 * r_act * lyap + r_act * r_act * F_L2_NORM_SQ,
                 np.sqrt(_weighted_energy(psi, n**2)),
@@ -328,7 +324,6 @@ def evolve_batch(
 
     def retire(ended, reason: str) -> np.ndarray:
         """Give the rows in ``ended`` their termination; return the mask of rows that march on."""
-        ended = np.reshape(ended, -1)
         for cell in active[ended]:
             terminations[cell] = reason
         return ~ended

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -80,14 +80,9 @@ class SineSpectrum:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Samples u(x_j) on the uniform grid x_j = -pi + 2*pi*j/M.
-
-    ``odd_residual`` is set when the grid was produced by (or checked
-    against) the odd-symmetry invariant max_j |u(x_j) + u(-x_j)|.
-    """
+    """Samples u(x_j) on the uniform grid x_j = -pi + 2*pi*j/M."""
 
     samples: np.ndarray
-    odd_residual: float | None = field(default=None)
 
     def __post_init__(self):
         u = np.asarray(self.samples, dtype=float)
@@ -112,13 +107,6 @@ def next_pow2(n: int) -> int:
     while m < n:
         m *= 2
     return m
-
-
-def odd_symmetry_residual(samples: np.ndarray) -> float:
-    """max_j |u(x_j) + u(-x_j)| on the grid (x = -pi pairs with itself)."""
-    u = np.asarray(samples, dtype=float)
-    # -x_j lands on grid index (M - j) mod M
-    return float(np.max(np.abs(u + np.roll(u[::-1], 1))))
 
 
 def _alternating_signs(count: int) -> np.ndarray:
@@ -151,7 +139,7 @@ def synthesize(spec: SineSpectrum, M: int) -> GridFunction:
     if M < 4 or (M & (M - 1)) != 0:
         raise ValueError("grid size must be a power of two, at least 4")
     u = _alternating_synthesis(spec.psi, M, 1j * M)
-    return GridFunction(u, odd_residual=odd_symmetry_residual(u))
+    return GridFunction(u)
 
 
 def synthesize_slope(spec: SineSpectrum | np.ndarray, M: int) -> np.ndarray:

@@ -27,6 +27,12 @@ def analyze_direct(samples, N):
     return np.array([-np.dot(u, np.sin(n * x)) / u.size for n in range(1, N + 1)])
 
 
+def odd_symmetry_residual(samples):
+    """max_j |u(x_j) + u(-x_j)| on the uniform grid; -x_j lands on index (M - j) mod M."""
+    u = np.asarray(samples, dtype=float)
+    return float(np.max(np.abs(u + np.roll(u[::-1], 1))))
+
+
 def lyapunov_quadrature(spec, attractor, total_nodes=4096):
     """Quadrature evaluation of <H, u>, the independent cross-check of the coefficient rule."""
     return integrate_torus(

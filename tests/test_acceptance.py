@@ -18,7 +18,6 @@ from burgers_lab.attractors import (
     make_F,
     make_sawtooth,
     optimal_r,
-    validate_H,
 )
 from burgers_lab.blowup import (
     certify_blowup_F,
@@ -230,7 +229,7 @@ def test_criterion_10_comparison_lemma():
 
 def test_criterion_11_general_profile_family():
     saw = make_sawtooth()
-    m = validate_H(saw)
+    m = saw.slope_floor
     m_ok = m == pytest.approx(1.0, abs=1e-12)
 
     u0 = InitialField(SineSpectrum([0.5]))

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burgers_lab.attractors import (
-    AttractorFn,
+    PROFILES,
     DivergentSeriesError,
     F_L2_NORM_SQ,
-    InvalidAttractorError,
     attractor_decay_series,
     attractor_distance,
     c_alpha,
@@ -23,7 +22,6 @@ from burgers_lab.attractors import (
     make_sawtooth,
     optimal_r,
     power_sum,
-    validate_H,
 )
 from burgers_lab.characteristics import HorizonError, InitialField, sample_solution
 from burgers_lab.spectral import SineSpectrum, grid_points, sobolev_norm
@@ -81,59 +79,26 @@ class TestProfiles:
         assert H.evaluate(np.array([np.pi]))[0] == 0.0
         assert H.evaluate(np.array([-np.pi]))[0] == 0.0
 
+    @pytest.mark.parametrize("kind", sorted(PROFILES))
+    def test_slope_floor_is_the_slope_off_the_jump(self, kind):
+        # every profile is linear off its jump, so a central difference there is exact up to round-off
+        att = PROFILES[kind]
+        jump = 0.0 if att.jump_location == "origin" else np.pi
+        x = jump + np.linspace(0.1, 2 * np.pi - 0.1, 50)
+        h = 1e-4
+        slopes = (att.evaluate(x + h) - att.evaluate(x - h)) / (2 * h)
+        np.testing.assert_allclose(slopes, att.slope_floor, rtol=1e-9)
+
+    def test_slope_floors(self):
+        assert PROFILES["F"].slope_floor == 1.0 and PROFILES["sawtooth"].slope_floor == 1.0
+        assert PROFILES["Phi"].slope_floor == pytest.approx(1.0 / np.sqrt(F_L2_NORM_SQ))
+        assert all(att.kind == kind for kind, att in PROFILES.items())
+
     @pytest.mark.parametrize("maker", [make_F, make_Phi, make_sawtooth])
     def test_l2_norm_matches_quadrature(self, maker):
         att = maker()
         quad = integrate_torus(lambda x: att.evaluate(x) ** 2, att.jump_location, 2048)
         assert abs(att.l2_norm**2 - quad) <= 1e-8 * att.l2_norm**2
-
-
-class TestValidateH:
-    def test_slope_floors(self):
-        assert validate_H(make_F()) == pytest.approx(1.0)
-        assert validate_H(make_sawtooth()) == pytest.approx(1.0)
-        assert validate_H(make_Phi()) == pytest.approx(1.0 / np.sqrt(F_L2_NORM_SQ))
-
-    def test_sine_candidate_rejected(self):
-        cand = AttractorFn(
-            kind="custom",
-            evaluate=np.sin,
-            derivative=np.cos,
-            slope_floor=0.0,
-            jump_location="origin",
-            l2_norm=float(np.sqrt(np.pi)),
-            sine_coeff=lambda n: np.where(np.asarray(n) == 1, -0.5, 0.0),  # sin x = -2 * (-1/2) sin x
-        )
-        with pytest.raises(InvalidAttractorError):
-            validate_H(cand)
-
-    def test_even_candidate_rejected(self):
-        cand = AttractorFn(
-            kind="custom",
-            evaluate=np.cos,
-            derivative=lambda x: -np.sin(x),
-            slope_floor=0.0,
-            jump_location="origin",
-            l2_norm=float(np.sqrt(np.pi)),
-            sine_coeff=lambda n: np.zeros(np.shape(n)),  # even: no sine modes
-        )
-        with pytest.raises(InvalidAttractorError):
-            validate_H(cand)
-
-    def test_interior_slope_dip_is_found(self):
-        # derivative dips to 0.3 at an off-grid interior point
-        dip = lambda x: 1.0 - 0.7 * np.exp(-200.0 * (np.asarray(x) - 1.234567) ** 2)
-        cand = AttractorFn(
-            kind="custom",
-            evaluate=lambda x: np.asarray(x),  # oddness check only probes (0, pi)
-            derivative=dip,
-            slope_floor=0.3,
-            jump_location="pi",
-            l2_norm=1.0,
-            sine_coeff=make_sawtooth().sine_coeff,  # evaluates as the sawtooth x
-        )
-        m = validate_H(cand)
-        assert m == pytest.approx(0.3, abs=1e-9)
 
 
 class TestLyapunov:
@@ -153,7 +118,7 @@ class TestLyapunov:
 
     def test_rule_agrees_with_quadrature(self, rng):
         spec = SineSpectrum(rng.uniform(-1, 1, 24))
-        for att in (make_F(), make_Phi(), make_sawtooth()):
+        for att in PROFILES.values():
             a = lyapunov(spec, att)
             b = lyapunov_quadrature(spec, att, 8 * 24)
             assert abs(a - b) <= 1e-6 * max(1.0, abs(a))
@@ -357,9 +322,18 @@ class TestSerialization:
         path = tmp_path / "att.json"
         path.write_text(json.dumps({"kind": att.kind, "m": att.slope_floor, "l2_norm": att.l2_norm}))
         back = load_attractor(path)
+        assert back == att
         assert back.kind == att.kind
         assert back.l2_norm == att.l2_norm
         assert back.slope_floor == att.slope_floor
+
+    @pytest.mark.parametrize("kind", ["phi", "PHI", "f", "Sawtooth", "F "])
+    def test_kind_must_be_exact(self, kind, tmp_path):
+        # a file names its kind exactly; only the command line folds the case of phi
+        path = tmp_path / "att.json"
+        path.write_text(json.dumps({"kind": kind}))
+        with pytest.raises(ValueError, match="kind is F, Phi or sawtooth"):
+            load_attractor(path)
 
     def test_custom_not_loadable(self, tmp_path):
         path = tmp_path / "custom.json"

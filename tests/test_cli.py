@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from burgers_lab import characteristics, cli
+from burgers_lab.attractors import PROFILES
 from burgers_lab.blowup import certificate_to_dict, certify_blowup_F, corollary_condition
 from burgers_lab.cli import (
     SETTINGS,
@@ -150,6 +151,27 @@ class TestInviscid:
         slopes = np.diff(data[:, 1]) / np.diff(data[:, 0])
         np.testing.assert_allclose(slopes, -R0_SINE * np.pi, atol=1e-6)
         np.testing.assert_allclose(data[:, 1], data[:, 2], atol=1e-6 * data[0, 1])
+
+    @pytest.mark.parametrize("amplitude, dt", [("0.1", "1"), ("1", "0.1")])
+    @pytest.mark.parametrize("attractor", ["F", "phi", "sawtooth"])
+    def test_predicted_is_the_exact_law(self, tmp_path, attractor, amplitude, dt):
+        # every profile has H' = m off its jump, so D(t) = D(0) - m ||u0||^2 t holds exactly to T_max
+        out = tmp_path / "inv"
+        argv = ["inviscid", "--init", f"sine:{amplitude}", "--attractor", attractor, "--dt", dt,
+                "--t-end", str(9 * float(dt)), "--out", str(out)]
+        assert main(argv) == 0
+        _, data = read_csv(out / "decay.csv")
+        assert data.shape == (10, 3)
+        np.testing.assert_allclose(data[:, 1], data[:, 2], rtol=0, atol=1e-6 * data[0, 1])
+
+    @pytest.mark.parametrize("name, kind", [("F", "F"), ("phi", "Phi"), ("Phi", "Phi"), ("PHI", "Phi"), ("sawtooth", "sawtooth")])
+    def test_attractor_names(self, name, kind):
+        assert cli._resolve_attractor(name) is PROFILES[kind]
+
+    @pytest.mark.parametrize("name", ["f", "Sawtooth", "SAWTOOTH", "custom", ""])
+    def test_other_attractor_names_refused(self, name):
+        with pytest.raises(ConfigError, match="attractor must be F|phi|sawtooth|file:PATH"):
+            cli._resolve_attractor(name)
 
     def test_sawtooth_mode(self, tmp_path):
         out = tmp_path / "inv"

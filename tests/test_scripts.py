@@ -43,11 +43,12 @@ def test_blowup_threshold_sweep_simulate():
         assert detected == "none" or 0.0 < float(detected) <= 3 * 3.141592653589793**2 / float(R) + 1e-3
 
 
-def test_decay_law_experiment_table():
-    proc = run_script("decay_law_experiment.py", "--points", "3")
+@pytest.mark.parametrize("amplitude", ["1", "0.1"])
+def test_decay_law_experiment_table(amplitude):
+    proc = run_script("decay_law_experiment.py", "--amplitude", amplitude, "--points", "3")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().splitlines()
-    assert lines[0].startswith("u0 = -1 sin x   T_max = 1.000000")
+    assert lines[0].startswith(f"u0 = -{amplitude} sin x   T_max = {1 / float(amplitude):.6f}")
     assert len(lines) == 5
     for line in lines[1:4]:
         # the measured slope is the predicted one, and the law holds to round-off
