@@ -7,7 +7,7 @@ import argparse
 
 import numpy as np
 
-from burgers_lab.attractors import attractor_decay_series, attractor_distance, make_sawtooth, optimal_r
+from burgers_lab.attractors import AttractorFn, attractor_decay_series, attractor_distance, make_sawtooth, optimal_r
 from burgers_lab.characteristics import InitialField, tmax_inviscid
 from burgers_lab.spectral import SineSpectrum, sobolev_norm
 
@@ -27,7 +27,7 @@ def main():
 
     times = np.linspace(0.1, 0.9, args.points) * t_max
     for r in (0.5 * scaling.r0, scaling.r0, 2.0 * scaling.r0):
-        table = attractor_decay_series(u0, times, r=r)
+        table = attractor_decay_series(u0, times, AttractorFn("F", r, "origin"))
         d0 = attractor_distance(u0.spectrum, r)
         slope = np.polyfit(times, table.distance, 1)[0]
         print(f"r = {r:.6f}:  D(0) = {d0:.6f}  measured slope = {slope:+.9f}  "

@@ -39,7 +39,6 @@ from .attractors import (
 )
 from .blowup import (
     BlowupCertificate,
-    DetectionPolicy,
     HypothesisError,
     KAPPA_F,
     OutsideValidityError,

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .characteristics import HORIZON_GUARD, InitialField, sample_solution
+from .characteristics import InitialField, sample_solution
 from .dynamics import F_L2_NORM_SQ, nonlinear_direct
 from .spectral import (
     FOUR_PI,
@@ -52,6 +52,9 @@ def _wrap(x: np.ndarray) -> np.ndarray:
 
 
 _F_L2_NORM = float(np.sqrt(F_L2_NORM_SQ))
+
+#: bound on the summation error of every series constant (``power_sum``) the lab uses
+SERIES_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -91,13 +94,13 @@ class AttractorFn:
             return self.scale * np.where(xr == -np.pi, 0.0, xr)
         return self.scale * np.where(xr > 0, xr - np.pi, np.where(xr < 0, xr + np.pi, 0.0))
 
-    def hs_norm_sq(self, alpha: float, tol: float = 1e-9) -> float:
+    def hs_norm_sq(self, alpha: float) -> float:
         """Squared homogeneous fractional norm, finite only for alpha < 1/2."""
         if alpha >= 0.5:
             raise DivergentSeriesError(
                 f"sum n^(-2(1-alpha)) diverges at alpha={alpha} (needs alpha < 1/2)"
             )
-        return self.scale**2 * FOUR_PI * power_sum(2.0 * (1.0 - alpha), tol)
+        return self.scale**2 * FOUR_PI * power_sum(2.0 * (1.0 - alpha), SERIES_TOL)
 
 
 #: every profile the lab builds, by the kind an attractor file names
@@ -150,7 +153,7 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def integrate_torus(f, jump_location: str = "origin", total_nodes: int = 4096) -> float:
+def integrate_torus(f, jump_location: str, total_nodes: int) -> float:
     """Integrate f over [-pi, pi] with Gauss-Legendre panels split at the jump.
 
     The split keeps every panel inside a smooth piece, so trig-polynomial
@@ -181,25 +184,24 @@ def lyapunov(spec: SineSpectrum, attractor: AttractorFn) -> float:
     return float(FOUR_PI * np.dot(spec.psi, attractor.sine_coeff(n)))
 
 
-def key_identity_residuals(spec: SineSpectrum, quad_nodes: int | None = None) -> tuple[float, float]:
+def key_identity_residuals(spec: SineSpectrum) -> tuple[float, float]:
     """Both evaluations of <F, u u_x> + ||u||^2/2 (coefficient, quadrature).
 
     The coefficient path embeds u in 2N modes so the quadratic product is
     complete, takes u u_x = -(Galerkin nonlinearity), and pairs with 1/n.
     The quadrature path integrates F*u*u_x with the panel rule split at
-    the origin.
+    the origin, on max(4096, 8N) nodes.
     """
     energy = sobolev_norm(spec, 0.0) ** 2
     padded = spec.padded(2 * spec.N)
     product_coeffs = -nonlinear_direct(padded.psi)
     n = np.arange(1, padded.N + 1, dtype=float)
     res_coeff = float(FOUR_PI * np.sum(product_coeffs / n) + 0.5 * energy)
-    nodes = quad_nodes or max(4096, 8 * spec.N)
     f_eval = _F.evaluate
     quad = integrate_torus(
         lambda x: f_eval(x) * evaluate_field(spec, x) * evaluate_slope(spec, x),
         "origin",
-        nodes,
+        max(4096, 8 * spec.N),
     )
     res_quad = float(quad + 0.5 * energy)
     return res_coeff, res_quad
@@ -217,25 +219,18 @@ class OptimalScaling:
     g_r0: float  # ||u0 - r0 F||^2 / (r0 ||u0||^2), the blowup-time bound
 
 
-def optimal_r(u0: SineSpectrum, check_grid: int = 41) -> OptimalScaling:
-    """Fastest-approached multiple r0 = ||u0|| / ||F||.
+def optimal_r(u0: SineSpectrum) -> OptimalScaling:
+    """Fastest-approached multiple r0 = ||u0|| / ||F|| and g(r0).
 
-    Also evaluates g(r) = ||u0 - r F||^2 / (r ||u0||^2) on a sampled grid
-    around r0 and verifies the minimizer property.
+    With E = ||u0||^2 and L = <F, u0>, g(r) = ||u0 - r F||^2 / (r E) =
+    1/r - 2L/E + r ||F||^2 / E, whose minimum on r > 0 lies at r0 = sqrt(E) / ||F||
+    whatever L is.
     """
     energy = sobolev_norm(u0, 0.0) ** 2
     if energy == 0.0:
         raise ValueError("optimal scaling undefined for zero initial data")
     r0 = float(np.sqrt(energy / F_L2_NORM_SQ))
-
-    def g(r: float) -> float:
-        return attractor_distance(u0, r) / (r * energy)
-
-    g0 = g(r0)
-    for r in np.geomspace(r0 / 10.0, 10.0 * r0, check_grid):
-        if g0 > g(float(r)) + 1e-12 * abs(g0):
-            raise RuntimeError("sampled scaling beats r0; minimizer property violated")
-    return OptimalScaling(r0=r0, g_r0=g0)
+    return OptimalScaling(r0=r0, g_r0=attractor_distance(u0, r0) / (r0 * energy))
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +245,8 @@ class DecayTable:
     predicted: np.ndarray
 
 
-def attractor_decay_series(
-    u0: InitialField,
-    times: Sequence[float],
-    r: float | None = None,
-    attractor: AttractorFn | None = None,
-    M: int = 4096,
-    guard: float = HORIZON_GUARD,
-) -> DecayTable:
-    """||u(t) - H||^2 along the characteristics oracle, for H = r F (any real r) or the given profile.
+def attractor_decay_series(u0: InitialField, times: Sequence[float], attractor: AttractorFn, M: int = 4096) -> DecayTable:
+    """||u(t) - H||^2 along the characteristics oracle for the profile H; H = r F is AttractorFn("F", r, "origin").
 
     Each distance is ||u||^2 - 2<H, u> + ||H||^2 with <H, u> from the
     coefficient pairing and each sample analyzed on the M-point grid, so the
@@ -266,12 +254,6 @@ def attractor_decay_series(
     pre-blowup field.  Since H' = m off the jump, <H, u u_x> = -m ||u||^2 / 2
     and the predicted line D(0) - m ||u0||^2 t is the exact law.
     """
-    if attractor is None:
-        if r is None:
-            raise ValueError("need a scaling r when no attractor is given")
-        attractor = AttractorFn("F", float(r), "origin")
-    elif r is not None:
-        raise ValueError("r applies only to the scaled-F mode")
     norm_sq = attractor.l2_norm**2
 
     def distance(spec: SineSpectrum) -> float:
@@ -281,7 +263,7 @@ def attractor_decay_series(
     d0 = distance(u0.spectrum)
     predicted = d0 - attractor.slope_floor * sobolev_norm(u0.spectrum, 0.0) ** 2 * ts
     dist = np.array(
-        [d0 if t == 0.0 else distance(analyze(sample_solution(u0, float(t), M, guard), M // 2 - 1)) for t in ts]
+        [d0 if t == 0.0 else distance(analyze(sample_solution(u0, float(t), M), M // 2 - 1)) for t in ts]
     )
     return DecayTable(times=ts, distance=dist, predicted=predicted)
 
@@ -289,7 +271,7 @@ def attractor_decay_series(
 # ---------------------------------------------------------------------------
 # series constants
 
-def power_sum(p: float, tol: float = 1e-9) -> float:
+def power_sum(p: float, tol: float) -> float:
     """sum_{n>=1} n^{-p} for p > 1 by direct summation plus integral tail.
 
     The tail past N0 is the midpoint integral int_{N0+1/2}^inf x^{-p} dx,
@@ -309,18 +291,15 @@ def power_sum(p: float, tol: float = 1e-9) -> float:
     return partial + tail
 
 
-def c_alpha(alpha: float, tol: float = 1e-9) -> float:
-    """Pairing constant sqrt(2*pi * sum n^{-2(1-alpha)}), alpha in (0, 1/2).
-
-    ``tol`` bounds the summation error of the series itself.
-    """
+def c_alpha(alpha: float) -> float:
+    """Pairing constant sqrt(2*pi * sum n^{-2(1-alpha)}), alpha in (0, 1/2), its series summed to SERIES_TOL."""
     if not 0.0 < alpha:
         raise ValueError("alpha must be positive")
     if alpha >= 0.5:
         raise DivergentSeriesError(
             f"sum n^(-2(1-alpha)) diverges at alpha={alpha}: the harmonic series is infinite"
         )
-    return float(np.sqrt(2.0 * np.pi * power_sum(2.0 * (1.0 - alpha), tol)))
+    return float(np.sqrt(2.0 * np.pi * power_sum(2.0 * (1.0 - alpha), SERIES_TOL)))
 
 
 # ---------------------------------------------------------------------------

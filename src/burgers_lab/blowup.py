@@ -15,8 +15,8 @@ runs that chain for every certificate: ``certify_blowup_F``,
 ``certify_blowup_H`` (any profile H = c F(x - s), with slope floor m = c and
 kappa = m / (2 ||H||^2)) and ``corollary_condition`` only choose its inputs.
 
-Numerical blowup detection is a resolution-loss proxy (spectral tail
-fraction, gradient-norm growth), not a proof.
+Numerical blowup detection is a resolution-loss proxy (the march's
+spectral-tail stop, gradient-norm growth), not a proof.
 """
 
 from __future__ import annotations
@@ -30,13 +30,20 @@ from typing import Callable
 import numpy as np
 
 from . import attractors
-from .attractors import AttractorFn, c_alpha, lyapunov, power_sum
+from .attractors import SERIES_TOL, AttractorFn, c_alpha, lyapunov, power_sum
 # nonlinear_direct is not called here; it stays importable because perfbench/tracing.py patches blowup.nonlinear_direct
-from .dynamics import ModelParams, SimulationRecord, nonlinear_direct
+from .dynamics import TERMINATION_BLOWUP, ModelParams, SimulationRecord, nonlinear_direct
 from .spectral import FOUR_PI, SineSpectrum, sobolev_norm
 
 #: Riccati coefficient attached to the profile F: 3 / (4 pi^3)
 KAPPA_F = 3.0 / (4.0 * np.pi**3)
+
+#: growth of the H^1 norm over its initial value at which resolution counts as lost
+H1_GROWTH_FACTOR = 1e3
+
+#: sampled times per bound in ``verify_comparison_lemma``, and the excess over y it tolerates
+_LEMMA_SAMPLES = 100
+_LEMMA_SLACK = 1e-9
 
 
 class OutsideValidityError(ValueError):
@@ -126,9 +133,9 @@ class ComparisonReport:
     steps: int
 
 
-def _default_forcing(M: float, eps: float = 1e-12) -> Callable[[float], float]:
-    # saturates the integral condition: int_0^t f = M (sqrt(t+eps) - sqrt(eps))
-    return lambda t: M / (2.0 * math.sqrt(t + eps))
+def _forcing(M: float) -> Callable[[float], float]:
+    # saturates the integral condition: int_0^t f = M (sqrt(t+eps) - sqrt(eps)), eps = 1e-12
+    return lambda t: M / (2.0 * math.sqrt(t + 1e-12))
 
 
 def _equality_case(
@@ -162,7 +169,7 @@ def _equality_case(
         atol=1e-14,
         dense_output=True,
         events=explode,
-        # The default forcing's 2 s f(s^2) = M s / sqrt(s^2 + 1e-12) rises from
+        # The forcing's 2 s f(s^2) = M s / sqrt(s^2 + 1e-12) rises from
         # 0 to M within s ~ 1e-6.  The automatic first step (about 4e-6) spans
         # that kink unnoticed by the error estimate, which left y off by up to
         # 9e-10 relative against a 25-digit reference; a first step at a tenth
@@ -179,16 +186,11 @@ def _equality_case(
     return y, t_num, blew_up, int(sol.t.size - 1)
 
 
-def verify_comparison_lemma(
-    y0: float,
-    kappa: float,
-    M: float,
-    f_shape: Callable[[float], float] | None = None,
-    n_samples: int = 100,
-    slack: float = 1e-9,
-) -> ComparisonReport:
-    """Integrate the equality case of the differential inequality and check
-    that the solution dominates both lower bounds on their windows.
+def verify_comparison_lemma(y0: float, kappa: float, M: float) -> ComparisonReport:
+    """Integrate the equality case of the differential inequality, with the
+    forcing f(t) = M / (2 sqrt(t + 1e-12)) that saturates the integral
+    condition, and check that the solution dominates both lower bounds on
+    their windows to within 1e-9.
 
     The equality case y' = kappa y^2 - f(t) is integrated through its
     linearisation: with y = -w'/(kappa w) it becomes w'' = kappa f w, which
@@ -205,20 +207,19 @@ def verify_comparison_lemma(
     """
     if y0 <= 0 or kappa <= 0 or M < 0:
         raise ValueError("need y0 > 0, kappa > 0, M >= 0")
-    f = f_shape if f_shape is not None else _default_forcing(M)
     hypothesis_ok = y0**3 >= _lemma_threshold(kappa, M)
     window_prop = math.inf if M == 0 else (y0 / M) ** 2
     horizon = simplified_horizon(y0, kappa)
-    y, t_num, blew_up, steps = _equality_case(y0, kappa, f, min(window_prop, 10.0 * horizon))
+    y, t_num, blew_up, steps = _equality_case(y0, kappa, _forcing(M), min(window_prop, 10.0 * horizon))
 
     # with f = 0 the first bound has zero slack (it IS the solution), so the
     # samples stay away from the pole where phase error would dominate
     cap = 0.9 / (kappa * y0) if M == 0 else math.inf
 
     def sample(*windows: float) -> tuple[np.ndarray, np.ndarray]:
-        """n_samples times below t_num, cap and every window, with y there."""
+        """_LEMMA_SAMPLES times below t_num, cap and every window, with y there."""
         t_hi = min(t_num * (1.0 - 1e-9), cap, *(w * (1.0 - 1e-12) for w in windows))
-        ts = np.linspace(t_hi / n_samples, t_hi, n_samples)
+        ts = np.linspace(t_hi / _LEMMA_SAMPLES, t_hi, _LEMMA_SAMPLES)
         return ts, y(ts)
 
     def max_violation(bound: Callable[..., float], ts: np.ndarray, ys: np.ndarray) -> float:
@@ -238,7 +239,7 @@ def verify_comparison_lemma(
         riccati_err = float(np.max(np.abs(ys - closed)))
 
     return ComparisonReport(
-        passed=max_comp <= slack and (max_simp is None or max_simp <= slack),
+        passed=max_comp <= _LEMMA_SLACK and (max_simp is None or max_simp <= _LEMMA_SLACK),
         hypothesis_ok=hypothesis_ok,
         numeric_blowup_time=t_num if blew_up else None,
         max_comparison_violation=max_comp,
@@ -305,7 +306,7 @@ def _certificate(
 
 
 def _profile_certificate(
-    theorem: str, name: str, u0: SineSpectrum, H: AttractorFn, params: ModelParams, series_tol: float
+    theorem: str, name: str, u0: SineSpectrum, H: AttractorFn, params: ModelParams
 ) -> BlowupCertificate:
     """Lemma inputs for a profile H with slope floor m = H.slope_floor and pairing L0 = <H, u0>.
 
@@ -314,7 +315,7 @@ def _profile_certificate(
     """
     L0 = lyapunov(u0, H)
     kappa = H.slope_floor / (2.0 * H.l2_norm**2)
-    hs = math.sqrt(H.hs_norm_sq(params.alpha, series_tol))
+    hs = math.sqrt(H.hs_norm_sq(params.alpha))
     M = hs * sobolev_norm(u0, 0.0) * math.sqrt(params.nu / 2.0)
     threshold = _lemma_threshold(kappa, M)
     diagnostic = "" if L0 > 0 else f"sign condition failed: <{name}, u0> <= 0"
@@ -326,7 +327,7 @@ def _require_supercritical(params: ModelParams) -> None:
         raise UnsupportedRegimeError(f"alpha={params.alpha} is not supercritical (< 1/2)")
 
 
-def certify_blowup_F(u0: SineSpectrum, params: ModelParams, series_tol: float = 1e-9) -> BlowupCertificate:
+def certify_blowup_F(u0: SineSpectrum, params: ModelParams) -> BlowupCertificate:
     """Certificate for odd data paired with F at dissipation alpha < 1/2.
 
     F's slope floor is exactly 1 and ||F||_{H^alpha}^2 = 2 C_alpha^2, so kappa = 3/(4 pi^3),
@@ -334,12 +335,10 @@ def certify_blowup_F(u0: SineSpectrum, params: ModelParams, series_tol: float = 
     and the bound is T < 4 pi^3 / L0.
     """
     _require_supercritical(params)
-    return _profile_certificate("supercritical_F", "F", u0, attractors._F, params, series_tol)
+    return _profile_certificate("supercritical_F", "F", u0, attractors._F, params)
 
 
-def certify_blowup_H(
-    u0: SineSpectrum, H: AttractorFn, params: ModelParams, series_tol: float = 1e-9
-) -> BlowupCertificate:
+def certify_blowup_H(u0: SineSpectrum, H: AttractorFn, params: ModelParams) -> BlowupCertificate:
     """General-profile certificate; with H = F it reproduces certify_blowup_F.
 
     The slope floor m = H.slope_floor is exact (H' is constant off the jump);
@@ -347,10 +346,10 @@ def certify_blowup_H(
     and the bound is T < 6 ||H||^2 / (m L0).
     """
     _require_supercritical(params)
-    return _profile_certificate("general_H", "H", u0, H, params, series_tol)
+    return _profile_certificate("general_H", "H", u0, H, params)
 
 
-def corollary_condition(R: float, params: ModelParams, series_tol: float = 1e-9) -> BlowupCertificate:
+def corollary_condition(R: float, params: ModelParams) -> BlowupCertificate:
     """Single-sine corollary: u0 = -R sin x blows up when R/nu > 8 pi^2 S(alpha).
 
     S(alpha) = sum n^{-2(1-alpha)} = C_alpha^2 / (2 pi).  The lemma runs with L0 = 2 pi R,
@@ -360,7 +359,7 @@ def corollary_condition(R: float, params: ModelParams, series_tol: float = 1e-9)
     _require_supercritical(params)
     if R <= 0:
         raise ValueError("amplitude R must be positive")
-    S = power_sum(2.0 * (1.0 - params.alpha), series_tol)
+    S = power_sum(2.0 * (1.0 - params.alpha), SERIES_TOL)
     threshold = 8.0 * np.pi**2 * S
     ratio = math.inf if params.nu == 0.0 else R / params.nu
     M = math.sqrt(2.0 * np.pi * S * params.nu * np.pi) * R
@@ -380,20 +379,15 @@ def save_certificate(cert: BlowupCertificate, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 # numerical detection and trajectory monitoring
 
-@dataclass(frozen=True)
-class DetectionPolicy:
-    """Resolution-loss thresholds; crossing them is a proxy, not a proof."""
+def detect_numerical_blowup(record: SimulationRecord) -> float | None:
+    """Earliest recorded time at which resolution is considered lost; a proxy, not a proof.
 
-    tail_threshold: float = 1e-3
-    h1_growth_factor: float = 1e3
-
-
-def detect_numerical_blowup(record: SimulationRecord, policy: DetectionPolicy | None = None) -> float | None:
-    """Earliest recorded time at which resolution is considered lost."""
-    policy = policy or DetectionPolicy()
-    flagged = record.tail_fraction > policy.tail_threshold
-    if record.h1_norm[0] > 0.0:
-        flagged = flagged | (record.h1_norm > policy.h1_growth_factor * record.h1_norm[0])
+    That is the last record of a march stopped by its tail-fraction threshold
+    (termination 'blowup_detected'), or the first record whose H^1 norm
+    exceeds H1_GROWTH_FACTOR times its initial value, whichever comes first.
+    """
+    flagged = (record.h1_norm > H1_GROWTH_FACTOR * record.h1_norm[0]) & (record.h1_norm[0] > 0.0)
+    flagged[-1] |= record.termination == TERMINATION_BLOWUP
     hits = np.nonzero(flagged)[0]
     if hits.size == 0:
         return None
@@ -430,12 +424,7 @@ def quadratic_lyapunov_rate(psi: np.ndarray) -> float:
     return 2.0 * np.pi * float(psi[:head] @ prefix[:head][::-1] - prefix[-1] ** 2 + psi @ psi)
 
 
-def monitor_lyapunov_bound(
-    record: SimulationRecord,
-    params: ModelParams | None = None,
-    resolved_tail: float = 1e-8,
-    series_tol: float = 1e-9,
-) -> LyapunovBoundReport:
+def monitor_lyapunov_bound(record: SimulationRecord, resolved_tail: float = 1e-8) -> LyapunovBoundReport:
     """Check dL/dt >= -sqrt(2) C_alpha nu ||u||_{H^alpha} + kappa L^2 stepwise.
 
     dL/dt is evaluated exactly from the Galerkin right-hand side as
@@ -449,16 +438,16 @@ def monitor_lyapunov_bound(
     dL/dt = -nu * (fractional pairing) + ||u||^2/2 holds exactly only while
     the quadratic interactions fit inside the truncation: ``exact_residual``
     is the truncation cross term 2 pi |sum_{j+k>N, j,k<=N} psi_j psi_k|.
-    Both the inequality slack and that residual are reported per step, with
-    summary values restricted to steps whose tail fraction is at most
-    ``resolved_tail``.
+    Both the inequality slack and that residual are reported per step, for
+    the record's own alpha and nu, with summary values restricted to steps
+    whose tail fraction is at most ``resolved_tail``.
     """
     if record.spectra is None:
         raise ValueError("record was produced without store_spectra=True")
-    params = params or record.params
+    params = record.params
     if params.nu > 0.0 and params.alpha >= 0.5:
         raise UnsupportedRegimeError("the inequality constant needs alpha < 1/2 when nu > 0")
-    C = c_alpha(params.alpha, series_tol) if params.nu > 0.0 else 0.0
+    C = c_alpha(params.alpha) if params.nu > 0.0 else 0.0
 
     # every stored state has the record's N; rows are taken one at a time,
     # since stacking the whole run costs more memory than the loop costs time

@@ -27,6 +27,8 @@ _NEWTON_MAX_ITER = 50
 _RESIDUAL_TOL = 1e-12
 #: dense samples of u0' taken before golden-section refinement of its minimum
 _SLOPE_SAMPLES = 4096
+#: window width at which the golden-section search for that minimum stops
+_GOLDEN_TOL = 1e-12
 
 
 class HorizonError(ValueError):
@@ -73,13 +75,13 @@ class InitialField:
         return float(2.0 * np.sum(np.abs(self.spectrum.psi)))
 
 
-def _golden_min(f, a: float, b: float, tol: float = 1e-12) -> float:
-    """Golden-section argmin of f on [a, b] to window width tol."""
+def _golden_min(f, a: float, b: float) -> float:
+    """Golden-section argmin of f on [a, b] to window width _GOLDEN_TOL."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > tol:
+    while (b - a) > _GOLDEN_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -106,12 +108,12 @@ def tmax_inviscid(u0: InitialField) -> float:
     return u0.t_max
 
 
-def _check_horizon(u0: InitialField, t: float, guard: float) -> None:
+def _check_horizon(u0: InitialField, t: float) -> None:
     if t < 0.0:
         raise ValueError("time must be nonnegative")
     t_max = tmax_inviscid(u0)
-    if np.isfinite(t_max) and t >= t_max * (1.0 - guard):
-        raise HorizonError(f"t={t} is past the guarded horizon {t_max * (1.0 - guard):.6g}")
+    if np.isfinite(t_max) and t >= t_max * (1.0 - HORIZON_GUARD):
+        raise HorizonError(f"t={t} is past the guarded horizon {t_max * (1.0 - HORIZON_GUARD):.6g}")
 
 
 def _bisect_feet(u0: InitialField, x: np.ndarray, t: float) -> np.ndarray:
@@ -165,9 +167,9 @@ def _solve_feet(u0: InitialField, x: np.ndarray, t: float) -> np.ndarray:
     return xi
 
 
-def sample_solution(u0: InitialField, t: float, M: int, guard: float = HORIZON_GUARD) -> GridFunction:
-    """Characteristics solution sampled on the M-point grid."""
-    _check_horizon(u0, t, guard)
+def sample_solution(u0: InitialField, t: float, M: int) -> GridFunction:
+    """Characteristics solution sampled on the M-point grid, for 0 <= t < T_max (1 - HORIZON_GUARD)."""
+    _check_horizon(u0, t)
     feet = _solve_feet(u0, grid_points(M), t)
     u = np.asarray(u0.value(feet), dtype=float)
     return GridFunction(u)

@@ -28,7 +28,6 @@ import numpy as np
 
 from .attractors import PROFILES, AttractorFn, attractor_decay_series, load_attractor, optimal_r
 from .blowup import (
-    DetectionPolicy,
     UnsupportedRegimeError,
     certificate_to_dict,
     certify_blowup_F,
@@ -153,7 +152,8 @@ def _validate(cfg: ExperimentConfig) -> None:
     for name in ("dt", "t_end"):
         if getattr(cfg, name) <= 0:
             raise ConfigError(f"{name} must be positive")
-    if cfg.mode == "simulate" or (cfg.mode == "sweep" and cfg.simulate):
+    # a march, or a table row every dt, must end at t_end itself
+    if cfg.mode in ("simulate", "inviscid") or (cfg.mode == "sweep" and cfg.simulate):
         try:
             _step_count(cfg.t_end, cfg.dt)
         except ValueError as exc:
@@ -167,6 +167,8 @@ def _validate(cfg: ExperimentConfig) -> None:
                 raise ConfigError("r must be positive or 'auto'")
         except (TypeError, ValueError):
             raise ConfigError(f"r must be a positive real or 'auto', got {cfg.r!r}")
+        if cfg.attractor != "F":  # only inviscid reads both; the other commands keep the default F
+            raise ConfigError("r applies only to the scaled-F mode")
     if cfg.suite is not None and cfg.suite not in SUITES:
         raise ConfigError(f"unknown suite {cfg.suite!r}; choose from {sorted(SUITES)}")
     if cfg.mode == "sweep":
@@ -209,7 +211,7 @@ def _resolve_attractor(name: str) -> AttractorFn:
     kind, _, rest = name.partition(":")
     if kind == "file":
         return load_attractor(rest)
-    kind = "Phi" if kind.lower() == "phi" else kind  # phi in any case; the other kinds exactly
+    kind = "Phi" if name.lower() == "phi" else name  # phi in any case; the other kinds exactly, with no ':' suffix
     if kind in PROFILES:
         return PROFILES[kind]
     raise ConfigError(f"attractor must be F|phi|sawtooth|file:PATH, got {name!r}")
@@ -247,7 +249,7 @@ def run_simulate(cfg: ExperimentConfig) -> int:
             save_certificate(cert, out / "certificate.json")
             print(f"certificate: hypotheses_hold={cert.hypotheses_hold} bound_T="
                   f"{_fmt(cert.predicted_bound_T) if cert.predicted_bound_T else 'n/a'}")
-    detected = detect_numerical_blowup(record, DetectionPolicy(tail_threshold=cfg.tail_threshold))
+    detected = detect_numerical_blowup(record)
     if detected is not None:
         print(f"numerical blowup proxy tripped at t = {_fmt(detected)}")
     print(f"wrote {out / 'run.csv'} and {out / 'run.json'}")
@@ -256,16 +258,15 @@ def run_simulate(cfg: ExperimentConfig) -> int:
 
 def run_inviscid(cfg: ExperimentConfig) -> int:
     spec0 = _initial_spectrum(cfg)
+    # F is scaled, by --r or by r0 = ||u0|| / ||F||; any other profile is taken as it is
+    attractor = None if cfg.attractor == "F" else _resolve_attractor(cfg.attractor)
     u0 = InitialField(spec0)
     t_max = tmax_inviscid(u0)
     scaling = optimal_r(spec0)
     times = np.arange(0.0, cfg.t_end + 0.5 * cfg.dt, cfg.dt)
-    r = None if cfg.r == "auto" else float(cfg.r)
-    if cfg.attractor == "F":
-        table = attractor_decay_series(u0, times, r=scaling.r0 if r is None else r, M=cfg.grid_size)
-    else:
-        # an --r given here is refused there: it scales F only
-        table = attractor_decay_series(u0, times, r=r, attractor=_resolve_attractor(cfg.attractor), M=cfg.grid_size)
+    if attractor is None:
+        attractor = AttractorFn("F", scaling.r0 if cfg.r == "auto" else float(cfg.r), "origin")
+    table = attractor_decay_series(u0, times, attractor, M=cfg.grid_size)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["t,dist,predicted"]
@@ -337,7 +338,6 @@ def run_sweep(cfg: ExperimentConfig) -> int:
         if cfg.simulate:
             batch.append((name, row, params))
     if batch:
-        policy = DetectionPolicy(tail_threshold=cfg.tail_threshold)
         records = evolve_batch(
             [SineSpectrum.sine_wave(row["R"], N=cfg.modes) for _, row, _ in batch],
             [params for _, _, params in batch],
@@ -347,7 +347,7 @@ def run_sweep(cfg: ExperimentConfig) -> int:
         )
         for (name, row, _), record in zip(batch, records):
             record_to_csv(record, out / f"{name}.csv")
-            row["detected_T"] = detect_numerical_blowup(record, policy)
+            row["detected_T"] = detect_numerical_blowup(record)
             if record.termination == TERMINATION_STEP_FAILURE:
                 row["status"] = TERMINATION_STEP_FAILURE
                 print(f"error: {name}: step failure after t = {_fmt(float(record.times[-1]))}", file=sys.stderr)

@@ -70,10 +70,6 @@ class ModelParams:
         if not (math.isfinite(self.nu) and self.nu >= 0.0):
             raise ValueError(f"nu must be finite and >= 0, got {self.nu}")
 
-    @property
-    def inviscid(self) -> bool:
-        return self.nu == 0.0
-
 
 def dissipation_symbol(params: ModelParams, N: int) -> np.ndarray:
     """Multiplier nu * n^{2 alpha} for n = 1..N."""
@@ -162,7 +158,7 @@ class DiagnosticsConfig:
     def __post_init__(self):
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
-        if self.tail_threshold <= 0:
+        if not self.tail_threshold > 0:  # a NaN threshold would never trip
             raise ValueError("tail threshold must be positive")
 
 
@@ -385,8 +381,6 @@ def record_to_csv(record: SimulationRecord, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_record_metadata(record: SimulationRecord, path: str | Path, extra: dict | None = None) -> None:
-    payload = record.metadata()
-    if extra:
-        payload.update(extra)
+def write_record_metadata(record: SimulationRecord, path: str | Path, extra: dict) -> None:
+    payload = record.metadata() | extra
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -27,7 +27,7 @@ import numpy as np
 
 FOUR_PI = 4.0 * np.pi
 
-#: default relative tolerance above which a grid is rejected as non-odd
+#: relative cosine/mean energy above which a grid is rejected as non-odd
 ODDNESS_TOL = 1e-10
 
 
@@ -169,20 +169,20 @@ def oddness_residual(samples: np.ndarray) -> float:
     return np.sqrt(cos_energy / total)
 
 
-def analyze(grid: GridFunction | np.ndarray, N: int, odd_tol: float = ODDNESS_TOL) -> SineSpectrum:
+def analyze(grid: GridFunction | np.ndarray, N: int) -> SineSpectrum:
     """Recover psi_n, n = 1..N from grid samples (u_hat(n) = i*psi_n).
 
     Raises NonOddInputError when the relative cosine/mean energy exceeds
-    ``odd_tol``, and UnderResolvedError when M < 2N.
+    ODDNESS_TOL, and UnderResolvedError when M < 2N.
     """
     u = grid.samples if isinstance(grid, GridFunction) else np.asarray(grid, dtype=float)
     M = u.size
     if M < 2 * N:
         raise UnderResolvedError(f"grid size {M} < 2N = {2 * N}")
     residual = oddness_residual(u)
-    if residual > odd_tol:
+    if residual > ODDNESS_TOL:
         raise NonOddInputError(
-            f"cosine/mean energy fraction {residual:.3e} exceeds tolerance {odd_tol:.1e}"
+            f"cosine/mean energy fraction {residual:.3e} exceeds tolerance {ODDNESS_TOL:.1e}"
         )
     Y = np.fft.rfft(u)
     alt = _alternating_signs(N + 1)

@@ -57,7 +57,7 @@ def brute_force_nonlinear(psi):
     return out
 
 
-def monitor_direct(record, resolved_tail=1e-8, series_tol=1e-9):
+def monitor_direct(record, resolved_tail=1e-8):
     """Slack of the Lyapunov inequality per stored state, with dL/dt from the O(N^2) direct kernel.
 
     dL/dt = 4 pi sum rhs_n / n with rhs the full Galerkin right-hand side;
@@ -65,7 +65,7 @@ def monitor_direct(record, resolved_tail=1e-8, series_tol=1e-9):
     defines them.
     """
     params = record.params
-    C = c_alpha(params.alpha, series_tol) if params.nu > 0.0 else 0.0
+    C = c_alpha(params.alpha) if params.nu > 0.0 else 0.0
     slack = []
     for psi in record.spectra:
         N = psi.size

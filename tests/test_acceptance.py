@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from burgers_lab.attractors import (
+    AttractorFn,
     attractor_decay_series,
     attractor_distance,
     lyapunov,
@@ -103,7 +104,7 @@ def test_criterion_02_exact_attractor_decay():
     worst = 0.0
     for r in (0.5 * r0, r0, 2.0 * r0):
         d0 = attractor_distance(u0.spectrum, r)
-        table = attractor_decay_series(u0, times, r=r)
+        table = attractor_decay_series(u0, times, AttractorFn("F", r, "origin"))
         law = d0 - r * energy0 * times
         worst = max(worst, float(np.max(np.abs(table.distance - law)) / d0))
     ok = worst <= 1e-6

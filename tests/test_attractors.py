@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from burgers_lab.attractors import (
     PROFILES,
+    AttractorFn,
     DivergentSeriesError,
     F_L2_NORM_SQ,
     attractor_decay_series,
@@ -141,7 +142,7 @@ class TestKeyIdentity:
             N = int(rng.integers(1, 33))
             spec = SineSpectrum(rng.uniform(-1, 1, N))
             energy = sobolev_norm(spec, 0.0) ** 2
-            rc, rq = key_identity_residuals(spec, 4096)
+            rc, rq = key_identity_residuals(spec)
             assert abs(rc) <= 1e-10 * energy
             assert abs(rq) <= 1e-10 * max(energy, 1.0)
 
@@ -217,7 +218,7 @@ class TestDecaySeries:
         u0 = InitialField(SineSpectrum([0.5]))
         times = np.arange(0.1, 0.95, 0.1)
         for r in (0.5 * R0_SINE, R0_SINE, 2.0 * R0_SINE):
-            table = attractor_decay_series(u0, times, r=r)
+            table = attractor_decay_series(u0, times, AttractorFn("F", r, "origin"))
             d0 = attractor_distance(u0.spectrum, r)
             law = d0 - r * np.pi * times
             np.testing.assert_allclose(table.distance, law, atol=1e-6 * d0)
@@ -225,7 +226,7 @@ class TestDecaySeries:
 
     def test_time_zero_row(self):
         u0 = InitialField(SineSpectrum([0.5]))
-        table = attractor_decay_series(u0, [0.0], r=R0_SINE)
+        table = attractor_decay_series(u0, [0.0], AttractorFn("F", R0_SINE, "origin"))
         assert table.distance[0] == pytest.approx(D0_SINE, rel=1e-12)
 
     def test_sawtooth_upper_bound(self):
@@ -238,13 +239,13 @@ class TestDecaySeries:
     def test_horizon_rejected(self):
         u0 = InitialField(SineSpectrum([0.5]))
         with pytest.raises(HorizonError):
-            attractor_decay_series(u0, [0.5, 1.0], r=R0_SINE)
+            attractor_decay_series(u0, [0.5, 1.0], AttractorFn("F", R0_SINE, "origin"))
 
     def test_distance_against_quadrature_oracle(self):
         # independent check of one table entry by direct grid quadrature
         u0 = InitialField(SineSpectrum([0.5]))
         t = 0.5
-        table = attractor_decay_series(u0, [t], r=R0_SINE)
+        table = attractor_decay_series(u0, [t], AttractorFn("F", R0_SINE, "origin"))
         g = sample_solution(u0, t, 8192)
         F = make_F()
         integrand = (g.samples - R0_SINE * F.evaluate(grid_points(g.M))) ** 2

@@ -8,12 +8,11 @@ from burgers_lab import blowup, dynamics
 from burgers_lab.attractors import make_F, make_Phi, make_sawtooth
 from burgers_lab.blowup import (
     KAPPA_F,
-    DetectionPolicy,
     HypothesisError,
     OutsideValidityError,
     UnsupportedRegimeError,
-    _default_forcing,
     _equality_case,
+    _forcing,
     certificate_to_dict,
     certify_blowup_F,
     certify_blowup_H,
@@ -28,7 +27,14 @@ from burgers_lab.blowup import (
     simplified_window,
     verify_comparison_lemma,
 )
-from burgers_lab.dynamics import DiagnosticsConfig, ModelParams, evolve, lyapunov_diagnostic, nonlinear_direct
+from burgers_lab.dynamics import (
+    DiagnosticsConfig,
+    ModelParams,
+    SimulationRecord,
+    evolve,
+    lyapunov_diagnostic,
+    nonlinear_direct,
+)
 from burgers_lab.spectral import FOUR_PI, SineSpectrum
 
 
@@ -120,7 +126,7 @@ class TestVerifyComparisonLemma:
         # (2, 0.25, 0.05) is off by up to 9e-10 when the first step skips the forcing's kink at s ~ 1e-6
         mpmath = pytest.importorskip("mpmath")
         y0, kappa, M = case
-        y, t_num, blew_up, _ = _equality_case(y0, kappa, _default_forcing(M), 10.0 * simplified_horizon(y0, kappa))
+        y, t_num, blew_up, _ = _equality_case(y0, kappa, _forcing(M), 10.0 * simplified_horizon(y0, kappa))
         assert blew_up
         with mpmath.workdps(25):
             k, m, eps = mpmath.mpf(kappa), mpmath.mpf(M), mpmath.mpf("1e-12")
@@ -345,6 +351,9 @@ class TestDetection:
         t_star = detect_numerical_blowup(rec)
         assert t_star is not None
         assert t_star <= 2 * np.pi**2 / 10
+        # the march stops at the first record whose tail fraction passes its threshold
+        assert rec.termination == "blowup_detected"
+        assert t_star == rec.times[np.argmax(rec.tail_fraction > 1e-3)]
 
     def test_inviscid_detection_near_classical_time(self):
         rec = evolve(
@@ -358,18 +367,34 @@ class TestDetection:
         assert t_star is not None
         assert abs(t_star - 1.0) <= 0.1
 
-    def test_h1_growth_path(self):
-        rec = evolve(
-            SineSpectrum.sine_wave(10.0, 256),
-            SUPER,
-            2.5,
-            2e-4,
-            DiagnosticsConfig(stride=10),
+    @staticmethod
+    def record(h1_norm, termination, tail_fraction=None):
+        """A hand-built record with the given H^1 norms at t = 0, 0.1, 0.2, ..."""
+        count = len(h1_norm)
+        rest = dict.fromkeys(("energy", "diss_integral", "lyapunov", "dist_rF", "min_ux"), np.zeros(count))
+        tail = np.zeros(count) if tail_fraction is None else np.asarray(tail_fraction, dtype=float)
+        return SimulationRecord(
+            params=SUPER, N=8, dt=0.1, r=1.0, times=0.1 * np.arange(count), h1_norm=np.asarray(h1_norm, dtype=float),
+            tail_fraction=tail, termination=termination, **rest,
         )
-        strict = DetectionPolicy(tail_threshold=1.1, h1_growth_factor=5.0)
-        t_h1 = detect_numerical_blowup(rec, strict)
-        assert t_h1 is not None
-        assert rec.h1_norm[np.searchsorted(rec.times, t_h1)] > 5.0 * rec.h1_norm[0]
+
+    def test_tail_stop_trips_at_the_last_record(self):
+        rec = self.record([1.0, 2.0, 3.0, 4.0], "blowup_detected")
+        assert detect_numerical_blowup(rec) == rec.times[-1]
+
+    def test_h1_growth_before_the_tail_stop(self):
+        rec = self.record([1.0, 2.0, 1001.0, 1500.0, 1600.0], "blowup_detected")
+        assert detect_numerical_blowup(rec) == rec.times[2]
+
+    @pytest.mark.parametrize("termination", ["step_failure", "t_end_reached"])
+    def test_other_terminations_trip_only_on_h1(self, termination):
+        # a tail fraction in the record does not trip the proxy: only the march's stop does
+        assert detect_numerical_blowup(self.record([1.0, 2.0, 3.0], termination, [0.0, 0.5, 0.9])) is None
+        assert detect_numerical_blowup(self.record([1.0, 999.0, 1000.0], termination)) is None
+        rec = self.record([1.0, 1e4, 2.0], termination)
+        assert detect_numerical_blowup(rec) == rec.times[1]
+        # growth is measured against a nonzero initial norm only
+        assert detect_numerical_blowup(self.record([0.0, 5.0, 10.0], termination)) is None
 
 
 class TestBoundChain:

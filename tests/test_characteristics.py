@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from burgers_lab import characteristics
-from burgers_lab.attractors import attractor_decay_series, optimal_r
+from burgers_lab.attractors import AttractorFn, attractor_decay_series, optimal_r
 from burgers_lab.characteristics import (
     HorizonError,
     InitialField,
@@ -187,7 +187,7 @@ class TestZeroPadding:
         times = np.linspace(0.0, 0.8 * t_max, 5)
         r = optimal_r(spec).r0
         grids = [sample_solution(u0, float(times[-1]), 1024).samples for u0 in fields]
-        tables = [attractor_decay_series(u0, times, r=r, M=1024) for u0 in fields]
+        tables = [attractor_decay_series(u0, times, AttractorFn("F", r, "origin"), M=1024) for u0 in fields]
         assert np.max(np.abs(grids[0] - grids[1])) <= 1e-13
         assert np.max(np.abs(tables[0].distance - tables[1].distance)) <= 1e-13
         assert np.max(np.abs(tables[0].predicted - tables[1].predicted)) <= 1e-13

@@ -168,10 +168,18 @@ class TestInviscid:
     def test_attractor_names(self, name, kind):
         assert cli._resolve_attractor(name) is PROFILES[kind]
 
-    @pytest.mark.parametrize("name", ["f", "Sawtooth", "SAWTOOTH", "custom", ""])
+    @pytest.mark.parametrize("name", ["f", "Sawtooth", "SAWTOOTH", "custom", "", "F:junk", "phi:x", "sawtooth:x", "F:"])
     def test_other_attractor_names_refused(self, name):
         with pytest.raises(ConfigError, match="attractor must be F|phi|sawtooth|file:PATH"):
             cli._resolve_attractor(name)
+
+    def test_suffixed_attractor_name_exits_one(self, tmp_path, capsys):
+        # F:junk used to be measured against 1*F instead of r0*F
+        out = tmp_path / "inv"
+        argv = ["inviscid", "--attractor", "F:junk", "--dt", "0.3", "--t-end", "0.9", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: attractor must be F|phi|sawtooth|file:PATH, got 'F:junk'\n"
+        assert not out.exists()
 
     def test_sawtooth_mode(self, tmp_path):
         out = tmp_path / "inv"
@@ -605,6 +613,7 @@ class TestStepCount:
         [
             ["simulate", "--alpha", "0.5", "--nu", "0.1"],
             ["sweep", "--alphas", "0.25", "--nus", "0.04", "--Rs", "2", "--simulate"],
+            ["inviscid", "--init", "sine:0.5"],  # T_max = 2: its table, a row every dt from 0, ended at 0.9
         ],
     )
     def test_partial_last_step_rejected(self, argv, tmp_path, capsys):

@@ -47,6 +47,14 @@ class TestModelParams:
         np.testing.assert_allclose(sym, 2.0 * np.array([1.0, 2.0, 3.0]))
 
 
+class TestDiagnosticsConfig:
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, np.nan])
+    def test_tail_threshold_must_be_positive(self, threshold):
+        # a NaN threshold would let neither the march nor the detection proxy trip
+        with pytest.raises(ValueError, match="tail threshold must be positive"):
+            DiagnosticsConfig(tail_threshold=threshold)
+
+
 class TestDirectKernel:
     def test_single_mode_feeds_second(self):
         out = nonlinear_direct(np.array([1.0, 0.0]))
