@@ -44,6 +44,8 @@ H1_GROWTH_FACTOR = 1e3
 #: sampled times per bound in ``verify_comparison_lemma``, and the excess over y it tolerates
 _LEMMA_SAMPLES = 100
 _LEMMA_SLACK = 1e-9
+#: offset of the lemma's forcing M / (2 sqrt(t + eps)), finite at t = 0
+_FORCING_EPS = 1e-12
 
 
 class OutsideValidityError(ValueError):
@@ -134,8 +136,8 @@ class ComparisonReport:
 
 
 def _forcing(M: float) -> Callable[[float], float]:
-    # saturates the integral condition: int_0^t f = M (sqrt(t+eps) - sqrt(eps)), eps = 1e-12
-    return lambda t: M / (2.0 * math.sqrt(t + 1e-12))
+    # saturates the integral condition: int_0^t f = M (sqrt(t+eps) - sqrt(eps)), eps = _FORCING_EPS
+    return lambda t: M / (2.0 * math.sqrt(t + _FORCING_EPS))
 
 
 def _equality_case(
@@ -169,7 +171,7 @@ def _equality_case(
         atol=1e-14,
         dense_output=True,
         events=explode,
-        # The forcing's 2 s f(s^2) = M s / sqrt(s^2 + 1e-12) rises from
+        # The forcing's 2 s f(s^2) = M s / sqrt(s^2 + _FORCING_EPS) rises from
         # 0 to M within s ~ 1e-6.  The automatic first step (about 4e-6) spans
         # that kink unnoticed by the error estimate, which left y off by up to
         # 9e-10 relative against a 25-digit reference; a first step at a tenth
@@ -188,9 +190,9 @@ def _equality_case(
 
 def verify_comparison_lemma(y0: float, kappa: float, M: float) -> ComparisonReport:
     """Integrate the equality case of the differential inequality, with the
-    forcing f(t) = M / (2 sqrt(t + 1e-12)) that saturates the integral
+    forcing f(t) = M / (2 sqrt(t + _FORCING_EPS)) that saturates the integral
     condition, and check that the solution dominates both lower bounds on
-    their windows to within 1e-9.
+    their windows to within _LEMMA_SLACK.
 
     The equality case y' = kappa y^2 - f(t) is integrated through its
     linearisation: with y = -w'/(kappa w) it becomes w'' = kappa f w, which

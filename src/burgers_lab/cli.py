@@ -258,14 +258,16 @@ def run_simulate(cfg: ExperimentConfig) -> int:
 
 def run_inviscid(cfg: ExperimentConfig) -> int:
     spec0 = _initial_spectrum(cfg)
-    # F is scaled, by --r or by r0 = ||u0|| / ||F||; any other profile is taken as it is
-    attractor = None if cfg.attractor == "F" else _resolve_attractor(cfg.attractor)
     u0 = InitialField(spec0)
     t_max = tmax_inviscid(u0)
     scaling = optimal_r(spec0)
     times = np.arange(0.0, cfg.t_end + 0.5 * cfg.dt, cfg.dt)
-    if attractor is None:
-        attractor = AttractorFn("F", scaling.r0 if cfg.r == "auto" else float(cfg.r), "origin")
+    # F is scaled, by --r or by r0 = ||u0|| / ||F||; any other profile is taken as it is
+    attractor = (
+        AttractorFn("F", scaling.r0 if cfg.r == "auto" else float(cfg.r), "origin")
+        if cfg.attractor == "F"
+        else _resolve_attractor(cfg.attractor)
+    )
     table = attractor_decay_series(u0, times, attractor, M=cfg.grid_size)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -259,8 +259,8 @@ def evolve_batch(
     The spectra share N, dt, t_end and ``diag``; alpha and nu may differ
     from row to row.  Diagnostics are recorded every ``stride`` steps.  A
     row halts on its own, with termination 'blowup_detected' when its
-    spectral tail fraction exceeds the threshold at a record (a
-    resolution-loss proxy, not a proof), or 'step_failure' (partial record)
+    spectral tail fraction exceeds the threshold at a record, the t = 0
+    one included (a resolution-loss proxy, not a proof), or 'step_failure' (partial record)
     on a non-finite state; the other rows march on.  Each record equals the
     one its spectrum gives when marched alone.  t_end/dt must be a whole
     number of steps (to a relative 1e-9).
@@ -326,23 +326,24 @@ def evolve_batch(
 
     diss_acc = np.zeros(psi.shape[:-1])
     g_prev = np.sum(diss_weights * psi**2, axis=-1)
-    record(0, psi, diss_acc)
     # overflow in a step is caught by the finiteness check that follows it; the
     # diagnostics of a state too large to square read inf, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_steps + 1):
-            out = _if_rk4_step(psi, dt, factors, kernel)
-            if not np.all(np.isfinite(out)):
-                keep = retire(~np.all(np.isfinite(out), axis=-1), TERMINATION_STEP_FAILURE)
-                if not keep.any():
-                    break
-                active, out, diss_weights, diss_acc, g_prev, *factors = (
-                    a[keep] for a in (active, out, diss_weights, diss_acc, g_prev, *factors)
-                )
-            psi = out
-            g_new = np.sum(diss_weights * psi**2, axis=-1)
-            diss_acc = diss_acc + 0.5 * dt * (g_prev + g_new)
-            g_prev = g_new
+        # k = 0 only records, so data under-resolved from the start stops there
+        for k in range(n_steps + 1):
+            if k:
+                out = _if_rk4_step(psi, dt, factors, kernel)
+                if not np.all(np.isfinite(out)):
+                    keep = retire(~np.all(np.isfinite(out), axis=-1), TERMINATION_STEP_FAILURE)
+                    if not keep.any():
+                        break
+                    active, out, diss_weights, diss_acc, g_prev, *factors = (
+                        a[keep] for a in (active, out, diss_weights, diss_acc, g_prev, *factors)
+                    )
+                psi = out
+                g_new = np.sum(diss_weights * psi**2, axis=-1)
+                diss_acc = diss_acc + 0.5 * dt * (g_prev + g_new)
+                g_prev = g_new
             if k % diag.stride == 0 or k == n_steps:
                 blown = record(k, psi, diss_acc) > diag.tail_threshold
                 if blown.any():

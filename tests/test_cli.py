@@ -120,6 +120,20 @@ class TestSimulate:
         else:
             assert tripped is None
 
+    def test_data_under_resolved_at_t0_trips_the_proxy_there(self, tmp_path, capsys):
+        # tail fraction 0.0099 > 1e-3 at t = 0: the march stops before its first step
+        psi = [0.0] * 64
+        psi[0], psi[60] = 0.5, 0.05
+        spec_file = tmp_path / "tail.json"
+        spec_file.write_text(json.dumps({"N": 64, "psi": psi}))
+        out = tmp_path / "run"
+        argv = ["simulate", "--alpha", "0.75", "--nu", "0.5", "--init", f"file:{spec_file}",
+                "--dt", "1e-3", "--t-end", "0.05", "--out", str(out)]
+        assert main(argv) == 0
+        meta = json.loads((out / "run.json").read_text())
+        assert (meta["termination"], meta["t_final"]) == ("blowup_detected", 0.0)
+        assert "numerical blowup proxy tripped at t = 0\n" in capsys.readouterr().out
+
     def test_certify_outside_the_regime_notes_the_skip(self, tmp_path, capsys):
         out = tmp_path / "run"
         argv = ["simulate", "--alpha", "0.5", "--nu", "0.1", "--modes", "16", "--dt", "0.01", "--t-end", "0.1",

@@ -251,7 +251,9 @@ class TestEvolve:
         assert rec.times[-1] < 2.0 * np.pi**2 / 10.0
 
     def test_step_failure_gives_partial_record(self):
-        rec = evolve(SineSpectrum(np.full(16, 50.0)), ModelParams(0.5, 0.0), 60.0, 1.0)
+        # a flat spectrum's tail fraction is 1/8 at t = 0; a threshold of 1 lets it reach the failing step
+        diag = DiagnosticsConfig(tail_threshold=1.0)
+        rec = evolve(SineSpectrum(np.full(16, 50.0)), ModelParams(0.5, 0.0), 60.0, 1.0, diag)
         assert rec.termination == "step_failure"
         assert rec.times.size >= 1
 
@@ -360,6 +362,17 @@ class TestEvolveBatch:
         records = evolve_batch(specs, params, 1.0, 1e-3)
         assert [rec.termination for rec in records] == ["step_failure"] * 2
         assert [rec.times.tolist() for rec in records] == [[0.0], [0.0]]
+
+    def test_row_under_resolved_at_t0_stops_there(self):
+        # tail fraction 0.05^2 / (0.5^2 + 0.05^2) = 0.0099 > 1e-3 before any step
+        psi = np.zeros(64)
+        psi[0], psi[60] = 0.5, 0.05
+        specs = [SineSpectrum(psi), SineSpectrum.sine_wave(1.0, 64)]
+        params = [ModelParams(0.75, 0.5)] * 2
+        records = evolve_batch(specs, params, 0.05, 1e-3)
+        assert [rec.termination for rec in records] == ["blowup_detected", "t_end_reached"]
+        assert records[0].times.tolist() == [0.0] and records[0].tail_fraction[0] > 1e-3
+        _assert_same_record(records[1], evolve(specs[1], params[1], 0.05, 1e-3))
 
     def test_direct_kernel_row_wise(self):
         specs = [SineSpectrum.sine_wave(R, 24) for R in (1.0, 3.0)]
