@@ -163,10 +163,11 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"{name} must be a positive integer")
     if cfg.r != "auto":
         try:
-            if float(cfg.r) <= 0:
-                raise ConfigError("r must be positive or 'auto'")
+            r = float(cfg.r)
         except (TypeError, ValueError):
-            raise ConfigError(f"r must be a positive real or 'auto', got {cfg.r!r}")
+            r = math.nan
+        if not 0.0 < r < math.inf:
+            raise ConfigError(f"r must be a finite positive real or 'auto', got {cfg.r!r}")
         if cfg.attractor != "F":  # only inviscid reads both; the other commands keep the default F
             raise ConfigError("r applies only to the scaled-F mode")
     if cfg.suite is not None and cfg.suite not in SUITES:
@@ -389,7 +390,7 @@ _HELP = {
     "init": "sine:R or file:PATH",
     "grid_size": "sample grid points",
     "attractor": "F | phi | sawtooth | file:PATH",
-    "r": "positive real or 'auto'",
+    "r": "finite positive real or 'auto'",
     "out": "output directory",
     "suite": f"run only one of {sorted(SUITES)}",
 }

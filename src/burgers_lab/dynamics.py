@@ -23,7 +23,8 @@ retained modes are alias-free.
 
 Kernel contract: a kernel maps an array of shape (..., N) to the quadratic
 term of each row along the last axis, one row independently of the
-others, so one call evaluates a whole stack of spectra.
+others, so one call evaluates a whole stack of spectra.  It returns a
+fresh array, shared with nothing, which the time step may overwrite.
 
 Time stepping is fixed-step integrating-factor RK4: the dissipative part
 is absorbed exactly through exp(-nu n^{2 alpha} dt) and classical RK4
@@ -103,17 +104,41 @@ def nonlinear_direct(psi: np.ndarray) -> np.ndarray:
 def _half_grid(N: int) -> tuple[int, np.ndarray, Callable, Callable]:
     """Half-grid length L (2L > 3N, fast FFT size), the output scale -n/(4L), DST and DCT.
 
+    The transforms are pocketfft's own ``dst``/``dct``, the binding that
+    ``scipy.fft`` and ``scipy.fftpack`` both wrap, called positionally as
+    ``(a, type, axes, inorm, out=, nthreads=)``: the wrappers' per-call
+    argument handling costs about as much as the transforms do at the N
+    of a march.  The binding is private, so if a scipy release moves it,
+    the public ``scipy.fft`` transforms stand in behind the same call
+    (bit-identical, only slower) rather than the march ending in a
+    traceback.
+
     scipy's FFT modules load here, on the first N a kernel sees, so that
     the commands that never march (inviscid, certify) do not import them.
     The scale is read-only: the cache is shared by every thread.
     """
     from scipy.fft import next_fast_len
-    from scipy.fftpack import dct, dst
+
+    try:
+        from scipy.fft._pocketfft.pypocketfft import dct, dst
+    except ImportError:
+        from scipy import fft
+
+        dct, dst = _positional(fft.dct), _positional(fft.dst)
 
     L = next_fast_len(3 * N // 2 + 1, real=True)
     scale = -np.arange(1, N + 1, dtype=float) / (4.0 * L)
     scale.flags.writeable = False
     return L, scale, dst, dct
+
+
+def _positional(transform: Callable) -> Callable:
+    """A public ``scipy.fft`` transform behind the binding's call; unnormalised (inorm 0) only."""
+
+    def call(a, type, axes, inorm, out=None, nthreads=1):
+        return transform(a, type, axis=axes[0], overwrite_x=out is a, workers=nthreads)
+
+    return call
 
 
 def nonlinear_pseudospectral(psi: np.ndarray) -> np.ndarray:
@@ -122,30 +147,54 @@ def nonlinear_pseudospectral(psi: np.ndarray) -> np.ndarray:
     Unnormalised DST-III of psi (zero-padded to L) gives -u(xi_k); the
     midpoint rule on (0, pi) turns the unnormalised DCT-II of u^2 into
     2L times its Fourier coefficients w_hat(n), and mode n of -(u^2/2)_x
-    is -(n/2) * w_hat(n).  Both transforms run along the last axis.
+    is -(n/2) * w_hat(n).  Both transforms run along the last axis, in
+    place on a padded buffer of the call's own (so calls may run on
+    several threads at once).
     """
     psi = np.asarray(psi, dtype=float)
     N = psi.shape[-1]
     L, scale, dst, dct = _half_grid(N)
     u = np.zeros(psi.shape[:-1] + (L,))
     u[..., :N] = psi
-    u = dst(u, type=3, overwrite_x=True)
+    u = dst(u, 3, (-1,), 0, out=u, nthreads=1)
     u *= u
-    return scale * dct(u, type=2, overwrite_x=True)[..., 1 : N + 1]
+    return scale * dct(u, 2, (-1,), 0, out=u, nthreads=1)[..., 1 : N + 1]
 
 
 def _if_rk4_step(psi: np.ndarray, dt: float, factors: Sequence[np.ndarray], nonlinear: Kernel) -> np.ndarray:
     """One step; ``factors`` are the half-step decay e1, e2 = e1 * e1, dt * e1 and 2 * e1.
 
+    The new state is  e2 psi + dt/6 (e2 k1 + 2 e1 (k2 + k3) + k4)  with
+    k1 = N(psi), k2 = N(e1 (psi + dt/2 k1)), k3 = N(e1 psi + dt/2 k2) and
+    k4 = N(e2 psi + dt e1 k3), each operation done in place but in the order
+    and grouping of that formula, so every rounding is the same as if it were
+    evaluated term by term.  By the kernel contract each k is a fresh array,
+    which the step overwrites; ``psi`` itself is left as it is.
     The caller ignores overflow (np.errstate) and checks the result for finiteness.
     """
     e1, e2, dt_e1, two_e1 = factors
+    half_dt = 0.5 * dt
     k1 = nonlinear(psi)
-    k2 = nonlinear(e1 * (psi + 0.5 * dt * k1))
-    k3 = nonlinear(e1 * psi + 0.5 * dt * k2)
-    e2_psi = e2 * psi
-    k4 = nonlinear(e2_psi + dt_e1 * k3)
-    return e2_psi + dt / 6.0 * (e2 * k1 + two_e1 * (k2 + k3) + k4)
+    stage = k1 * half_dt
+    stage += psi
+    stage *= e1
+    k2 = nonlinear(stage)
+    e_psi = e1 * psi
+    np.multiply(k2, half_dt, out=stage)
+    stage += e_psi
+    k3 = nonlinear(stage)
+    np.multiply(e2, psi, out=e_psi)  # now e2 psi
+    np.multiply(dt_e1, k3, out=stage)
+    stage += e_psi
+    k4 = nonlinear(stage)
+    k2 += k3
+    k2 *= two_e1
+    k1 *= e2
+    k1 += k2
+    k1 += k4
+    k1 *= dt / 6.0
+    k1 += e_psi
+    return k1
 
 
 @dataclass(frozen=True)

@@ -596,6 +596,7 @@ class TestColdStart:
             "assert main(['simulate', '--alpha', '0.25', '--nu', '0.04', '--modes', '32', '--dt', '0.01', "
             f"'--t-end', '0.1', '--out', {str(tmp_path / 'sim')!r}]) == 0\n"
             "assert 'scipy.fft' in sys.modules and 'scipy.integrate' not in sys.modules\n"
+            "assert not [m for m in sys.modules if m.startswith('scipy.fftpack')], 'a march loads scipy.fftpack'\n"
             "assert main(['verify', '--suite', 'comparison-lemma']) == 0"
         )
         assert "scipy.integrate" in loaded
@@ -619,6 +620,23 @@ class TestNonFiniteSettings:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+
+class TestScaleR:
+    @pytest.mark.parametrize("mode", ["inviscid", "simulate"])
+    @pytest.mark.parametrize("r", ["nan", "inf", "0", "-1"])
+    def test_rejected_with_one_line_error(self, mode, r, tmp_path, capsys):
+        args = {"inviscid": ["--dt", "0.25"], "simulate": ["--alpha", "0.5", "--nu", "0", "--dt", "0.01"]}[mode]
+        out = tmp_path / "out"
+        assert main([mode, *args, "--t-end", "0.5", "--r", r, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: r must be a finite positive real or 'auto', got {r!r}\n"
+        assert not out.exists()
+
+    def test_config_file_value_checked_alike(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text('{"r": Infinity}')
+        assert main(["inviscid", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: r must be a finite positive real or 'auto', got inf\n"
 
 
 class TestStepCount:

@@ -11,6 +11,7 @@ from burgers_lab.dynamics import (
     ModelParams,
     SimulationRecord,
     _half_grid,
+    _if_rk4_step,
     dissipation_symbol,
     evolve,
     evolve_batch,
@@ -23,7 +24,15 @@ from burgers_lab.dynamics import (
 )
 from burgers_lab.spectral import SineSpectrum, synthesize, synthesize_slope
 
-from conftest import brute_force_nonlinear, odd_symmetry_residual
+from conftest import (
+    brute_force_nonlinear,
+    if_rk4_step_reference,
+    nonlinear_pseudospectral_fftpack,
+    odd_symmetry_residual,
+)
+
+#: the mode counts the kernel is pinned to its scipy.fftpack reference at, small and march-sized
+_PINNED_N = (1, 2, 3, 7, 128, 512, 1000, 1024)
 
 
 class TestModelParams:
@@ -130,6 +139,40 @@ class TestPseudospectralKernel:
         assert not any(t.is_alive() for t in threads)
         assert mismatches == []
 
+    @pytest.mark.parametrize("N", _PINNED_N)
+    def test_bit_identical_to_fftpack_reference(self, N, rng):
+        for shape in ((N,), (5, N)):
+            psi = rng.uniform(-1.0, 1.0, shape)
+            assert np.array_equal(nonlinear_pseudospectral(psi), nonlinear_pseudospectral_fftpack(psi))
+
+    def test_binding_call_signature(self, rng):
+        # the kernel's exact call; a scipy that renames the binding or changes its signature fails here
+        from scipy.fft._pocketfft.pypocketfft import dct, dst
+        from scipy.fftpack import dct as fftpack_dct, dst as fftpack_dst
+
+        for shape in ((200,), (3, 200)):
+            x = rng.uniform(-1.0, 1.0, shape)
+            for transform, reference, kind in ((dst, fftpack_dst, 3), (dct, fftpack_dct, 2)):
+                a = x.copy()
+                out = transform(a, kind, (-1,), 0, out=a, nthreads=1)
+                assert out is a
+                assert np.array_equal(out, reference(x, type=kind))
+
+    @pytest.fixture
+    def public_transforms(self, monkeypatch):
+        """_half_grid as it is when the private binding cannot be imported."""
+        monkeypatch.setitem(sys.modules, "scipy.fft._pocketfft.pypocketfft", None)
+        _half_grid.cache_clear()
+        yield
+        _half_grid.cache_clear()
+
+    @pytest.mark.parametrize("N", _PINNED_N)
+    def test_public_fallback_bit_identical(self, N, rng, public_transforms):
+        assert all(t.__module__ == "burgers_lab.dynamics" for t in _half_grid(N)[2:])  # the adapted public pair
+        for shape in ((N,), (5, N)):
+            psi = rng.uniform(-1.0, 1.0, shape)
+            assert np.array_equal(nonlinear_pseudospectral(psi), nonlinear_pseudospectral_fftpack(psi))
+
     @pytest.mark.parametrize("shape", [(24, 128), (8, 256), (2, 512), (24, 512), (1, 64), (2, 3, 40)])
     def test_stack_matches_rows(self, shape, rng):
         psi = rng.uniform(-1.0, 1.0, shape)
@@ -220,6 +263,18 @@ class TestStep:
     def test_dt_validation(self):
         with pytest.raises(ValueError):
             evolve(SineSpectrum([1.0]), ModelParams(0.5, 0.0), 1.0, 0.0)
+
+    @pytest.mark.parametrize("kernel", [nonlinear_pseudospectral, nonlinear_direct])
+    def test_in_place_step_matches_reference(self, kernel, rng):
+        N, dt = 64, 1e-3
+        params = [ModelParams(0.2, 0.05), ModelParams(0.5, 0.0), ModelParams(0.75, 0.3), ModelParams(1.0, 1.5)]
+        psi = rng.uniform(-1.0, 1.0, (len(params), N)) / np.arange(1, N + 1)
+        e1 = np.stack([np.exp(-0.5 * dt * dissipation_symbol(p, N)) for p in params])
+        factors = (e1, e1 * e1, dt * e1, 2.0 * e1)
+        before = psi.copy()
+        got = _if_rk4_step(psi, dt, factors, kernel)
+        assert np.array_equal(psi, before)  # the state stepped from is left as it was
+        assert np.array_equal(got, if_rk4_step_reference(psi, dt, factors, kernel))
 
 
 class TestEvolve:
