@@ -7,7 +7,7 @@ import argparse
 
 import numpy as np
 
-from burgers_lab.attractors import AttractorFn, attractor_decay_series, attractor_distance, make_sawtooth, optimal_r
+from burgers_lab.attractors import PROFILES, AttractorFn, attractor_decay_series, attractor_distance, optimal_r
 from burgers_lab.characteristics import InitialField, tmax_inviscid
 from burgers_lab.spectral import SineSpectrum, sobolev_norm
 
@@ -35,7 +35,7 @@ def main():
               f"{np.max(np.abs(table.distance - (d0 - r * energy0 * times))):.2e}")
 
     # the sawtooth's slope is 1 off its jump, so D(0) - ||u0||^2 t is its exact law
-    table = attractor_decay_series(u0, np.concatenate([[0.0], times]), attractor=make_sawtooth())
+    table = attractor_decay_series(u0, np.concatenate([[0.0], times]), attractor=PROFILES["sawtooth"])
     margin = np.min(table.predicted - table.distance)
     print(f"sawtooth profile: D(0) = {table.distance[0]:.6f}, "
           f"upper-bound margin min over t = {margin:.6f} (>= 0 expected)")

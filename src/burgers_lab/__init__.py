@@ -32,9 +32,6 @@ from .attractors import (
     attractor_distance,
     c_alpha,
     lyapunov,
-    make_F,
-    make_Phi,
-    make_sawtooth,
     optimal_r,
 )
 from .blowup import (

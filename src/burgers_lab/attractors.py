@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .characteristics import InitialField, sample_solution
-from .dynamics import F_L2_NORM_SQ, nonlinear_direct
+from .dynamics import F_L2_NORM_SQ, lyapunov_diagnostic, nonlinear_direct
 from .spectral import (
     FOUR_PI,
     SineSpectrum,
@@ -111,21 +111,6 @@ PROFILES = {
 }
 
 
-def make_F() -> AttractorFn:
-    """Unit-slope profile with the jump at the origin; phi_n = 1/n."""
-    return PROFILES["F"]
-
-
-def make_Phi() -> AttractorFn:
-    """F normalized to unit L2 norm: c F with c = 1 / ||F||."""
-    return PROFILES["Phi"]
-
-
-def make_sawtooth() -> AttractorFn:
-    """Identity profile x on (-pi, pi), zero at +-pi: F moved by pi, phi_n = (-1)^n / n."""
-    return PROFILES["sawtooth"]
-
-
 _F = PROFILES["F"]
 
 
@@ -194,9 +179,7 @@ def key_identity_residuals(spec: SineSpectrum) -> tuple[float, float]:
     """
     energy = sobolev_norm(spec, 0.0) ** 2
     padded = spec.padded(2 * spec.N)
-    product_coeffs = -nonlinear_direct(padded.psi)
-    n = np.arange(1, padded.N + 1, dtype=float)
-    res_coeff = float(FOUR_PI * np.sum(product_coeffs / n) + 0.5 * energy)
+    res_coeff = float(lyapunov_diagnostic(-nonlinear_direct(padded.psi)) + 0.5 * energy)
     f_eval = _F.evaluate
     quad = integrate_torus(
         lambda x: f_eval(x) * evaluate_field(spec, x) * evaluate_slope(spec, x),

@@ -368,14 +368,9 @@ def corollary_condition(R: float, params: ModelParams) -> BlowupCertificate:
     return _certificate("sine_corollary", 2.0 * np.pi * R, KAPPA_F, M, threshold, ratio / threshold)
 
 
-def certificate_to_dict(cert: BlowupCertificate) -> dict:
-    """Every field of the certificate, in declaration order."""
-    return asdict(cert)
-
-
 def save_certificate(cert: BlowupCertificate, path: str | Path) -> None:
     # non-finite margins (inviscid limit) serialize as JSON Infinity
-    Path(path).write_text(json.dumps(certificate_to_dict(cert), indent=2) + "\n")
+    Path(path).write_text(json.dumps(asdict(cert), indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
@@ -29,7 +29,6 @@ import numpy as np
 from .attractors import PROFILES, AttractorFn, attractor_decay_series, load_attractor, optimal_r
 from .blowup import (
     UnsupportedRegimeError,
-    certificate_to_dict,
     certify_blowup_F,
     certify_blowup_H,
     corollary_condition,
@@ -47,7 +46,7 @@ from .dynamics import (
     record_to_csv,
     write_record_metadata,
 )
-from .spectral import SineSpectrum, _is_number, load_spectrum
+from .spectral import SineSpectrum, _is_number, _weighted_energy, load_spectrum
 from .verify import SUITES, run_suites
 
 #: the ExperimentConfig keys each command reads: its flags and config keys, and no others
@@ -179,6 +178,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         bad = [R for R in cfg.Rs if not 0.0 < R < math.inf]
         if bad:
             raise ConfigError(f"--Rs entries must be positive and finite, got {bad}")
+        bad = [R for R in cfg.Rs if not _finite_energy(SineSpectrum.sine_wave(R))]
+        if bad:
+            raise ConfigError(f"--Rs entries must have an energy pi R^2 within the float range, got {bad}")
         bad = [a for a in cfg.alphas if not 0.0 < a <= 1.0]
         if bad:
             raise ConfigError(f"--alphas entries must lie in (0, 1], got {bad}")
@@ -195,6 +197,12 @@ def _validate(cfg: ExperimentConfig) -> None:
                 labels[label] = value
 
 
+def _finite_energy(spec: SineSpectrum) -> bool:
+    """Whether the energy 4*pi*sum psi_n^2 lies within the float range."""
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(_weighted_energy(spec.psi)))
+
+
 def _initial_spectrum(cfg: ExperimentConfig) -> SineSpectrum:
     kind, _, rest = cfg.init.partition(":")
     if kind == "sine":
@@ -202,10 +210,14 @@ def _initial_spectrum(cfg: ExperimentConfig) -> SineSpectrum:
             amplitude = float(rest)
         except ValueError:
             raise ConfigError(f"bad sine amplitude in init {cfg.init!r}")
-        return SineSpectrum.sine_wave(amplitude, N=cfg.modes)
-    if kind == "file":
-        return load_spectrum(rest)
-    raise ConfigError(f"init must be sine:R or file:PATH, got {cfg.init!r}")
+        spec = SineSpectrum.sine_wave(amplitude, N=cfg.modes)
+    elif kind == "file":
+        spec = load_spectrum(rest)
+    else:
+        raise ConfigError(f"init must be sine:R or file:PATH, got {cfg.init!r}")
+    if not _finite_energy(spec):
+        raise ConfigError(f"init {cfg.init!r} has an energy 4*pi*sum psi^2 beyond the float range")
+    return spec
 
 
 def _resolve_attractor(name: str) -> AttractorFn:
@@ -311,7 +323,7 @@ def run_certify(cfg: ExperimentConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for cert in certs:
         save_certificate(cert, out / f"certificate_{cert.theorem}.json")
-        print(json.dumps(certificate_to_dict(cert)))
+        print(json.dumps(asdict(cert)))
     return 0
 
 
@@ -437,6 +449,10 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         # e.g. a --modes far beyond memory; numpy names the size it could not allocate
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:
+        # data of finite energy can still overflow a certificate's powers, such as L0**3
+        print(f"error: float overflow: {exc}", file=sys.stderr)
         return 1
 
 

@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 
 from burgers_lab.attractors import (
+    PROFILES,
     AttractorFn,
     attractor_decay_series,
     attractor_distance,
     lyapunov,
-    make_F,
-    make_sawtooth,
     optimal_r,
 )
 from burgers_lab.blowup import (
@@ -229,7 +228,7 @@ def test_criterion_10_comparison_lemma():
 
 
 def test_criterion_11_general_profile_family():
-    saw = make_sawtooth()
+    saw = PROFILES["sawtooth"]
     m = saw.slope_floor
     m_ok = m == pytest.approx(1.0, abs=1e-12)
 
@@ -245,7 +244,7 @@ def test_criterion_11_general_profile_family():
     for _ in range(5):
         data = SineSpectrum(rng.uniform(-1.0, 1.0, 8))
         a = certify_blowup_F(data, params)
-        b = certify_blowup_H(data, make_F(), params)
+        b = certify_blowup_H(data, PROFILES["F"], params)
         spec_ok = spec_ok and a.hypotheses_hold == b.hypotheses_hold
         spec_ok = spec_ok and abs(b.threshold - a.threshold) <= 1e-12 * abs(a.threshold)
         if a.hypotheses_hold:

@@ -18,9 +18,6 @@ from burgers_lab.attractors import (
     key_identity_residuals,
     load_attractor,
     lyapunov,
-    make_F,
-    make_Phi,
-    make_sawtooth,
     optimal_r,
     power_sum,
 )
@@ -35,7 +32,7 @@ D0_SINE = 2.0 * np.pi - 2.0 * np.sqrt(6.0)  # ||u0 - r0 F||^2 for u0 = -sin
 
 class TestProfiles:
     def test_F_pointwise(self):
-        F = make_F()
+        F = PROFILES["F"]
         assert F.evaluate(np.array([np.pi / 2]))[0] == pytest.approx(-np.pi / 2)
         assert F.evaluate(np.array([0.0]))[0] == 0.0
         assert F.evaluate(np.array([np.pi]))[0] == pytest.approx(0.0)
@@ -45,14 +42,14 @@ class TestProfiles:
         np.testing.assert_allclose(F.evaluate(x), F.evaluate(x[[1, 1, 1]]), atol=1e-12)
 
     def test_F_norm_and_coefficients(self):
-        F = make_F()
+        F = PROFILES["F"]
         assert F.l2_norm**2 == pytest.approx(F_L2_NORM_SQ)
         assert F_L2_NORM_SQ == pytest.approx(2 * np.pi**3 / 3)
         n = np.arange(1, 9)
         np.testing.assert_allclose(F.sine_coeff(n), 1.0 / n)
 
     def test_F_partial_sums_converge_pointwise(self):
-        F = make_F()
+        F = PROFILES["F"]
         x = np.linspace(-2.5, 2.5, 41)
         x = x[np.abs(x) > 0.3]
         N = 4000
@@ -61,14 +58,14 @@ class TestProfiles:
         np.testing.assert_allclose(series, F.evaluate(x), atol=1e-2)
 
     def test_Phi_is_unit_normalized(self):
-        Phi = make_Phi()
+        Phi = PROFILES["Phi"]
         assert Phi.l2_norm == 1.0
         scale = np.sqrt(3.0 / (2.0 * np.pi**3))
         assert Phi.evaluate(np.array([np.pi / 2]))[0] == pytest.approx(-np.pi / 2 * scale)
         assert Phi.slope_floor == pytest.approx(scale)
 
     def test_sawtooth_is_translate_of_F(self):
-        H, F = make_sawtooth(), make_F()
+        H, F = PROFILES["sawtooth"], PROFILES["F"]
         assert H.evaluate(np.array([1.0]))[0] == 1.0
         assert H.slope_floor == 1.0
         x = np.linspace(-3.0, 3.0, 601)
@@ -76,7 +73,7 @@ class TestProfiles:
         np.testing.assert_allclose(H.evaluate(x), F.evaluate(x + np.pi), atol=1e-12)
 
     def test_sawtooth_zero_at_jump(self):
-        H = make_sawtooth()
+        H = PROFILES["sawtooth"]
         assert H.evaluate(np.array([np.pi]))[0] == 0.0
         assert H.evaluate(np.array([-np.pi]))[0] == 0.0
 
@@ -95,9 +92,9 @@ class TestProfiles:
         assert PROFILES["Phi"].slope_floor == pytest.approx(1.0 / np.sqrt(F_L2_NORM_SQ))
         assert all(att.kind == kind for kind, att in PROFILES.items())
 
-    @pytest.mark.parametrize("maker", [make_F, make_Phi, make_sawtooth])
-    def test_l2_norm_matches_quadrature(self, maker):
-        att = maker()
+    @pytest.mark.parametrize("kind", sorted(PROFILES))
+    def test_l2_norm_matches_quadrature(self, kind):
+        att = PROFILES[kind]
         quad = integrate_torus(lambda x: att.evaluate(x) ** 2, att.jump_location, 2048)
         assert abs(att.l2_norm**2 - quad) <= 1e-8 * att.l2_norm**2
 
@@ -106,16 +103,16 @@ class TestLyapunov:
     def test_sine_pairing(self):
         for R in (1.0, 3.5):
             spec = SineSpectrum.sine_wave(R, N=4)
-            assert lyapunov(spec, make_F()) == pytest.approx(2 * np.pi * R)
+            assert lyapunov(spec, PROFILES["F"]) == pytest.approx(2 * np.pi * R)
 
     def test_zero(self):
-        assert lyapunov(SineSpectrum(np.zeros(8)), make_F()) == 0.0
+        assert lyapunov(SineSpectrum(np.zeros(8)), PROFILES["F"]) == 0.0
 
     def test_truncated_attractor_partial_sum(self):
         N = 64
         spec = SineSpectrum(1.0 / np.arange(1, N + 1))
         expected = 4 * np.pi * np.sum(1.0 / np.arange(1, N + 1) ** 2)
-        assert lyapunov(spec, make_F()) == pytest.approx(expected, rel=1e-14)
+        assert lyapunov(spec, PROFILES["F"]) == pytest.approx(expected, rel=1e-14)
 
     def test_rule_agrees_with_quadrature(self, rng):
         spec = SineSpectrum(rng.uniform(-1, 1, 24))
@@ -205,7 +202,7 @@ class TestAttractorDistance:
         spec = SineSpectrum(rng.uniform(-0.5, 0.5, 6))
         r = 0.37
         x = grid_points(8192)
-        F = make_F()
+        F = PROFILES["F"]
         from burgers_lab.spectral import evaluate_field
 
         integrand = (evaluate_field(spec, x) - r * F.evaluate(x)) ** 2
@@ -232,7 +229,7 @@ class TestDecaySeries:
     def test_sawtooth_upper_bound(self):
         u0 = InitialField(SineSpectrum([0.5]))
         times = np.arange(0.0, 0.95, 0.1)
-        table = attractor_decay_series(u0, times, attractor=make_sawtooth())
+        table = attractor_decay_series(u0, times, attractor=PROFILES["sawtooth"])
         d0 = table.distance[0]
         assert np.all(table.distance <= d0 - times + 1e-6 * d0)
 
@@ -247,7 +244,7 @@ class TestDecaySeries:
         t = 0.5
         table = attractor_decay_series(u0, [t], AttractorFn("F", R0_SINE, "origin"))
         g = sample_solution(u0, t, 8192)
-        F = make_F()
+        F = PROFILES["F"]
         integrand = (g.samples - R0_SINE * F.evaluate(grid_points(g.M))) ** 2
         quad = 2 * np.pi / g.M * np.sum(integrand)
         assert table.distance[0] == pytest.approx(quad, rel=5e-3)
@@ -291,19 +288,19 @@ class TestSeriesConstants:
 
     def test_f_fractional_norm_identity(self):
         alpha = 0.25
-        f_hs_norm_sq = make_F().hs_norm_sq(alpha)
+        f_hs_norm_sq = PROFILES["F"].hs_norm_sq(alpha)
         assert f_hs_norm_sq == pytest.approx(2.0 * c_alpha(alpha) ** 2, rel=1e-12)
-        assert make_sawtooth().hs_norm_sq(alpha) == pytest.approx(f_hs_norm_sq, rel=1e-12)
-        assert make_Phi().hs_norm_sq(alpha) == pytest.approx(f_hs_norm_sq / F_L2_NORM_SQ, rel=1e-12)
+        assert PROFILES["sawtooth"].hs_norm_sq(alpha) == pytest.approx(f_hs_norm_sq, rel=1e-12)
+        assert PROFILES["Phi"].hs_norm_sq(alpha) == pytest.approx(f_hs_norm_sq / F_L2_NORM_SQ, rel=1e-12)
 
     def test_hs_norm_diverges_at_half(self):
         with pytest.raises(DivergentSeriesError):
-            make_F().hs_norm_sq(0.5)
+            PROFILES["F"].hs_norm_sq(0.5)
 
 
 class TestQuadrature:
     def test_split_rule_integrates_smooth_pieces_exactly(self):
-        F = make_F()
+        F = PROFILES["F"]
         # integral of F * sin over the torus equals -2pi (the n=1 coefficient rule)
         val = integrate_torus(lambda x: F.evaluate(x) * np.sin(x), "origin", 2048)
         assert val == pytest.approx(-2 * np.pi, abs=1e-12)
@@ -311,15 +308,15 @@ class TestQuadrature:
     def test_unsplit_rule_would_be_wrong(self):
         # sanity: a panel straddling the jump loses accuracy (odd panel count
         # keeps the jump strictly inside a panel)
-        F = make_F()
+        F = PROFILES["F"]
         val = integrate_torus(lambda x: F.evaluate(x) * np.sin(x), "pi", 5 * 32)
         assert abs(val - (-2 * np.pi)) > 1e-6
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("maker", [make_F, make_Phi, make_sawtooth])
-    def test_round_trip(self, maker, tmp_path):
-        att = maker()
+    @pytest.mark.parametrize("kind", sorted(PROFILES))
+    def test_round_trip(self, kind, tmp_path):
+        att = PROFILES[kind]
         path = tmp_path / "att.json"
         path.write_text(json.dumps({"kind": att.kind, "m": att.slope_floor, "l2_norm": att.l2_norm}))
         back = load_attractor(path)
@@ -338,6 +335,6 @@ class TestSerialization:
 
     def test_custom_not_loadable(self, tmp_path):
         path = tmp_path / "custom.json"
-        path.write_text(json.dumps({"kind": "custom", "m": 2.0, "l2_norm": 2.0 * make_F().l2_norm}))
+        path.write_text(json.dumps({"kind": "custom", "m": 2.0, "l2_norm": 2.0 * PROFILES["F"].l2_norm}))
         with pytest.raises(ValueError):
             load_attractor(path)

@@ -1,11 +1,12 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 import scipy.special
 
 from burgers_lab import blowup, dynamics
-from burgers_lab.attractors import make_F, make_Phi, make_sawtooth
+from burgers_lab.attractors import PROFILES
 from burgers_lab.blowup import (
     KAPPA_F,
     HypothesisError,
@@ -13,7 +14,6 @@ from burgers_lab.blowup import (
     UnsupportedRegimeError,
     _equality_case,
     _forcing,
-    certificate_to_dict,
     certify_blowup_F,
     certify_blowup_H,
     comparison_lower_bound,
@@ -187,7 +187,7 @@ class TestCertifyH:
         for _ in range(5):
             u0 = SineSpectrum(rng.uniform(-1, 1, 8))
             a = certify_blowup_F(u0, SUPER)
-            b = certify_blowup_H(u0, make_F(), SUPER)
+            b = certify_blowup_H(u0, PROFILES["F"], SUPER)
             assert a.hypotheses_hold == b.hypotheses_hold
             assert b.L0 == pytest.approx(a.L0, rel=1e-12, abs=1e-12)
             assert b.threshold == pytest.approx(a.threshold, rel=1e-12)
@@ -198,14 +198,14 @@ class TestCertifyH:
 
     def test_sawtooth_pairing_sign(self):
         # <x, -R sin x> < 0: no certificate for the canonical sine data
-        cert = certify_blowup_H(SINE10, make_sawtooth(), SUPER)
+        cert = certify_blowup_H(SINE10, PROFILES["sawtooth"], SUPER)
         assert cert.L0 == pytest.approx(-20 * np.pi, rel=1e-12)
         assert not cert.hypotheses_hold
 
     def test_sawtooth_with_aligned_data(self):
         # +R sin x pairs positively with the sawtooth
         u0 = SineSpectrum([-5.0])
-        cert = certify_blowup_H(u0, make_sawtooth(), SUPER)
+        cert = certify_blowup_H(u0, PROFILES["sawtooth"], SUPER)
         assert cert.L0 == pytest.approx(20 * np.pi, rel=1e-12)
         assert cert.hypotheses_hold
         assert cert.predicted_bound_T == pytest.approx(
@@ -213,14 +213,14 @@ class TestCertifyH:
         )
 
     def test_inviscid_condition_trivially_holds(self):
-        cert = certify_blowup_H(SineSpectrum([-5.0]), make_sawtooth(), ModelParams(0.25, 0.0))
+        cert = certify_blowup_H(SineSpectrum([-5.0]), PROFILES["sawtooth"], ModelParams(0.25, 0.0))
         assert cert.hypotheses_hold and cert.margin == math.inf
 
     def test_phi_certificate_consistent_scaling(self):
         # Phi = F / ||F||: same verdict as F, bound scales with 1/||F||
         u0 = SineSpectrum.sine_wave(10.0, N=2)
         a = certify_blowup_F(u0, SUPER)
-        b = certify_blowup_H(u0, make_Phi(), SUPER)
+        b = certify_blowup_H(u0, PROFILES["Phi"], SUPER)
         assert a.hypotheses_hold == b.hypotheses_hold
 
 
@@ -271,7 +271,7 @@ class TestCorollary:
 class TestCertificateSerialization:
     def test_schema(self, tmp_path):
         cert = certify_blowup_F(SINE10, SUPER)
-        d = certificate_to_dict(cert)
+        d = asdict(cert)
         assert set(d) == {
             "theorem",
             "hypotheses_hold",
@@ -307,8 +307,8 @@ class TestCertificateSerialization:
             lambda: certify_blowup_F(SINE10, SUPER),
             lambda: certify_blowup_F(SineSpectrum([-0.5]), SUPER),  # sign diagnostic, null bounds
             lambda: certify_blowup_F(SINE10, ModelParams(0.25, 0.0)),  # Infinity margin and window
-            lambda: certify_blowup_H(SineSpectrum([-5.0]), make_sawtooth(), SUPER),
-            lambda: certify_blowup_H(SINE10, make_Phi(), SUPER),
+            lambda: certify_blowup_H(SineSpectrum([-5.0]), PROFILES["sawtooth"], SUPER),
+            lambda: certify_blowup_H(SINE10, PROFILES["Phi"], SUPER),
             lambda: corollary_condition(10.0, SUPER),
             lambda: corollary_condition(1.0, ModelParams(0.25, 0.1)),
         ],
@@ -321,7 +321,7 @@ class TestCertificateSerialization:
         path = tmp_path / "cert.json"
         save_certificate(cert, path)
         back = json.loads(path.read_text())
-        assert back == certificate_to_dict(cert)
+        assert back == asdict(cert)
         assert back == {f.name: getattr(cert, f.name) for f in dataclasses.fields(cert)}
         assert type(back["hypotheses_hold"]) is bool
 
@@ -331,7 +331,7 @@ class TestCertificateSerialization:
         path = tmp_path / "cert.json"
         save_certificate(certify_blowup_F(SineSpectrum([-0.5]), SUPER), path)
         assert json.loads(path.read_text())["diagnostic"] == "sign condition failed: <F, u0> <= 0"
-        save_certificate(certify_blowup_H(SINE10, make_sawtooth(), SUPER), path)
+        save_certificate(certify_blowup_H(SINE10, PROFILES["sawtooth"], SUPER), path)
         assert json.loads(path.read_text())["diagnostic"] == "sign condition failed: <H, u0> <= 0"
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burgers_lab import characteristics
 from burgers_lab.attractors import AttractorFn, attractor_decay_series, optimal_r
@@ -92,20 +94,45 @@ class TestEvalCharacteristics:
             )
             assert u == pytest.approx(float(evaluate_field(spec, foot)), abs=1e-11)
 
-    @pytest.mark.parametrize("newton_steps", [0, 4])
-    def test_bisection_fallback_against_bisection_oracle(self, rng, monkeypatch, newton_steps):
-        # capping Newton sends all points but x = -pi and x = 0 (0 steps),
-        # or 4 of the 16 (4 steps), to bisection
-        spec = SineSpectrum(rng.uniform(-0.5, 0.5, 5))
+    def test_stalled_newton_field_against_bisection_oracle(self):
+        # plain Newton from xi = x, 50 steps, leaves feet of this two-mode field
+        # above tolerance at 0.9 T_max; the safeguarded solve must still match bisection
+        spec = SineSpectrum([0.37, -0.07])
         u0 = InitialField(spec)
         t = 0.9 * tmax_inviscid(u0)
-        monkeypatch.setattr(characteristics, "_NEWTON_MAX_ITER", newton_steps)
-        g = sample_solution(u0, t, 16)
-        for xj, uj in zip(grid_points(g.M), g.samples):
+        x = grid_points(64)
+        xi = x.copy()
+        for _ in range(50):
+            xi = xi - (xi + t * u0.value(xi) - x) / (1.0 + t * u0.slope(xi))
+        assert np.sum(~(np.abs(xi + t * u0.value(xi) - x) <= characteristics._RESIDUAL_TOL)) >= 4
+        g = sample_solution(u0, t, 64)
+        for xj, uj in zip(x, g.samples):
             foot = bisect_characteristic_foot(
                 lambda z: float(evaluate_field(spec, z)), xj, t, t * u0.sup_bound + 1e-9
             )
             assert uj == pytest.approx(float(evaluate_field(spec, foot)), abs=1e-11)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        psi=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=16).filter(lambda p: max(map(abs, p)) >= 1e-3),
+        frac=st.floats(0.0, 1.0 - 1e-3),
+    )
+    def test_random_fields_up_to_the_horizon(self, psi, frac):
+        u0 = InitialField(SineSpectrum(psi))
+        t = frac * tmax_inviscid(u0)
+        x = grid_points(256)
+        feet = characteristics._solve_feet(u0, x, t)
+        assert np.all(np.abs(feet + t * u0.value(feet) - x) <= characteristics._RESIDUAL_TOL)
+        # a foot error dz moves the residual by at least (1 - t/T_max) dz
+        slack = 2e-12 / (1.0 - frac)
+        for j in range(0, 256, 37):
+            foot = bisect_characteristic_foot(u0.value, x[j], t, t * u0.sup_bound + 1e-9)
+            assert abs(feet[j] - foot) <= slack
+
+    def test_step_cap_raises_root_find_error(self, monkeypatch):
+        monkeypatch.setattr(characteristics, "_MAX_STEPS", 1)
+        with pytest.raises(characteristics.RootFindError):
+            sample_solution(minus_sine(), 0.9, 64)
 
     def test_horizon_guard(self):
         with pytest.raises(HorizonError):

@@ -9,7 +9,7 @@ import pytest
 
 from burgers_lab import characteristics, cli
 from burgers_lab.attractors import PROFILES
-from burgers_lab.blowup import certificate_to_dict, certify_blowup_F, corollary_condition
+from burgers_lab.blowup import certify_blowup_F, corollary_condition
 from burgers_lab.cli import (
     SETTINGS,
     ConfigError,
@@ -374,6 +374,7 @@ class TestSweep:
             ["--alphas", "0.25", "--nus", "0.04", "--Rs=-1,2"],
             ["--alphas", "0.25", "--nus", "0.04", "--Rs", "0,2"],
             ["--alphas", "0.25", "--nus", "0.04", "--Rs", "2,nan"],
+            ["--alphas", "0.25", "--nus", "0.04", "--Rs", "2,1e200"],  # energy pi R^2 overflows
         ],
     )
     def test_bad_amplitude_refused_before_any_file(self, grid, tmp_path, capsys):
@@ -508,29 +509,29 @@ class TestMalformedFiles:
 
 
 class TestCertificateFiles:
-    """Every command writes the full certificate, as certificate_to_dict gives it."""
+    """Every command writes the full certificate, as dataclasses.asdict gives it."""
 
     def test_simulate_certify(self, tmp_path):
         out = tmp_path / "run"
         argv = ["simulate", "--alpha", "0.25", "--nu", "0.04", "--init", "sine:10", "--modes", "64"]
         assert main([*argv, "--dt", "1e-3", "--t-end", "0.01", "--certify", "--out", str(out)]) == 0
         want = certify_blowup_F(SineSpectrum.sine_wave(10.0, N=64), ModelParams(0.25, 0.04))
-        assert json.loads((out / "certificate.json").read_text()) == certificate_to_dict(want)
+        assert json.loads((out / "certificate.json").read_text()) == asdict(want)
 
     def test_certify(self, tmp_path):
         out = tmp_path / "cert"
         assert main(["certify", "--alpha", "0.25", "--nu", "0.04", "--init", "sine:10", "--out", str(out)]) == 0
         params = ModelParams(0.25, 0.04)
         thm = certify_blowup_F(SineSpectrum.sine_wave(10.0, N=256), params)
-        assert json.loads((out / "certificate_supercritical_F.json").read_text()) == certificate_to_dict(thm)
+        assert json.loads((out / "certificate_supercritical_F.json").read_text()) == asdict(thm)
         cor = corollary_condition(10.0, params)
-        assert json.loads((out / "certificate_sine_corollary.json").read_text()) == certificate_to_dict(cor)
+        assert json.loads((out / "certificate_sine_corollary.json").read_text()) == asdict(cor)
 
     def test_sweep_cell(self, tmp_path):
         out = tmp_path / "sweep"
         assert main(["sweep", "--alphas", "0.25", "--nus", "0.04", "--Rs", "1,10", "--out", str(out)]) == 0
         for R in (1.0, 10.0):
-            want = certificate_to_dict(corollary_condition(R, ModelParams(0.25, 0.04)))
+            want = asdict(corollary_condition(R, ModelParams(0.25, 0.04)))
             assert json.loads((out / f"cell_a0.25_nu0.04_R{R:g}.json").read_text()) == want
 
 
@@ -620,6 +621,31 @@ class TestNonFiniteSettings:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+
+class TestFloatOverflow:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["inviscid", "--init", "sine:1e200", "--dt", "1e-201", "--t-end", "3e-201"],
+            ["simulate", "--alpha", "0.25", "--nu", "0.04", "--init", "sine:1e200", "--dt", "1e-3", "--t-end", "1e-2", "--certify"],
+        ],
+        ids=["inviscid", "simulate"],
+    )
+    def test_infinite_energy_refused_before_any_file(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "float range" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_certificate_overflow_exits_one(self, tmp_path, capsys):
+        # the energy pi R^2 is finite, but the certificate's L0**3 is not
+        out = tmp_path / "out"
+        assert main(["certify", "--alpha", "0.25", "--nu", "0.04", "--init", "sine:1e120", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: float overflow") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestScaleR:

@@ -530,7 +530,7 @@ class TestDiagnosticsMatchFunctionals:
     def test_inline_diagnostics_equal_attractor_ops(self):
         # evolve computes L(t) and the rF-distance inline; they must agree
         # with the attractors module bit-for-bit up to round-off
-        from burgers_lab.attractors import attractor_distance, lyapunov, make_F
+        from burgers_lab.attractors import PROFILES, attractor_distance, lyapunov
 
         rec = evolve(
             SineSpectrum([0.4, -0.1, 0.05]).padded(32),
@@ -539,7 +539,7 @@ class TestDiagnosticsMatchFunctionals:
             1e-3,
             DiagnosticsConfig(stride=5, store_spectra=True),
         )
-        F = make_F()
+        F = PROFILES["F"]
         for i, psi in enumerate(rec.spectra):
             s = SineSpectrum(psi)
             assert rec.lyapunov[i] == pytest.approx(lyapunov(s, F), abs=1e-14)
