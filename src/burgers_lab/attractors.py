@@ -213,7 +213,19 @@ def optimal_r(u0: SineSpectrum) -> OptimalScaling:
     if energy == 0.0:
         raise ValueError("optimal scaling undefined for zero initial data")
     r0 = float(np.sqrt(energy / F_L2_NORM_SQ))
-    return OptimalScaling(r0=r0, g_r0=attractor_distance(u0, r0) / (r0 * energy))
+    mantissa, exponent = _split_product(r0, energy)
+    return OptimalScaling(r0=r0, g_r0=math.ldexp(attractor_distance(u0, r0) / mantissa, -exponent))
+
+
+def _split_product(a: float, b: float) -> tuple[float, int]:
+    """(p, k) with a * b = p * 2**k, p rounded exactly as a * b is.
+
+    r0 ||u0||^2 grows as ||u0||^3 and overflows while the quantities built
+    from it stay finite; scaling by 2**k after the other operations gives
+    those the plain expression's rounding wherever that is finite.
+    """
+    (a_mantissa, a_exponent), (b_mantissa, b_exponent) = math.frexp(a), math.frexp(b)
+    return a_mantissa * b_mantissa, a_exponent + b_exponent
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +256,8 @@ def attractor_decay_series(u0: InitialField, times: Sequence[float], attractor: 
 
     ts = np.asarray(times, dtype=float)
     d0 = distance(u0.spectrum)
-    predicted = d0 - attractor.slope_floor * sobolev_norm(u0.spectrum, 0.0) ** 2 * ts
+    mantissa, exponent = _split_product(attractor.slope_floor, sobolev_norm(u0.spectrum, 0.0) ** 2)
+    predicted = d0 - np.ldexp(mantissa * ts, exponent)
     dist = np.array(
         [d0 if t == 0.0 else distance(analyze(sample_solution(u0, float(t), M), M // 2 - 1)) for t in ts]
     )

@@ -35,8 +35,11 @@ its one-row case.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -100,6 +103,33 @@ def nonlinear_direct(psi: np.ndarray) -> np.ndarray:
     return n * (0.5 * s1 - s2)
 
 
+@lru_cache(maxsize=None)
+def _load_pocketfft():
+    """pocketfft's compiled binding, loaded from its file in scipy's tree; None if that fails.
+
+    ``find_spec`` locates scipy without importing it, and the extension is
+    loaded by itself, unregistered, so that no scipy module runs: a march
+    then pays about a millisecond where ``import scipy.fft`` costs about
+    0.3 s.  A later ``import scipy.fft`` gets this same module object
+    back from the interpreter's table of loaded extensions.
+    """
+    spec = importlib.util.find_spec("scipy")
+    name = "scipy.fft._pocketfft.pypocketfft"
+    for root in (spec.submodule_search_locations if spec else None) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "fft", "_pocketfft", "pypocketfft" + suffix)
+            if not os.path.isfile(path):
+                continue
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            try:
+                binding = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+                loader.exec_module(binding)
+            except (ImportError, OSError):
+                return None
+            return binding if all(hasattr(binding, f) for f in ("dst", "dct", "good_size")) else None
+    return None
+
+
 @lru_cache(maxsize=64)
 def _half_grid(N: int) -> tuple[int, np.ndarray, Callable, Callable]:
     """Half-grid length L (2L > 3N, fast FFT size), the output scale -n/(4L), DST and DCT.
@@ -108,25 +138,25 @@ def _half_grid(N: int) -> tuple[int, np.ndarray, Callable, Callable]:
     ``scipy.fft`` and ``scipy.fftpack`` both wrap, called positionally as
     ``(a, type, axes, inorm, out=, nthreads=)``: the wrappers' per-call
     argument handling costs about as much as the transforms do at the N
-    of a march.  The binding is private, so if a scipy release moves it,
-    the public ``scipy.fft`` transforms stand in behind the same call
-    (bit-identical, only slower) rather than the march ending in a
-    traceback.
+    of a march.  L is the binding's ``good_size(n, True)``, which
+    ``scipy.fft.next_fast_len(n, real=True)`` caches.  The binding is
+    loaded from its file (``_load_pocketfft``), so a march imports no scipy
+    module.  It is private, so if a scipy release moves, renames or breaks
+    it, the public ``scipy.fft`` transforms and ``next_fast_len`` stand in
+    behind the same calls (bit-identical, only slower) rather than the
+    march ending in a traceback.
 
-    scipy's FFT modules load here, on the first N a kernel sees, so that
-    the commands that never march (inviscid, certify) do not import them.
     The scale is read-only: the cache is shared by every thread.
     """
-    from scipy.fft import next_fast_len
-
-    try:
-        from scipy.fft._pocketfft.pypocketfft import dct, dst
-    except ImportError:
+    binding = _load_pocketfft()
+    if binding is None:
         from scipy import fft
 
-        dct, dst = _positional(fft.dct), _positional(fft.dst)
+        fast_len, dst, dct = fft.next_fast_len, _positional(fft.dst), _positional(fft.dct)
+    else:
+        fast_len, dst, dct = binding.good_size, binding.dst, binding.dct
 
-    L = next_fast_len(3 * N // 2 + 1, real=True)
+    L = fast_len(3 * N // 2 + 1, True)
     scale = -np.arange(1, N + 1, dtype=float) / (4.0 * L)
     scale.flags.writeable = False
     return L, scale, dst, dct

@@ -1,3 +1,4 @@
+import subprocess
 import sys
 import threading
 
@@ -6,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from burgers_lab import dynamics
 from burgers_lab.dynamics import (
     DiagnosticsConfig,
     ModelParams,
     SimulationRecord,
     _half_grid,
     _if_rk4_step,
+    _load_pocketfft,
     dissipation_symbol,
     evolve,
     evolve_batch,
@@ -158,10 +161,42 @@ class TestPseudospectralKernel:
                 assert out is a
                 assert np.array_equal(out, reference(x, type=kind))
 
+    def test_loaded_binding_is_scipys(self):
+        # a scipy release that moves the binding fails here rather than silently taking the public path
+        import scipy.fft._pocketfft.pypocketfft as binding
+
+        assert _load_pocketfft().__file__ == binding.__file__
+
+    def test_good_size_is_next_fast_len(self):
+        from scipy.fft import next_fast_len
+
+        good_size = _load_pocketfft().good_size
+        for N in range(1, 5001):
+            assert good_size(3 * N // 2 + 1, True) == next_fast_len(3 * N // 2 + 1, real=True)
+
+    def test_march_unchanged_once_scipy_fft_is_imported(self):
+        # the binding loaded by itself and scipy.fft's own load of the same file live in one process
+        march = (
+            "evolve(SineSpectrum(np.sin(np.arange(1.0, 65.0)) / np.arange(1.0, 65.0) ** 2), "
+            "ModelParams(0.25, 0.1), 0.05, 1e-3, DiagnosticsConfig(store_spectra=True)).spectra[-1]"
+        )
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from burgers_lab.dynamics import DiagnosticsConfig, ModelParams, evolve\n"
+            "from burgers_lab.spectral import SineSpectrum\n"
+            f"first = {march}\n"
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "import scipy.fft, scipy.integrate\n"
+            f"assert np.array_equal(first, {march})\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     @pytest.fixture
     def public_transforms(self, monkeypatch):
-        """_half_grid as it is when the private binding cannot be imported."""
-        monkeypatch.setitem(sys.modules, "scipy.fft._pocketfft.pypocketfft", None)
+        """_half_grid as it is when the private binding cannot be loaded."""
+        monkeypatch.setattr(dynamics, "_load_pocketfft", lambda: None)
         _half_grid.cache_clear()
         yield
         _half_grid.cache_clear()
