@@ -256,11 +256,12 @@ def attractor_decay_series(u0: InitialField, times: Sequence[float], attractor: 
 
     ts = np.asarray(times, dtype=float)
     d0 = distance(u0.spectrum)
-    mantissa, exponent = _split_product(attractor.slope_floor, sobolev_norm(u0.spectrum, 0.0) ** 2)
-    predicted = d0 - np.ldexp(mantissa * ts, exponent)
+    # sample first: a time past the horizon raises before the line is formed
     dist = np.array(
         [d0 if t == 0.0 else distance(analyze(sample_solution(u0, float(t), M), M // 2 - 1)) for t in ts]
     )
+    mantissa, exponent = _split_product(attractor.slope_floor, sobolev_norm(u0.spectrum, 0.0) ** 2)
+    predicted = d0 - np.ldexp(mantissa * ts, exponent)
     return DecayTable(times=ts, distance=dist, predicted=predicted)
 
 

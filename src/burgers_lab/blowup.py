@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
@@ -46,6 +47,10 @@ _LEMMA_SAMPLES = 100
 _LEMMA_SLACK = 1e-9
 #: offset of the lemma's forcing M / (2 sqrt(t + eps)), finite at t = 0
 _FORCING_EPS = 1e-12
+#: level of y at which the equality-case run stops
+_LEMMA_STOP = 1e9
+#: Chebyshev-Lobatto nodes per panel of that run
+_PANEL_NODES = 25
 
 
 class OutsideValidityError(ValueError):
@@ -123,7 +128,7 @@ def simplified_lower_bound(y0: float, kappa: float, M: float, t: float) -> float
 class ComparisonReport:
     """Outcome of integrating y' = -f + kappa y^2 against both bounds.
 
-    ``steps`` counts the integrator's accepted steps.
+    ``steps`` counts the Chebyshev panels of the integration.
     """
 
     passed: bool
@@ -135,57 +140,96 @@ class ComparisonReport:
     steps: int
 
 
-def _forcing(M: float) -> Callable[[float], float]:
+def _forcing(M: float) -> Callable[[np.ndarray], np.ndarray]:
     # saturates the integral condition: int_0^t f = M (sqrt(t+eps) - sqrt(eps)), eps = _FORCING_EPS
-    return lambda t: M / (2.0 * math.sqrt(t + _FORCING_EPS))
+    return lambda t: M / (2.0 * np.sqrt(t + _FORCING_EPS))
+
+
+@lru_cache(maxsize=1)
+def _chebyshev_panel() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Chebyshev-Lobatto nodes x on [-1, 1] (ascending), their barycentric
+    weights, and the integration matrix J: (J g)_i = int_{-1}^{x_i} of the
+    interpolant of g's node values.  Built once per process; read-only.
+    """
+    n = _PANEL_NODES - 1
+    nodes = -np.cos(np.pi * np.arange(n + 1) / n)
+    weights = (-1.0) ** np.arange(n + 1)
+    weights[[0, -1]] *= 0.5
+    cheb = np.polynomial.chebyshev
+    to_coeffs = np.linalg.inv(cheb.chebvander(nodes, n))
+    integrate = cheb.chebvander(nodes, n + 1) @ cheb.chebint(to_coeffs, lbnd=-1.0)
+    integrate[0] = 0.0  # an empty integral, exactly: each panel starts at the last one's end values
+    for a in (nodes, weights, integrate):
+        a.flags.writeable = False
+    return nodes, weights, integrate
+
+
+def _barycentric(x: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Row i of ``values``, given at the panel's nodes, interpolated at x[i]."""
+    nodes, weights, _ = _chebyshev_panel()
+    diff = x[:, None] - nodes
+    hit = diff == 0.0
+    diff[hit] = 1.0
+    c = weights / diff
+    on_node = hit.any(axis=1)
+    c[on_node] = hit[on_node]
+    return np.sum(c * values, axis=1) / np.sum(c, axis=1)
 
 
 def _equality_case(
-    y0: float, kappa: float, f: Callable[[float], float], t_end: float
+    y0: float, kappa: float, f: Callable[[np.ndarray], np.ndarray], t_end: float
 ) -> tuple[Callable[[np.ndarray], np.ndarray], float, bool, int]:
-    """Integrate y' = kappa y^2 - f(t), y(0) = y0, on [0, t_end] until y = 1e9.
+    """Integrate y' = kappa y^2 - f(t), y(0) = y0, on [0, t_end] until y = _LEMMA_STOP.
 
-    Returns y on the times reached, the last time reached, whether y hit
-    1e9 there, and the accepted step count.  See ``verify_comparison_lemma``
-    for the linear system that is integrated.
+    Returns y on the times reached, the last time reached (a float), whether
+    y hit the stop level there, and the number of panels.  The linear system
+    of ``verify_comparison_lemma`` is collocated in integral form on panels
+    of s = sqrt(t): on [a, b] the unknowns are W' and V' at the Chebyshev
+    nodes, W = W(a) + J W' and V = V(a) + J V' with J scaled by (b - a)/2,
+    and one 2n x 2n solve gives the panel, whose end values start the next.
+    The first panel, [0, sqrt(eps)/10], lies below the forcing's kink at
+    s ~ sqrt(eps); widths then grow 4-fold up to sqrt(t_end)/16, so every
+    run takes tens of panels.  The stop is at the first node where
+    z = -V - _LEMMA_STOP kappa W >= 0, refined by bisection on the panel's
+    interpolant of z to one ulp of the panel coordinate.
     """
-    # imported on first use: no other path integrates, and the import costs about 0.3 s
-    from scipy.integrate import solve_ivp
-
-    def rhs(s, wv):
-        w, v = wv
-        return [2.0 * s * v, 2.0 * s * kappa * f(s * s) * w]
-
-    def explode(s, wv):
-        return -wv[1] - 1e9 * kappa * wv[0]
-
-    explode.terminal = True
-    explode.direction = 1.0
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, math.sqrt(t_end)),
-        [1.0, -kappa * y0],
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-14,
-        dense_output=True,
-        events=explode,
-        # The forcing's 2 s f(s^2) = M s / sqrt(s^2 + _FORCING_EPS) rises from
-        # 0 to M within s ~ 1e-6.  The automatic first step (about 4e-6) spans
-        # that kink unnoticed by the error estimate, which left y off by up to
-        # 9e-10 relative against a 25-digit reference; a first step at a tenth
-        # of the kink's width lets the error control resolve it (<= 5e-12).
-        first_step=1e-7,
-    )
-    blew_up = bool(sol.t_events[0].size)
-    t_num = float(sol.t_events[0][0] if blew_up else sol.t[-1]) ** 2
+    nodes, _, integrate = _chebyshev_panel()
+    n, s_end = nodes.size, math.sqrt(t_end)
+    h_max = s_end / 16.0
+    panels = []
+    a, h, w_a, v_a = 0.0, math.sqrt(_FORCING_EPS) / 10.0, 1.0, -kappa * y0
+    blew_up = False
+    while a < s_end and not blew_up:
+        h = min(h, h_max, s_end - a)
+        s = a + 0.5 * h * (nodes + 1.0)
+        jh = 0.5 * h * integrate
+        g = 2.0 * s * kappa * f(s * s)
+        system = np.eye(2 * n)
+        system[:n, n:] = -2.0 * s[:, None] * jh
+        system[n:, :n] = -g[:, None] * jh
+        dw, dv = np.split(np.linalg.solve(system, np.concatenate([2.0 * s * v_a, g * w_a])), 2)
+        w, v = w_a + jh @ dw, v_a + jh @ dv
+        panels.append((a, h, w, v))
+        z = -v - _LEMMA_STOP * kappa * w
+        crossed = np.flatnonzero(z >= 0.0)
+        if crossed.size:
+            lo, hi = nodes[crossed[0] - 1], nodes[crossed[0]]
+            while lo < 0.5 * (lo + hi) < hi:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if _barycentric(np.array([mid]), z[None, :])[0] >= 0.0 else (mid, hi)
+            s_last, blew_up = a + 0.5 * h * (hi + 1.0), True
+        else:
+            s_last = a + h
+        a, h, w_a, v_a = a + h, 4.0 * h, w[-1], v[-1]
+    edges, widths, ws, vs = map(np.array, zip(*panels))
 
     def y(t: np.ndarray) -> np.ndarray:
-        w, v = sol.sol(np.sqrt(t))
-        return -v / (kappa * w)
+        s = np.sqrt(t)
+        k = np.clip(np.searchsorted(edges, s, side="right") - 1, 0, len(panels) - 1)
+        x = 2.0 * (s - edges[k]) / widths[k] - 1.0
+        return -_barycentric(x, vs[k]) / (kappa * _barycentric(x, ws[k]))
 
-    return y, t_num, blew_up, int(sol.t.size - 1)
+    return y, float(s_last) ** 2, blew_up, len(panels)
 
 
 def verify_comparison_lemma(y0: float, kappa: float, M: float) -> ComparisonReport:
@@ -201,14 +245,18 @@ def verify_comparison_lemma(y0: float, kappa: float, M: float) -> ComparisonRepo
         dW/ds = 2 s V,   dV/ds = 2 s kappa f(s^2) W,   W(0) = 1, V(0) = -kappa y0,
 
     and y = -V/(kappa W).  W = exp(-kappa int y) stays positive until y
-    blows up and then crosses zero linearly, so the solver never walks
-    into the pole of y, where the Riccati form spent about 80% of its
-    steps.  The run stops at y = 1e9, which is -V - 1e9 kappa W = 0 (the
-    sign of y - 1e9 while W > 0).  For M = 0 the solution is also compared
-    against the closed-form Riccati solution y0/(1 - kappa y0 t).
+    blows up and then crosses zero linearly, so the integration never walks
+    into the pole of y.  ``_equality_case`` collocates this system in
+    integral form on Chebyshev panels, graded so that the first lies below
+    the forcing's kink at s ~ sqrt(_FORCING_EPS).  The run stops at
+    y = _LEMMA_STOP, which is -V - _LEMMA_STOP kappa W = 0 (the sign of
+    y - _LEMMA_STOP while W > 0), located to one ulp of the panel
+    coordinate; y0 at or above that level is refused.  For M = 0 the
+    solution is also compared against the closed-form Riccati solution
+    y0/(1 - kappa y0 t).
     """
-    if y0 <= 0 or kappa <= 0 or M < 0:
-        raise ValueError("need y0 > 0, kappa > 0, M >= 0")
+    if not (0 < y0 < _LEMMA_STOP and 0 < kappa < math.inf and 0 <= M < math.inf):
+        raise ValueError(f"need 0 < y0 < {_LEMMA_STOP:g} (the stop level), finite kappa > 0 and M >= 0")
     hypothesis_ok = y0**3 >= _lemma_threshold(kappa, M)
     window_prop = math.inf if M == 0 else (y0 / M) ** 2
     horizon = simplified_horizon(y0, kappa)

@@ -120,10 +120,34 @@ class TestVerifyComparisonLemma:
         # the linearised integration keeps y0/(1 - kappa y0 t) to 1e-12 up to t = 0.9/(kappa y0)
         rep = verify_comparison_lemma(y0, kappa, 0.0)
         assert rep.riccati_max_error <= 1e-12
+        # and stops where y0/(1 - kappa y0 t) = 1e9, at t = (1 - y0/1e9)/(kappa y0)
+        exact = (1.0 - y0 / 1e9) / (kappa * y0)
+        assert type(rep.numeric_blowup_time) is float
+        assert abs(rep.numeric_blowup_time - exact) <= 1e-14 * exact
 
-    @pytest.mark.parametrize("case", [(2.0, 0.25, 0.05), (1.0, 1.0, 0.2)])
+    @pytest.mark.parametrize("case", [(1e-3, 1.0, 0.0), (1.0, 1e-6, 0.0), (1e3, 1e3, 1.0)])
+    def test_extreme_scales_take_few_panels(self, case):
+        # the widest panel is sqrt(t_end)/16, so the count stays in the tens at any scale
+        rep = verify_comparison_lemma(*case)
+        assert rep.passed and 0 < rep.steps <= 50
+        if case[2] == 0.0:
+            # the grid's 1e-12 pin on y0 ~ 1, taken relative to y0
+            assert rep.riccati_max_error <= 1e-12 * case[0]
+
+    @pytest.mark.parametrize(
+        "case",
+        # y0 at or above the stop level 1e9 never sees the stop's sign change
+        [(1e9, 1.0, 0.0), (2e9, 1.0, 0.0), (math.nan, 1.0, 0.0), (1.0, math.nan, 0.0), (1.0, 1.0, math.nan),
+         (1.0, math.inf, 0.0)],
+    )
+    def test_out_of_range_input_is_refused(self, case):
+        with pytest.raises(ValueError, match="need 0 < y0 < 1e\\+09"):
+            verify_comparison_lemma(*case)
+
+    @pytest.mark.parametrize("case", [(1.0, 1.0, 0.2), (2.0, 1.0, 0.5), (1.0, 0.5, 0.1), (2.0, 0.25, 0.05)])
     def test_forced_solution_matches_high_precision_reference(self, case):
-        # (2, 0.25, 0.05) is off by up to 9e-10 when the first step skips the forcing's kink at s ~ 1e-6
+        # the three forced verify cases, and (2, 0.25, 0.05), whose forcing's kink at s ~ 1e-6
+        # once cost an adaptive integrator 9e-10 when its first step skipped it
         mpmath = pytest.importorskip("mpmath")
         y0, kappa, M = case
         y, t_num, blew_up, _ = _equality_case(y0, kappa, _forcing(M), 10.0 * simplified_horizon(y0, kappa))
@@ -140,7 +164,7 @@ class TestVerifyComparisonLemma:
             for frac in (0.1, 0.5, 0.9):
                 t = frac * t_num
                 exact = ref(mpmath.sqrt(t))
-                assert float(abs((y(np.array([t]))[0] - exact) / exact)) <= 1e-10, frac
+                assert float(abs((y(np.array([t]))[0] - exact) / exact)) <= 1e-12, frac
 
 
 SINE10 = SineSpectrum.sine_wave(10.0, N=4)
