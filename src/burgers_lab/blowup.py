@@ -68,16 +68,21 @@ class UnsupportedRegimeError(ValueError):
 # ---------------------------------------------------------------------------
 # scalar comparison bounds
 
+def _check_lemma_inputs(y0: float, kappa: float, M: float = 0.0) -> None:
+    """ValueError unless y0 > 0, kappa > 0 and M >= 0 are finite (a NaN fails every comparison)."""
+    if not (0 < y0 < math.inf and 0 < kappa < math.inf and 0 <= M < math.inf):
+        raise ValueError("need finite y0 > 0, kappa > 0 and M >= 0")
+
+
 def comparison_lower_bound(y0: float, kappa: float, M: float, t: float) -> float:
     """Lower bound (1/y0 - kappa t + M sqrt(t)/(y0 - M sqrt(t))^2)^{-1}.
 
     Valid for 0 <= t < y0^2/M^2; returns +inf once the bracket crosses
     zero (the bound has blown up).
     """
-    if y0 <= 0 or kappa <= 0 or M < 0:
-        raise ValueError("need y0 > 0, kappa > 0, M >= 0")
-    if t < 0:
-        raise OutsideValidityError("t must be nonnegative")
+    _check_lemma_inputs(y0, kappa, M)
+    if not t >= 0:
+        raise OutsideValidityError(f"t must be nonnegative, got {t}")
     if M > 0 and t >= (y0 / M) ** 2:
         raise OutsideValidityError(f"t={t} >= y0^2/M^2 = {(y0 / M) ** 2:.6g}")
     root = math.sqrt(t)
@@ -96,13 +101,13 @@ def _lemma_threshold(kappa: float, M: float) -> float:
 
 def simplified_horizon(y0: float, kappa: float) -> float:
     """Blowup horizon 3/(kappa y0) implied by the simplified bound."""
-    if y0 <= 0 or kappa <= 0:
-        raise ValueError("need y0 > 0 and kappa > 0")
+    _check_lemma_inputs(y0, kappa)
     return 3.0 / (kappa * y0)
 
 
 def simplified_window(y0: float, kappa: float, M: float) -> float:
     """Validity window of the simplified bound (T_max unknown a priori)."""
+    _check_lemma_inputs(y0, kappa, M)
     if M == 0:
         return math.inf
     return y0**2 / (4.0 * M**2)
@@ -114,12 +119,11 @@ def simplified_lower_bound(y0: float, kappa: float, M: float, t: float) -> float
     Requires y0^3 >= 12 M^2/kappa and 0 <= t below both the window
     y0^2/(4 M^2) and the horizon 3/(kappa y0).
     """
-    if y0 <= 0 or kappa <= 0 or M < 0:
-        raise ValueError("need y0 > 0, kappa > 0, M >= 0")
+    _check_lemma_inputs(y0, kappa, M)
     threshold = _lemma_threshold(kappa, M)
     if y0**3 < threshold:
         raise HypothesisError(f"y0^3 = {y0**3:.6g} < 12 M^2/kappa = {threshold:.6g}")
-    if t < 0 or t >= min(simplified_window(y0, kappa, M), simplified_horizon(y0, kappa)):
+    if not 0 <= t < min(simplified_window(y0, kappa, M), simplified_horizon(y0, kappa)):
         raise OutsideValidityError(f"t={t} outside the simplified bound's window")
     return 1.0 / (3.0 / y0 - kappa * t)
 
@@ -407,8 +411,8 @@ def corollary_condition(R: float, params: ModelParams) -> BlowupCertificate:
     R/nu over the threshold, which is twice as strict as F's hypothesis on the same data.
     """
     _require_supercritical(params)
-    if R <= 0:
-        raise ValueError("amplitude R must be positive")
+    if not 0 < R < math.inf:
+        raise ValueError("amplitude R must be positive and finite")
     S = power_sum(2.0 * (1.0 - params.alpha), SERIES_TOL)
     threshold = 8.0 * np.pi**2 * S
     ratio = math.inf if params.nu == 0.0 else R / params.nu

@@ -23,8 +23,9 @@ retained modes are alias-free.
 
 Kernel contract: a kernel maps an array of shape (..., N) to the quadratic
 term of each row along the last axis, one row independently of the
-others, so one call evaluates a whole stack of spectra.  It returns a
-fresh array, shared with nothing, which the time step may overwrite.
+others, so one call evaluates a whole stack of spectra.  The time step
+copies the result and later overwrites the input it passed, so a kernel
+keeps no reference to its input.
 
 Time stepping is fixed-step integrating-factor RK4: the dissipative part
 is absorbed exactly through exp(-nu n^{2 alpha} dt) and classical RK4
@@ -41,7 +42,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -135,16 +136,15 @@ def _half_grid(N: int) -> tuple[int, np.ndarray, Callable, Callable]:
     """Half-grid length L (2L > 3N, fast FFT size), the output scale -n/(4L), DST and DCT.
 
     The transforms are pocketfft's own ``dst``/``dct``, the binding that
-    ``scipy.fft`` and ``scipy.fftpack`` both wrap, called positionally as
-    ``(a, type, axes, inorm, out=, nthreads=)``: the wrappers' per-call
-    argument handling costs about as much as the transforms do at the N
-    of a march.  L is the binding's ``good_size(n, True)``, which
-    ``scipy.fft.next_fast_len(n, real=True)`` caches.  The binding is
-    loaded from its file (``_load_pocketfft``), so a march imports no scipy
-    module.  It is private, so if a scipy release moves, renames or breaks
-    it, the public ``scipy.fft`` transforms and ``next_fast_len`` stand in
-    behind the same calls (bit-identical, only slower) rather than the
-    march ending in a traceback.
+    ``scipy.fft`` and ``scipy.fftpack`` both wrap, called as
+    ``(a, type, axes, inorm, out, nthreads)``, all positional: at the N of
+    a march the wrappers' argument handling costs about as much as the
+    transforms, and keywords cost about a microsecond more a call.  L is
+    the binding's ``good_size(n, True)``, which ``scipy.fft.next_fast_len``
+    caches.  The binding is loaded from its file (``_load_pocketfft``), so
+    a march imports no scipy module.  If a scipy release moves, renames or
+    breaks it, the public ``scipy.fft`` transforms and ``next_fast_len``
+    stand in behind the same calls (bit-identical, only slower).
 
     The scale is read-only: the cache is shared by every thread.
     """
@@ -164,11 +164,19 @@ def _half_grid(N: int) -> tuple[int, np.ndarray, Callable, Callable]:
 
 def _positional(transform: Callable) -> Callable:
     """A public ``scipy.fft`` transform behind the binding's call; unnormalised (inorm 0) only."""
+    return lambda a, type, axes, inorm, out, nthreads: transform(
+        a, type, axis=axes[0], overwrite_x=out is a, workers=nthreads
+    )
 
-    def call(a, type, axes, inorm, out=None, nthreads=1):
-        return transform(a, type, axis=axes[0], overwrite_x=out is a, workers=nthreads)
 
-    return call
+def _half_grid_quadratic(u: np.ndarray, N: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The quadratic term of the spectra in u[..., :N] into ``out``; zero-pads u to L, then overwrites it."""
+    _, scale, dst, dct = _half_grid(N)
+    u[..., N:] = 0.0
+    u = dst(u, 3, (-1,), 0, u, 1)
+    u *= u
+    u = dct(u, 2, (-1,), 0, u, 1)
+    return np.multiply(scale, u[..., 1 : N + 1], out=out)
 
 
 def nonlinear_pseudospectral(psi: np.ndarray) -> np.ndarray:
@@ -183,48 +191,59 @@ def nonlinear_pseudospectral(psi: np.ndarray) -> np.ndarray:
     """
     psi = np.asarray(psi, dtype=float)
     N = psi.shape[-1]
-    L, scale, dst, dct = _half_grid(N)
-    u = np.zeros(psi.shape[:-1] + (L,))
+    u = np.empty(psi.shape[:-1] + (_half_grid(N)[0],))
     u[..., :N] = psi
-    u = dst(u, 3, (-1,), 0, out=u, nthreads=1)
-    u *= u
-    return scale * dct(u, 2, (-1,), 0, out=u, nthreads=1)[..., 1 : N + 1]
+    return _half_grid_quadratic(u, N)
 
 
-def _if_rk4_step(psi: np.ndarray, dt: float, factors: Sequence[np.ndarray], nonlinear: Kernel) -> np.ndarray:
-    """One step; ``factors`` are the half-step decay e1, e2 = e1 * e1, dt * e1 and 2 * e1.
+def _if_rk4_stepper(e1: np.ndarray, dt: float, kernel: Kernel) -> Callable[[np.ndarray], np.ndarray]:
+    """IF-RK4 steps of one march's (B, N) stack; e1 = exp(-nu n^{2 alpha} dt/2) per row.
 
     The new state is  e2 psi + dt/6 (e2 k1 + 2 e1 (k2 + k3) + k4)  with
-    k1 = N(psi), k2 = N(e1 (psi + dt/2 k1)), k3 = N(e1 psi + dt/2 k2) and
-    k4 = N(e2 psi + dt e1 k3), each operation done in place but in the order
-    and grouping of that formula, so every rounding is the same as if it were
-    evaluated term by term.  By the kernel contract each k is a fresh array,
-    which the step overwrites; ``psi`` itself is left as it is.
-    The caller ignores overflow (np.errstate) and checks the result for finiteness.
+    e2 = e1 * e1, k1 = N(psi), k2 = N(e1 (psi + dt/2 k1)), k3 = N(e1 psi + dt/2 k2)
+    and k4 = N(e2 psi + dt e1 k3), each operation done in place but in the
+    order and grouping of that formula, so every rounding is the same as if
+    it were evaluated term by term.  Each stage is written into the first N
+    columns of a (B, L) pad, where the default kernel transforms it in place;
+    another kernel's result is copied into k.  The buffers are the stepper's
+    own, so marches on several threads share none.  A step leaves the state
+    it is given as it is, then keeps it as scratch that the next step overwrites.
     """
-    e1, e2, dt_e1, two_e1 = factors
-    half_dt = 0.5 * dt
-    k1 = nonlinear(psi)
-    stage = k1 * half_dt
-    stage += psi
-    stage *= e1
-    k2 = nonlinear(stage)
-    e_psi = e1 * psi
-    np.multiply(k2, half_dt, out=stage)
-    stage += e_psi
-    k3 = nonlinear(stage)
-    np.multiply(e2, psi, out=e_psi)  # now e2 psi
-    np.multiply(dt_e1, k3, out=stage)
-    stage += e_psi
-    k4 = nonlinear(stage)
-    k2 += k3
-    k2 *= two_e1
-    k1 *= e2
-    k1 += k2
-    k1 += k4
-    k1 *= dt / 6.0
-    k1 += e_psi
-    return k1
+    e2, dt_e1, two_e1 = e1 * e1, dt * e1, 2.0 * e1
+    half_dt, N = 0.5 * dt, e1.shape[-1]
+    in_place = kernel is nonlinear_pseudospectral
+    pad = np.empty(e1.shape[:-1] + (_half_grid(N)[0] if in_place else N,))
+    stage = pad[..., :N]
+    nonlinear = partial(_half_grid_quadratic, pad, N) if in_place else lambda k: np.copyto(k, kernel(stage))
+    k1, k2, k3, k4, e_psi = (np.empty(e1.shape) for _ in range(5))
+
+    def step(psi: np.ndarray) -> np.ndarray:
+        nonlocal k1, k2, stage  # in-place operators rebind these names (to the same arrays)
+        np.copyto(stage, psi)
+        nonlinear(k1)
+        np.multiply(k1, half_dt, out=stage)
+        stage += psi
+        stage *= e1
+        nonlinear(k2)
+        np.multiply(e1, psi, out=e_psi)
+        np.multiply(k2, half_dt, out=stage)
+        stage += e_psi
+        nonlinear(k3)
+        np.multiply(e2, psi, out=e_psi)  # now e2 psi
+        np.multiply(dt_e1, k3, out=stage)
+        stage += e_psi
+        nonlinear(k4)
+        k2 += k3
+        k2 *= two_e1
+        k1 *= e2
+        k1 += k2
+        k1 += k4
+        k1 *= dt / 6.0
+        k1 += e_psi
+        new, k1 = k1, psi
+        return new
+
+    return step
 
 
 @dataclass(frozen=True)
@@ -286,12 +305,17 @@ def tail_energy_fraction(psi: np.ndarray) -> float | np.ndarray:
     quadratic term to feed it and no tail.  Reduces along the last axis:
     one value per row of a (..., N) stack.
     """
-    total = np.sum(psi**2, axis=-1)
-    N = psi.shape[-1]
-    cut = N - (max(1, N // 8) if N > 1 else 0)
-    tail = np.sum(psi[..., cut:] ** 2, axis=-1)
-    frac = np.divide(tail, total, out=np.zeros_like(total), where=total != 0.0)
+    squares = psi**2
+    frac = _tail_fraction(squares, squares.sum(axis=-1))
     return frac if psi.ndim > 1 else float(frac)
+
+
+def _tail_fraction(squares: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """``tail_energy_fraction`` of the rows whose squared coefficients and their sums are given."""
+    N = squares.shape[-1]
+    cut = N - (max(1, N // 8) if N > 1 else 0)
+    tail = squares[..., cut:].sum(axis=-1)
+    return np.divide(tail, total, out=np.zeros_like(total), where=total != 0.0)
 
 
 def lyapunov_diagnostic(psi: np.ndarray) -> float | np.ndarray:
@@ -354,6 +378,7 @@ def evolve_batch(
         raise ValueError("all spectra must have the same mode count")
     diag = diag or DiagnosticsConfig()
     n = np.arange(1, N + 1, dtype=float)
+    n_sq = n**2
     M_diag = next_pow2(max(256, 2 * (N + 1)))  # grid of the min du/dx diagnostic
 
     # one row per spectrum, each built exactly as a single-row march builds it
@@ -366,8 +391,7 @@ def evolve_batch(
         r = np.full(len(spectra), float(diag.r))
     else:
         r = np.sqrt(_weighted_energy(psi) / F_L2_NORM_SQ)
-    # the step's factors, formed once per march (rows that halt are dropped from each)
-    factors = (half_decay, half_decay * half_decay, dt * half_decay, 2.0 * half_decay)
+    step = _if_rk4_stepper(half_decay, dt, kernel)  # rebuilt when rows retire
 
     log: list[tuple[int, np.ndarray, np.ndarray]] = []  # (step, active spectra, diagnostics x rows)
     stored: list[list[np.ndarray]] | None = [[] for _ in spectra] if diag.store_spectra else None
@@ -376,17 +400,19 @@ def evolve_batch(
 
     def record(k: int, psi: np.ndarray, diss: np.ndarray) -> np.ndarray:
         """Log the diagnostics of every active spectrum; return their tail fractions."""
-        energy = _weighted_energy(psi)
+        squares = psi**2
+        total = squares.sum(axis=-1)
+        energy = FOUR_PI * total  # _weighted_energy(psi), from the shared squares
         lyap = lyapunov_diagnostic(psi)
         r_act = r[active]
-        tail = tail_energy_fraction(psi)
+        tail = _tail_fraction(squares, total)
         values = np.stack(
             [
                 energy,
                 diss,
                 lyap,
                 energy - 2.0 * r_act * lyap + r_act * r_act * F_L2_NORM_SQ,
-                np.sqrt(_weighted_energy(psi, n**2)),
+                np.sqrt(FOUR_PI * (n_sq * squares).sum(axis=-1)),
                 tail,
                 synthesize_slope(psi, M_diag).min(axis=-1),
             ]
@@ -397,41 +423,38 @@ def evolve_batch(
                 stored[cell].append(row.copy())
         return tail
 
-    def retire(ended, reason: str) -> np.ndarray:
-        """Give the rows in ``ended`` their termination; return the mask of rows that march on."""
+    def retire(ended: np.ndarray, reason: str) -> bool:
+        """Give the rows in ``ended`` their termination and drop them; return whether any row is left."""
+        nonlocal active, psi, diss_weights, diss_acc, g_prev, half_decay, step
         for cell in active[ended]:
             terminations[cell] = reason
-        return ~ended
+        keep = ~ended
+        active, psi, diss_weights, diss_acc, g_prev, half_decay = (
+            a[keep] for a in (active, psi, diss_weights, diss_acc, g_prev, half_decay)
+        )
+        step = _if_rk4_stepper(half_decay, dt, kernel)
+        return bool(keep.any())
 
+    half_dt = 0.5 * dt
     diss_acc = np.zeros(psi.shape[:-1])
-    g_prev = np.sum(diss_weights * psi**2, axis=-1)
+    g_prev = (diss_weights * psi**2).sum(axis=-1)
     # overflow in a step is caught by the finiteness check that follows it; the
     # diagnostics of a state too large to square read inf, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
         # k = 0 only records, so data under-resolved from the start stops there
         for k in range(n_steps + 1):
             if k:
-                out = _if_rk4_step(psi, dt, factors, kernel)
-                if not np.all(np.isfinite(out)):
-                    keep = retire(~np.all(np.isfinite(out), axis=-1), TERMINATION_STEP_FAILURE)
-                    if not keep.any():
+                psi = step(psi)
+                if not np.isfinite(psi).all():
+                    if not retire(~np.isfinite(psi).all(axis=-1), TERMINATION_STEP_FAILURE):
                         break
-                    active, out, diss_weights, diss_acc, g_prev, *factors = (
-                        a[keep] for a in (active, out, diss_weights, diss_acc, g_prev, *factors)
-                    )
-                psi = out
-                g_new = np.sum(diss_weights * psi**2, axis=-1)
-                diss_acc = diss_acc + 0.5 * dt * (g_prev + g_new)
+                g_new = (diss_weights * psi**2).sum(axis=-1)
+                diss_acc = diss_acc + half_dt * (g_prev + g_new)
                 g_prev = g_new
             if k % diag.stride == 0 or k == n_steps:
                 blown = record(k, psi, diss_acc) > diag.tail_threshold
-                if blown.any():
-                    keep = retire(blown, TERMINATION_BLOWUP)
-                    if not keep.any():
-                        break
-                    active, psi, diss_weights, diss_acc, g_prev, *factors = (
-                        a[keep] for a in (active, psi, diss_weights, diss_acc, g_prev, *factors)
-                    )
+                if blown.any() and not retire(blown, TERMINATION_BLOWUP):
+                    break
 
     # spectra only ever leave the stack, so each one's records are a prefix of the log
     times = np.array([k * dt for k, _, _ in log])

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -116,19 +117,27 @@ def _alternating_signs(count: int) -> np.ndarray:
     return alt
 
 
-def _alternating_synthesis(psi: np.ndarray, M: int, prefactor) -> np.ndarray:
-    """Inverse real FFT, along the last axis, of mode n = prefactor_n (-1)^n psi_n.
+def _alternating_synthesis(psi: np.ndarray, M: int, signed_prefactor) -> np.ndarray:
+    """Inverse real FFT, along the last axis, of mode n = signed_prefactor_n psi_n.
 
-    The sign (-1)^n moves the samples onto x_j = -pi + 2 pi j/M.  ``psi``
-    may be one coefficient row or a (..., N) stack; M >= 2N resolves every
-    mode.
+    The signed prefactor carries a sign (-1)^n, which moves the samples
+    onto x_j = -pi + 2 pi j/M.  ``psi`` may be one coefficient row or a
+    (..., N) stack; M >= 2N resolves every mode.
     """
     N = psi.shape[-1]
     if M < 2 * N:
         raise UnderResolvedError(f"grid size {M} < 2N = {2 * N}")
     coeffs = np.zeros(psi.shape[:-1] + (M // 2 + 1,), dtype=complex)
-    coeffs[..., 1 : N + 1] = prefactor * _alternating_signs(N + 1)[1:] * psi
+    coeffs[..., 1 : N + 1] = signed_prefactor * psi
     return np.fft.irfft(coeffs, n=M)
+
+
+@lru_cache(maxsize=64)
+def _slope_prefactor(N: int, M: int) -> np.ndarray:
+    """-M n (-1)^n for n = 1..N; read-only, since the cache is shared by every thread."""
+    prefactor = -M * np.arange(1, N + 1) * _alternating_signs(N + 1)[1:]
+    prefactor.flags.writeable = False
+    return prefactor
 
 
 def synthesize(spec: SineSpectrum, M: int) -> GridFunction:
@@ -137,7 +146,7 @@ def synthesize(spec: SineSpectrum, M: int) -> GridFunction:
     Requires M >= 2N so every stored mode is resolved, and M a power of
     two, at least 4 (GridFunction's check).
     """
-    return GridFunction(_alternating_synthesis(spec.psi, M, 1j * M))
+    return GridFunction(_alternating_synthesis(spec.psi, M, 1j * M * _alternating_signs(spec.N + 1)[1:]))
 
 
 def synthesize_slope(spec: SineSpectrum | np.ndarray, M: int) -> np.ndarray:
@@ -146,7 +155,7 @@ def synthesize_slope(spec: SineSpectrum | np.ndarray, M: int) -> np.ndarray:
     Takes a spectrum or a (..., N) stack of coefficient rows.
     """
     psi = spec.psi if isinstance(spec, SineSpectrum) else spec
-    return _alternating_synthesis(psi, M, -M * np.arange(1, psi.shape[-1] + 1))
+    return _alternating_synthesis(psi, M, _slope_prefactor(psi.shape[-1], M))
 
 
 def oddness_residual(samples: np.ndarray) -> float:

@@ -90,6 +90,28 @@ class TestSimplifiedLowerBound:
         assert simplified_window(2.0, 1.0, 0.0) == math.inf
 
 
+class TestNonFiniteBoundInputs:
+    """A NaN fails every comparison, so each input is checked in the form that NaN fails too."""
+
+    @pytest.mark.parametrize("y0, kappa, M", [(math.nan, 1.0, 0.1), (1.0, math.nan, 0.1), (1.0, 1.0, math.nan),
+                                              (math.inf, 1.0, 0.1), (1.0, math.inf, 0.1), (1.0, 1.0, math.inf)])
+    def test_lemma_constants_refused(self, y0, kappa, M):
+        for bound in (comparison_lower_bound, simplified_lower_bound):
+            with pytest.raises(ValueError, match="finite"):
+                bound(y0, kappa, M, 0.1)
+        with pytest.raises(ValueError, match="finite"):
+            simplified_window(y0, kappa, M)
+        if not math.isfinite(y0) or not math.isfinite(kappa):
+            with pytest.raises(ValueError, match="finite"):
+                simplified_horizon(y0, kappa)
+
+    def test_nan_time_outside_validity(self):
+        with pytest.raises(OutsideValidityError):
+            comparison_lower_bound(1.0, 1.0, 0.1, math.nan)
+        with pytest.raises(OutsideValidityError):
+            simplified_lower_bound(2.0, 1.0, 0.5, math.nan)
+
+
 class TestVerifyComparisonLemma:
     @pytest.mark.parametrize("case", [(1.0, 1.0, 0.2), (2.0, 1.0, 0.5), (1.0, 0.5, 0.1)])
     def test_forced_cases_pass(self, case):
@@ -273,9 +295,10 @@ class TestCorollary:
         assert not cert.hypotheses_hold
         assert cert.predicted_bound_T is None
 
-    def test_amplitude_validation(self):
-        with pytest.raises(ValueError):
-            corollary_condition(-1.0, SUPER)
+    @pytest.mark.parametrize("R", [-1.0, 0.0, math.nan, math.inf])
+    def test_amplitude_validation(self, R):
+        with pytest.raises(ValueError, match="amplitude R"):
+            corollary_condition(R, SUPER)
 
     def test_agrees_with_theorem_on_sine_data(self):
         # corollary verdict true implies theorem verdict true (stricter threshold)

@@ -13,7 +13,7 @@ from burgers_lab.dynamics import (
     ModelParams,
     SimulationRecord,
     _half_grid,
-    _if_rk4_step,
+    _if_rk4_stepper,
     _load_pocketfft,
     dissipation_symbol,
     evolve,
@@ -157,7 +157,7 @@ class TestPseudospectralKernel:
             x = rng.uniform(-1.0, 1.0, shape)
             for transform, reference, kind in ((dst, fftpack_dst, 3), (dct, fftpack_dct, 2)):
                 a = x.copy()
-                out = transform(a, kind, (-1,), 0, out=a, nthreads=1)
+                out = transform(a, kind, (-1,), 0, a, 1)
                 assert out is a
                 assert np.array_equal(out, reference(x, type=kind))
 
@@ -207,6 +207,18 @@ class TestPseudospectralKernel:
         for shape in ((N,), (5, N)):
             psi = rng.uniform(-1.0, 1.0, shape)
             assert np.array_equal(nonlinear_pseudospectral(psi), nonlinear_pseudospectral_fftpack(psi))
+
+    def test_march_on_public_fallback_bit_identical(self, request):
+        specs = [SineSpectrum.sine_wave(R, 64) for R in (1.0, 60.0)]
+        params = [ModelParams(0.25, 0.04)] * 2
+        diag = DiagnosticsConfig(stride=2, store_spectra=True)
+        want = evolve_batch(specs, params, 0.03, 1e-3, diag)  # on the binding
+        request.getfixturevalue("public_transforms")
+        assert all(t.__module__ == "burgers_lab.dynamics" for t in _half_grid(64)[2:])
+        got = evolve_batch(specs, params, 0.03, 1e-3, diag)
+        assert [rec.termination for rec in got] == ["t_end_reached", "blowup_detected"]
+        for rec, ref in zip(got, want):
+            _assert_same_record(rec, ref)
 
     @pytest.mark.parametrize("shape", [(24, 128), (8, 256), (2, 512), (24, 512), (1, 64), (2, 3, 40)])
     def test_stack_matches_rows(self, shape, rng):
@@ -306,10 +318,13 @@ class TestStep:
         psi = rng.uniform(-1.0, 1.0, (len(params), N)) / np.arange(1, N + 1)
         e1 = np.stack([np.exp(-0.5 * dt * dissipation_symbol(p, N)) for p in params])
         factors = (e1, e1 * e1, dt * e1, 2.0 * e1)
-        before = psi.copy()
-        got = _if_rk4_step(psi, dt, factors, kernel)
-        assert np.array_equal(psi, before)  # the state stepped from is left as it was
-        assert np.array_equal(got, if_rk4_step_reference(psi, dt, factors, kernel))
+        step = _if_rk4_stepper(e1, dt, kernel)
+        for _ in range(3):  # later steps reuse the buffers of earlier ones
+            before = psi.copy()
+            got = step(psi)
+            assert np.array_equal(psi, before)  # the state stepped from is left as it was by the step
+            assert np.array_equal(got, if_rk4_step_reference(before, dt, factors, kernel))
+            psi = got
 
 
 class TestEvolve:
@@ -437,6 +452,51 @@ class TestEvolveBatch:
         assert len({rec.times.size for rec in records}) == 3
         for spec, p, rec in zip(specs, params, records):
             _assert_same_record(rec, evolve(spec, p, 0.2, 1e-3, diag))
+
+    def test_rows_failing_mid_run_match_single_rows(self):
+        # rows overflow after 3 and 10 records; the stepper is rebuilt for the rows left, which
+        # march on as if alone (test_mixed_batch_matches_single_rows has a mid-run blowup stop)
+        cells = [(0.5, 0.1, SineSpectrum(np.ones(16))), (0.25, 0.04, SineSpectrum.sine_wave(6.0, 16)),
+                 (1.0, 1.0, SineSpectrum.sine_wave(0.1, 16))]
+        specs = [spec for _, _, spec in cells]
+        params = [ModelParams(a, nu) for a, nu, _ in cells]
+        diag = DiagnosticsConfig(stride=2, tail_threshold=0.5, store_spectra=True)
+        records = evolve_batch(specs, params, 2.0, 0.05, diag)
+        assert [rec.termination for rec in records] == ["step_failure", "step_failure", "t_end_reached"]
+        assert [rec.times.size for rec in records] == [3, 10, 21]
+        for spec, p, rec in zip(specs, params, records):
+            _assert_same_record(rec, evolve(spec, p, 2.0, 0.05, diag))
+
+    def test_marches_on_two_threads_match_marches_alone(self):
+        # each march owns its stepper's buffers, so marches of one shape on several threads share none
+        jobs = [
+            ([SineSpectrum.sine_wave(R, 128) for R in (1.0, 2.0)], [ModelParams(0.25, 0.04)] * 2),
+            ([SineSpectrum(np.cos(np.arange(128.0) + s) / np.arange(1.0, 129.0) ** 2) for s in (0, 1)],
+             [ModelParams(0.5, 0.1), ModelParams(0.75, 0.3)]),
+        ]
+        diag = DiagnosticsConfig(stride=5, store_spectra=True)
+        alone = [evolve_batch(specs, params, 0.2, 1e-3, diag) for specs, params in jobs]
+        runs = {}
+
+        def worker(i):
+            runs[i] = [evolve_batch(*jobs[i], 0.2, 1e-3, diag) for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(jobs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(runs) == [0, 1]
+        for i, want in enumerate(alone):
+            for records in runs[i]:
+                for got, rec in zip(records, want):
+                    _assert_same_record(got, rec)
 
     def test_fixed_r_and_random_spectra(self, rng):
         N = 40

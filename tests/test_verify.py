@@ -27,7 +27,7 @@ def test_suites_pass_at_other_seeds():
 
 
 def test_comparison_lemma_prints_its_step_total():
-    # the integrator's accepted steps over the four runs: 1279 for the Riccati form, 84 for its linearisation
+    # the "steps" are the Chebyshev panels of the four runs: 56
     steps = re.search(r", (\d+) steps$", comparison_lemma_suite().detail)
     assert steps and 0 < int(steps.group(1)) < 200
 
