@@ -14,33 +14,25 @@ bounded odd H with H' >= m > 0 on (0, pi).  Every profile built here is
 c F(x - s) with s = 0 or pi, whose slope is c off the jump, so there it is
 the equality <H, u u_x> = -c ||u||^2 / 2.
 
-Distances to r*F are always expanded as ||u||^2 - 2r<u,F> + r^2 ||F||^2
-with <u,F> evaluated through the coefficient rule, never by truncating
-the slowly converging series of F itself.
+Each functional has one implementation, shared with the march: the
+energy is ``spectral._weighted_energy``, the pairing <F(x - s), u> is
+``dynamics.lyapunov_diagnostic`` and the distance ||u - c F(x - s)||^2 is
+``dynamics.profile_distance``, never a truncation of F's slowly
+converging series.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .characteristics import InitialField, sample_solution
-from .dynamics import F_L2_NORM_SQ, lyapunov_diagnostic, nonlinear_direct
-from .spectral import (
-    FOUR_PI,
-    SineSpectrum,
-    _is_number,
-    analyze,
-    evaluate_field,
-    evaluate_slope,
-    sobolev_norm,
-)
+from .dynamics import F_L2_NORM_SQ, lyapunov_diagnostic, nonlinear_direct, profile_distance
+from .spectral import FOUR_PI, SineSpectrum, _weighted_energy, analyze, evaluate_field, evaluate_slope
 
 
 class DivergentSeriesError(ValueError):
@@ -50,8 +42,6 @@ class DivergentSeriesError(ValueError):
 def _wrap(x: np.ndarray) -> np.ndarray:
     return (np.asarray(x, dtype=float) + np.pi) % (2.0 * np.pi) - np.pi
 
-
-_F_L2_NORM = float(np.sqrt(F_L2_NORM_SQ))
 
 #: bound on the summation error of every series constant (``power_sum``) the lab uses
 SERIES_TOL = 1e-9
@@ -71,21 +61,15 @@ class AttractorFn:
     scale: float
     jump_location: str  # "origin" | "pi"
 
-    def sine_coeff(self, n: np.ndarray) -> np.ndarray:
-        """phi_n: c / n with the jump at the origin, c (-1)^n / n with it at pi."""
-        na = np.asarray(n, dtype=float)
-        if self.jump_location == "origin":
-            return self.scale * (1.0 / na)
-        return self.scale * (np.where(np.asarray(n) % 2 == 0, 1.0, -1.0) / na)
-
     @property
     def slope_floor(self) -> float:
         """The infimum m of H' on (0, pi): exactly c, since H' is constant off the jump."""
         return self.scale
 
     @property
-    def l2_norm(self) -> float:
-        return self.scale * _F_L2_NORM
+    def l2_norm_sq(self) -> float:
+        """||H||^2 = c^2 ||F||^2."""
+        return self.scale * self.scale * F_L2_NORM_SQ
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Pointwise values; at the jump, the midpoint 0."""
@@ -95,18 +79,14 @@ class AttractorFn:
         return self.scale * np.where(xr > 0, xr - np.pi, np.where(xr < 0, xr + np.pi, 0.0))
 
     def hs_norm_sq(self, alpha: float) -> float:
-        """Squared homogeneous fractional norm, finite only for alpha < 1/2."""
-        if alpha >= 0.5:
-            raise DivergentSeriesError(
-                f"sum n^(-2(1-alpha)) diverges at alpha={alpha} (needs alpha < 1/2)"
-            )
-        return self.scale**2 * FOUR_PI * power_sum(2.0 * (1.0 - alpha), SERIES_TOL)
+        """Squared homogeneous fractional norm c^2 4 pi S(alpha), finite only for alpha < 1/2."""
+        return self.scale**2 * FOUR_PI * series_s(alpha)
 
 
-#: every profile the lab builds, by the kind an attractor file names
+#: every profile the lab builds, by kind
 PROFILES = {
     "F": AttractorFn("F", 1.0, "origin"),
-    "Phi": AttractorFn("Phi", 1.0 / _F_L2_NORM, "origin"),
+    "Phi": AttractorFn("Phi", 1.0 / math.sqrt(F_L2_NORM_SQ), "origin"),
     "sawtooth": AttractorFn("sawtooth", 1.0, "pi"),
 }
 
@@ -164,9 +144,8 @@ def integrate_torus(f, jump_location: str, total_nodes: int) -> float:
 # functionals
 
 def lyapunov(spec: SineSpectrum, attractor: AttractorFn) -> float:
-    """<H, u> = 4*pi * sum psi_n phi_n, from H's sine coefficients."""
-    n = np.arange(1, spec.N + 1)
-    return float(FOUR_PI * np.dot(spec.psi, attractor.sine_coeff(n)))
+    """<H, u> for H = c F(x - s): c times the march's pairing with F(x - s)."""
+    return attractor.scale * lyapunov_diagnostic(spec.psi, attractor.jump_location)
 
 
 def key_identity_residuals(spec: SineSpectrum) -> tuple[float, float]:
@@ -177,7 +156,7 @@ def key_identity_residuals(spec: SineSpectrum) -> tuple[float, float]:
     The quadrature path integrates F*u*u_x with the panel rule split at
     the origin, on max(4096, 8N) nodes.
     """
-    energy = sobolev_norm(spec, 0.0) ** 2
+    energy = float(_weighted_energy(spec.psi))
     padded = spec.padded(2 * spec.N)
     res_coeff = float(lyapunov_diagnostic(-nonlinear_direct(padded.psi)) + 0.5 * energy)
     f_eval = _F.evaluate
@@ -190,10 +169,10 @@ def key_identity_residuals(spec: SineSpectrum) -> tuple[float, float]:
     return res_coeff, res_quad
 
 
-def attractor_distance(spec: SineSpectrum, r: float) -> float:
-    """||u - r F||^2 expanded exactly: no truncation of F's series enters."""
-    energy = sobolev_norm(spec, 0.0) ** 2
-    return float(energy - 2.0 * r * lyapunov(spec, _F) + r * r * F_L2_NORM_SQ)
+def attractor_distance(spec: SineSpectrum, r: float, jump_location: str = "origin") -> float:
+    """||u - r F(x - s)||^2 expanded exactly (``profile_distance``), as the march records it."""
+    pairing = lyapunov_diagnostic(spec.psi, jump_location)
+    return float(profile_distance(_weighted_energy(spec.psi), pairing, r))
 
 
 @dataclass(frozen=True)
@@ -209,7 +188,7 @@ def optimal_r(u0: SineSpectrum) -> OptimalScaling:
     1/r - 2L/E + r ||F||^2 / E, whose minimum on r > 0 lies at r0 = sqrt(E) / ||F||
     whatever L is.
     """
-    energy = sobolev_norm(u0, 0.0) ** 2
+    energy = float(_weighted_energy(u0.psi))
     if energy == 0.0:
         raise ValueError("optimal scaling undefined for zero initial data")
     r0 = float(np.sqrt(energy / F_L2_NORM_SQ))
@@ -243,24 +222,19 @@ class DecayTable:
 def attractor_decay_series(u0: InitialField, times: Sequence[float], attractor: AttractorFn, M: int = 4096) -> DecayTable:
     """||u(t) - H||^2 along the characteristics oracle for the profile H; H = r F is AttractorFn("F", r, "origin").
 
-    Each distance is ||u||^2 - 2<H, u> + ||H||^2 with <H, u> from the
-    coefficient pairing and each sample analyzed on the M-point grid, so the
-    only error is the (spectrally small) analysis error of a smooth
-    pre-blowup field.  Since H' = m off the jump, <H, u u_x> = -m ||u||^2 / 2
-    and the predicted line D(0) - m ||u0||^2 t is the exact law.
+    Each distance is ``attractor_distance`` of the sample analyzed on the
+    M-point grid, so the only error is the (spectrally small) analysis error
+    of a smooth pre-blowup field.  Since H' = m off the jump,
+    <H, u u_x> = -m ||u||^2 / 2 and the predicted line D(0) - m ||u0||^2 t
+    is the exact law.
     """
-    norm_sq = attractor.l2_norm**2
-
-    def distance(spec: SineSpectrum) -> float:
-        return sobolev_norm(spec, 0.0) ** 2 - 2.0 * lyapunov(spec, attractor) + norm_sq
-
     ts = np.asarray(times, dtype=float)
-    d0 = distance(u0.spectrum)
+    c, s = attractor.scale, attractor.jump_location
     # sample first: a time past the horizon raises before the line is formed
-    dist = np.array(
-        [d0 if t == 0.0 else distance(analyze(sample_solution(u0, float(t), M), M // 2 - 1)) for t in ts]
-    )
-    mantissa, exponent = _split_product(attractor.slope_floor, sobolev_norm(u0.spectrum, 0.0) ** 2)
+    spectra = [u0.spectrum if t == 0.0 else analyze(sample_solution(u0, float(t), M), M // 2 - 1) for t in ts]
+    dist = np.array([attractor_distance(spec, c, s) for spec in spectra])
+    d0 = attractor_distance(u0.spectrum, c, s)
+    mantissa, exponent = _split_product(attractor.slope_floor, float(_weighted_energy(u0.spectrum.psi)))
     predicted = d0 - np.ldexp(mantissa * ts, exponent)
     return DecayTable(times=ts, distance=dist, predicted=predicted)
 
@@ -288,28 +262,15 @@ def power_sum(p: float, tol: float) -> float:
     return partial + tail
 
 
+def series_s(alpha: float) -> float:
+    """S(alpha) = sum n^{-2(1-alpha)} summed to SERIES_TOL, finite only for alpha < 1/2."""
+    if alpha >= 0.5:
+        raise DivergentSeriesError(f"sum n^(-2(1-alpha)) diverges at alpha={alpha} (needs alpha < 1/2)")
+    return power_sum(2.0 * (1.0 - alpha), SERIES_TOL)
+
+
 def c_alpha(alpha: float) -> float:
-    """Pairing constant sqrt(2*pi * sum n^{-2(1-alpha)}), alpha in (0, 1/2), its series summed to SERIES_TOL."""
+    """Pairing constant sqrt(2*pi * S(alpha)), alpha in (0, 1/2)."""
     if not 0.0 < alpha:
         raise ValueError("alpha must be positive")
-    if alpha >= 0.5:
-        raise DivergentSeriesError(
-            f"sum n^(-2(1-alpha)) diverges at alpha={alpha}: the harmonic series is infinite"
-        )
-    return float(np.sqrt(2.0 * np.pi * power_sum(2.0 * (1.0 - alpha), SERIES_TOL)))
-
-
-# ---------------------------------------------------------------------------
-# attractor files
-
-def load_attractor(path: str | Path) -> AttractorFn:
-    payload = json.loads(Path(path).read_text())
-    kind = payload.get("kind") if isinstance(payload, dict) else None
-    if not (isinstance(kind, str) and kind in PROFILES):
-        raise ValueError(f"{path}: need a JSON object whose kind is F, Phi or sawtooth, got kind {kind!r}")
-    att = PROFILES[kind]
-    for key, got in (("m", att.slope_floor), ("l2_norm", att.l2_norm)):
-        stored = payload.get(key)
-        if stored is not None and not (_is_number(stored) and math.isclose(stored, got, rel_tol=1e-9)):
-            raise ValueError(f"{path}: stored {key}={stored!r} disagrees with {kind} ({got})")
-    return att
+    return float(np.sqrt(2.0 * np.pi * series_s(alpha)))

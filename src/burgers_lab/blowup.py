@@ -31,13 +31,13 @@ from typing import Callable
 import numpy as np
 
 from . import attractors
-from .attractors import SERIES_TOL, AttractorFn, c_alpha, lyapunov, power_sum
-# nonlinear_direct is not called here; it stays importable because perfbench/tracing.py patches blowup.nonlinear_direct
-from .dynamics import TERMINATION_BLOWUP, ModelParams, SimulationRecord, nonlinear_direct
+# power_sum and nonlinear_direct are not called here; they stay importable because perfbench/tracing.py patches them
+from .attractors import AttractorFn, c_alpha, lyapunov, power_sum, series_s
+from .dynamics import F_L2_NORM_SQ, TERMINATION_BLOWUP, ModelParams, SimulationRecord, nonlinear_direct
 from .spectral import FOUR_PI, SineSpectrum, sobolev_norm
 
-#: Riccati coefficient attached to the profile F: 3 / (4 pi^3)
-KAPPA_F = 3.0 / (4.0 * np.pi**3)
+#: Riccati coefficient attached to the profile F: 1 / (2 ||F||^2) = 3 / (4 pi^3)
+KAPPA_F = 1.0 / (2.0 * F_L2_NORM_SQ)
 
 #: growth of the H^1 norm over its initial value at which resolution counts as lost
 H1_GROWTH_FACTOR = 1e3
@@ -95,22 +95,30 @@ def comparison_lower_bound(y0: float, kappa: float, M: float, t: float) -> float
 
 
 def _lemma_threshold(kappa: float, M: float) -> float:
-    """Right-hand side of the lemma hypothesis y0^3 >= 12 M^2 / kappa."""
-    return 12.0 * M**2 / kappa
+    """Right-hand side of the lemma hypothesis y0^3 >= 12 M^2 / kappa (inf once M^2 overflows)."""
+    return 12.0 * (M * M) / kappa
 
 
 def simplified_horizon(y0: float, kappa: float) -> float:
-    """Blowup horizon 3/(kappa y0) implied by the simplified bound."""
+    """Blowup horizon 3/(kappa y0) implied by the simplified bound; OverflowError beyond the float range."""
     _check_lemma_inputs(y0, kappa)
-    return 3.0 / (kappa * y0)
+    rate = kappa * y0
+    horizon = 3.0 / rate if rate > 0.0 else math.inf  # the rate underflows to 0 for tiny y0
+    if horizon == math.inf:
+        raise OverflowError(f"the horizon 3/(kappa y0) exceeds the float range at kappa={kappa:.17g}, y0={y0:.17g}")
+    return horizon
 
 
 def simplified_window(y0: float, kappa: float, M: float) -> float:
-    """Validity window of the simplified bound (T_max unknown a priori)."""
+    """Validity window y0^2 / (4 M^2) of the simplified bound (T_max unknown a priori).
+
+    Formed as (y0 / 2M)^2, which leaves the float range only where the window does.
+    """
     _check_lemma_inputs(y0, kappa, M)
     if M == 0:
         return math.inf
-    return y0**2 / (4.0 * M**2)
+    half_ratio = y0 / (2.0 * M)
+    return half_ratio * half_ratio
 
 
 def simplified_lower_bound(y0: float, kappa: float, M: float, t: float) -> float:
@@ -329,10 +337,16 @@ class BlowupCertificate:
     diagnostic: str = ""
 
 
-def _margin(numerator: float, threshold: float) -> float:
-    if threshold > 0.0:
-        return numerator / threshold
-    return math.copysign(math.inf, numerator) if numerator else 0.0
+def _margin(L0: float, kappa: float, M: float) -> float:
+    """L0^3 over the lemma threshold 12 M^2 / kappa, as (L0 / M)^2 kappa L0 / 12.
+
+    That form leaves the float range only where the margin does; L0^3 and
+    M^2 under- or overflow far sooner (L0^3 below L0 = 1e-108).
+    """
+    if M == 0.0:
+        return math.copysign(math.inf, L0) if L0 else 0.0
+    ratio = L0 / M
+    return ratio * ratio * (kappa * L0 / 12.0)
 
 
 def _certificate(
@@ -368,12 +382,11 @@ def _profile_certificate(
     margin is L0^3 over the lemma threshold 12 M^2 / kappa.
     """
     L0 = lyapunov(u0, H)
-    kappa = H.slope_floor / (2.0 * H.l2_norm**2)
+    kappa = H.slope_floor / (2.0 * H.l2_norm_sq)
     hs = math.sqrt(H.hs_norm_sq(params.alpha))
     M = hs * sobolev_norm(u0, 0.0) * math.sqrt(params.nu / 2.0)
-    threshold = _lemma_threshold(kappa, M)
     diagnostic = "" if L0 > 0 else f"sign condition failed: <{name}, u0> <= 0"
-    return _certificate(theorem, L0, kappa, M, threshold, _margin(L0**3, threshold), diagnostic)
+    return _certificate(theorem, L0, kappa, M, _lemma_threshold(kappa, M), _margin(L0, kappa, M), diagnostic)
 
 
 def _require_supercritical(params: ModelParams) -> None:
@@ -413,7 +426,7 @@ def corollary_condition(R: float, params: ModelParams) -> BlowupCertificate:
     _require_supercritical(params)
     if not 0 < R < math.inf:
         raise ValueError("amplitude R must be positive and finite")
-    S = power_sum(2.0 * (1.0 - params.alpha), SERIES_TOL)
+    S = series_s(params.alpha)
     threshold = 8.0 * np.pi**2 * S
     ratio = math.inf if params.nu == 0.0 else R / params.nu
     M = math.sqrt(2.0 * np.pi * S * params.nu * np.pi) * R
@@ -478,12 +491,9 @@ def monitor_lyapunov_bound(record: SimulationRecord, resolved_tail: float = 1e-8
 
     dL/dt is evaluated exactly from the Galerkin right-hand side as
     4*pi * sum rhs_n / n: its dissipative part is -nu times the fractional
-    pairing 4*pi * sum n^{2 alpha} psi_n / n, and its quadratic part is, with
-    prefix sums P_m = psi_1 + ... + psi_m (``quadratic_lyapunov_rate``),
-
-        4 pi [ 1/2 sum_{j=1}^{N-1} psi_j P_{N-j} - 1/2 (P_N^2 - sum_n psi_n^2) ],
-
-    one cumulative sum and two dot products per stored state.  The identity
+    pairing 4*pi * sum n^{2 alpha} psi_n / n, and its quadratic part is
+    ``quadratic_lyapunov_rate``, in O(N) per stored state.  L and ||u||^2
+    are the record's own ``lyapunov`` and ``energy`` columns.  The identity
     dL/dt = -nu * (fractional pairing) + ||u||^2/2 holds exactly only while
     the quadratic interactions fit inside the truncation: ``exact_residual``
     is the truncation cross term 2 pi |sum_{j+k>N, j,k<=N} psi_j psi_k|.
@@ -502,19 +512,16 @@ def monitor_lyapunov_bound(record: SimulationRecord, resolved_tail: float = 1e-8
     # since stacking the whole run costs more memory than the loop costs time
     n = np.arange(1, record.N + 1, dtype=float)
     hs_weight = FOUR_PI * n ** (2.0 * params.alpha)
-    L_weight = FOUR_PI / n
     pairing_weight = hs_weight / n
     count = len(record.spectra)
-    slack = np.empty(count)
-    exact_residual = np.empty(count)
+    pairing, hs_sq, dLdt = np.empty(count), np.empty(count), np.empty(count)
     for i, psi in enumerate(record.spectra):
-        pairing = float(pairing_weight @ psi)
-        dLdt = quadratic_lyapunov_rate(psi) - params.nu * pairing
-        L = float(L_weight @ psi)
-        hs = math.sqrt(float(hs_weight @ (psi * psi)))
-        slack[i] = dLdt - (-math.sqrt(2.0) * C * params.nu * hs + KAPPA_F * L * L)
-        half_energy = 2.0 * np.pi * float(psi @ psi)
-        exact_residual[i] = abs(dLdt - (-params.nu * pairing + half_energy))
+        pairing[i] = pairing_weight @ psi
+        hs_sq[i] = hs_weight @ (psi * psi)
+        dLdt[i] = quadratic_lyapunov_rate(psi) - params.nu * pairing[i]
+    L, energy = record.lyapunov[:count], record.energy[:count]
+    slack = dLdt - (-math.sqrt(2.0) * C * params.nu * np.sqrt(hs_sq) + KAPPA_F * L * L)
+    exact_residual = np.abs(dLdt - (-params.nu * pairing + 0.5 * energy))
 
     resolved = record.tail_fraction[:count] <= resolved_tail
     min_slack = float(np.min(slack[resolved])) if resolved.any() else math.inf

@@ -26,7 +26,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .attractors import PROFILES, AttractorFn, attractor_decay_series, load_attractor, optimal_r
+from .attractors import PROFILES, AttractorFn, attractor_decay_series, optimal_r
 from .blowup import (
     UnsupportedRegimeError,
     certify_blowup_F,
@@ -221,13 +221,10 @@ def _initial_spectrum(cfg: ExperimentConfig) -> SineSpectrum:
 
 
 def _resolve_attractor(name: str) -> AttractorFn:
-    kind, _, rest = name.partition(":")
-    if kind == "file":
-        return load_attractor(rest)
     kind = "Phi" if name.lower() == "phi" else name  # phi in any case; the other kinds exactly, with no ':' suffix
     if kind in PROFILES:
         return PROFILES[kind]
-    raise ConfigError(f"attractor must be F|phi|sawtooth|file:PATH, got {name!r}")
+    raise ConfigError(f"attractor must be F|phi|sawtooth, got {name!r}")
 
 
 def _fmt(x: float) -> str:
@@ -334,9 +331,7 @@ def run_sweep(cfg: ExperimentConfig) -> int:
     files; a cell whose march fails gets 'step_failure' and its partial CSV.
     """
     cells = sorted(product(map(float, cfg.alphas), map(float, cfg.nus), map(float, cfg.Rs)))
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows, batch = [], []
+    rows, batch, certs = [], [], []
     for alpha, nu, R in cells:
         name = f"cell_a{_cell_label(alpha)}_nu{_cell_label(nu)}_R{_cell_label(R)}"
         row = {"alpha": alpha, "nu": nu, "R": R, "margin": None, "bound_T": None, "detected_T": None, "status": "ok"}
@@ -348,24 +343,28 @@ def run_sweep(cfg: ExperimentConfig) -> int:
             row["status"] = "unsupported"
             print(f"error: {name}: {exc}", file=sys.stderr)
             continue
-        save_certificate(cert, out / f"{name}.json")
+        certs.append((name, cert))
         row.update(margin=cert.margin, bound_T=cert.predicted_bound_T)
         if cfg.simulate:
             batch.append((name, row, params))
-    if batch:
-        records = evolve_batch(
-            [SineSpectrum.sine_wave(row["R"], N=cfg.modes) for _, row, _ in batch],
-            [params for _, _, params in batch],
-            cfg.t_end,
-            cfg.dt,
-            DiagnosticsConfig(stride=cfg.stride, tail_threshold=cfg.tail_threshold),
-        )
-        for (name, row, _), record in zip(batch, records):
-            record_to_csv(record, out / f"{name}.csv")
-            row["detected_T"] = detect_numerical_blowup(record)
-            if record.termination == TERMINATION_STEP_FAILURE:
-                row["status"] = TERMINATION_STEP_FAILURE
-                print(f"error: {name}: step failure after t = {_fmt(float(record.times[-1]))}", file=sys.stderr)
+    records = evolve_batch(
+        [SineSpectrum.sine_wave(row["R"], N=cfg.modes) for _, row, _ in batch],
+        [params for _, _, params in batch],
+        cfg.t_end,
+        cfg.dt,
+        DiagnosticsConfig(stride=cfg.stride, tail_threshold=cfg.tail_threshold),
+    ) if batch else []
+    # every cell is certified and marched before any file is written, so a cell that raises leaves none
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, cert in certs:
+        save_certificate(cert, out / f"{name}.json")
+    for (name, row, _), record in zip(batch, records):
+        record_to_csv(record, out / f"{name}.csv")
+        row["detected_T"] = detect_numerical_blowup(record)
+        if record.termination == TERMINATION_STEP_FAILURE:
+            row["status"] = TERMINATION_STEP_FAILURE
+            print(f"error: {name}: step failure after t = {_fmt(float(record.times[-1]))}", file=sys.stderr)
     lines = ["alpha,nu,R,margin,bound_T,detected_T,status"]
     for row in rows:
         numbers = [row[key] for key in ("alpha", "nu", "R", "margin", "bound_T", "detected_T")]
@@ -401,7 +400,7 @@ _FLAG_TYPES = {
 _HELP = {
     "init": "sine:R or file:PATH",
     "grid_size": "sample grid points",
-    "attractor": "F | phi | sawtooth | file:PATH",
+    "attractor": "F | phi | sawtooth",
     "r": "finite positive real or 'auto'",
     "out": "output directory",
     "suite": f"run only one of {sorted(SUITES)}",

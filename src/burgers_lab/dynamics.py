@@ -318,11 +318,21 @@ def _tail_fraction(squares: np.ndarray, total: np.ndarray) -> np.ndarray:
     return np.divide(tail, total, out=np.zeros_like(total), where=total != 0.0)
 
 
-def lyapunov_diagnostic(psi: np.ndarray) -> float | np.ndarray:
-    """L = 4 pi sum psi_n / n, the pairing with F; one value per row of a stack."""
+def lyapunov_diagnostic(psi: np.ndarray, jump_location: str = "origin") -> float | np.ndarray:
+    """L = <F(x - s), u> = 4 pi sum psi_n / n, times (-1)^n for s = pi; one value per row of a stack.
+
+    The march records it for F (s = 0); the pairing with c F(x - s) is c times it.
+    """
     n = np.arange(1, psi.shape[-1] + 1, dtype=float)
+    if jump_location == "pi":
+        n[::2] *= -1.0
     lyap = FOUR_PI * np.sum(psi / n, axis=-1)
     return lyap if psi.ndim > 1 else float(lyap)
+
+
+def profile_distance(energy, pairing, c):
+    """||u - c F(x - s)||^2 = E - 2 c <F(x - s), u> + c^2 ||F||^2 from E = ||u||^2 and the pairing, elementwise."""
+    return energy - 2.0 * c * pairing + c * c * F_L2_NORM_SQ
 
 
 def evolve(
@@ -382,9 +392,13 @@ def evolve_batch(
     M_diag = next_pow2(max(256, 2 * (N + 1)))  # grid of the min du/dx diagnostic
 
     # one row per spectrum, each built exactly as a single-row march builds it
-    half_decay = np.stack([np.exp(-0.5 * dt * dissipation_symbol(p, N)) for p in params])
-    # g(psi) = 2 nu ||psi||_{H^alpha}^2, the dissipation rate
-    diss_weights = np.stack([2.0 * p.nu * FOUR_PI * n ** (2.0 * p.alpha) for p in params])
+    with np.errstate(over="ignore"):
+        half_decay = np.stack([np.exp(-0.5 * dt * dissipation_symbol(p, N)) for p in params])
+        # g(psi) = 2 nu ||psi||_{H^alpha}^2, the dissipation rate
+        diss_weights = np.stack([2.0 * p.nu * FOUR_PI * n ** (2.0 * p.alpha) for p in params])
+    for p, weights in zip(params, diss_weights):
+        if not np.isfinite(weights[-1]):
+            raise ValueError(f"nu={p.nu:g} is too large: the dissipation weight 8 pi nu N^(2 alpha) overflows at N={N}")
 
     psi = np.stack([spec.psi for spec in spectra])
     if diag.r is not None:
@@ -404,14 +418,13 @@ def evolve_batch(
         total = squares.sum(axis=-1)
         energy = FOUR_PI * total  # _weighted_energy(psi), from the shared squares
         lyap = lyapunov_diagnostic(psi)
-        r_act = r[active]
         tail = _tail_fraction(squares, total)
         values = np.stack(
             [
                 energy,
                 diss,
                 lyap,
-                energy - 2.0 * r_act * lyap + r_act * r_act * F_L2_NORM_SQ,
+                profile_distance(energy, lyap, r[active]),
                 np.sqrt(FOUR_PI * (n_sq * squares).sum(axis=-1)),
                 tail,
                 synthesize_slope(psi, M_diag).min(axis=-1),

@@ -19,6 +19,7 @@ rejects grids with cosine/mean energy instead of silently projecting.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -158,13 +159,13 @@ def synthesize_slope(spec: SineSpectrum | np.ndarray, M: int) -> np.ndarray:
     return _alternating_synthesis(psi, M, _slope_prefactor(psi.shape[-1], M))
 
 
-def oddness_residual(samples: np.ndarray) -> float:
-    """Relative energy in the cosine/mean modes of a grid function.
+def oddness_residual(samples: np.ndarray, Y: np.ndarray | None = None) -> float:
+    """Relative energy in the cosine/mean modes of a grid function; Y is its real FFT, if already taken.
 
     Zero for exactly odd grids; returns 0 for the zero field.
     """
     u = np.asarray(samples, dtype=float)
-    Y = np.fft.rfft(u)
+    Y = np.fft.rfft(u) if Y is None else Y
     weights = np.full(Y.size, 2.0)
     weights[0] = 1.0
     if u.size % 2 == 0:
@@ -186,12 +187,12 @@ def analyze(grid: GridFunction | np.ndarray, N: int) -> SineSpectrum:
     M = u.size
     if M < 2 * N:
         raise UnderResolvedError(f"grid size {M} < 2N = {2 * N}")
-    residual = oddness_residual(u)
+    Y = np.fft.rfft(u)
+    residual = oddness_residual(u, Y)
     if residual > ODDNESS_TOL:
         raise NonOddInputError(
             f"cosine/mean energy fraction {residual:.3e} exceeds tolerance {ODDNESS_TOL:.1e}"
         )
-    Y = np.fft.rfft(u)
     alt = _alternating_signs(N + 1)
     psi = alt[1:] * Y[1 : N + 1].imag / M
     return SineSpectrum(psi)
@@ -244,11 +245,16 @@ def _weighted_energy(psi: np.ndarray, weights: np.ndarray | None = None):
 
 
 def sobolev_norm(spec: SineSpectrum, s: float) -> float:
-    """Homogeneous Sobolev norm sqrt(4*pi * sum n^{2s} psi_n^2); s=0 is L2."""
+    """Homogeneous Sobolev norm sqrt(4*pi * sum n^{2s} psi_n^2); s=0 is L2.
+
+    psi is first scaled by the power of two that brings max |psi_n| to [1/2, 1),
+    exactly, so no square under- or overflows where the norm itself does not.
+    """
     if s < 0:
         raise ValueError("order s must be >= 0")
     n = np.arange(1, spec.N + 1, dtype=float)
-    return float(np.sqrt(_weighted_energy(spec.psi, n ** (2.0 * s))))
+    k = math.frexp(float(np.max(np.abs(spec.psi))))[1]
+    return math.ldexp(float(np.sqrt(_weighted_energy(np.ldexp(spec.psi, -k), n ** (2.0 * s)))), k)
 
 
 def grid_lq_norm(grid: GridFunction | np.ndarray, q: float) -> float:

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 import scipy.special
@@ -16,7 +14,6 @@ from burgers_lab.attractors import (
     c_alpha,
     integrate_torus,
     key_identity_residuals,
-    load_attractor,
     lyapunov,
     optimal_r,
     power_sum,
@@ -43,10 +40,11 @@ class TestProfiles:
 
     def test_F_norm_and_coefficients(self):
         F = PROFILES["F"]
-        assert F.l2_norm**2 == pytest.approx(F_L2_NORM_SQ)
+        assert F.l2_norm_sq == F_L2_NORM_SQ
         assert F_L2_NORM_SQ == pytest.approx(2 * np.pi**3 / 3)
         n = np.arange(1, 9)
-        np.testing.assert_allclose(F.sine_coeff(n), 1.0 / n)
+        # the pairing with the n-th unit spectrum is 4 pi times F's sine coefficient 1/n
+        np.testing.assert_allclose([lyapunov(SineSpectrum(np.eye(8)[k]), F) for k in range(8)], 4 * np.pi / n)
 
     def test_F_partial_sums_converge_pointwise(self):
         F = PROFILES["F"]
@@ -59,7 +57,7 @@ class TestProfiles:
 
     def test_Phi_is_unit_normalized(self):
         Phi = PROFILES["Phi"]
-        assert Phi.l2_norm == 1.0
+        assert Phi.l2_norm_sq == 1.0
         scale = np.sqrt(3.0 / (2.0 * np.pi**3))
         assert Phi.evaluate(np.array([np.pi / 2]))[0] == pytest.approx(-np.pi / 2 * scale)
         assert Phi.slope_floor == pytest.approx(scale)
@@ -96,7 +94,7 @@ class TestProfiles:
     def test_l2_norm_matches_quadrature(self, kind):
         att = PROFILES[kind]
         quad = integrate_torus(lambda x: att.evaluate(x) ** 2, att.jump_location, 2048)
-        assert abs(att.l2_norm**2 - quad) <= 1e-8 * att.l2_norm**2
+        assert abs(att.l2_norm_sq - quad) <= 1e-8 * att.l2_norm_sq
 
 
 class TestLyapunov:
@@ -311,30 +309,3 @@ class TestQuadrature:
         F = PROFILES["F"]
         val = integrate_torus(lambda x: F.evaluate(x) * np.sin(x), "pi", 5 * 32)
         assert abs(val - (-2 * np.pi)) > 1e-6
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("kind", sorted(PROFILES))
-    def test_round_trip(self, kind, tmp_path):
-        att = PROFILES[kind]
-        path = tmp_path / "att.json"
-        path.write_text(json.dumps({"kind": att.kind, "m": att.slope_floor, "l2_norm": att.l2_norm}))
-        back = load_attractor(path)
-        assert back == att
-        assert back.kind == att.kind
-        assert back.l2_norm == att.l2_norm
-        assert back.slope_floor == att.slope_floor
-
-    @pytest.mark.parametrize("kind", ["phi", "PHI", "f", "Sawtooth", "F "])
-    def test_kind_must_be_exact(self, kind, tmp_path):
-        # a file names its kind exactly; only the command line folds the case of phi
-        path = tmp_path / "att.json"
-        path.write_text(json.dumps({"kind": kind}))
-        with pytest.raises(ValueError, match="kind is F, Phi or sawtooth"):
-            load_attractor(path)
-
-    def test_custom_not_loadable(self, tmp_path):
-        path = tmp_path / "custom.json"
-        path.write_text(json.dumps({"kind": "custom", "m": 2.0, "l2_norm": 2.0 * PROFILES["F"].l2_norm}))
-        with pytest.raises(ValueError):
-            load_attractor(path)

@@ -1,14 +1,22 @@
+import contextlib
+import io
 import json
+import math
 import re
+import tempfile
+import warnings
 from dataclasses import asdict
+from pathlib import Path
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burgers_lab import characteristics, cli
-from burgers_lab.attractors import PROFILES
+from burgers_lab.attractors import PROFILES, optimal_r
 from burgers_lab.blowup import certify_blowup_F, corollary_condition
 from burgers_lab.cli import (
     SETTINGS,
@@ -195,9 +203,11 @@ class TestInviscid:
     def test_attractor_names(self, name, kind):
         assert cli._resolve_attractor(name) is PROFILES[kind]
 
-    @pytest.mark.parametrize("name", ["f", "Sawtooth", "SAWTOOTH", "custom", "", "F:junk", "phi:x", "sawtooth:x", "F:"])
+    @pytest.mark.parametrize(
+        "name", ["f", "Sawtooth", "SAWTOOTH", "custom", "", "F:junk", "phi:x", "sawtooth:x", "F:", "file:att.json"]
+    )
     def test_other_attractor_names_refused(self, name):
-        with pytest.raises(ConfigError, match="attractor must be F|phi|sawtooth|file:PATH"):
+        with pytest.raises(ConfigError, match="attractor must be F|phi|sawtooth"):
             cli._resolve_attractor(name)
 
     def test_suffixed_attractor_name_exits_one(self, tmp_path, capsys):
@@ -205,7 +215,7 @@ class TestInviscid:
         out = tmp_path / "inv"
         argv = ["inviscid", "--attractor", "F:junk", "--dt", "0.3", "--t-end", "0.9", "--out", str(out)]
         assert main(argv) == 1
-        assert capsys.readouterr().err == "error: attractor must be F|phi|sawtooth|file:PATH, got 'F:junk'\n"
+        assert capsys.readouterr().err == "error: attractor must be F|phi|sawtooth, got 'F:junk'\n"
         assert not out.exists()
 
     def test_sawtooth_mode(self, tmp_path):
@@ -652,11 +662,72 @@ class TestFloatOverflow:
         assert not out.exists()
 
     def test_certificate_overflow_exits_one(self, tmp_path, capsys):
-        # the energy pi R^2 is finite, but the certificate's L0**3 is not
+        # the hypotheses hold, but the bound 2 pi^2 / R is beyond the float range
         out = tmp_path / "out"
-        assert main(["certify", "--alpha", "0.25", "--nu", "0.04", "--init", "sine:1e120", "--out", str(out)]) == 1
+        assert main(["certify", "--alpha", "0.25", "--nu", "0", "--init", "sine:1e-310", "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: float overflow") and err.count("\n") == 1
+        assert err.startswith("error: float overflow: the horizon 3/(kappa y0)") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--alpha", "0.25", "--nu", "0", "--init", "sine:5e-324"],
+            ["sweep", "--alphas", "0.25", "--nus", "0", "--Rs", "5e-324"],
+        ],
+        ids=["certify", "sweep"],
+    )
+    def test_underflowing_rate_exits_one(self, argv, tmp_path, capsys):
+        # kappa L0 underflows to 0, where 3 / (kappa L0) used to raise ZeroDivisionError
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: float overflow: the horizon 3/(kappa y0)") and err.count("\n") == 1
+
+    def test_sweep_writes_no_cell_before_an_overflowing_one(self, tmp_path, capsys):
+        # R / nu = 100 fails the first cell's hypothesis; the second's holds with a bound beyond the float range
+        out = tmp_path / "out"
+        assert main(["sweep", "--alphas", "0.25", "--nus", "1e-320", "--Rs", "1e-318,1e-310", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: float overflow:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("amplitude, nu", [("1e120", "0.04"), ("1e-200", "0"), ("1e-100", "1e-200")])
+    def test_extreme_amplitudes_certify_like_the_corollary(self, amplitude, nu, tmp_path, capsys):
+        # L0^3, M^2 or ||u0||^2 leave the float range here, the margins do not: F's
+        # certificate holds as the corollary's does, with the same kappa and bound
+        argv = ["certify", "--alpha", "0.25", "--nu", nu, "--init", f"sine:{amplitude}", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        theorem, corollary = (json.loads(line) for line in capsys.readouterr().out.splitlines())
+        assert theorem["hypotheses_hold"] and corollary["hypotheses_hold"]
+        assert theorem["kappa"] == corollary["kappa"]
+        assert theorem["predicted_bound_T"] == corollary["predicted_bound_T"]
+        assert math.isfinite(theorem["window"]) == math.isfinite(corollary["window"])
+
+    def test_underflowing_energy_keeps_the_hypothesis_false(self, tmp_path, capsys):
+        # ||u0||^2 underflows at R = 1e-200; R / nu = 1e-50 fails both hypotheses by far
+        argv = ["certify", "--alpha", "0.25", "--nu", "1e-150", "--init", "sine:1e-200", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        certs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [cert["hypotheses_hold"] for cert in certs] == [False, False]
+        assert 0.0 < certs[0]["margin"] < 1e-50
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--alpha", "0.25", "--nu", "1e308", "--init", "sine:1", "--dt", "0.1", "--t-end", "0.2"],
+            ["simulate", "--alpha", "0.25", "--nu", "1e306", "--modes", "512", "--dt", "0.1", "--t-end", "0.2"],
+            ["sweep", "--alphas", "0.25", "--nus", "1e308", "--Rs", "1", "--dt", "0.1", "--t-end", "0.2", "--simulate"],
+        ],
+        ids=["simulate", "simulate-weight", "sweep"],
+    )
+    def test_huge_nu_refused_without_warning(self, argv, tmp_path):
+        # the dissipation weight 8 pi nu N^(2 alpha) overflows: numpy used to warn and write diss_integral = nan
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "burgers_lab", *argv, "--out", str(out)], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: nu=") and "dissipation weight" in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr
         assert not out.exists()
 
     def test_past_horizon_refusal_prints_no_warning(self, tmp_path):
@@ -915,3 +986,60 @@ class TestSettings:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err == f"error: choose a command from simulate, inviscid, verify, certify, sweep ({given})\n"
+
+
+class TestOneValuePerQuantity:
+    """Where two outputs print the same quantity, they print the same bits."""
+
+    def test_both_sine_certificates_carry_one_kappa_and_bound(self, tmp_path, capsys):
+        argv = ["certify", "--alpha", "0.25", "--nu", "0.04", "--init", "sine:10", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        theorem, corollary = (json.loads(line) for line in capsys.readouterr().out.splitlines())
+        assert theorem["kappa"] == corollary["kappa"] == 0.02418865082489962
+        assert theorem["predicted_bound_T"] == corollary["predicted_bound_T"]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_simulate_r_is_optimal_r(self, seed, tmp_path):
+        # run.json's r is the march's r0 = ||u0|| / ||F||, which optimal_r reports as well
+        psi = np.random.default_rng(seed).uniform(-1.0, 1.0, 63)
+        spec_file = tmp_path / "u0.json"
+        spec_file.write_text(json.dumps({"N": psi.size, "psi": psi.tolist()}))
+        out = tmp_path / "out"
+        argv = ["simulate", "--alpha", "0.25", "--nu", "0.5", "--init", f"file:{spec_file}", "--dt", "1e-3",
+                "--t-end", "1e-3", "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads((out / "run.json").read_text())["r"] == optimal_r(SineSpectrum(psi)).r0
+
+
+#: edge values of the certify property test: zeros, subnormals, the float range's ends, infinities, NaN
+_EDGES = [0.0, -0.0, 5e-324, 1e-310, 1e308, math.inf, -math.inf, math.nan]
+
+
+class TestCertifyProperty:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        alpha=st.sampled_from([0.25, *_EDGES]),
+        nu=st.sampled_from([0.04, *_EDGES]),
+        amplitude=st.sampled_from([1.0, -1.0, 1e-200, *_EDGES]),
+    )
+    def test_every_input_ends_in_a_certificate_or_one_error(self, alpha, nu, amplitude):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            argv = ["certify", f"--alpha={alpha!r}", f"--nu={nu!r}", f"--init=sine:{amplitude!r}", "--out", out]
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            certs = [json.loads(path.read_text()) for path in sorted(Path(out).glob("certificate_*.json"))]
+        assert not caught, [str(w.message) for w in caught]
+        lines = stderr.getvalue().splitlines()
+        assert "Traceback" not in stderr.getvalue() and "Warning" not in stderr.getvalue()
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert [line for line in lines if not line.startswith("note: ")] == lines[-1:]
+            assert lines[-1].startswith("error: ")
+        if code == 0:
+            assert certs and not any(line.startswith("error: ") for line in lines)
+            for cert in certs:
+                bound = cert["predicted_bound_T"]
+                assert bound is None if not cert["hypotheses_hold"] else 0.0 < bound < math.inf
+

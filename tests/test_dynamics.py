@@ -623,8 +623,8 @@ class TestRecordSerialization:
 
 class TestDiagnosticsMatchFunctionals:
     def test_inline_diagnostics_equal_attractor_ops(self):
-        # evolve computes L(t) and the rF-distance inline; they must agree
-        # with the attractors module bit-for-bit up to round-off
+        # evolve records L(t) and the rF-distance through the functionals the
+        # attractors module uses, so they agree bit for bit
         from burgers_lab.attractors import PROFILES, attractor_distance, lyapunov
 
         rec = evolve(
@@ -637,8 +637,8 @@ class TestDiagnosticsMatchFunctionals:
         F = PROFILES["F"]
         for i, psi in enumerate(rec.spectra):
             s = SineSpectrum(psi)
-            assert rec.lyapunov[i] == pytest.approx(lyapunov(s, F), abs=1e-14)
-            assert rec.dist_rF[i] == pytest.approx(attractor_distance(s, rec.r), abs=1e-12)
+            assert rec.lyapunov[i] == lyapunov(s, F)
+            assert rec.dist_rF[i] == attractor_distance(s, rec.r)
 
 
 class TestGalerkinVsCharacteristics:
