@@ -31,12 +31,16 @@ from typing import Sequence
 import numpy as np
 
 from .characteristics import InitialField, sample_solution
-from .dynamics import F_L2_NORM_SQ, lyapunov_diagnostic, nonlinear_direct, profile_distance
-from .spectral import FOUR_PI, SineSpectrum, _weighted_energy, analyze, evaluate_field, evaluate_slope
+from .dynamics import F_L2_NORM_SQ, lyapunov_diagnostic, nonlinear_direct, optimal_scale, profile_distance
+from .spectral import FOUR_PI, SineSpectrum, _unit_scaled, _weighted_energy, analyze, evaluate_field, evaluate_slope
 
 
 class DivergentSeriesError(ValueError):
     """The requested fractional norm diverges (needs exponent < 1/2)."""
+
+
+class UnsupportedRegimeError(DivergentSeriesError):
+    """S(alpha) diverges at alpha >= 1/2, so no certificate applies: they need supercritical dissipation."""
 
 
 def _wrap(x: np.ndarray) -> np.ndarray:
@@ -61,6 +65,10 @@ class AttractorFn:
     scale: float
     jump_location: str  # "origin" | "pi"
 
+    def __post_init__(self):
+        if not math.isfinite(self.l2_norm_sq):
+            raise ValueError(f"scale {self.scale} is too large: ||H||^2 = c^2 ||F||^2 leaves the float range")
+
     @property
     def slope_floor(self) -> float:
         """The infimum m of H' on (0, pi): exactly c, since H' is constant off the jump."""
@@ -69,7 +77,7 @@ class AttractorFn:
     @property
     def l2_norm_sq(self) -> float:
         """||H||^2 = c^2 ||F||^2."""
-        return self.scale * self.scale * F_L2_NORM_SQ
+        return float(self.scale) * float(self.scale) * F_L2_NORM_SQ
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Pointwise values; at the jump, the midpoint 0."""
@@ -182,18 +190,20 @@ class OptimalScaling:
 
 
 def optimal_r(u0: SineSpectrum) -> OptimalScaling:
-    """Fastest-approached multiple r0 = ||u0|| / ||F|| and g(r0).
+    """Fastest-approached multiple r0 = ||u0|| / ||F|| (``dynamics.optimal_scale``) and g(r0).
 
     With E = ||u0||^2 and L = <F, u0>, g(r) = ||u0 - r F||^2 / (r E) =
     1/r - 2L/E + r ||F||^2 / E, whose minimum on r > 0 lies at r0 = sqrt(E) / ||F||
-    whatever L is.
+    whatever L is.  g is homogeneous of degree -1 in u0, so it is taken on the
+    ``_unit_scaled`` u0 / 2^k, where nothing under- or overflows, and scaled back.
     """
-    energy = float(_weighted_energy(u0.psi))
-    if energy == 0.0:
+    scaled, k = _unit_scaled(u0.psi)
+    r = float(optimal_scale(scaled))
+    if r == 0.0:
         raise ValueError("optimal scaling undefined for zero initial data")
-    r0 = float(np.sqrt(energy / F_L2_NORM_SQ))
-    mantissa, exponent = _split_product(r0, energy)
-    return OptimalScaling(r0=r0, g_r0=math.ldexp(attractor_distance(u0, r0) / mantissa, -exponent))
+    energy = float(_weighted_energy(scaled))
+    g = float(profile_distance(energy, lyapunov_diagnostic(scaled), r)) / (r * energy)
+    return OptimalScaling(r0=math.ldexp(r, int(k)), g_r0=math.ldexp(g, -int(k)))
 
 
 def _split_product(a: float, b: float) -> tuple[float, int]:
@@ -263,14 +273,12 @@ def power_sum(p: float, tol: float) -> float:
 
 
 def series_s(alpha: float) -> float:
-    """S(alpha) = sum n^{-2(1-alpha)} summed to SERIES_TOL, finite only for alpha < 1/2."""
+    """S(alpha) = sum n^{-2(1-alpha)} summed to SERIES_TOL: the one alpha < 1/2 guard, since every certificate needs it."""
     if alpha >= 0.5:
-        raise DivergentSeriesError(f"sum n^(-2(1-alpha)) diverges at alpha={alpha} (needs alpha < 1/2)")
+        raise UnsupportedRegimeError(f"alpha={alpha} is not supercritical (< 1/2): S(alpha) = sum n^(-2(1-alpha)) diverges")
     return power_sum(2.0 * (1.0 - alpha), SERIES_TOL)
 
 
 def c_alpha(alpha: float) -> float:
     """Pairing constant sqrt(2*pi * S(alpha)), alpha in (0, 1/2)."""
-    if not 0.0 < alpha:
-        raise ValueError("alpha must be positive")
     return float(np.sqrt(2.0 * np.pi * series_s(alpha)))

@@ -31,8 +31,8 @@ from typing import Callable
 import numpy as np
 
 from . import attractors
-# power_sum and nonlinear_direct are not called here; they stay importable because perfbench/tracing.py patches them
-from .attractors import AttractorFn, c_alpha, lyapunov, power_sum, series_s
+# power_sum and nonlinear_direct are not called here (perfbench/tracing.py patches them), nor UnsupportedRegimeError (re-exported)
+from .attractors import AttractorFn, UnsupportedRegimeError, c_alpha, lyapunov, power_sum, series_s
 from .dynamics import F_L2_NORM_SQ, TERMINATION_BLOWUP, ModelParams, SimulationRecord, nonlinear_direct
 from .spectral import FOUR_PI, SineSpectrum, sobolev_norm
 
@@ -59,10 +59,6 @@ class OutsideValidityError(ValueError):
 
 class HypothesisError(ValueError):
     """The lemma hypothesis y0^3 >= 12 M^2 / kappa fails."""
-
-
-class UnsupportedRegimeError(ValueError):
-    """Certificates require supercritical dissipation (alpha < 1/2)."""
 
 
 # ---------------------------------------------------------------------------
@@ -373,25 +369,24 @@ def _certificate(
     )
 
 
+def _forcing_M(hs_norm_sq: float, u0: SineSpectrum, nu: float) -> float:
+    """M = ||H||_{H^alpha} ||u0|| sqrt(nu / 2) from ||H||_{H^alpha}^2, sqrt(nu) taken first: a subnormal nu / 2 rounds to 0."""
+    return math.sqrt(hs_norm_sq) * sobolev_norm(u0, 0.0) * (math.sqrt(nu) / math.sqrt(2.0))
+
+
 def _profile_certificate(
     theorem: str, name: str, u0: SineSpectrum, H: AttractorFn, params: ModelParams
 ) -> BlowupCertificate:
     """Lemma inputs for a profile H with slope floor m = H.slope_floor and pairing L0 = <H, u0>.
 
-    kappa = m / (2 ||H||^2) and M = ||H||_{H^alpha} ||u0|| sqrt(nu/2); the
-    margin is L0^3 over the lemma threshold 12 M^2 / kappa.
+    kappa = m / (2 ||H||^2) and M is ``_forcing_M``; the margin is L0^3
+    over the lemma threshold 12 M^2 / kappa.
     """
+    M = _forcing_M(H.hs_norm_sq(params.alpha), u0, params.nu)
     L0 = lyapunov(u0, H)
     kappa = H.slope_floor / (2.0 * H.l2_norm_sq)
-    hs = math.sqrt(H.hs_norm_sq(params.alpha))
-    M = hs * sobolev_norm(u0, 0.0) * math.sqrt(params.nu / 2.0)
     diagnostic = "" if L0 > 0 else f"sign condition failed: <{name}, u0> <= 0"
     return _certificate(theorem, L0, kappa, M, _lemma_threshold(kappa, M), _margin(L0, kappa, M), diagnostic)
-
-
-def _require_supercritical(params: ModelParams) -> None:
-    if params.alpha >= 0.5:
-        raise UnsupportedRegimeError(f"alpha={params.alpha} is not supercritical (< 1/2)")
 
 
 def certify_blowup_F(u0: SineSpectrum, params: ModelParams) -> BlowupCertificate:
@@ -401,7 +396,6 @@ def certify_blowup_F(u0: SineSpectrum, params: ModelParams) -> BlowupCertificate
     M = C_alpha sqrt(nu) ||u0||, the hypothesis reads L0^3 > 16 pi^3 C_alpha^2 ||u0||^2 nu
     and the bound is T < 4 pi^3 / L0.
     """
-    _require_supercritical(params)
     return _profile_certificate("supercritical_F", "F", u0, attractors._F, params)
 
 
@@ -412,7 +406,6 @@ def certify_blowup_H(u0: SineSpectrum, H: AttractorFn, params: ModelParams) -> B
     the hypothesis reads L0^3 > (12/m) ||H||_{H^alpha}^2 ||H||^2 ||u0||^2 nu
     and the bound is T < 6 ||H||^2 / (m L0).
     """
-    _require_supercritical(params)
     return _profile_certificate("general_H", "H", u0, H, params)
 
 
@@ -422,14 +415,14 @@ def corollary_condition(R: float, params: ModelParams) -> BlowupCertificate:
     S(alpha) = sum n^{-2(1-alpha)} = C_alpha^2 / (2 pi).  The lemma runs with L0 = 2 pi R,
     ||u0||^2 = pi R^2 and F's kappa; the certified bound is T < 2 pi^2 / R.  The margin is
     R/nu over the threshold, which is twice as strict as F's hypothesis on the same data.
+    L0, kappa and M are F's certificate's on u0, to the bit.
     """
-    _require_supercritical(params)
+    S = series_s(params.alpha)
     if not 0 < R < math.inf:
         raise ValueError("amplitude R must be positive and finite")
-    S = series_s(params.alpha)
     threshold = 8.0 * np.pi**2 * S
     ratio = math.inf if params.nu == 0.0 else R / params.nu
-    M = math.sqrt(2.0 * np.pi * S * params.nu * np.pi) * R
+    M = _forcing_M(FOUR_PI * S, SineSpectrum.sine_wave(R), params.nu)  # ||F||_{H^alpha}^2 = 4 pi S
     return _certificate("sine_corollary", 2.0 * np.pi * R, KAPPA_F, M, threshold, ratio / threshold)
 
 
@@ -499,13 +492,12 @@ def monitor_lyapunov_bound(record: SimulationRecord, resolved_tail: float = 1e-8
     is the truncation cross term 2 pi |sum_{j+k>N, j,k<=N} psi_j psi_k|.
     Both the inequality slack and that residual are reported per step, for
     the record's own alpha and nu, with summary values restricted to steps
-    whose tail fraction is at most ``resolved_tail``.
+    whose tail fraction is at most ``resolved_tail``.  At nu > 0 the constant
+    C_alpha needs alpha < 1/2 (UnsupportedRegimeError otherwise).
     """
     if record.spectra is None:
         raise ValueError("record was produced without store_spectra=True")
     params = record.params
-    if params.nu > 0.0 and params.alpha >= 0.5:
-        raise UnsupportedRegimeError("the inequality constant needs alpha < 1/2 when nu > 0")
     C = c_alpha(params.alpha) if params.nu > 0.0 else 0.0
 
     # every stored state has the record's N; rows are taken one at a time,

@@ -40,6 +40,7 @@ from .dynamics import (
     TERMINATION_STEP_FAILURE,
     DiagnosticsConfig,
     ModelParams,
+    _positive,
     _step_count,
     evolve,
     evolve_batch,
@@ -52,9 +53,9 @@ from .verify import SUITES, run_suites
 #: the ExperimentConfig keys each command reads: its flags and config keys, and no others
 SETTINGS = {
     "simulate": ("alpha", "nu", "init", "modes", "dt", "t_end", "stride", "r", "out", "seed", "tail_threshold", "certify"),
-    "inviscid": ("init", "modes", "dt", "t_end", "grid_size", "attractor", "r", "out"),
+    "inviscid": ("init", "dt", "t_end", "grid_size", "attractor", "r", "out"),
     "verify": ("seed", "suite"),
-    "certify": ("alpha", "nu", "init", "modes", "attractor", "out"),
+    "certify": ("alpha", "nu", "init", "attractor", "out"),
     "sweep": ("alphas", "nus", "Rs", "modes", "dt", "t_end", "stride", "tail_threshold", "simulate", "out"),
 }
 
@@ -69,7 +70,7 @@ class ExperimentConfig:
     alpha: float | None = None
     nu: float | None = None
     init: str = "sine:1"
-    modes: int = 256
+    modes: int = 256  # of sine: data; inviscid and certify read sine:R alone, whose mode count changes nothing
     dt: float = 1e-4
     t_end: float = 1.0
     grid_size: int = 4096
@@ -88,23 +89,17 @@ class ExperimentConfig:
 
 
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
-
-
-def _has_type(value, annotation) -> bool:
-    if annotation is bool:
-        return isinstance(value, bool)
-    if annotation is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    if annotation is float:
-        return _is_number(value)
-    if annotation is str:
-        return isinstance(value, str)
-    if annotation is list:
-        return isinstance(value, list) and all(_is_number(v) for v in value)
-    if annotation is type(None):
-        return value is None
-    # a union such as float | None
-    return any(_has_type(value, member) for member in annotation.__args__)
+#: the types each field admits: float | None admits float and None
+_MEMBERS = {key: getattr(annotation, "__args__", (annotation,)) for key, annotation in _FIELD_TYPES.items()}
+#: whether a JSON value is of a member type
+_IS_OF = {
+    bool: lambda v: isinstance(v, bool),
+    int: lambda v: type(v) is int,
+    float: _is_number,
+    str: lambda v: isinstance(v, str),
+    list: lambda v: isinstance(v, list) and all(map(_is_number, v)),
+    type(None): lambda v: v is None,
+}
 
 
 def load_config(path: str | Path, mode: str) -> dict:
@@ -116,8 +111,8 @@ def load_config(path: str | Path, mode: str) -> dict:
     if unread:
         raise ConfigError(f"{mode} does not take --{unread[0].replace('_', '-')}")
     for key, value in payload.items():
-        expected = _FIELD_TYPES[key]
-        if not _has_type(value, expected):
+        if not any(_IS_OF[member](value) for member in _MEMBERS[key]):
+            expected = _FIELD_TYPES[key]
             name = getattr(expected, "__name__", None) or str(expected)
             raise ConfigError(f"config key {key!r} must be of type {name}, got {value!r}")
     return payload
@@ -130,36 +125,17 @@ def merge_config(mode: str, args: argparse.Namespace) -> ExperimentConfig:
         if val is not None:
             settings[key] = val
     cfg = ExperimentConfig(mode=mode, **settings)
+    if "modes" in settings and cfg.init.startswith("file:"):
+        raise ConfigError("--modes applies only to sine:R data; a file:PATH spectrum has its own mode count")
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.mode in ("simulate", "certify"):
-        if cfg.alpha is None:
-            raise ConfigError(f"{cfg.mode} requires --alpha")
-        if cfg.nu is None:
-            raise ConfigError(f"{cfg.mode} requires --nu")
-    for name in ("alpha", "nu", "dt", "t_end", "tail_threshold"):
-        value = getattr(cfg, name)
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
-    if cfg.alpha is not None and not 0.0 < cfg.alpha <= 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1], got {cfg.alpha}")
-    if cfg.nu is not None and cfg.nu < 0:
-        raise ConfigError(f"nu must be >= 0, got {cfg.nu}")
-    for name in ("dt", "t_end"):
-        if getattr(cfg, name) <= 0:
-            raise ConfigError(f"{name} must be positive")
-    # a march, or a table row every dt, must end at t_end itself
-    if cfg.mode in ("simulate", "inviscid") or (cfg.mode == "sweep" and cfg.simulate):
-        try:
-            _step_count(cfg.t_end, cfg.dt)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    for name in ("modes", "grid_size", "stride"):
-        if getattr(cfg, name) < 1:
-            raise ConfigError(f"{name} must be a positive integer")
+    """The rules only the command line knows; alpha, nu, dt, t_end, stride and tail_threshold are checked by the library objects built from them."""
+    for name in ("alpha", "nu"):
+        if cfg.mode in ("simulate", "certify") and getattr(cfg, name) is None:
+            raise ConfigError(f"{cfg.mode} requires --{name}")
     if cfg.r != "auto":
         try:
             r = float(cfg.r)
@@ -169,8 +145,23 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"r must be a finite positive real or 'auto', got {cfg.r!r}")
         if cfg.attractor != "F":  # only inviscid reads both; the other commands keep the default F
             raise ConfigError("r applies only to the scaled-F mode")
-    if cfg.suite is not None and cfg.suite not in SUITES:
-        raise ConfigError(f"unknown suite {cfg.suite!r}; choose from {sorted(SUITES)}")
+    try:
+        if cfg.mode in ("simulate", "certify"):
+            ModelParams(cfg.alpha, cfg.nu)
+        for alpha, nu in product(cfg.alphas, cfg.nus):
+            ModelParams(alpha, nu)
+        if "stride" in SETTINGS[cfg.mode]:
+            _diagnostics(cfg)
+        # a march, or a table row every dt, must end at t_end itself; a sweep without --simulate marches nothing
+        if cfg.mode in ("simulate", "inviscid") or cfg.simulate:
+            _step_count(cfg.t_end, cfg.dt)
+        elif cfg.mode == "sweep":
+            _positive("t_end", cfg.t_end)
+            _positive("dt", cfg.dt)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if cfg.modes < 1:  # sweep reads it even where it marches nothing
+        raise ConfigError("modes must be a positive integer")
     if cfg.mode == "sweep":
         if not (cfg.alphas and cfg.nus and cfg.Rs):
             raise ConfigError("sweep requires nonempty --alphas, --nus and --Rs")
@@ -181,12 +172,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         bad = [R for R in cfg.Rs if not _finite_energy(SineSpectrum.sine_wave(R))]
         if bad:
             raise ConfigError(f"--Rs entries must have an energy pi R^2 within the float range, got {bad}")
-        bad = [a for a in cfg.alphas if not 0.0 < a <= 1.0]
-        if bad:
-            raise ConfigError(f"--alphas entries must lie in (0, 1], got {bad}")
-        bad = [nu for nu in cfg.nus if not 0.0 <= nu < math.inf]
-        if bad:
-            raise ConfigError(f"--nus entries must be finite and >= 0, got {bad}")
         # one cell file per cell: a repeated value, or two values one label cannot tell apart, is refused
         for flag, values in (("--alphas", cfg.alphas), ("--nus", cfg.nus), ("--Rs", cfg.Rs)):
             labels: dict[str, float] = {}
@@ -236,15 +221,14 @@ def _cell_label(x: float) -> str:
     return f"{x:g}"
 
 
+def _diagnostics(cfg: ExperimentConfig) -> DiagnosticsConfig:
+    return DiagnosticsConfig(cfg.stride, None if cfg.r == "auto" else float(cfg.r), cfg.tail_threshold)
+
+
 def run_simulate(cfg: ExperimentConfig) -> int:
     spec0 = _initial_spectrum(cfg)
     params = ModelParams(cfg.alpha, cfg.nu)
-    diag = DiagnosticsConfig(
-        stride=cfg.stride,
-        r=None if cfg.r == "auto" else float(cfg.r),
-        tail_threshold=cfg.tail_threshold,
-    )
-    record = evolve(spec0, params, cfg.t_end, cfg.dt, diag)
+    record = evolve(spec0, params, cfg.t_end, cfg.dt, _diagnostics(cfg))
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     record_to_csv(record, out / "run.csv")
@@ -352,7 +336,7 @@ def run_sweep(cfg: ExperimentConfig) -> int:
         [params for _, _, params in batch],
         cfg.t_end,
         cfg.dt,
-        DiagnosticsConfig(stride=cfg.stride, tail_threshold=cfg.tail_threshold),
+        _diagnostics(cfg),
     ) if batch else []
     # every cell is certified and marched before any file is written, so a cell that raises leaves none
     out = Path(cfg.out)
@@ -391,12 +375,8 @@ def float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v]
 
 
-#: how a flag reads its value; a flag not listed takes text
-_FLAG_TYPES = {
-    **dict.fromkeys(("alpha", "nu", "dt", "t_end", "tail_threshold"), float),
-    **dict.fromkeys(("modes", "grid_size", "stride", "seed"), int),
-    **dict.fromkeys(("alphas", "nus", "Rs"), float_list),
-}
+#: how a flag reads its value: as text where its field may be text, else as the field's type (a list as float_list)
+_FLAG_TYPES = {key: None if str in m else float_list if m[0] is list else m[0] for key, m in _MEMBERS.items()}
 _HELP = {
     "init": "sine:R or file:PATH",
     "grid_size": "sample grid points",
@@ -426,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
             if _FIELD_TYPES[key] is bool:
                 sub.add_argument(flag, dest=key, action="store_const", const=True)
             else:
-                sub.add_argument(flag, dest=key, type=_FLAG_TYPES.get(key), help=_HELP.get(key))
+                sub.add_argument(flag, dest=key, type=_FLAG_TYPES[key], help=_HELP.get(key))
     return parser
 
 

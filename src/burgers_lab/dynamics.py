@@ -48,7 +48,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .spectral import FOUR_PI, SineSpectrum, _weighted_energy, next_pow2, synthesize_slope
+from .spectral import FOUR_PI, SineSpectrum, _unit_scaled, _weighted_energy, next_pow2, synthesize_slope
 
 #: ||F||_{L2}^2 = 4*pi * sum 1/n^2 = 2*pi^3/3 for the attractor profile F,
 #: whose sine coefficients 1/n make  L = 4*pi*sum(psi_n/n)  the natural
@@ -70,10 +70,17 @@ class ModelParams:
     nu: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        if not 0.0 < self.alpha <= 1.0:  # NaN fails too
+            raise ValueError(f"alpha must be finite and lie in (0, 1], got {self.alpha}")
         if not (math.isfinite(self.nu) and self.nu >= 0.0):
             raise ValueError(f"nu must be finite and >= 0, got {self.nu}")
+
+
+def _positive(name: str, value: float) -> float:
+    """``value``, unless it is not a finite positive real (NaN included): then ValueError naming it."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
 
 
 def dissipation_symbol(params: ModelParams, N: int) -> np.ndarray:
@@ -249,15 +256,16 @@ def _if_rk4_stepper(e1: np.ndarray, dt: float, kernel: Kernel) -> Callable[[np.n
 @dataclass(frozen=True)
 class DiagnosticsConfig:
     stride: int = 10
-    r: float | None = None  # None: use ||u0|| / ||F|| for the distance diagnostic
+    r: float | None = None  # None: use r0 = ||u0|| / ||F|| (``optimal_scale``) for the distance diagnostic
     tail_threshold: float = 1e-3
     store_spectra: bool = False
 
     def __post_init__(self):
         if self.stride < 1:
-            raise ValueError("stride must be >= 1")
-        if not self.tail_threshold > 0:  # a NaN threshold would never trip
-            raise ValueError("tail threshold must be positive")
+            raise ValueError(f"stride must be a positive integer, got {self.stride}")
+        _positive("tail threshold", self.tail_threshold)  # a NaN threshold would never trip
+        if self.r is not None and not math.isfinite(float(self.r) * float(self.r) * F_L2_NORM_SQ):
+            raise ValueError(f"r={self.r} is too large: the distance term r^2 ||F||^2 leaves the float range")
 
 
 #: the per-record series of a SimulationRecord besides ``times``, in CSV order
@@ -330,6 +338,12 @@ def lyapunov_diagnostic(psi: np.ndarray, jump_location: str = "origin") -> float
     return lyap if psi.ndim > 1 else float(lyap)
 
 
+def optimal_scale(psi: np.ndarray) -> np.ndarray:
+    """r0 = ||u|| / ||F|| per row (``attractors.optimal_r``), taken on ``_unit_scaled`` rows: exact where ||u||^2 underflows."""
+    scaled, k = _unit_scaled(psi)
+    return np.ldexp(np.sqrt(_weighted_energy(scaled) / F_L2_NORM_SQ), k)
+
+
 def profile_distance(energy, pairing, c):
     """||u - c F(x - s)||^2 = E - 2 c <F(x - s), u> + c^2 ||F||^2 from E = ||u||^2 and the pairing, elementwise."""
     return energy - 2.0 * c * pairing + c * c * F_L2_NORM_SQ
@@ -352,8 +366,8 @@ _STEP_COUNT_RTOL = 1e-9
 
 
 def _step_count(t_end: float, dt: float) -> int:
-    """round(t_end/dt); ValueError unless t_end/dt is whole, since any other count stops early or late."""
-    steps = t_end / dt
+    """round(t_end/dt) for finite positive dt and t_end; ValueError unless t_end/dt is whole, since any other count stops early or late."""
+    steps = _positive("t_end", t_end) / _positive("dt", dt)
     if not (math.isfinite(steps) and abs(steps - round(steps)) <= _STEP_COUNT_RTOL * steps):
         raise ValueError(f"t_end/dt must be a whole number of steps, got {t_end}/{dt} = {steps}")
     return round(steps)
@@ -378,8 +392,6 @@ def evolve_batch(
     one its spectrum gives when marched alone.  t_end/dt must be a whole
     number of steps (to a relative 1e-9).
     """
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
     n_steps = _step_count(t_end, dt)
     if not spectra or len(spectra) != len(params):
         raise ValueError("need at least one spectrum and one ModelParams per spectrum")
@@ -401,10 +413,7 @@ def evolve_batch(
             raise ValueError(f"nu={p.nu:g} is too large: the dissipation weight 8 pi nu N^(2 alpha) overflows at N={N}")
 
     psi = np.stack([spec.psi for spec in spectra])
-    if diag.r is not None:
-        r = np.full(len(spectra), float(diag.r))
-    else:
-        r = np.sqrt(_weighted_energy(psi) / F_L2_NORM_SQ)
+    r = optimal_scale(psi) if diag.r is None else np.full(len(spectra), float(diag.r))
     step = _if_rk4_stepper(half_decay, dt, kernel)  # rebuilt when rows retire
 
     log: list[tuple[int, np.ndarray, np.ndarray]] = []  # (step, active spectra, diagnostics x rows)

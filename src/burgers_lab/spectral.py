@@ -67,9 +67,9 @@ class SineSpectrum:
 
     @classmethod
     def sine_wave(cls, amplitude: float, N: int = 1) -> "SineSpectrum":
-        """Spectrum of u0(x) = -amplitude * sin(x), i.e. psi_1 = amplitude/2."""
+        """Spectrum of u0(x) = -amplitude * sin(x), i.e. psi_1 = amplitude/2; N >= 1."""
         psi = np.zeros(N)
-        psi[0] = 0.5 * amplitude
+        psi[:1] = 0.5 * amplitude  # N = 0 leaves psi empty, which the constructor refuses
         return cls(psi)
 
     def padded(self, N: int) -> "SineSpectrum":
@@ -244,17 +244,19 @@ def _weighted_energy(psi: np.ndarray, weights: np.ndarray | None = None):
     return FOUR_PI * np.sum(psi**2 if weights is None else weights * psi**2, axis=-1)
 
 
-def sobolev_norm(spec: SineSpectrum, s: float) -> float:
-    """Homogeneous Sobolev norm sqrt(4*pi * sum n^{2s} psi_n^2); s=0 is L2.
+def _unit_scaled(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(psi / 2**k, k) per row, k bringing max |psi_n| to [1/2, 1): exact, and no norm's squares under- or overflow."""
+    k = np.frexp(np.max(np.abs(psi), axis=-1))[1]
+    return np.ldexp(psi, -np.expand_dims(k, -1)), k
 
-    psi is first scaled by the power of two that brings max |psi_n| to [1/2, 1),
-    exactly, so no square under- or overflows where the norm itself does not.
-    """
+
+def sobolev_norm(spec: SineSpectrum, s: float) -> float:
+    """Homogeneous Sobolev norm sqrt(4*pi * sum n^{2s} psi_n^2); s=0 is L2, taken on ``_unit_scaled`` psi."""
     if s < 0:
         raise ValueError("order s must be >= 0")
     n = np.arange(1, spec.N + 1, dtype=float)
-    k = math.frexp(float(np.max(np.abs(spec.psi))))[1]
-    return math.ldexp(float(np.sqrt(_weighted_energy(np.ldexp(spec.psi, -k), n ** (2.0 * s)))), k)
+    scaled, k = _unit_scaled(spec.psi)
+    return math.ldexp(float(np.sqrt(_weighted_energy(scaled, n ** (2.0 * s)))), int(k))
 
 
 def grid_lq_norm(grid: GridFunction | np.ndarray, q: float) -> float:

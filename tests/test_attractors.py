@@ -17,7 +17,9 @@ from burgers_lab.attractors import (
     lyapunov,
     optimal_r,
     power_sum,
+    series_s,
 )
+from burgers_lab.blowup import UnsupportedRegimeError
 from burgers_lab.characteristics import HorizonError, InitialField, sample_solution
 from burgers_lab.spectral import SineSpectrum, grid_points, sobolev_norm
 
@@ -84,6 +86,11 @@ class TestProfiles:
         h = 1e-4
         slopes = (att.evaluate(x + h) - att.evaluate(x - h)) / (2 * h)
         np.testing.assert_allclose(slopes, att.slope_floor, rtol=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e308, np.inf, np.nan])
+    def test_scale_whose_norm_overflows_refused(self, scale):
+        with pytest.raises(ValueError, match="float range"):
+            AttractorFn("F", scale, "origin")
 
     def test_slope_floors(self):
         assert PROFILES["F"].slope_floor == 1.0 and PROFILES["sawtooth"].slope_floor == 1.0
@@ -168,6 +175,13 @@ class TestOptimalScaling:
     def test_zero_data_undefined(self):
         with pytest.raises(ValueError):
             optimal_r(SineSpectrum(np.zeros(3)))
+
+    @pytest.mark.parametrize("amplitude", [1e-160, 1e-200, 1e-300, 1e150])
+    def test_homogeneous_where_the_energy_under_or_overflows(self, amplitude):
+        # r0 scales as R and g(r0) as 1/R; ||u0||^2 is subnormal or zero at the small amplitudes
+        base, scaled = optimal_r(SineSpectrum.sine_wave(1.0)), optimal_r(SineSpectrum.sine_wave(amplitude, N=4))
+        assert scaled.r0 == pytest.approx(amplitude * base.r0, rel=1e-12, abs=0.0)
+        assert scaled.g_r0 == pytest.approx(base.g_r0 / amplitude, rel=1e-12, abs=0.0)
 
     def test_minimizer_property_on_grid(self):
         spec = SineSpectrum([0.5, 0.25])
@@ -294,6 +308,13 @@ class TestSeriesConstants:
     def test_hs_norm_diverges_at_half(self):
         with pytest.raises(DivergentSeriesError):
             PROFILES["F"].hs_norm_sq(0.5)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
+    def test_series_s_is_the_regime_guard(self, alpha):
+        # one guard: the certificates' regime error is S(alpha)'s divergence, re-exported by blowup
+        with pytest.raises(UnsupportedRegimeError, match="not supercritical"):
+            series_s(alpha)
+        assert issubclass(UnsupportedRegimeError, DivergentSeriesError)
 
 
 class TestQuadrature:

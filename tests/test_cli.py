@@ -12,6 +12,7 @@ import sys
 
 import numpy as np
 import pytest
+import hypothesis
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -142,6 +143,25 @@ class TestSimulate:
         assert (meta["termination"], meta["t_final"]) == ("blowup_detected", 0.0)
         assert "numerical blowup proxy tripped at t = 0\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("as_flag", [True, False], ids=["flag", "config"])
+    def test_modes_refused_with_a_spectrum_file(self, as_flag, tmp_path, capsys):
+        # a file: spectrum has its own mode count; --modes 512 used to be ignored without a word
+        spec_file = tmp_path / "u0.json"
+        spec_file.write_text(json.dumps({"N": 3, "psi": [0.5, -0.2, 0.1]}))
+        out = tmp_path / "run"
+        argv = ["simulate", "--alpha", "0.25", "--nu", "0.04", "--init", f"file:{spec_file}", "--dt", "0.01",
+                "--t-end", "0.1", "--out", str(out)]
+        if as_flag:
+            argv += ["--modes", "512"]
+        else:
+            cfg_file = tmp_path / "cfg.json"
+            cfg_file.write_text(json.dumps({"modes": 512}))
+            argv += ["--config", str(cfg_file)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --modes applies only to sine:R data") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_certify_outside_the_regime_notes_the_skip(self, tmp_path, capsys):
         out = tmp_path / "run"
         argv = ["simulate", "--alpha", "0.5", "--nu", "0.1", "--modes", "16", "--dt", "0.01", "--t-end", "0.1",
@@ -198,6 +218,16 @@ class TestInviscid:
             tables.append(read_csv(out / "decay.csv")[1][:, 1:] / R**2)
         np.testing.assert_allclose(tables[1], tables[0], rtol=1e-12)
         assert bounds[1] == pytest.approx(bounds[0], rel=1e-12)
+
+    @pytest.mark.parametrize("amplitude", ["1e-160", "1e-200"])
+    def test_subnormal_energy_bound_scales_exactly(self, tmp_path, capsys, amplitude):
+        # g(r0) scales as 1/R: at ||u0||^2 = pi R^2 subnormal (1e-160) or zero (1e-200) it used to be
+        # 1.13028893e160 (r0 rounded) or a refusal as zero data
+        bounds = []
+        for init in ("sine:1", f"sine:{amplitude}"):
+            assert main(["inviscid", "--init", init, "--dt", "0.1", "--t-end", "0.2", "--out", str(tmp_path / init)]) == 0
+            bounds.append(float(capsys.readouterr().out.split("blowup_time_bound = ")[1].split()[0]))
+        assert bounds[1] * float(amplitude) == pytest.approx(bounds[0], rel=1e-12)
 
     @pytest.mark.parametrize("name, kind", [("F", "F"), ("phi", "Phi"), ("Phi", "Phi"), ("PHI", "Phi"), ("sawtooth", "sawtooth")])
     def test_attractor_names(self, name, kind):
@@ -387,6 +417,13 @@ class TestSweep:
         _, rows = read_csv(out / "sweep.csv")
         _, series = read_csv(out / "cell_a0.25_nu0.04_R10.csv")
         assert series[-1, 0] < 0.5 and rows[0, 5] == series[-1, 0]
+
+    def test_certificates_alone_need_no_whole_step_count(self, tmp_path):
+        # without --simulate nothing marches, so dt and t_end need only be finite and positive
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--alphas", "0.25", "--nus", "0.04", "--Rs", "2", "--dt", "0.3", "--t-end", "1",
+                     "--out", str(out)]) == 0
+        assert (out / "sweep.csv").exists()
 
     def test_empty_grid_exits_one(self):
         assert main(["sweep", "--alphas", "", "--nus", "1", "--Rs", "1"]) == 1
@@ -636,6 +673,9 @@ class TestNonFiniteSettings:
             ["simulate", "--alpha", "0.5", "--nu", "0", "--t-end", "inf"],
             ["simulate", "--alpha", "0.5", "--nu", "0", "--tail-threshold", "nan"],
             ["inviscid", "--t-end", "nan"],
+            ["sweep", "--alphas", "0.25", "--nus", "0.04", "--Rs", "2", "--dt", "nan"],
+            ["sweep", "--alphas", "0.25", "--nus", "0.04", "--Rs", "2", "--tail-threshold", "inf"],
+            ["simulate", "--alpha", "0.5", "--nu", "0", "--tail-threshold", "inf"],
         ],
     )
     def test_rejected_with_one_line_error(self, argv, tmp_path, capsys):
@@ -749,6 +789,17 @@ class TestScaleR:
         out = tmp_path / "out"
         assert main([mode, *args, "--t-end", "0.5", "--r", r, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: r must be a finite positive real or 'auto', got {r!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["inviscid", "simulate"])
+    @pytest.mark.parametrize("r", ["1e200", "1e308"])
+    def test_overflowing_distance_term_refused(self, mode, r, tmp_path, capsys):
+        # r^2 ||F||^2 overflows: dist_rF used to read inf (1e200) or nan (1e308), and inviscid's table inf
+        args = {"inviscid": ["--dt", "0.25"], "simulate": ["--alpha", "0.5", "--nu", "0", "--dt", "0.01"]}[mode]
+        out = tmp_path / "out"
+        assert main([mode, *args, "--t-end", "0.5", "--r", r, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "float range" in err and err.count("\n") == 1
         assert not out.exists()
 
     def test_config_file_value_checked_alike(self, tmp_path, capsys):
@@ -869,7 +920,7 @@ class TestConfigHandling:
         # 10^14 modes ask for 728 TiB, which the allocator refuses at once
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"alpha": 0.25, "nu": 0.04, "modes": 10**14}))
-        assert main(["certify", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 1
+        assert main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
@@ -929,6 +980,8 @@ class TestSettings:
             ("inviscid", "nu", 0.1),
             ("verify", "out", None),
             ("certify", "dt", 0.01),
+            ("inviscid", "modes", 4),
+            ("certify", "modes", 4),
             ("sweep", "init", "sine:1"),
         ],
     )
@@ -998,6 +1051,16 @@ class TestOneValuePerQuantity:
         assert theorem["kappa"] == corollary["kappa"] == 0.02418865082489962
         assert theorem["predicted_bound_T"] == corollary["predicted_bound_T"]
 
+    @pytest.mark.parametrize("alpha, nu, amplitude", [("0.3", "0.04", "10"), ("0.25", "0.02", "40"), ("0.25", "5e-324", "1")])
+    def test_both_sine_certificates_carry_one_forcing(self, alpha, nu, amplitude, tmp_path, capsys):
+        # M was formed two ways, which differed in the last bits, and as sqrt(nu / 2), which is 0 at nu = 5e-324
+        argv = ["certify", "--alpha", alpha, "--nu", nu, "--init", f"sine:{amplitude}", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        theorem, corollary = (json.loads(line) for line in capsys.readouterr().out.splitlines())
+        assert theorem["hypotheses_hold"] and corollary["hypotheses_hold"]
+        assert theorem["forcing_M"] == corollary["forcing_M"] > 0.0
+        assert theorem["window"] == corollary["window"]
+
     @pytest.mark.parametrize("seed", range(5))
     def test_simulate_r_is_optimal_r(self, seed, tmp_path):
         # run.json's r is the march's r0 = ||u0|| / ||F||, which optimal_r reports as well
@@ -1013,6 +1076,170 @@ class TestOneValuePerQuantity:
 
 #: edge values of the certify property test: zeros, subnormals, the float range's ends, infinities, NaN
 _EDGES = [0.0, -0.0, 5e-324, 1e-310, 1e308, math.inf, -math.inf, math.nan]
+
+
+def _run_in_process(argv: list[str]) -> tuple[int, list[str], list[str]]:
+    """main(argv) with stdout and stderr captured; fails on any Python warning, traceback or warning text."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    assert not caught, [str(w.message) for w in caught]
+    assert "Traceback" not in stderr.getvalue() and "Warning" not in stderr.getvalue()
+    assert code in (0, 1, 2)
+    return code, stdout.getvalue().splitlines(), stderr.getvalue().splitlines()
+
+
+def _assert_one_error_and_no_file(lines: list[str], out: Path) -> None:
+    assert [line for line in lines if not line.startswith("note: ")] == lines[-1:]
+    assert lines[-1].startswith("error: ")
+    assert not out.exists()
+
+
+def _finite_table(path: Path) -> bool:
+    """Whether every value below a CSV file's header is a finite number."""
+    return all(math.isfinite(float(v)) for line in path.read_text().split("\n")[1:-1] for v in line.split(","))
+
+
+def _finite_json(path: Path, may_be_infinite=()) -> bool:
+    """Whether every number of a flat JSON object is finite, the keys documented as possibly +inf aside."""
+    payload = json.loads(path.read_text())
+    numbers = {k: v for k, v in payload.items() if isinstance(v, float)}
+    return all(math.isfinite(v) or (k in may_be_infinite and v == math.inf) for k, v in numbers.items())
+
+
+#: a certificate's margin and window are +inf at nu = 0, or where they pass the float range
+_CERT_INF = ("margin", "window")
+#: edge values of a real-valued flag, as text: zeros, negatives, subnormals, the float range's end, inf, NaN, junk
+_REALS = ["0", "-0", "-1", "5e-324", "1e-310", "1e308", "inf", "-inf", "nan", "", "x"]
+#: edge values of each setting of a march and of the inviscid table; dt and t_end leave out the
+#: subnormal 1e-310, since 0.01 / 1e-310 asks for 1e308 steps, a march that would not end
+_EDGES_OF = {
+    "alpha": ["0.5", "0.75", "1", *_REALS],
+    "nu": _REALS,
+    "init": ["sine:-1", "sine:0", "sine:1e-200", "sine:1e150", "sine:5e-324", "sine:1e308", "sine:nan", "sine:inf",
+             "sine:", "sine:x", "bogus:1", "", "file:{dir}/u0.json", "file:{dir}/missing.json", "file:{dir}"],
+    "modes": ["1", "2", "0", "-1", "", "x", "1.5"],
+    "dt": ["0.1", "1e308", *(v for v in _REALS if v != "1e-310")],
+    "t_end": ["0.05", "1", "1e308", *(v for v in _REALS if v != "1e-310")],
+    "stride": ["1", "1000", "0", "-1", "", "x"],
+    "r": ["1", "1e153", "1e200", "1e308", *_REALS],
+    "tail_threshold": ["1", "1e-300", *_REALS],
+    "seed": ["-1", str(10**30), "", "x"],
+    "grid_size": ["16", "4", "3", "0", "-1", "", "x"],
+    "attractor": ["phi", "sawtooth", "F:x", "", "x"],
+}
+
+
+def _draw_settings(data, valid: dict[str, str], edges: dict[str, list[str]] = _EDGES_OF) -> dict[str, str]:
+    """``valid`` with one or two settings replaced by an edge value each, and each on/off flag drawn."""
+    keys = st.sampled_from(sorted(set(valid) & set(edges)))
+    edited = data.draw(st.lists(keys, min_size=1, max_size=data.draw(st.sampled_from([1, 1, 2])), unique=True))
+    settings_ = valid | {key: data.draw(st.sampled_from(edges[key]), label=key) for key in edited}
+    return settings_ | {key: data.draw(st.booleans(), label=key) for key, value in valid.items() if value is False}
+
+
+def _command_line(command: str, settings_: dict, work: str) -> list[str]:
+    argv = [command]
+    for key, value in settings_.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, bool):
+            argv += [flag] if value else []
+        else:
+            argv.append(f"{flag}={value.format(dir=work)}")
+    return [*argv, "--out", str(Path(work, "out"))]
+
+
+def _steps_bounded(settings_: dict) -> bool:
+    """Whether t_end/dt asks for at most 20 steps, or is refused (not a finite whole positive number)."""
+    try:
+        steps = float(settings_["t_end"]) / float(settings_["dt"])
+    except (ValueError, ZeroDivisionError):
+        return True
+    return not (math.isfinite(steps) and steps > 20)
+
+
+@contextlib.contextmanager
+def _work_dir(settings_: dict):
+    """A fresh directory holding a 3-mode spectrum u0.json; settings that ask for over 20 steps are not run."""
+    hypothesis.assume(_steps_bounded(settings_))
+    with tempfile.TemporaryDirectory() as work:
+        Path(work, "u0.json").write_text(json.dumps({"N": 3, "psi": [0.5, -0.2, 0.1]}))
+        yield work
+
+
+class TestSimulateProperty:
+    VALID = {"alpha": "0.25", "nu": "0.04", "init": "sine:1", "modes": "16", "dt": "0.05", "t_end": "0.5",
+             "stride": "3", "r": "auto", "tail_threshold": "1e-3", "seed": "0", "certify": False}
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_every_input_ends_in_a_run_or_one_error(self, data):
+        settings_ = _draw_settings(data, self.VALID)
+        with _work_dir(settings_) as work:
+            out = Path(work, "out")
+            code, _, lines = _run_in_process(_command_line("simulate", settings_, work))
+            if code == 1:
+                _assert_one_error_and_no_file(lines, out)
+            if code == 0:
+                assert not any(line.startswith("error: ") for line in lines)
+                assert _finite_table(out / "run.csv") and _finite_json(out / "run.json")
+                if (out / "certificate.json").exists():
+                    assert _finite_json(out / "certificate.json", _CERT_INF)
+
+
+class TestInviscidProperty:
+    VALID = {"init": "sine:1", "dt": "0.05", "t_end": "0.5", "grid_size": "64", "attractor": "F", "r": "auto"}
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_every_input_ends_in_a_table_or_one_error(self, data):
+        settings_ = _draw_settings(data, self.VALID)
+        with _work_dir(settings_) as work:
+            code, printed, lines = _run_in_process(_command_line("inviscid", settings_, work))
+            assert code in (0, 1)
+            if code == 1:
+                _assert_one_error_and_no_file(lines, Path(work, "out"))
+            else:
+                assert not lines and _finite_table(Path(work, "out", "decay.csv"))
+                assert all(math.isfinite(float(line.split(" = ")[1])) for line in printed[:2])
+
+
+class TestSweepProperty:
+    VALID = {"alphas": "0.25,0.3", "nus": "0.04", "Rs": "2,10", "modes": "16", "dt": "0.05", "t_end": "0.5",
+             "stride": "3", "tail_threshold": "1e-3", "simulate": False}
+    #: each list's edge values: one edge real, a repeated entry, an empty entry, or a cell outside the regime
+    LISTS = [*_REALS, "0.25,0.25", "0.25,,1", "0.25,-0", "0,-0", "0.6", "2,1e150"]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_every_input_ends_in_a_table_or_one_error(self, data):
+        edges = {**_EDGES_OF, **dict.fromkeys(("alphas", "nus", "Rs"), self.LISTS)}
+        settings_ = _draw_settings(data, self.VALID, edges)
+        with _work_dir(settings_) as work:
+            out = Path(work, "out")
+            code, _, lines = _run_in_process(_command_line("sweep", settings_, work))
+            if not (out / "sweep.csv").exists():
+                assert code == 1
+                _assert_one_error_and_no_file(lines, out)
+                return
+            rows = [line.split(",") for line in (out / "sweep.csv").read_text().split("\n")[1:-1]]
+            statuses = [row[-1] for row in rows]
+            # one error line per unsupported or failed cell, and the exit code they give
+            assert len(lines) == len(rows) - statuses.count("ok")
+            assert all(line.startswith("error: cell_") for line in lines)
+            assert code == (2 if "step_failure" in statuses else 1 if "unsupported" in statuses else 0)
+            for row, status in zip(rows, statuses):
+                alpha, nu, R, margin, bound_T, detected_T = (float(v) if v else None for v in row[:-1])
+                assert all(math.isfinite(v) for v in (alpha, nu, R))
+                assert all(v is None or math.isfinite(v) for v in (bound_T, detected_T))
+                # the margin (R / nu) / threshold is +inf at nu = 0 and where R / nu leaves the float range
+                assert margin is None or math.isfinite(margin) or (margin == math.inf and R > nu * sys.float_info.max)
+                if status == "ok" and settings_["simulate"]:
+                    assert _finite_table(out / f"cell_a{alpha:g}_nu{nu:g}_R{R:g}.csv")
+            for cert in out.glob("cell_*.json"):
+                assert _finite_json(cert, _CERT_INF)
 
 
 class TestCertifyProperty:

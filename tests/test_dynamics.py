@@ -60,11 +60,45 @@ class TestModelParams:
 
 
 class TestDiagnosticsConfig:
-    @pytest.mark.parametrize("threshold", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, np.nan, np.inf])
     def test_tail_threshold_must_be_positive(self, threshold):
         # a NaN threshold would let neither the march nor the detection proxy trip
         with pytest.raises(ValueError, match="tail threshold must be positive"):
             DiagnosticsConfig(tail_threshold=threshold)
+
+    @pytest.mark.parametrize("r", [1e200, 1e308, np.inf, np.nan])
+    def test_r_whose_distance_term_overflows_refused(self, r):
+        # r^2 ||F||^2 would read inf or nan in every dist_rF of the march
+        with pytest.raises(ValueError, match="float range"):
+            DiagnosticsConfig(r=r)
+
+    @pytest.mark.parametrize("r", [1e153, 5e-324, -2.0])
+    def test_r_in_range_accepted(self, r):
+        assert DiagnosticsConfig(r=r).r == r
+
+
+class TestStepCountDomain:
+    @pytest.mark.parametrize(
+        "t_end, dt", [(1.0, 0.0), (1.0, -0.1), (0.0, 0.1), (-1.0, 0.1), (np.nan, 0.1), (1.0, np.inf), (np.inf, 0.1)]
+    )
+    def test_non_positive_or_non_finite_refused(self, t_end, dt):
+        specs, params = [SineSpectrum.sine_wave(1.0, 4)], [ModelParams(0.5, 0.1)]
+        with pytest.raises(ValueError, match="positive and finite"):
+            evolve_batch(specs, params, t_end, dt)
+
+    def test_subnormal_step_count_overflows(self):
+        with pytest.raises(ValueError, match="whole number of steps"):
+            evolve_batch([SineSpectrum.sine_wave(1.0, 4)], [ModelParams(0.5, 0.1)], 1.0, 5e-324)
+
+
+class TestOptimalScale:
+    @pytest.mark.parametrize("amplitude", [1e-160, 1e-200])
+    def test_default_r_scales_with_subnormal_energy(self, amplitude):
+        # the march's r0 = ||u0|| / ||F||, though ||u0||^2 = pi R^2 is subnormal or zero
+        params = [ModelParams(0.5, 0.1)] * 2
+        base, small = evolve_batch([SineSpectrum.sine_wave(1.0, 4), SineSpectrum.sine_wave(amplitude, 4)], params,
+                                   0.1, 0.1)
+        assert small.r == pytest.approx(amplitude * base.r, rel=1e-12, abs=0.0)
 
 
 class TestDirectKernel:

@@ -47,6 +47,11 @@ class TestSineSpectrum:
         with pytest.raises(ValueError):
             s.psi[0] = 3.0
 
+    @pytest.mark.parametrize("N", [0, -1])
+    def test_sine_wave_needs_a_mode(self, N):
+        with pytest.raises(ValueError):
+            SineSpectrum.sine_wave(1.0, N=N)
+
     def test_sine_wave_convention(self):
         # u0 = -R sin x has psi_1 = R/2
         s = SineSpectrum.sine_wave(10.0, N=4)
