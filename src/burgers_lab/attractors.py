@@ -178,9 +178,9 @@ def key_identity_residuals(spec: SineSpectrum) -> tuple[float, float]:
 
 
 def attractor_distance(spec: SineSpectrum, r: float, jump_location: str = "origin") -> float:
-    """||u - r F(x - s)||^2 expanded exactly (``profile_distance``), as the march records it."""
-    pairing = lyapunov_diagnostic(spec.psi, jump_location)
-    return float(profile_distance(_weighted_energy(spec.psi), pairing, r))
+    """||u - r F(x - s)||^2 expanded exactly (``profile_distance``) with E taken on ``_unit_scaled`` psi, as the march records it."""
+    scaled, k = _unit_scaled(spec.psi)
+    return float(profile_distance(_weighted_energy(scaled), lyapunov_diagnostic(spec.psi, jump_location), r, k))
 
 
 @dataclass(frozen=True)

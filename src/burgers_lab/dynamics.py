@@ -27,6 +27,13 @@ others, so one call evaluates a whole stack of spectra.  The time step
 copies the result and later overwrites the input it passed, so a kernel
 keeps no reference to its input.
 
+Buffers: the public ``nonlinear_pseudospectral`` pads each call's input
+into an (..., L) array of that call's own, so calls may run on several
+threads at once.  A march owns its buffers through its stepper
+(``_if_rk4_stepper``): a contiguous (B, N) stage, the four k arrays, and
+for the default kernel a (B, L) pad and a (B, L) transform work buffer.
+Both paths run the same transforms, ``_half_grid_quadratic``.
+
 Time stepping is fixed-step integrating-factor RK4: the dissipative part
 is absorbed exactly through exp(-nu n^{2 alpha} dt) and classical RK4
 advances the transformed nonlinearity, reducing to plain RK4 when nu = 0.
@@ -170,20 +177,28 @@ def _half_grid(N: int) -> tuple[int, np.ndarray, Callable, Callable]:
 
 
 def _positional(transform: Callable) -> Callable:
-    """A public ``scipy.fft`` transform behind the binding's call; unnormalised (inorm 0) only."""
-    return lambda a, type, axes, inorm, out, nthreads: transform(
-        a, type, axis=axes[0], overwrite_x=out is a, workers=nthreads
-    )
+    """A public ``scipy.fft`` transform behind the binding's call, written into ``out`` as the binding writes; inorm 0 only."""
+
+    def call(a, type, axes, inorm, out, nthreads):
+        result = transform(a, type, axis=axes[0], overwrite_x=out is a, workers=nthreads)
+        if out is not None and result is not out:
+            np.copyto(out, result)
+            result = out
+        return result
+
+    return call
 
 
-def _half_grid_quadratic(u: np.ndarray, N: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The quadratic term of the spectra in u[..., :N] into ``out``; zero-pads u to L, then overwrites it."""
+def _half_grid_quadratic(padded: np.ndarray, work: np.ndarray, N: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The quadratic term of the spectra in padded[..., :N] (zeros past N, only read) into ``out``.
+
+    The DST-III goes into ``work`` (which may be ``padded``), where the square and the DCT-II run in place.
+    """
     _, scale, dst, dct = _half_grid(N)
-    u[..., N:] = 0.0
-    u = dst(u, 3, (-1,), 0, u, 1)
-    u *= u
-    u = dct(u, 2, (-1,), 0, u, 1)
-    return np.multiply(scale, u[..., 1 : N + 1], out=out)
+    dst(padded, 3, (-1,), 0, work, 1)
+    work *= work
+    dct(work, 2, (-1,), 0, work, 1)
+    return np.multiply(scale, work[..., 1 : N + 1], out=out)
 
 
 def nonlinear_pseudospectral(psi: np.ndarray) -> np.ndarray:
@@ -198,9 +213,9 @@ def nonlinear_pseudospectral(psi: np.ndarray) -> np.ndarray:
     """
     psi = np.asarray(psi, dtype=float)
     N = psi.shape[-1]
-    u = np.empty(psi.shape[:-1] + (_half_grid(N)[0],))
+    u = np.zeros(psi.shape[:-1] + (_half_grid(N)[0],))
     u[..., :N] = psi
-    return _half_grid_quadratic(u, N)
+    return _half_grid_quadratic(u, u, N)
 
 
 def _if_rk4_stepper(e1: np.ndarray, dt: float, kernel: Kernel) -> Callable[[np.ndarray], np.ndarray]:
@@ -210,35 +225,45 @@ def _if_rk4_stepper(e1: np.ndarray, dt: float, kernel: Kernel) -> Callable[[np.n
     e2 = e1 * e1, k1 = N(psi), k2 = N(e1 (psi + dt/2 k1)), k3 = N(e1 psi + dt/2 k2)
     and k4 = N(e2 psi + dt e1 k3), each operation done in place but in the
     order and grouping of that formula, so every rounding is the same as if
-    it were evaluated term by term.  Each stage is written into the first N
-    columns of a (B, L) pad, where the default kernel transforms it in place;
-    another kernel's result is copied into k.  The buffers are the stepper's
-    own, so marches on several threads share none.  A step leaves the state
-    it is given as it is, then keeps it as scratch that the next step overwrites.
+    it were evaluated term by term.
+
+    The buffers are the stepper's own, so marches on several threads share
+    none.  Each stage is formed in a contiguous (B, N) ``stage``, and its
+    last operation writes it into the kernel's input ``kin``.  For the
+    default kernel ``kin`` is the first N columns of a (B, L) pad whose tail
+    is zeroed once, here, and ``_half_grid_quadratic`` transforms the pad
+    through a (B, L) work buffer; a custom kernel reads a (B, N) ``kin``
+    and its result is copied into k.  Where ``kin`` is contiguous (B = 1, or
+    a custom kernel) it is the stage itself.  A step leaves the state it is
+    given as it is, then keeps it as scratch that the next step overwrites.
     """
     e2, dt_e1, two_e1 = e1 * e1, dt * e1, 2.0 * e1
     half_dt, N = 0.5 * dt, e1.shape[-1]
-    in_place = kernel is nonlinear_pseudospectral
-    pad = np.empty(e1.shape[:-1] + (_half_grid(N)[0] if in_place else N,))
-    stage = pad[..., :N]
-    nonlinear = partial(_half_grid_quadratic, pad, N) if in_place else lambda k: np.copyto(k, kernel(stage))
     k1, k2, k3, k4, e_psi = (np.empty(e1.shape) for _ in range(5))
+    if kernel is nonlinear_pseudospectral:
+        pad = np.zeros(e1.shape[:-1] + (_half_grid(N)[0],))
+        kin = pad[..., :N]
+        nonlinear = partial(_half_grid_quadratic, pad, np.empty_like(pad), N)
+    else:
+        kin = np.empty(e1.shape)
+        nonlinear = lambda k: np.copyto(k, kernel(kin))  # noqa: E731
+    stage = kin if kin.flags.c_contiguous else np.empty(e1.shape)
 
     def step(psi: np.ndarray) -> np.ndarray:
         nonlocal k1, k2, stage  # in-place operators rebind these names (to the same arrays)
-        np.copyto(stage, psi)
+        np.copyto(kin, psi)
         nonlinear(k1)
         np.multiply(k1, half_dt, out=stage)
         stage += psi
-        stage *= e1
+        np.multiply(stage, e1, out=kin)
         nonlinear(k2)
         np.multiply(e1, psi, out=e_psi)
         np.multiply(k2, half_dt, out=stage)
-        stage += e_psi
+        np.add(stage, e_psi, out=kin)
         nonlinear(k3)
         np.multiply(e2, psi, out=e_psi)  # now e2 psi
         np.multiply(dt_e1, k3, out=stage)
-        stage += e_psi
+        np.add(stage, e_psi, out=kin)
         nonlinear(k4)
         k2 += k3
         k2 *= two_e1
@@ -344,9 +369,15 @@ def optimal_scale(psi: np.ndarray) -> np.ndarray:
     return np.ldexp(np.sqrt(_weighted_energy(scaled) / F_L2_NORM_SQ), k)
 
 
-def profile_distance(energy, pairing, c):
-    """||u - c F(x - s)||^2 = E - 2 c <F(x - s), u> + c^2 ||F||^2 from E = ||u||^2 and the pairing, elementwise."""
-    return energy - 2.0 * c * pairing + c * c * F_L2_NORM_SQ
+def profile_distance(energy, pairing, c, k=0):
+    """||u - c F(x - s)||^2 = E - 2 c <F(x - s), u> + c^2 ||F||^2, elementwise, from E / 4^k (of u / 2^k) and the pairing.
+
+    The terms are formed for u and c F both divided by 2^j, j = max(k, exponent of c), where none
+    under- or overflows, and scaled back: in the normal range that is exact, the plain expression's bits.
+    """
+    j = np.maximum(k, np.frexp(c)[1])
+    c_j = np.ldexp(c, -j)
+    return np.ldexp(np.ldexp(energy, 2 * (k - j)) - 2.0 * c_j * np.ldexp(pairing, -j) + c_j * c_j * F_L2_NORM_SQ, 2 * j)
 
 
 def evolve(
@@ -363,13 +394,18 @@ def evolve(
 
 #: relative tolerance within which t_end/dt counts as a whole number of steps
 _STEP_COUNT_RTOL = 1e-9
+#: the most steps a march or table may ask for: a step takes tens of microseconds even at N = 1, so 10^9 take hours
+_MAX_STEPS = 10**9
 
 
 def _step_count(t_end: float, dt: float) -> int:
-    """round(t_end/dt) for finite positive dt and t_end; ValueError unless t_end/dt is whole, since any other count stops early or late."""
+    """round(t_end/dt) for finite positive dt and t_end; ValueError unless t_end/dt is whole,
+    since any other count stops early or late, and at most ``_MAX_STEPS``, since no longer march finishes."""
     steps = _positive("t_end", t_end) / _positive("dt", dt)
     if not (math.isfinite(steps) and abs(steps - round(steps)) <= _STEP_COUNT_RTOL * steps):
         raise ValueError(f"t_end/dt must be a whole number of steps, got {t_end}/{dt} = {steps}")
+    if steps > _MAX_STEPS:
+        raise ValueError(f"t_end/dt = {steps:g} steps is more than the {_MAX_STEPS:.0e} a march can finish")
     return round(steps)
 
 
@@ -390,7 +426,13 @@ def evolve_batch(
     one included (a resolution-loss proxy, not a proof), or 'step_failure' (partial record)
     on a non-finite state; the other rows march on.  Each record equals the
     one its spectrum gives when marched alone.  t_end/dt must be a whole
-    number of steps (to a relative 1e-9).
+    number of steps (to a relative 1e-9), at most ``_MAX_STEPS``, and a
+    viscous row's dissipation rate g(u0) must be finite.
+
+    The energy, ``dist_rF``, ``h1_norm`` and tail fraction of a record are
+    taken on ``_unit_scaled`` rows, exact where ||u||^2 is subnormal.
+    ``diss_integral`` is the trapezoid sum of g = 2 nu ||u||_{H^alpha}^2
+    over every step, formed per step on the unscaled state.
     """
     n_steps = _step_count(t_end, dt)
     if not spectra or len(spectra) != len(params):
@@ -404,15 +446,18 @@ def evolve_batch(
     M_diag = next_pow2(max(256, 2 * (N + 1)))  # grid of the min du/dx diagnostic
 
     # one row per spectrum, each built exactly as a single-row march builds it
-    with np.errstate(over="ignore"):
+    psi = np.stack([spec.psi for spec in spectra])
+    with np.errstate(over="ignore", invalid="ignore"):
         half_decay = np.stack([np.exp(-0.5 * dt * dissipation_symbol(p, N)) for p in params])
-        # g(psi) = 2 nu ||psi||_{H^alpha}^2, the dissipation rate
+        # g(psi) = 2 nu ||psi||_{H^alpha}^2 = sum w psi^2, the dissipation rate
         diss_weights = np.stack([2.0 * p.nu * FOUR_PI * n ** (2.0 * p.alpha) for p in params])
-    for p, weights in zip(params, diss_weights):
+        g_prev = (diss_weights * psi**2).sum(axis=-1)
+    for p, weights, g in zip(params, diss_weights, g_prev):
         if not np.isfinite(weights[-1]):
             raise ValueError(f"nu={p.nu:g} is too large: the dissipation weight 8 pi nu N^(2 alpha) overflows at N={N}")
+        if p.nu > 0.0 and not np.isfinite(g):
+            raise ValueError(f"nu={p.nu:g} is too large for this initial data: its dissipation rate g(u0) overflows")
 
-    psi = np.stack([spec.psi for spec in spectra])
     r = optimal_scale(psi) if diag.r is None else np.full(len(spectra), float(diag.r))
     step = _if_rk4_stepper(half_decay, dt, kernel)  # rebuilt when rows retire
 
@@ -422,19 +467,24 @@ def evolve_batch(
     active = np.arange(len(spectra))  # the spectrum each row of psi belongs to
 
     def record(k: int, psi: np.ndarray, diss: np.ndarray) -> np.ndarray:
-        """Log the diagnostics of every active spectrum; return their tail fractions."""
-        squares = psi**2
+        """Log the diagnostics of every active spectrum; return their tail fractions.
+
+        The quadratic columns come from one ``_unit_scaled`` copy of the
+        rows, scaled back by ldexp: exact in the normal range.
+        """
+        scaled, exp2 = _unit_scaled(psi)
+        squares = scaled**2
         total = squares.sum(axis=-1)
-        energy = FOUR_PI * total  # _weighted_energy(psi), from the shared squares
+        energy = FOUR_PI * total  # _weighted_energy(scaled), from the shared squares
         lyap = lyapunov_diagnostic(psi)
         tail = _tail_fraction(squares, total)
-        values = np.stack(
+        values = np.array(
             [
-                energy,
+                np.ldexp(energy, 2 * exp2),
                 diss,
                 lyap,
-                profile_distance(energy, lyap, r[active]),
-                np.sqrt(FOUR_PI * (n_sq * squares).sum(axis=-1)),
+                profile_distance(energy, lyap, r[active], exp2),
+                np.ldexp(np.sqrt(FOUR_PI * (n_sq * squares).sum(axis=-1)), exp2),
                 tail,
                 synthesize_slope(psi, M_diag).min(axis=-1),
             ]
@@ -447,19 +497,22 @@ def evolve_batch(
 
     def retire(ended: np.ndarray, reason: str) -> bool:
         """Give the rows in ``ended`` their termination and drop them; return whether any row is left."""
-        nonlocal active, psi, diss_weights, diss_acc, g_prev, half_decay, step
+        nonlocal active, psi, diss_weights, diss_acc, g_prev, g_new, half_decay, squares, step
         for cell in active[ended]:
             terminations[cell] = reason
         keep = ~ended
-        active, psi, diss_weights, diss_acc, g_prev, half_decay = (
-            a[keep] for a in (active, psi, diss_weights, diss_acc, g_prev, half_decay)
+        active, psi, diss_weights, diss_acc, g_prev, g_new, half_decay = (
+            a[keep] for a in (active, psi, diss_weights, diss_acc, g_prev, g_new, half_decay)
         )
+        squares = np.empty(psi.shape)
         step = _if_rk4_stepper(half_decay, dt, kernel)
         return bool(keep.any())
 
+    # the dissipation rate g = sum w psi^2 of each step and its trapezoid sum, per row, in buffers
+    # of their own: g_prev + g_new, times dt/2, added to diss_acc, with g_prev then free as scratch
     half_dt = 0.5 * dt
-    diss_acc = np.zeros(psi.shape[:-1])
-    g_prev = (diss_weights * psi**2).sum(axis=-1)
+    squares, g_new = np.empty(psi.shape), np.empty(len(spectra))
+    diss_acc = np.zeros(len(spectra))
     # overflow in a step is caught by the finiteness check that follows it; the
     # diagnostics of a state too large to square read inf, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -467,12 +520,18 @@ def evolve_batch(
         for k in range(n_steps + 1):
             if k:
                 psi = step(psi)
-                if not np.isfinite(psi).all():
-                    if not retire(~np.isfinite(psi).all(axis=-1), TERMINATION_STEP_FAILURE):
+                np.multiply(psi, psi, out=squares)
+                squares *= diss_weights
+                np.add.reduce(squares, axis=-1, out=g_new)
+                # a NaN or inf coefficient makes its row's g NaN or inf (0 * inf is NaN)
+                if not np.isfinite(g_new).all():
+                    failed = ~np.isfinite(psi).all(axis=-1)
+                    if failed.any() and not retire(failed, TERMINATION_STEP_FAILURE):
                         break
-                g_new = (diss_weights * psi**2).sum(axis=-1)
-                diss_acc = diss_acc + half_dt * (g_prev + g_new)
-                g_prev = g_new
+                np.add(g_prev, g_new, out=g_prev)
+                g_prev *= half_dt
+                diss_acc += g_prev
+                g_prev, g_new = g_new, g_prev
             if k % diag.stride == 0 or k == n_steps:
                 blown = record(k, psi, diss_acc) > diag.tail_threshold
                 if blown.any() and not retire(blown, TERMINATION_BLOWUP):
@@ -502,7 +561,8 @@ def evolve_batch(
 def record_to_csv(record: SimulationRecord, path: str | Path) -> None:
     """CSV time series, 17 significant digits per value."""
     columns = [record.times] + [getattr(record, name) for name in _DIAGNOSTIC_COLUMNS]
-    lines = [SimulationRecord.CSV_HEADER] + [",".join(f"{v:.17g}" for v in row) for row in zip(*columns)]
+    row = ",".join(["%.17g"] * len(columns))
+    lines = [SimulationRecord.CSV_HEADER] + [row % tuple(values) for values in np.column_stack(columns).tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

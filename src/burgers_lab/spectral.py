@@ -246,8 +246,8 @@ def _weighted_energy(psi: np.ndarray, weights: np.ndarray | None = None):
 
 def _unit_scaled(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(psi / 2**k, k) per row, k bringing max |psi_n| to [1/2, 1): exact, and no norm's squares under- or overflow."""
-    k = np.frexp(np.max(np.abs(psi), axis=-1))[1]
-    return np.ldexp(psi, -np.expand_dims(k, -1)), k
+    k = np.frexp(np.abs(psi).max(axis=-1))[1]
+    return np.ldexp(psi, -k[..., None]), k
 
 
 def sobolev_norm(spec: SineSpectrum, s: float) -> float:

@@ -27,7 +27,7 @@ from burgers_lab.cli import (
     main,
     merge_config,
 )
-from burgers_lab.dynamics import ModelParams
+from burgers_lab.dynamics import ModelParams, _step_count
 from burgers_lab.spectral import SineSpectrum
 
 R0_SINE = np.sqrt(3.0) / (np.pi * np.sqrt(2.0))
@@ -770,6 +770,25 @@ class TestFloatOverflow:
         assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--alpha", "0.25", "--nu", "1e150", "--init", "sine:1e150", "--modes", "16"],
+            ["sweep", "--alphas", "0.25", "--nus", "2,1e150", "--Rs", "2,1e150", "--modes", "16", "--simulate"],
+        ],
+        ids=["simulate", "sweep"],
+    )
+    def test_overflowing_dissipation_rate_refused_without_warning(self, argv, tmp_path):
+        # a finite weight, but g(u0) = 2 nu ||u0||^2_{H^alpha} overflows: diss_integral read inf at exit 0
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "burgers_lab", *argv, "--dt", "0.05", "--t-end", "0.5", "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: nu=1e+150 is too large for this initial data: its dissipation rate g(u0) overflows\n"
+        assert not out.exists()
+
     def test_past_horizon_refusal_prints_no_warning(self, tmp_path):
         # a fresh interpreter prints numpy's overflow warnings to stderr as a user would see them
         out = tmp_path / "out"
@@ -823,6 +842,20 @@ class TestStepCount:
         assert main([*argv, "--dt", "0.3", "--t-end", "1", "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: t_end/dt") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--alpha", "0.25", "--nu", "0.04"],
+            ["sweep", "--alphas", "0.25", "--nus", "0.04", "--Rs", "2", "--simulate"],
+            ["inviscid", "--init", "sine:0.5"],
+        ],
+    )
+    def test_step_count_that_cannot_finish_refused(self, argv, tmp_path, capsys):
+        # 0.01 / 1e-310 is a whole 1e308 steps
+        assert main([*argv, "--dt", "1e-310", "--t-end", "0.01", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: t_end/dt = 1e+308 steps is more than the 1e+09 a march can finish\n"
         assert not (tmp_path / "out").exists()
 
 
@@ -1113,16 +1146,15 @@ def _finite_json(path: Path, may_be_infinite=()) -> bool:
 _CERT_INF = ("margin", "window")
 #: edge values of a real-valued flag, as text: zeros, negatives, subnormals, the float range's end, inf, NaN, junk
 _REALS = ["0", "-0", "-1", "5e-324", "1e-310", "1e308", "inf", "-inf", "nan", "", "x"]
-#: edge values of each setting of a march and of the inviscid table; dt and t_end leave out the
-#: subnormal 1e-310, since 0.01 / 1e-310 asks for 1e308 steps, a march that would not end
+#: edge values of each setting of a march and of the inviscid table
 _EDGES_OF = {
     "alpha": ["0.5", "0.75", "1", *_REALS],
     "nu": _REALS,
     "init": ["sine:-1", "sine:0", "sine:1e-200", "sine:1e150", "sine:5e-324", "sine:1e308", "sine:nan", "sine:inf",
              "sine:", "sine:x", "bogus:1", "", "file:{dir}/u0.json", "file:{dir}/missing.json", "file:{dir}"],
     "modes": ["1", "2", "0", "-1", "", "x", "1.5"],
-    "dt": ["0.1", "1e308", *(v for v in _REALS if v != "1e-310")],
-    "t_end": ["0.05", "1", "1e308", *(v for v in _REALS if v != "1e-310")],
+    "dt": ["0.1", "1e308", *_REALS],
+    "t_end": ["0.05", "1", "1e308", *_REALS],
     "stride": ["1", "1000", "0", "-1", "", "x"],
     "r": ["1", "1e153", "1e200", "1e308", *_REALS],
     "tail_threshold": ["1", "1e-300", *_REALS],
@@ -1152,12 +1184,11 @@ def _command_line(command: str, settings_: dict, work: str) -> list[str]:
 
 
 def _steps_bounded(settings_: dict) -> bool:
-    """Whether t_end/dt asks for at most 20 steps, or is refused (not a finite whole positive number)."""
+    """Whether t_end/dt asks for at most 20 steps, or is refused (not a whole positive number of steps up to the ceiling)."""
     try:
-        steps = float(settings_["t_end"]) / float(settings_["dt"])
-    except (ValueError, ZeroDivisionError):
+        return _step_count(float(settings_["t_end"]), float(settings_["dt"])) <= 20
+    except ValueError:
         return True
-    return not (math.isfinite(steps) and steps > 20)
 
 
 @contextlib.contextmanager

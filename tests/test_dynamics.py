@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 import threading
@@ -15,6 +16,8 @@ from burgers_lab.dynamics import (
     _half_grid,
     _if_rk4_stepper,
     _load_pocketfft,
+    _positional,
+    _step_count,
     dissipation_symbol,
     evolve,
     evolve_batch,
@@ -25,7 +28,7 @@ from burgers_lab.dynamics import (
     tail_energy_fraction,
     write_record_metadata,
 )
-from burgers_lab.spectral import SineSpectrum, synthesize, synthesize_slope
+from burgers_lab.spectral import FOUR_PI, SineSpectrum, synthesize, synthesize_slope
 
 from conftest import (
     brute_force_nonlinear,
@@ -89,6 +92,41 @@ class TestStepCountDomain:
     def test_subnormal_step_count_overflows(self):
         with pytest.raises(ValueError, match="whole number of steps"):
             evolve_batch([SineSpectrum.sine_wave(1.0, 4)], [ModelParams(0.5, 0.1)], 1.0, 5e-324)
+
+    def test_step_count_that_cannot_finish_refused(self):
+        # a whole, finite 1e308 steps
+        with pytest.raises(ValueError, match=r"1e\+308 steps is more than the 1e\+09 a march can finish"):
+            _step_count(0.01, 1e-310)
+
+    def test_step_count_at_the_ceiling_accepted(self):
+        assert _step_count(1.0, 1e-9) == 10**9
+
+
+class TestSubnormalEnergy:
+    """u0 = R sin x with R = 1e-160: psi_1 = R/2 and ||u0||^2 = pi R^2 = 3.1e-320, a subnormal."""
+
+    R = 1e-160
+    #: ||u0 - r0 F||^2 / R^2 = 2 pi - 2 sqrt(6) for r0 = ||u0|| / ||F|| = R sqrt(3 / (2 pi^2))
+    D0 = 2.0 * math.pi - 2.0 * math.sqrt(6.0)
+
+    def test_march_columns_match_closed_forms(self):
+        rec = evolve(SineSpectrum.sine_wave(self.R, 8), ModelParams(0.25, 0.04), 0.1, 0.1)
+        ulp = 5e-324
+        assert rec.h1_norm[0] == pytest.approx(math.sqrt(math.pi) * self.R, rel=1e-15)  # sqrt(4 pi) psi_1
+        assert abs(rec.dist_rF[0] - self.D0 * self.R * self.R) <= 2 * ulp
+        assert abs(rec.energy[0] - math.pi * self.R * self.R) <= 2 * ulp
+        assert rec.tail_fraction[0] == 0.0
+
+    def test_attractor_distance_matches_closed_form(self):
+        from burgers_lab.attractors import attractor_distance, optimal_r
+
+        u0 = SineSpectrum.sine_wave(self.R, 8)
+        assert abs(attractor_distance(u0, optimal_r(u0).r0) - self.D0 * self.R * self.R) <= 2 * 5e-324
+
+    def test_distance_to_a_far_profile_stays_finite(self):
+        # u and r F of very different sizes: r^2 ||F||^2 alone, though r / 2^k would overflow
+        rec = evolve(SineSpectrum.sine_wave(1e-200, 8), ModelParams(0.25, 0.04), 0.1, 0.1, DiagnosticsConfig(r=1e153))
+        assert rec.dist_rF[0] == pytest.approx(1e153**2 * 2.0 * math.pi**3 / 3.0, rel=1e-15)
 
 
 class TestOptimalScale:
@@ -194,6 +232,19 @@ class TestPseudospectralKernel:
                 out = transform(a, kind, (-1,), 0, a, 1)
                 assert out is a
                 assert np.array_equal(out, reference(x, type=kind))
+
+    def test_public_stand_in_writes_into_out(self, rng):
+        # the stand-in called as the binding is: into a distinct out, leaving the input as it was, or in place
+        from scipy import fft
+        from scipy.fftpack import dct as fftpack_dct, dst as fftpack_dst
+
+        for transform, reference, kind in ((fft.dst, fftpack_dst, 3), (fft.dct, fftpack_dct, 2)):
+            x = rng.uniform(-1.0, 1.0, (3, 200))
+            a, out = x.copy(), np.full_like(x, np.nan)
+            assert _positional(transform)(a, kind, (-1,), 0, out, 1) is out
+            assert np.array_equal(out, reference(x, type=kind)) and np.array_equal(a, x)
+            assert _positional(transform)(a, kind, (-1,), 0, a, 1) is a
+            assert np.array_equal(a, out)
 
     def test_loaded_binding_is_scipys(self):
         # a scipy release that moves the binding fails here rather than silently taking the public path
@@ -500,6 +551,59 @@ class TestEvolveBatch:
         assert [rec.times.size for rec in records] == [3, 10, 21]
         for spec, p, rec in zip(specs, params, records):
             _assert_same_record(rec, evolve(spec, p, 2.0, 0.05, diag))
+
+    def test_row_failing_between_records_retires_at_its_record(self):
+        # rows overflow at steps 5 and 20, between the records every 3 steps; the third marches on
+        cells = [(0.5, 0.1, SineSpectrum(np.ones(16))), (0.25, 0.04, SineSpectrum.sine_wave(6.0, 16)),
+                 (1.0, 1.0, SineSpectrum.sine_wave(0.1, 16))]
+        specs = [spec for _, _, spec in cells]
+        params = [ModelParams(a, nu) for a, nu, _ in cells]
+        diag = DiagnosticsConfig(stride=3, tail_threshold=1.0, store_spectra=True)
+        records = evolve_batch(specs, params, 2.0, 0.05, diag)
+        assert [rec.termination for rec in records] == ["step_failure", "step_failure", "t_end_reached"]
+        assert [rec.times.size for rec in records] == [2, 7, 15]
+        for spec, p, rec in zip(specs, params, records):
+            _assert_same_record(rec, evolve(spec, p, 2.0, 0.05, diag))
+
+    def test_lone_failing_row_stops_calling_the_kernel(self):
+        calls = []
+
+        def counted(psi):
+            calls.append(psi.shape)
+            return nonlinear_pseudospectral(psi)
+
+        diag = DiagnosticsConfig(stride=1, tail_threshold=1.0)
+        rec = evolve(SineSpectrum(np.ones(16)), ModelParams(0.5, 0.1), 2.0, 0.05, diag, kernel=counted)
+        assert rec.termination == "step_failure"
+        failed_at = rec.times.size  # a record at every step before the one that failed
+        assert len(calls) == 4 * failed_at
+
+    def test_diss_integral_is_the_trapezoid_written_out(self):
+        # g = sum_n 2 nu 4 pi n^(2 alpha) psi_n^2 at every step, summed by the trapezoid rule; nu = 0 in one row
+        N, dt, t_end = 32, 1e-3, 0.05
+        specs = [SineSpectrum.sine_wave(R, N) for R in (1.0, 2.0, 1.5)]
+        params = [ModelParams(0.25, 0.04), ModelParams(0.5, 0.0), ModelParams(0.75, 0.3)]
+        records = evolve_batch(specs, params, t_end, dt, DiagnosticsConfig(stride=7))
+        states = evolve_batch(specs, params, t_end, dt, DiagnosticsConfig(stride=1, store_spectra=True))
+        n = np.arange(1, N + 1, dtype=float)
+        for p, rec, every in zip(params, records, states):
+            assert every.termination == "t_end_reached" and len(every.spectra) == 51
+            weights = 2.0 * p.nu * FOUR_PI * n ** (2.0 * p.alpha)
+            acc, g_prev, want = 0.0, (weights * every.spectra[0] ** 2).sum(), [0.0]
+            for k, psi in enumerate(every.spectra[1:], start=1):
+                g = (weights * psi**2).sum()
+                acc = acc + 0.5 * dt * (g_prev + g)
+                g_prev = g
+                if k % 7 == 0 or k == 50:
+                    want.append(acc)
+            assert rec.diss_integral.tolist() == want
+            assert p.nu > 0.0 or not any(want)
+
+    def test_overflowing_initial_dissipation_rate_refused(self):
+        # the weight 8 pi nu N^(2 alpha) is finite, but g(u0) = sum w psi^2 is not
+        specs = [SineSpectrum.sine_wave(1.0, 16), SineSpectrum.sine_wave(1e150, 16)]
+        with pytest.raises(ValueError, match="nu=1e\\+150 is too large for this initial data"):
+            evolve_batch(specs, [ModelParams(0.25, 1e150)] * 2, 0.1, 0.05)
 
     def test_marches_on_two_threads_match_marches_alone(self):
         # each march owns its stepper's buffers, so marches of one shape on several threads share none
