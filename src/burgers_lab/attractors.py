@@ -206,17 +206,6 @@ def optimal_r(u0: SineSpectrum) -> OptimalScaling:
     return OptimalScaling(r0=math.ldexp(r, int(k)), g_r0=math.ldexp(g, -int(k)))
 
 
-def _split_product(a: float, b: float) -> tuple[float, int]:
-    """(p, k) with a * b = p * 2**k, p rounded exactly as a * b is.
-
-    r0 ||u0||^2 grows as ||u0||^3 and overflows while the quantities built
-    from it stay finite; scaling by 2**k after the other operations gives
-    those the plain expression's rounding wherever that is finite.
-    """
-    (a_mantissa, a_exponent), (b_mantissa, b_exponent) = math.frexp(a), math.frexp(b)
-    return a_mantissa * b_mantissa, a_exponent + b_exponent
-
-
 # ---------------------------------------------------------------------------
 # decay tables along the exact inviscid flow
 
@@ -244,8 +233,9 @@ def attractor_decay_series(u0: InitialField, times: Sequence[float], attractor: 
     spectra = [u0.spectrum if t == 0.0 else analyze(sample_solution(u0, float(t), M), M // 2 - 1) for t in ts]
     dist = np.array([attractor_distance(spec, c, s) for spec in spectra])
     d0 = attractor_distance(u0.spectrum, c, s)
-    mantissa, exponent = _split_product(attractor.slope_floor, float(_weighted_energy(u0.spectrum.psi)))
-    predicted = d0 - np.ldexp(mantissa * ts, exponent)
+    # m ||u0||^2 can overflow where the line is finite: E on the unit-scaled psi, times 4^k last
+    scaled, k = _unit_scaled(u0.spectrum.psi)
+    predicted = d0 - np.ldexp(attractor.slope_floor * _weighted_energy(scaled) * ts, 2 * k)
     return DecayTable(times=ts, distance=dist, predicted=predicted)
 
 

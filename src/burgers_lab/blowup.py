@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -42,15 +43,17 @@ KAPPA_F = 1.0 / (2.0 * F_L2_NORM_SQ)
 #: growth of the H^1 norm over its initial value at which resolution counts as lost
 H1_GROWTH_FACTOR = 1e3
 
+#: tail fraction up to which ``monitor_lyapunov_bound`` counts a stored state as resolved
+RESOLVED_TAIL = 1e-8
+
 #: sampled times per bound in ``verify_comparison_lemma``, and the excess over y it tolerates
 _LEMMA_SAMPLES = 100
 _LEMMA_SLACK = 1e-9
-#: offset of the lemma's forcing M / (2 sqrt(t + eps)), finite at t = 0
-_FORCING_EPS = 1e-12
 #: level of y at which the equality-case run stops
 _LEMMA_STOP = 1e9
-#: Chebyshev-Lobatto nodes per panel of that run
+#: Chebyshev-Lobatto nodes per panel of that run, and its number of equal panels
 _PANEL_NODES = 25
+_PANELS = 16
 
 
 class OutsideValidityError(ValueError):
@@ -70,29 +73,28 @@ def _check_lemma_inputs(y0: float, kappa: float, M: float = 0.0) -> None:
         raise ValueError("need finite y0 > 0, kappa > 0 and M >= 0")
 
 
+def _product(a: float, b: float, c: float) -> float:
+    """a b c for a, b, c >= 0, the smallest times the largest first: it leaves the float range only where a b c does."""
+    lo, mid, hi = sorted((a, b, c))
+    return lo * hi * mid
+
+
 def comparison_lower_bound(y0: float, kappa: float, M: float, t: float) -> float:
     """Lower bound (1/y0 - kappa t + M sqrt(t)/(y0 - M sqrt(t))^2)^{-1}.
 
-    Valid for 0 <= t < y0^2/M^2; returns +inf once the bracket crosses
-    zero (the bound has blown up).
+    With r = M sqrt(t) / y0 that is ((1 + r/(1 - r)^2)/y0 - kappa t)^{-1},
+    valid while r < 1 (t < y0^2/M^2), and formed as y0 over
+    1 + r/(1 - r)^2 - kappa t y0, whose first part never leaves the float
+    range; returns +inf once that crosses zero (the bound has blown up).
     """
     _check_lemma_inputs(y0, kappa, M)
     if not t >= 0:
         raise OutsideValidityError(f"t must be nonnegative, got {t}")
-    if M > 0 and t >= (y0 / M) ** 2:
-        raise OutsideValidityError(f"t={t} >= y0^2/M^2 = {(y0 / M) ** 2:.6g}")
-    root = math.sqrt(t)
-    bracket = 1.0 / y0 - kappa * t
-    if M > 0:
-        bracket += M * root / (y0 - M * root) ** 2
-    if bracket <= 0.0:
-        return math.inf
-    return 1.0 / bracket
-
-
-def _lemma_threshold(kappa: float, M: float) -> float:
-    """Right-hand side of the lemma hypothesis y0^3 >= 12 M^2 / kappa (inf once M^2 overflows)."""
-    return 12.0 * (M * M) / kappa
+    r = M * math.sqrt(t) / y0
+    if not r < 1.0:
+        raise OutsideValidityError(f"t={t} >= y0^2/M^2: M sqrt(t)/y0 = {r:.6g}")
+    denominator = 1.0 + r / ((1.0 - r) * (1.0 - r)) - _product(kappa, y0, t)
+    return y0 / denominator if denominator > 0.0 else math.inf
 
 
 def simplified_horizon(y0: float, kappa: float) -> float:
@@ -117,19 +119,32 @@ def simplified_window(y0: float, kappa: float, M: float) -> float:
     return half_ratio * half_ratio
 
 
-def simplified_lower_bound(y0: float, kappa: float, M: float, t: float) -> float:
-    """Simplified lower bound (3/y0 - kappa t)^{-1}.
+def _margin(L0: float, kappa: float, M: float) -> float:
+    """The lemma hypothesis as a ratio: L0^3 over 12 M^2 / kappa, as (L0 / M)^2 kappa L0 / 12.
 
-    Requires y0^3 >= 12 M^2/kappa and 0 <= t below both the window
-    y0^2/(4 M^2) and the horizon 3/(kappa y0).
+    That form leaves the float range only where the margin does; L0^3 and
+    M^2 under- or overflow far sooner (L0^3 below L0 = 1e-108).
+    """
+    if M == 0.0:
+        return math.copysign(math.inf, L0) if L0 else 0.0
+    ratio = L0 / M
+    return ratio * ratio * (kappa * L0 / 12.0)
+
+
+def simplified_lower_bound(y0: float, kappa: float, M: float, t: float) -> float:
+    """Simplified lower bound (3/y0 - kappa t)^{-1}, formed as y0 / (3 - kappa y0 t).
+
+    Requires y0^3 >= 12 M^2/kappa (``_margin`` >= 1) and 0 <= t below both
+    the window y0^2/(4 M^2) and the horizon 3/(kappa y0); t = 0 lies below
+    both even where they underflow, and gives y0/3.
     """
     _check_lemma_inputs(y0, kappa, M)
-    threshold = _lemma_threshold(kappa, M)
-    if y0**3 < threshold:
-        raise HypothesisError(f"y0^3 = {y0**3:.6g} < 12 M^2/kappa = {threshold:.6g}")
-    if not 0 <= t < min(simplified_window(y0, kappa, M), simplified_horizon(y0, kappa)):
+    margin = _margin(y0, kappa, M)
+    if not margin >= 1.0:
+        raise HypothesisError(f"y0^3 kappa / (12 M^2) = {margin:.6g} < 1")
+    if t != 0.0 and not 0.0 < t < min(simplified_window(y0, kappa, M), simplified_horizon(y0, kappa)):
         raise OutsideValidityError(f"t={t} outside the simplified bound's window")
-    return 1.0 / (3.0 / y0 - kappa * t)
+    return y0 / (3.0 - _product(kappa, y0, t))
 
 
 @dataclass(frozen=True)
@@ -146,11 +161,6 @@ class ComparisonReport:
     max_simplified_violation: float | None
     riccati_max_error: float | None
     steps: int
-
-
-def _forcing(M: float) -> Callable[[np.ndarray], np.ndarray]:
-    # saturates the integral condition: int_0^t f = M (sqrt(t+eps) - sqrt(eps)), eps = _FORCING_EPS
-    return lambda t: M / (2.0 * np.sqrt(t + _FORCING_EPS))
 
 
 @lru_cache(maxsize=1)
@@ -185,90 +195,94 @@ def _barycentric(x: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _equality_case(
-    y0: float, kappa: float, f: Callable[[np.ndarray], np.ndarray], t_end: float
+    y0: float, kappa: float, M: float, t_end: float
 ) -> tuple[Callable[[np.ndarray], np.ndarray], float, bool, int]:
-    """Integrate y' = kappa y^2 - f(t), y(0) = y0, on [0, t_end] until y = _LEMMA_STOP.
+    """Integrate y' = kappa y^2 - M / (2 sqrt(t)), y(0) = y0, on [0, t_end] until y = _LEMMA_STOP.
 
     Returns y on the times reached, the last time reached (a float), whether
     y hit the stop level there, and the number of panels.  The linear system
-    of ``verify_comparison_lemma`` is collocated in integral form on panels
-    of s = sqrt(t): on [a, b] the unknowns are W' and V' at the Chebyshev
-    nodes, W = W(a) + J W' and V = V(a) + J V' with J scaled by (b - a)/2,
-    and one 2n x 2n solve gives the panel, whose end values start the next.
-    The first panel, [0, sqrt(eps)/10], lies below the forcing's kink at
-    s ~ sqrt(eps); widths then grow 4-fold up to sqrt(t_end)/16, so every
-    run takes tens of panels.  The stop is at the first node where
-    z = -V - _LEMMA_STOP kappa W >= 0, refined by bisection on the panel's
+    of ``verify_comparison_lemma`` is taken in sigma = sqrt(t / t_end) and
+    U = V / (kappa y0), where it reads
+
+        dW/dsigma = 2 a sigma U,   dU/dsigma = b W,   W(0) = 1,   U(0) = -1,
+
+    with a = kappa y0 t_end and b = M sqrt(t_end) / y0, and y = -y0 U / W.
+    On verify's runs a <= 30 and b <= 1, so nothing leaves the float range
+    at any scale of the inputs.  It is collocated in integral form on
+    _PANELS = 16 equal panels of [0, 1]: on [c, c + h] the unknowns are W'
+    and U' at the Chebyshev nodes, W = W(c) + J W' and U = U(c) + J U' with
+    J scaled by h/2, and one 2n x 2n solve gives the panel, whose end values
+    start the next.  The stop is at the first node where
+    z = -y0 U - _LEMMA_STOP W >= 0, refined by bisection on the panel's
     interpolant of z to one ulp of the panel coordinate.
     """
     nodes, _, integrate = _chebyshev_panel()
-    n, s_end = nodes.size, math.sqrt(t_end)
-    h_max = s_end / 16.0
+    n, h = nodes.size, 1.0 / _PANELS
+    a, b = t_end * (kappa * y0), M * math.sqrt(t_end) / y0
+    jh = 0.5 * h * integrate
     panels = []
-    a, h, w_a, v_a = 0.0, math.sqrt(_FORCING_EPS) / 10.0, 1.0, -kappa * y0
-    blew_up = False
-    while a < s_end and not blew_up:
-        h = min(h, h_max, s_end - a)
-        s = a + 0.5 * h * (nodes + 1.0)
-        jh = 0.5 * h * integrate
-        g = 2.0 * s * kappa * f(s * s)
+    w_c, u_c, s_last, blew_up = 1.0, -1.0, 1.0, False
+    for c in h * np.arange(_PANELS):
+        s = c + 0.5 * h * (nodes + 1.0)
         system = np.eye(2 * n)
-        system[:n, n:] = -2.0 * s[:, None] * jh
-        system[n:, :n] = -g[:, None] * jh
-        dw, dv = np.split(np.linalg.solve(system, np.concatenate([2.0 * s * v_a, g * w_a])), 2)
-        w, v = w_a + jh @ dw, v_a + jh @ dv
-        panels.append((a, h, w, v))
-        z = -v - _LEMMA_STOP * kappa * w
+        system[:n, n:] = -2.0 * a * s[:, None] * jh
+        system[n:, :n] = -b * jh
+        dw, du = np.split(np.linalg.solve(system, np.concatenate([2.0 * a * s * u_c, np.full(n, b * w_c)])), 2)
+        w, u = w_c + jh @ dw, u_c + jh @ du
+        panels.append((w, u))
+        z = -y0 * u - _LEMMA_STOP * w
         crossed = np.flatnonzero(z >= 0.0)
         if crossed.size:
             lo, hi = nodes[crossed[0] - 1], nodes[crossed[0]]
             while lo < 0.5 * (lo + hi) < hi:
                 mid = 0.5 * (lo + hi)
                 lo, hi = (lo, mid) if _barycentric(np.array([mid]), z[None, :])[0] >= 0.0 else (mid, hi)
-            s_last, blew_up = a + 0.5 * h * (hi + 1.0), True
-        else:
-            s_last = a + h
-        a, h, w_a, v_a = a + h, 4.0 * h, w[-1], v[-1]
-    edges, widths, ws, vs = map(np.array, zip(*panels))
+            s_last, blew_up = c + 0.5 * h * (hi + 1.0), True
+            break
+        w_c, u_c = w[-1], u[-1]
+    ws, us = map(np.array, zip(*panels))
 
     def y(t: np.ndarray) -> np.ndarray:
-        s = np.sqrt(t)
-        k = np.clip(np.searchsorted(edges, s, side="right") - 1, 0, len(panels) - 1)
-        x = 2.0 * (s - edges[k]) / widths[k] - 1.0
-        return -_barycentric(x, vs[k]) / (kappa * _barycentric(x, ws[k]))
+        scaled = np.sqrt(t / t_end) * _PANELS  # the panel index plus the place within it
+        k = np.clip(np.floor(scaled), 0, len(panels) - 1).astype(int)
+        x = 2.0 * (scaled - k) - 1.0
+        return -y0 * _barycentric(x, us[k]) / _barycentric(x, ws[k])
 
-    return y, float(s_last) ** 2, blew_up, len(panels)
+    return y, float(s_last) ** 2 * t_end, blew_up, len(panels)
 
 
 def verify_comparison_lemma(y0: float, kappa: float, M: float) -> ComparisonReport:
     """Integrate the equality case of the differential inequality, with the
-    forcing f(t) = M / (2 sqrt(t + _FORCING_EPS)) that saturates the integral
-    condition, and check that the solution dominates both lower bounds on
-    their windows to within _LEMMA_SLACK.
+    forcing f(t) = M / (2 sqrt(t)) that saturates the integral condition
+    int_0^t f <= M sqrt(t), and check that the solution dominates both lower
+    bounds on their windows to within _LEMMA_SLACK.
 
     The equality case y' = kappa y^2 - f(t) is integrated through its
     linearisation: with y = -w'/(kappa w) it becomes w'' = kappa f w, which
-    in s = sqrt(t) (removing the integrable forcing singularity at 0) is
+    in s = sqrt(t) is
 
-        dW/ds = 2 s V,   dV/ds = 2 s kappa f(s^2) W,   W(0) = 1, V(0) = -kappa y0,
+        dW/ds = 2 s V,   dV/ds = 2 s kappa f(s^2) W = kappa M W,   W(0) = 1, V(0) = -kappa y0,
 
-    and y = -V/(kappa W).  W = exp(-kappa int y) stays positive until y
-    blows up and then crosses zero linearly, so the integration never walks
-    into the pole of y.  ``_equality_case`` collocates this system in
-    integral form on Chebyshev panels, graded so that the first lies below
-    the forcing's kink at s ~ sqrt(_FORCING_EPS).  The run stops at
-    y = _LEMMA_STOP, which is -V - _LEMMA_STOP kappa W = 0 (the sign of
-    y - _LEMMA_STOP while W > 0), located to one ulp of the panel
-    coordinate; y0 at or above that level is refused.  For M = 0 the
-    solution is also compared against the closed-form Riccati solution
-    y0/(1 - kappa y0 t).
+    and y = -V/(kappa W): the forcing's singularity at t = 0 leaves only
+    the constant 2 s f(s^2) = M.  W = exp(-kappa int y) stays positive until
+    y blows up and then crosses zero linearly, so the integration never
+    walks into the pole of y.  ``_equality_case`` collocates this system on
+    16 equal Chebyshev panels, up to the first of the window y0^2/M^2
+    and ten horizons 3/(kappa y0).  The run stops at y = _LEMMA_STOP,
+    located to one ulp of the panel coordinate; y0 at or above that level
+    is refused.  For M = 0 the solution is also compared against the
+    closed-form Riccati solution y0/(1 - kappa y0 t).
     """
     if not (0 < y0 < _LEMMA_STOP and 0 < kappa < math.inf and 0 <= M < math.inf):
         raise ValueError(f"need 0 < y0 < {_LEMMA_STOP:g} (the stop level), finite kappa > 0 and M >= 0")
-    hypothesis_ok = y0**3 >= _lemma_threshold(kappa, M)
-    window_prop = math.inf if M == 0 else (y0 / M) ** 2
+    hypothesis_ok = _margin(y0, kappa, M) >= 1.0
+    ratio = math.inf if M == 0 else y0 / M
+    window_prop = ratio * ratio
     horizon = simplified_horizon(y0, kappa)
-    y, t_num, blew_up, steps = _equality_case(y0, kappa, _forcing(M), min(window_prop, 10.0 * horizon))
+    t_end = min(window_prop, 10.0 * horizon, sys.float_info.max)  # ten horizons can pass the float range where one does not
+    if t_end < sys.float_info.min:  # a subnormal span has too few digits to sample
+        raise ValueError(f"the window y0^2/M^2 or the horizon 3/(kappa y0) underflows at y0={y0:g}, kappa={kappa:g}, M={M:g}")
+    y, t_num, blew_up, steps = _equality_case(y0, kappa, M, t_end)
 
     # with f = 0 the first bound has zero slack (it IS the solution), so the
     # samples stay away from the pole where phase error would dominate
@@ -333,18 +347,6 @@ class BlowupCertificate:
     diagnostic: str = ""
 
 
-def _margin(L0: float, kappa: float, M: float) -> float:
-    """L0^3 over the lemma threshold 12 M^2 / kappa, as (L0 / M)^2 kappa L0 / 12.
-
-    That form leaves the float range only where the margin does; L0^3 and
-    M^2 under- or overflow far sooner (L0^3 below L0 = 1e-108).
-    """
-    if M == 0.0:
-        return math.copysign(math.inf, L0) if L0 else 0.0
-    ratio = L0 / M
-    return ratio * ratio * (kappa * L0 / 12.0)
-
-
 def _certificate(
     theorem: str, L0: float, kappa: float, M: float, threshold: float, margin: float, diagnostic: str = ""
 ) -> BlowupCertificate:
@@ -386,7 +388,7 @@ def _profile_certificate(
     L0 = lyapunov(u0, H)
     kappa = H.slope_floor / (2.0 * H.l2_norm_sq)
     diagnostic = "" if L0 > 0 else f"sign condition failed: <{name}, u0> <= 0"
-    return _certificate(theorem, L0, kappa, M, _lemma_threshold(kappa, M), _margin(L0, kappa, M), diagnostic)
+    return _certificate(theorem, L0, kappa, M, 12.0 * (M * M) / kappa, _margin(L0, kappa, M), diagnostic)
 
 
 def certify_blowup_F(u0: SineSpectrum, params: ModelParams) -> BlowupCertificate:
@@ -479,7 +481,7 @@ def quadratic_lyapunov_rate(psi: np.ndarray) -> float:
     return 2.0 * np.pi * float(psi[:head] @ prefix[:head][::-1] - prefix[-1] ** 2 + psi @ psi)
 
 
-def monitor_lyapunov_bound(record: SimulationRecord, resolved_tail: float = 1e-8) -> LyapunovBoundReport:
+def monitor_lyapunov_bound(record: SimulationRecord) -> LyapunovBoundReport:
     """Check dL/dt >= -sqrt(2) C_alpha nu ||u||_{H^alpha} + kappa L^2 stepwise.
 
     dL/dt is evaluated exactly from the Galerkin right-hand side as
@@ -492,7 +494,7 @@ def monitor_lyapunov_bound(record: SimulationRecord, resolved_tail: float = 1e-8
     is the truncation cross term 2 pi |sum_{j+k>N, j,k<=N} psi_j psi_k|.
     Both the inequality slack and that residual are reported per step, for
     the record's own alpha and nu, with summary values restricted to steps
-    whose tail fraction is at most ``resolved_tail``.  At nu > 0 the constant
+    whose tail fraction is at most ``RESOLVED_TAIL``.  At nu > 0 the constant
     C_alpha needs alpha < 1/2 (UnsupportedRegimeError otherwise).
     """
     if record.spectra is None:
@@ -515,7 +517,7 @@ def monitor_lyapunov_bound(record: SimulationRecord, resolved_tail: float = 1e-8
     slack = dLdt - (-math.sqrt(2.0) * C * params.nu * np.sqrt(hs_sq) + KAPPA_F * L * L)
     exact_residual = np.abs(dLdt - (-params.nu * pairing + 0.5 * energy))
 
-    resolved = record.tail_fraction[:count] <= resolved_tail
+    resolved = record.tail_fraction[:count] <= RESOLVED_TAIL
     min_slack = float(np.min(slack[resolved])) if resolved.any() else math.inf
     max_exact = float(np.max(exact_residual[resolved])) if resolved.any() else 0.0
     return LyapunovBoundReport(

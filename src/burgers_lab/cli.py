@@ -255,7 +255,7 @@ def run_inviscid(cfg: ExperimentConfig) -> int:
     u0 = InitialField(spec0)
     t_max = tmax_inviscid(u0)
     scaling = optimal_r(spec0)
-    times = np.arange(0.0, cfg.t_end + 0.5 * cfg.dt, cfg.dt)
+    times = cfg.dt * np.arange(_step_count(cfg.t_end, cfg.dt) + 1)
     # F is scaled, by --r or by r0 = ||u0|| / ||F||; any other profile is taken as it is
     attractor = (
         AttractorFn("F", scaling.r0 if cfg.r == "auto" else float(cfg.r), "origin")

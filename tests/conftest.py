@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from burgers_lab.attractors import c_alpha, integrate_torus
-from burgers_lab.blowup import KAPPA_F
+from burgers_lab.blowup import KAPPA_F, RESOLVED_TAIL
 from burgers_lab.dynamics import dissipation_symbol, lyapunov_diagnostic, nonlinear_direct
 from burgers_lab.spectral import FOUR_PI, evaluate_field, grid_points
 
@@ -84,7 +84,7 @@ def if_rk4_step_reference(psi, dt, factors, nonlinear):
     return e2_psi + dt / 6.0 * (e2 * k1 + two_e1 * (k2 + k3) + k4)
 
 
-def monitor_direct(record, resolved_tail=1e-8):
+def monitor_direct(record):
     """Slack of the Lyapunov inequality per stored state, with dL/dt from the O(N^2) direct kernel.
 
     dL/dt = 4 pi sum rhs_n / n with rhs the full Galerkin right-hand side;
@@ -101,7 +101,7 @@ def monitor_direct(record, resolved_tail=1e-8):
         L = lyapunov_diagnostic(psi)
         hs = math.sqrt(FOUR_PI * np.sum(n ** (2.0 * params.alpha) * psi**2))
         slack.append(lyapunov_diagnostic(rhs) + math.sqrt(2.0) * C * params.nu * hs - KAPPA_F * L * L)
-    return np.array(slack), record.tail_fraction[: len(slack)] <= resolved_tail
+    return np.array(slack), record.tail_fraction[: len(slack)] <= RESOLVED_TAIL
 
 
 def bisect_characteristic_foot(u0_value, x, t, half_width, tol=1e-14):

@@ -293,6 +293,11 @@ class TestSeriesConstants:
             c_alpha(0.7)
         assert c_alpha(0.49) > c_alpha(0.25)  # finite but large below the threshold
 
+    @pytest.mark.parametrize("p", [1.0, 0.5])
+    def test_power_sum_refuses_a_divergent_series(self, p):
+        with pytest.raises(DivergentSeriesError, match="diverges"):
+            power_sum(p, 1e-9)
+
     def test_monotone_in_alpha(self):
         grid = np.linspace(0.05, 0.49, 12)
         vals = [c_alpha(float(a)) for a in grid]
@@ -323,6 +328,10 @@ class TestQuadrature:
         # integral of F * sin over the torus equals -2pi (the n=1 coefficient rule)
         val = integrate_torus(lambda x: F.evaluate(x) * np.sin(x), "origin", 2048)
         assert val == pytest.approx(-2 * np.pi, abs=1e-12)
+
+    def test_unknown_jump_location_refused(self):
+        with pytest.raises(ValueError, match="unknown jump location 'middle'"):
+            integrate_torus(np.sin, "middle", 2048)
 
     def test_unsplit_rule_would_be_wrong(self):
         # sanity: a panel straddling the jump loses accuracy (odd panel count

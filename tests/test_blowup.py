@@ -4,6 +4,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from burgers_lab import blowup, dynamics
 from burgers_lab.attractors import PROFILES
@@ -13,7 +15,7 @@ from burgers_lab.blowup import (
     OutsideValidityError,
     UnsupportedRegimeError,
     _equality_case,
-    _forcing,
+    _margin,
     certify_blowup_F,
     certify_blowup_H,
     comparison_lower_bound,
@@ -112,6 +114,44 @@ class TestNonFiniteBoundInputs:
             simplified_lower_bound(2.0, 1.0, 0.5, math.nan)
 
 
+#: log-uniform on [1e-300, 1e300]
+_LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+def _value_or_clean_error(fn, y0, kappa, *args):
+    """fn's value, or None for a lemma error; an OverflowError only where the horizon 3/(kappa y0) is past the float range."""
+    try:
+        return fn(y0, kappa, *args)
+    except (HypothesisError, OutsideValidityError, ValueError):
+        return None
+    except OverflowError:
+        rate = kappa * y0
+        assert rate == 0.0 or 3.0 / rate == math.inf
+        return None
+
+
+class TestLemmaHelpersOnAnyScale:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    # a margin just above 1 that the hypothesis check once refused, and four inputs that once ended
+    # in OverflowError or ZeroDivisionError: in each bound, in the simplified bound, in verify's window
+    @example(0.31678204188311937, 0.133784856312601, 0.018825810638142107, 0.1)
+    @example(1e200, 1.0, 1.0, 0.5)
+    @example(1e-200, 1.0, 1e-300, 0.5)
+    @example(1e103, 1.0, 1.0, 1e-110)
+    @example(1.0, 1.0, 1e-200, 0.5)
+    @example(1e-8, 3e-300, 1e-300, 1e300)  # ten horizons, the run's span, pass the float range
+    @given(_LOG_UNIFORM, _LOG_UNIFORM, _LOG_UNIFORM, _LOG_UNIFORM)
+    def test_value_or_clean_error(self, y0, kappa, M, t):
+        for bound in (comparison_lower_bound, simplified_lower_bound):
+            value = _value_or_clean_error(bound, y0, kappa, M, t)
+            assert value is None or value >= 0.0, bound.__name__  # NaN fails
+        rep = _value_or_clean_error(verify_comparison_lemma, y0, kappa, M)
+        assert rep is None or rep.max_comparison_violation == rep.max_comparison_violation  # NaN fails
+        if _margin(y0, kappa, M) > 1.0:
+            # the hypothesis check is the certificates' own: where they hold, the bound starts at y0/3
+            assert simplified_lower_bound(y0, kappa, M, 0.0) == y0 / 3.0
+
+
 class TestVerifyComparisonLemma:
     @pytest.mark.parametrize("case", [(1.0, 1.0, 0.2), (2.0, 1.0, 0.5), (1.0, 0.5, 0.1)])
     def test_forced_cases_pass(self, case):
@@ -168,21 +208,16 @@ class TestVerifyComparisonLemma:
 
     @pytest.mark.parametrize("case", [(1.0, 1.0, 0.2), (2.0, 1.0, 0.5), (1.0, 0.5, 0.1), (2.0, 0.25, 0.05)])
     def test_forced_solution_matches_high_precision_reference(self, case):
-        # the three forced verify cases, and (2, 0.25, 0.05), whose forcing's kink at s ~ 1e-6
-        # once cost an adaptive integrator 9e-10 when its first step skipped it
+        # the three forced verify cases, and (2, 0.25, 0.05), with the weakest forcing kappa M
         mpmath = pytest.importorskip("mpmath")
         y0, kappa, M = case
-        y, t_num, blew_up, _ = _equality_case(y0, kappa, _forcing(M), 10.0 * simplified_horizon(y0, kappa))
+        y, t_num, blew_up, _ = _equality_case(y0, kappa, M, 10.0 * simplified_horizon(y0, kappa))
         assert blew_up
         with mpmath.workdps(25):
-            k, m, eps = mpmath.mpf(kappa), mpmath.mpf(M), mpmath.mpf("1e-12")
-            # the Riccati form itself in s = sqrt(t), by Taylor series to 1e-18
-            ref = mpmath.odefun(
-                lambda s, r: 2 * s * (k * r * r - m / (2 * mpmath.sqrt(s * s + eps))),
-                0,
-                mpmath.mpf(y0),
-                tol=mpmath.mpf("1e-18"),
-            )
+            k, m = mpmath.mpf(kappa), mpmath.mpf(M)
+            # the Riccati form itself in s = sqrt(t), where the forcing M / (2 sqrt(t)) enters as
+            # 2 s f(s^2) = M, by Taylor series to 1e-18
+            ref = mpmath.odefun(lambda s, r: 2 * s * k * r * r - m, 0, mpmath.mpf(y0), tol=mpmath.mpf("1e-18"))
             for frac in (0.1, 0.5, 0.9):
                 t = frac * t_num
                 exact = ref(mpmath.sqrt(t))
@@ -529,7 +564,7 @@ class TestLyapunovMonitor:
             1e-3,
             DiagnosticsConfig(stride=1, store_spectra=True),
         )
-        rep = monitor_lyapunov_bound(rec, resolved_tail=1.0)
+        rep = monitor_lyapunov_bound(rec)
         assert rep.exact_residual[0] <= 1e-12
         assert 0.0 < rep.slack[0] < 1.0  # near saturation, genuinely small slack
 

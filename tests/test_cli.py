@@ -770,6 +770,16 @@ class TestFloatOverflow:
         assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr
         assert not out.exists()
 
+    def test_overflowing_dissipation_weight_exits_one(self, tmp_path, capsys):
+        # the refusal above, in process: 8 pi nu N^(2 alpha) = 8 pi 1e305 4096^2 overflows
+        out = tmp_path / "out"
+        argv = ["simulate", "--alpha", "1", "--nu", "1e305", "--init", "sine:1", "--modes", "4096", "--dt", "0.1", "--t-end", "0.1"]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: nu=1e+305 is too large: the dissipation weight 8 pi nu N^(2 alpha) overflows at N=4096\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -52,6 +52,10 @@ class TestSineSpectrum:
         with pytest.raises(ValueError):
             SineSpectrum.sine_wave(1.0, N=N)
 
+    def test_padding_to_fewer_modes_refused(self):
+        with pytest.raises(ValueError, match="larger mode count"):
+            SineSpectrum([1.0, 2.0, 3.0]).padded(2)
+
     def test_sine_wave_convention(self):
         # u0 = -R sin x has psi_1 = R/2
         s = SineSpectrum.sine_wave(10.0, N=4)
@@ -211,6 +215,11 @@ class TestGridFunction:
         assert grid_lq_norm(g, 2) == pytest.approx(np.sqrt(np.pi), abs=1e-12)
         assert grid_lq_norm(g, np.inf) == pytest.approx(1.0, abs=1e-6)
         assert grid_lq_norm(g, 1) == pytest.approx(4.0, abs=1e-6)
+
+    @pytest.mark.parametrize("q", [0.5, 0.0])
+    def test_lq_norm_needs_q_at_least_one(self, q):
+        with pytest.raises(ValueError, match="q must be >= 1"):
+            grid_lq_norm(np.ones(8), q)
 
 
 class TestSpectrumFiles:

@@ -27,7 +27,7 @@ def test_suites_pass_at_other_seeds():
 
 
 def test_comparison_lemma_prints_its_step_total():
-    # the "steps" are the Chebyshev panels of the four runs: 56
+    # the "steps" are the Chebyshev panels of the four runs: 15, at most 16 each
     steps = re.search(r", (\d+) steps$", comparison_lemma_suite().detail)
     assert steps and 0 < int(steps.group(1)) < 200
 
