@@ -119,16 +119,31 @@ def simplified_window(y0: float, kappa: float, M: float) -> float:
     return half_ratio * half_ratio
 
 
+def _normal(x: float) -> bool:
+    """Whether x is a finite float of full precision: neither zero, subnormal, infinite nor NaN."""
+    return sys.float_info.min <= abs(x) < math.inf
+
+
 def _margin(L0: float, kappa: float, M: float) -> float:
     """The lemma hypothesis as a ratio: L0^3 over 12 M^2 / kappa, as (L0 / M)^2 kappa L0 / 12.
 
-    That form leaves the float range only where the margin does; L0^3 and
-    M^2 under- or overflow far sooner (L0^3 below L0 = 1e-108).
+    Where a factor of that form leaves the normal range (L0^3 and M^2 would
+    far sooner), the margin is formed from the mantissas and exponents of
+    L0, kappa and M instead, as ``spectral._unit_scaled`` scales spectra;
+    it then leaves the float range only where the margin does.
     """
     if M == 0.0:
         return math.copysign(math.inf, L0) if L0 else 0.0
     ratio = L0 / M
-    return ratio * ratio * (kappa * L0 / 12.0)
+    square, rest = ratio * ratio, kappa * L0 / 12.0
+    margin = square * rest
+    if all(map(_normal, (ratio, square, rest, margin))):
+        return margin
+    (a, p), (b, q), (c, r) = map(math.frexp, (L0, kappa, M))
+    try:
+        return math.ldexp(a * a * a * b / (12.0 * c * c), 3 * p + q - 2 * r)
+    except OverflowError:
+        return math.copysign(math.inf, L0)
 
 
 def simplified_lower_bound(y0: float, kappa: float, M: float, t: float) -> float:

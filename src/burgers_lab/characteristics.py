@@ -9,6 +9,10 @@ xi -> xi + t*u0(xi) is strictly increasing while
 so the root is unique and the solver below (vectorized Newton kept inside
 a guaranteed bracket, taking its midpoint when a step would leave it) is
 an oracle for the Galerkin dynamics up to the guarded horizon.
+
+Odd data stay odd, u(-x, t) = -u(x, t), so a grid sample needs only the
+feet of its points in (0, pi): the other half is their mirror image, and
+u = 0 exactly at x = -pi and x = 0.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import GridFunction, SineSpectrum, evaluate_field, evaluate_slope, grid_points
+from .spectral import GridFunction, SineSpectrum, check_grid_size, evaluate_field, evaluate_slope, grid_points
 
 #: fraction of T_max kept away from the horizon, where the map stays monotone
 HORIZON_GUARD = 1e-6
@@ -152,8 +156,14 @@ def _solve_feet(u0: InitialField, x: np.ndarray, t: float) -> np.ndarray:
 
 
 def sample_solution(u0: InitialField, t: float, M: int) -> GridFunction:
-    """Characteristics solution sampled on the M-point grid, for 0 <= t < T_max (1 - HORIZON_GUARD)."""
+    """Characteristics solution sampled on the M-point grid, for 0 <= t < T_max (1 - HORIZON_GUARD).
+
+    Solves the M/2 - 1 feet in (0, pi) alone; u(x_j) = -u(x_{M-j}) fills (-pi, 0).
+    """
+    check_grid_size(M)
     _check_horizon(u0, t)
-    feet = _solve_feet(u0, grid_points(M), t)
-    u = np.asarray(u0.value(feet), dtype=float)
+    half = M // 2
+    u = np.zeros(M)
+    u[half + 1 :] = u0.value(_solve_feet(u0, grid_points(M)[half + 1 :], t))
+    u[half - 1 : 0 : -1] = -u[half + 1 :]
     return GridFunction(u)

@@ -88,9 +88,9 @@ class GridFunction:
 
     def __post_init__(self):
         u = np.asarray(self.samples, dtype=float)
-        M = u.size
-        if u.ndim != 1 or M < 4 or (M & (M - 1)) != 0:
-            raise ValueError("grid size must be a power of two, at least 4")
+        if u.ndim != 1:
+            raise ValueError("grid samples must be one-dimensional")
+        check_grid_size(u.size)
         u = u.copy()
         u.flags.writeable = False
         object.__setattr__(self, "samples", u)
@@ -98,6 +98,12 @@ class GridFunction:
     @property
     def M(self) -> int:
         return self.samples.size
+
+
+def check_grid_size(M: int) -> None:
+    """ValueError unless M is a power of two, at least 4, the grids on which x = -pi and x = 0 are samples."""
+    if not (isinstance(M, (int, np.integer)) and M >= 4 and M & (M - 1) == 0):
+        raise ValueError("grid size must be a power of two, at least 4")
 
 
 def grid_points(M: int) -> np.ndarray:

@@ -161,8 +161,9 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
 
 
 def run_suites(seed: int = 0, only: str | None = None) -> list[SuiteResult]:
-    names = [only] if only else list(SUITES)
-    if only and only not in SUITES:
+    """Every suite, or only the one named ``only``; a name not in SUITES, the empty one too, is refused."""
+    if only is not None and only not in SUITES:
         raise ValueError(f"unknown suite {only!r}; choose from {sorted(SUITES)}")
+    names = list(SUITES) if only is None else [only]
     return [SUITES[name](seed=seed) for name in names]
 

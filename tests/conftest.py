@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from burgers_lab import characteristics
 from burgers_lab.attractors import c_alpha, integrate_torus
 from burgers_lab.blowup import KAPPA_F, RESOLVED_TAIL
 from burgers_lab.dynamics import dissipation_symbol, lyapunov_diagnostic, nonlinear_direct
@@ -119,6 +120,13 @@ def bisect_characteristic_foot(u0_value, x, t, half_width, tol=1e-14):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def full_grid_solution(u0, t, M):
+    """The characteristics solution with every one of the M feet solved, none mirrored."""
+    characteristics._check_horizon(u0, t)
+    feet = characteristics._solve_feet(u0, grid_points(M), t)
+    return np.asarray(u0.value(feet), dtype=float)
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -150,6 +151,39 @@ class TestLemmaHelpersOnAnyScale:
         if _margin(y0, kappa, M) > 1.0:
             # the hypothesis check is the certificates' own: where they hold, the bound starts at y0/3
             assert simplified_lower_bound(y0, kappa, M, 0.0) == y0 / 3.0
+
+
+class TestMargin:
+    @pytest.mark.parametrize(
+        "case",
+        # (L0/M)^2 underflows while kappa L0 overflows (once inf), and (L0/M)^2 overflows while
+        # kappa L0 underflows (once NaN); the rest are normal or reach the float range's ends
+        [(1e150, 1e160, 1e306), (1e-100, 1e-300, 1e-290), (1.0, 1.0, 1.0), (-2.0, 3.0, 0.5),
+         (1e-200, 1.0, 1e-300), (1e300, 1e300, 1e-10), (1e-110, 1.0, 1.0), (1e-300, 1e-300, 1e300)],
+    )  # fmt: skip
+    def test_matches_high_precision_value(self, case):
+        mpmath = pytest.importorskip("mpmath")
+        L0, kappa, M = case
+        with mpmath.workdps(30):
+            exact = mpmath.mpf(L0) ** 3 * mpmath.mpf(kappa) / (12 * mpmath.mpf(M) ** 2)
+            got = _margin(L0, kappa, M)
+            if abs(exact) > sys.float_info.max:
+                assert got == math.copysign(math.inf, L0)
+            elif abs(exact) < sys.float_info.min:
+                # a subnormal margin keeps fewer digits: within one spacing, 2^-1074
+                assert abs(got - exact) <= 2.0**-1074
+            else:
+                assert abs(got - exact) <= 1e-15 * abs(exact)
+
+    def test_normal_inputs_keep_the_direct_form(self, rng):
+        for L0, kappa, M in rng.lognormal(0.0, 5.0, (200, 3)):
+            ratio = L0 / M
+            assert _margin(L0, kappa, M) == ratio * ratio * (kappa * L0 / 12.0)
+
+    def test_false_hypothesis_refused_at_extreme_scales(self):
+        # y0^3 kappa / (12 M^2) = 8.3e-4: the bound once returned 3.3e149
+        with pytest.raises(HypothesisError):
+            simplified_lower_bound(1e150, 1e160, 1e306, 0.0)
 
 
 class TestVerifyComparisonLemma:

@@ -21,7 +21,7 @@ from burgers_lab.spectral import (
     synthesize,
 )
 
-from conftest import bisect_characteristic_foot, odd_symmetry_residual
+from conftest import bisect_characteristic_foot, full_grid_solution, odd_symmetry_residual
 
 
 def minus_sine():
@@ -164,6 +164,51 @@ class TestSampleSolution:
         for frac in np.arange(0.1, 0.95, 0.1):
             g = sample_solution(u0, float(frac), 4096)
             assert abs(grid_lq_norm(g, q) - ref) <= 1e-6 * ref
+
+
+class TestHalfGridSolve:
+    """sample_solution solves the feet of (0, pi) alone and mirrors them onto (-pi, 0)."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        psi=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40).filter(any),
+        zeros=st.integers(0, 8),
+        log2_M=st.integers(2, 12),
+        frac=st.floats(0.0, 0.99),
+    )
+    def test_odd_grid_matches_the_full_grid_reference(self, psi, zeros, log2_M, frac):
+        u0 = InitialField(SineSpectrum([*psi, *[0.0] * zeros]))
+        M = 2**log2_M
+        t = frac * u0.t_max if np.isfinite(u0.t_max) else frac
+        sizes = []
+        solve = characteristics._solve_feet
+
+        def counted(field, x, t):
+            sizes.append(x.size)
+            return solve(field, x, t)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(characteristics, "_solve_feet", counted)
+            u = sample_solution(u0, t, M).samples
+        assert sizes == [M // 2 - 1]
+        assert u[0] == 0.0 and u[M // 2] == 0.0
+        assert np.array_equal(u[1:], -u[:0:-1])
+        ref = full_grid_solution(u0, t, M)
+        # both grids hold each foot to the solver's residual tolerance, which moves u by u_x times it
+        feet = characteristics._solve_feet(u0, grid_points(M), t)
+        slope = u0.slope(feet)
+        u_x = slope / (1.0 + t * slope)
+        bound = 1e-12 * np.max(np.abs(ref)) + 2.0 * characteristics._RESIDUAL_TOL * np.abs(u_x)
+        assert np.all(np.abs(u - ref) <= bound)
+
+    def test_no_work_on_a_refused_grid_size(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("_solve_feet called")
+
+        monkeypatch.setattr(characteristics, "_solve_feet", refuse)
+        for M in (5, 7, 12, 2, 0, -4, 2_000_001, 64.0):
+            with pytest.raises(ValueError, match="grid size must be a power of two, at least 4"):
+                sample_solution(minus_sine(), 0.5, M)
 
 
 class TestPdeResidual:

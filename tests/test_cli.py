@@ -29,6 +29,7 @@ from burgers_lab.cli import (
 )
 from burgers_lab.dynamics import ModelParams, _step_count
 from burgers_lab.spectral import SineSpectrum
+from burgers_lab.verify import SUITES
 
 R0_SINE = np.sqrt(3.0) / (np.pi * np.sqrt(2.0))
 
@@ -318,6 +319,13 @@ class TestVerify:
 
     def test_unknown_suite_exits_one(self):
         assert main(["verify", "--suite", "nope"]) == 1
+
+    def test_empty_suite_name_exits_one(self, capsys):
+        # an empty name once ran all six suites, as if no --suite were given
+        assert main(["verify", "--suite", ""]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unknown suite ''") and captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_named_worsts_and_where(self, capsys):
         assert main(["verify", "--suite", "key-identity", "--seed", "1"]) == 0
@@ -889,6 +897,19 @@ class TestGridSize:
         assert err.startswith(f"error: {mode} does not take --grid-size") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    INVISCID = ["inviscid", "--init", "sine:1", "--dt", "0.1", "--t-end", "0.2"]
+
+    @pytest.mark.parametrize("size", ["5", "7", "-4", "0", "2000001"])
+    def test_inviscid_refuses_a_grid_size_before_any_solve(self, size, monkeypatch, tmp_path, capsys):
+        # 2000001 once solved two million feet before the grid refused it; 5 and 7 ended in numpy's own errors
+        def refuse(*args):
+            raise AssertionError("_solve_feet called")
+
+        monkeypatch.setattr(characteristics, "_solve_feet", refuse)
+        assert main([*self.INVISCID, "--grid-size", size, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: grid size must be a power of two, at least 4\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestParserReuse:
     def test_flags_do_not_leak_between_calls(self, monkeypatch, tmp_path):
@@ -1245,6 +1266,23 @@ class TestInviscidProperty:
             else:
                 assert not lines and _finite_table(Path(work, "out", "decay.csv"))
                 assert all(math.isfinite(float(line.split(" = ")[1])) for line in printed[:2])
+
+
+class TestVerifyProperty:
+    SEEDS = ["0", "3", str(2**64), str(10**30), "-1", "", "x", "1.5", "1e3"]
+    SUITE_NAMES = [*SUITES, "", "nope", "Key-Identity", " key-identity"]
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.sampled_from([None, *SEEDS]), suite=st.sampled_from([None, *SUITE_NAMES]))
+    def test_every_input_ends_in_a_table_or_one_error(self, seed, suite):
+        argv = ["verify", *([f"--seed={seed}"] if seed is not None else []), *([f"--suite={suite}"] if suite is not None else [])]
+        code, printed, lines = _run_in_process(argv)
+        assert code in (0, 1)
+        if code == 1:
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+        else:
+            assert not lines and len(printed) == (len(SUITES) if suite is None else 1)
+            assert all("  PASS  " in line for line in printed)
 
 
 class TestSweepProperty:
