@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import GridFunction, SineSpectrum, check_grid_size, evaluate_field, evaluate_slope, grid_points
+from .spectral import GridFunction, SineSpectrum, check_grid_size, evaluate_field, evaluate_slope, grid_points, next_pow2, synthesize_slope
 
 #: fraction of T_max kept away from the horizon, where the map stays monotone
 HORIZON_GUARD = 1e-6
@@ -30,10 +30,12 @@ HORIZON_GUARD = 1e-6
 _RESIDUAL_TOL = 1e-12
 #: steps per foot; midpoint steps alone shrink any bracket to round-off in about 60
 _MAX_STEPS = 200
-#: dense samples of u0' taken before golden-section refinement of its minimum
+#: least number of grid samples of u0' taken before the zoom on its minimum
 _SLOPE_SAMPLES = 4096
-#: window width at which the golden-section search for that minimum stops
-_GOLDEN_TOL = 1e-12
+#: points u0' is evaluated at in each zoom round; each round shrinks the bracket 16-fold
+_ZOOM_POINTS = 33
+#: half-width of the bracket at which the zoom on that minimum stops
+_ZOOM_TOL = 1e-12
 
 
 class HorizonError(ValueError):
@@ -80,32 +82,20 @@ class InitialField:
         return float(2.0 * np.sum(np.abs(self.spectrum.psi)))
 
 
-def _golden_min(f, a: float, b: float) -> float:
-    """Golden-section argmin of f on [a, b] to window width _GOLDEN_TOL."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > _GOLDEN_TOL:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def min_initial_slope(u0: InitialField) -> float:
-    """Global minimum of u0' located by dense sampling plus refinement."""
-    x = np.linspace(-np.pi, np.pi, _SLOPE_SAMPLES, endpoint=False)
-    slopes = u0.slope(x)
+    """Least u0' seen on the transform grid of M >= max(_SLOPE_SAMPLES, 2K) points and in a zoom on its least
+    sample: each round evaluates u0' at _ZOOM_POINTS points across the bracket around the best point and keeps
+    the two cells beside the round's least value, until the bracket's half-width is below _ZOOM_TOL."""
+    M = next_pow2(max(_SLOPE_SAMPLES, 2 * u0.spectrum.N))
+    slopes = synthesize_slope(u0.spectrum, M)
     i = int(np.argmin(slopes))
-    h = 2.0 * np.pi / _SLOPE_SAMPLES
-    x_star = _golden_min(lambda xi: float(u0.slope(xi)), x[i] - h, x[i] + h)
-    return float(min(np.min(slopes), u0.slope(x_star)))
+    least, x_best, h = slopes[i], grid_points(M)[i], 2.0 * np.pi / M
+    while h > _ZOOM_TOL:
+        x = np.linspace(x_best - h, x_best + h, _ZOOM_POINTS)
+        slopes = u0.slope(x)
+        i = int(np.argmin(slopes))
+        least, x_best, h = min(least, slopes[i]), x[i], 2.0 * h / (_ZOOM_POINTS - 1)
+    return float(least)
 
 
 def tmax_inviscid(u0: InitialField) -> float:

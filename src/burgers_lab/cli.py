@@ -40,6 +40,7 @@ from .dynamics import (
     TERMINATION_STEP_FAILURE,
     DiagnosticsConfig,
     ModelParams,
+    _march_steps,
     _positive,
     _step_count,
     evolve,
@@ -153,7 +154,11 @@ def _validate(cfg: ExperimentConfig) -> None:
         if "stride" in SETTINGS[cfg.mode]:
             _diagnostics(cfg)
         # a march, or a table row every dt, must end at t_end itself; a sweep without --simulate marches nothing
-        if cfg.mode in ("simulate", "inviscid") or cfg.simulate:
+        if cfg.mode == "simulate" or cfg.simulate:
+            # counts every sweep cell, marched or not; evolve_batch checks a file:PATH spectrum's own mode count
+            rows = len(cfg.alphas) * len(cfg.nus) * len(cfg.Rs) if cfg.mode == "sweep" else 1
+            _march_steps(cfg.t_end, cfg.dt, cfg.modes if cfg.init.startswith("sine:") else 1, rows)
+        elif cfg.mode == "inviscid":
             _step_count(cfg.t_end, cfg.dt)
         elif cfg.mode == "sweep":
             _positive("t_end", cfg.t_end)

@@ -409,6 +409,18 @@ def _step_count(t_end: float, dt: float) -> int:
     return round(steps)
 
 
+#: the most modes x steps x rows a march may ask for: a mode-step-row takes at least 100 ns on one core, so 10^11 take hours
+_MAX_MARCH_WORK = 10**11
+
+
+def _march_steps(t_end: float, dt: float, N: int, rows: int) -> int:
+    """``_step_count`` of a march of ``rows`` spectra of N modes; ValueError if N x steps x rows exceeds ``_MAX_MARCH_WORK``."""
+    steps = _step_count(t_end, dt)
+    if N * steps * rows > _MAX_MARCH_WORK:
+        raise ValueError(f"modes x steps x rows = {N} x {steps} x {rows} is more than the {_MAX_MARCH_WORK:.0e} a march may take (hours)")
+    return steps
+
+
 def evolve_batch(
     spectra: Sequence[SineSpectrum],
     params: Sequence[ModelParams],
@@ -426,20 +438,21 @@ def evolve_batch(
     one included (a resolution-loss proxy, not a proof), or 'step_failure' (partial record)
     on a non-finite state; the other rows march on.  Each record equals the
     one its spectrum gives when marched alone.  t_end/dt must be a whole
-    number of steps (to a relative 1e-9), at most ``_MAX_STEPS``, and a
-    viscous row's dissipation rate g(u0) must be finite.
+    number of steps (to a relative 1e-9), at most ``_MAX_STEPS``, N x steps
+    x rows at most ``_MAX_MARCH_WORK``, and a viscous row's dissipation rate
+    g(u0) must be finite.
 
     The energy, ``dist_rF``, ``h1_norm`` and tail fraction of a record are
     taken on ``_unit_scaled`` rows, exact where ||u||^2 is subnormal.
     ``diss_integral`` is the trapezoid sum of g = 2 nu ||u||_{H^alpha}^2
     over every step, formed per step on the unscaled state.
     """
-    n_steps = _step_count(t_end, dt)
     if not spectra or len(spectra) != len(params):
         raise ValueError("need at least one spectrum and one ModelParams per spectrum")
     N = spectra[0].N
     if any(spec.N != N for spec in spectra):
         raise ValueError("all spectra must have the same mode count")
+    n_steps = _march_steps(t_end, dt, N, len(spectra))
     diag = diag or DiagnosticsConfig()
     n = np.arange(1, N + 1, dtype=float)
     n_sq = n**2

@@ -204,25 +204,19 @@ def analyze(grid: GridFunction | np.ndarray, N: int) -> SineSpectrum:
     return SineSpectrum(psi)
 
 
-#: points x modes up to which one exp over all phases n*x beats Horner's
-#: rule, whose N array operations each cost about a microsecond of overhead
-_DIRECT_POINT_MODES = 512
-
-
 def _power_series(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_{n=1}^{N} c_n w^n at w = exp(i x).
+    """sum_{n=1}^{N} c_n w^n at w = exp(i x), by Horner's rule, over at least 1-d points.
 
-    Small inputs (scalars, the last unconverged feet) take one exp over the
-    (points x N) phases.  Larger ones use Horner's rule: N array operations
-    over the points and no (points x N) temporary; since |w| = 1 the
-    rounding error stays O(N eps sum |c_n|).
+    N array operations over the points and no (points x N) temporary; since
+    |w| = 1 the rounding error stays O(N eps sum |c_n|).  The product is
+    formed out of place: numpy's in-place complex multiply rounds a
+    one-element array differently from a longer one, and out of place each
+    point gets the same bits whatever is evaluated with it.
     """
-    if x.size * coeffs.size <= _DIRECT_POINT_MODES:
-        return np.exp(1j * np.multiply.outer(x, np.arange(1, coeffs.size + 1))) @ coeffs
-    w = np.exp(1j * x)
+    w = np.exp(1j * np.atleast_1d(x))
     acc = np.full_like(w, coeffs[-1])
     for c in coeffs[-2::-1]:
-        acc *= w
+        acc = acc * w
         acc += c
     return acc * w
 
@@ -231,7 +225,7 @@ def evaluate_field(spec: SineSpectrum, x) -> np.ndarray | float:
     """Closed-form evaluation of u = -2 Im sum psi_n e^{inx} (vectorized)."""
     xa = np.asarray(x, dtype=float)
     out = -2.0 * _power_series(spec.psi, xa).imag
-    return out if xa.ndim else float(out)
+    return out if xa.ndim else float(out[0])
 
 
 def evaluate_slope(spec: SineSpectrum, x) -> np.ndarray | float:
@@ -239,7 +233,7 @@ def evaluate_slope(spec: SineSpectrum, x) -> np.ndarray | float:
     xa = np.asarray(x, dtype=float)
     n = np.arange(1, spec.N + 1)
     out = -2.0 * _power_series(n * spec.psi, xa).real
-    return out if xa.ndim else float(out)
+    return out if xa.ndim else float(out[0])
 
 
 def _weighted_energy(psi: np.ndarray, weights: np.ndarray | None = None):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from burgers_lab import blowup, dynamics
-from burgers_lab.attractors import PROFILES
+from burgers_lab.attractors import PROFILES, optimal_r
 from burgers_lab.blowup import (
     KAPPA_F,
     HypothesisError,
@@ -30,6 +30,7 @@ from burgers_lab.blowup import (
     simplified_window,
     verify_comparison_lemma,
 )
+from burgers_lab.characteristics import InitialField, tmax_inviscid
 from burgers_lab.dynamics import (
     DiagnosticsConfig,
     ModelParams,
@@ -530,6 +531,25 @@ class TestBoundChain:
             comp = comparison_lower_bound(cert.y0, cert.kappa, cert.forcing_M, float(t))
             simp = simplified_lower_bound(cert.y0, cert.kappa, cert.forcing_M, float(t))
             assert L + slack >= comp >= simp - 1e-12
+
+    def test_every_upper_bound_is_at_least_the_inviscid_blowup_time(self):
+        # g(r0) and every certificate that holds bound the blowup time from above, so none is below T_max;
+        # the smallest ratios over these fields are about 1.08 for g(r0) and 14.6 for a certificate
+        rng = np.random.default_rng(1)
+        params = [ModelParams(0.25, nu) for nu in (0.0, 0.01)]
+        held = 0
+        for _ in range(500):
+            K = int(rng.integers(1, 9))
+            spec = SineSpectrum(rng.standard_normal(K) / np.arange(1, K + 1))
+            t_max = tmax_inviscid(InitialField(spec))
+            assert optimal_r(spec).g_r0 >= t_max
+            for H in PROFILES.values():
+                for p in params:
+                    cert = certify_blowup_H(spec, H, p)
+                    if cert.hypotheses_hold:
+                        held += 1
+                        assert cert.predicted_bound_T >= t_max
+        assert held > 1000
 
 
 class TestLyapunovMonitor:

@@ -64,6 +64,12 @@ class TestTmax:
         dense = float(np.min(u0.slope(x)))
         assert got <= dense + 1e-10
 
+    def test_more_modes_than_the_sample_grid_resolves(self, rng):
+        # K > 2048 modes: the transform grid grows past 4096 points
+        u0 = InitialField(SineSpectrum(rng.uniform(-1, 1, 2500) / np.arange(1, 2501)))
+        assert u0.spectrum.N == 2500
+        assert min_initial_slope(u0) <= np.min(u0.slope(grid_points(4096)))
+
 
 class TestEvalCharacteristics:
     """Point values u(x, t) = u0(foot) of sample_solution on small grids."""

@@ -876,6 +876,26 @@ class TestStepCount:
         assert capsys.readouterr().err == "error: t_end/dt = 1e+308 steps is more than the 1e+09 a march can finish\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--alpha", "0.25", "--nu", "0.04", "--modes", "1000000"],
+            ["sweep", "--alphas", "0.25", "--nus", "0.04,0.1", "--Rs", "2,4", "--modes", "250000", "--simulate"],
+        ],
+    )
+    def test_march_work_past_the_cap_refused(self, argv, tmp_path, capsys, monkeypatch):
+        # 10^6 steps of 10^6 modes, or of 4 rows of 2.5 x 10^5 modes, are 10^12 mode-steps: days of marching
+        def no_march(*args, **kwargs):
+            raise AssertionError("a refused march must not start")
+
+        monkeypatch.setattr(cli, "evolve", no_march)
+        monkeypatch.setattr(cli, "evolve_batch", no_march)
+        assert main([*argv, "--dt", "1e-6", "--t-end", "1", "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: modes x steps x rows = ") and err.count("\n") == 1
+        assert "is more than the 1e+11 a march may take" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestGridSize:
     MARCHES = {
@@ -981,10 +1001,18 @@ class TestConfigHandling:
         assert (cfg.alphas, cfg.simulate) == ([0.2, 1], False)
 
     def test_mode_count_beyond_memory_exits_one(self, tmp_path, capsys):
-        # 10^14 modes ask for 728 TiB, which the allocator refuses at once
+        # 10^14 modes ask for 728 TiB; the work cap refuses them before anything is allocated
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"alpha": 0.25, "nu": 0.04, "modes": 10**14}))
         assert main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: modes x steps x rows = 100000000000000 x 10000 x 1") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_grid_size_beyond_memory_exits_one(self, tmp_path, capsys):
+        # a 2^50-point grid asks for 8 PiB, which the allocator refuses at once
+        argv = ["inviscid", "--init", "sine:0.5", "--grid-size", str(2**50), "--dt", "0.1", "--t-end", "0.2"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
@@ -1327,12 +1355,14 @@ class TestCertifyProperty:
         alpha=st.sampled_from([0.25, *_EDGES]),
         nu=st.sampled_from([0.04, *_EDGES]),
         amplitude=st.sampled_from([1.0, -1.0, 1e-200, *_EDGES]),
+        attractor=st.sampled_from(["F", "phi", "sawtooth", "F:x", "", "x"]),
     )
-    def test_every_input_ends_in_a_certificate_or_one_error(self, alpha, nu, amplitude):
+    def test_every_input_ends_in_a_certificate_or_one_error(self, alpha, nu, amplitude, attractor):
         stdout, stderr = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            argv = ["certify", f"--alpha={alpha!r}", f"--nu={nu!r}", f"--init=sine:{amplitude!r}", "--out", out]
+            argv = ["certify", f"--alpha={alpha!r}", f"--nu={nu!r}", f"--init=sine:{amplitude!r}",
+                    f"--attractor={attractor}", "--out", out]
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = main(argv)
             certs = [json.loads(path.read_text()) for path in sorted(Path(out).glob("certificate_*.json"))]

@@ -16,6 +16,7 @@ from burgers_lab.dynamics import (
     _half_grid,
     _if_rk4_stepper,
     _load_pocketfft,
+    _march_steps,
     _positional,
     _step_count,
     dissipation_symbol,
@@ -100,6 +101,19 @@ class TestStepCountDomain:
 
     def test_step_count_at_the_ceiling_accepted(self):
         assert _step_count(1.0, 1e-9) == 10**9
+
+    def test_march_work_past_the_cap_refused(self, monkeypatch):
+        # modes x steps x rows: 10^6 modes for 10^6 steps would take days
+        with pytest.raises(ValueError, match=r"1000000 x 1000000 x 1 is more than the 1e\+11 a march may take"):
+            _march_steps(1.0, 1e-6, 10**6, 1)
+        assert _march_steps(1.0, 1e-5, 10**3, 100) == 10**5  # exactly 10^11
+
+        def no_march(*args, **kwargs):
+            raise AssertionError("a refused march must not start")
+
+        monkeypatch.setattr(dynamics, "_if_rk4_stepper", no_march)
+        with pytest.raises(ValueError, match=r"131072 x 1000000 x 1 is more than the 1e\+11"):
+            evolve_batch([SineSpectrum.sine_wave(1.0, 2**17)], [ModelParams(0.25, 0.1)], 1.0, 1e-6)
 
 
 class TestSubnormalEnergy:

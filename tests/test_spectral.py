@@ -172,7 +172,7 @@ class TestPointwiseEvaluation:
         g = synthesize(spec, 128)
         x = grid_points(g.M)
         np.testing.assert_allclose(evaluate_field(spec, x), g.samples, atol=1e-12)
-        # a scalar or a few points take the direct sum, the whole grid Horner's rule
+        # a scalar, a few points and the whole grid go through the same Horner sum
         for j in (0, 17, 64):
             assert evaluate_field(spec, x[j]) == pytest.approx(g.samples[j], abs=1e-12)
         np.testing.assert_allclose(evaluate_field(spec, x[:5]), g.samples[:5], atol=1e-12)
@@ -191,6 +191,18 @@ class TestPointwiseEvaluation:
         np.testing.assert_allclose(got, evaluate_slope(spec, x), atol=1e-12)
         for j in (0, 17, 64):
             assert evaluate_slope(spec, x[j]) == pytest.approx(got[j], abs=1e-12)
+
+    @pytest.mark.parametrize("evaluate", [evaluate_field, evaluate_slope])
+    def test_a_point_gets_the_same_bits_alone_as_in_an_array(self, evaluate):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            K = int(rng.integers(2, 41))
+            spec = SineSpectrum(rng.uniform(-1, 1, K))
+            x = rng.uniform(-np.pi, np.pi, 600 // K + 200)
+            j = int(rng.integers(x.size))
+            full = evaluate(spec, x)[j]
+            assert evaluate(spec, np.array(x[j])) == full
+            assert evaluate(spec, x[j : j + 1])[0] == full
 
     def test_slope_of_a_stack_matches_rows(self, rng):
         psi = rng.uniform(-1, 1, (6, 40))
