@@ -32,7 +32,8 @@ import numpy as np
 
 from .characteristics import InitialField, sample_solution
 from .dynamics import F_L2_NORM_SQ, lyapunov_diagnostic, nonlinear_direct, optimal_scale, profile_distance
-from .spectral import FOUR_PI, SineSpectrum, _unit_scaled, _weighted_energy, analyze, evaluate_field, evaluate_slope
+from .spectral import FOUR_PI, SineSpectrum, UnderResolvedError, _unit_scaled, _weighted_energy, analyze, check_grid_size
+from .spectral import evaluate_field, evaluate_slope
 
 
 class DivergentSeriesError(ValueError):
@@ -225,8 +226,12 @@ def attractor_decay_series(u0: InitialField, times: Sequence[float], attractor: 
     M-point grid, so the only error is the (spectrally small) analysis error
     of a smooth pre-blowup field.  Since H' = m off the jump,
     <H, u u_x> = -m ||u||^2 / 2 and the predicted line D(0) - m ||u0||^2 t
-    is the exact law.
+    is the exact law.  A grid whose M/2 - 1 analyzed modes are fewer than
+    u0's K is refused before any solve.
     """
+    check_grid_size(M)
+    if M // 2 - 1 < u0.spectrum.N:
+        raise UnderResolvedError(f"grid size {M} analyzes {M // 2 - 1} modes, fewer than the {u0.spectrum.N} of u0")
     ts = np.asarray(times, dtype=float)
     c, s = attractor.scale, attractor.jump_location
     # sample first: a time past the horizon raises before the line is formed

@@ -6,8 +6,8 @@ xi -> xi + t*u0(xi) is strictly increasing while
 
     t < T_max = 1 / (-min_x u0'(x)),
 
-so the root is unique and the solver below (vectorized Newton kept inside
-a guaranteed bracket, taking its midpoint when a step would leave it) is
+so the root is unique and the solver below (vectorized Newton from the inverse of the sampled
+map, kept inside a guaranteed bracket, taking its midpoint when a step would leave it) is
 an oracle for the Galerkin dynamics up to the guarded horizon.
 
 Odd data stay odd, u(-x, t) = -u(x, t), so a grid sample needs only the
@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import GridFunction, SineSpectrum, check_grid_size, evaluate_field, evaluate_slope, grid_points, next_pow2, synthesize_slope
+from .spectral import GridFunction, SineSpectrum, check_grid_size, evaluate_field, evaluate_slope, grid_points, next_pow2, synthesize, synthesize_slope
 
 #: fraction of T_max kept away from the horizon, where the map stays monotone
 HORIZON_GUARD = 1e-6
@@ -30,7 +30,7 @@ HORIZON_GUARD = 1e-6
 _RESIDUAL_TOL = 1e-12
 #: steps per foot; midpoint steps alone shrink any bracket to round-off in about 60
 _MAX_STEPS = 200
-#: least number of grid samples of u0' taken before the zoom on its minimum
+#: least number of transform samples of u0' before the zoom on its minimum, and of u0 for the Newton start
 _SLOPE_SAMPLES = 4096
 #: points u0' is evaluated at in each zoom round; each round shrinks the bracket 16-fold
 _ZOOM_POINTS = 33
@@ -104,45 +104,51 @@ def tmax_inviscid(u0: InitialField) -> float:
 
 
 def _check_horizon(u0: InitialField, t: float) -> None:
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
+    if not 0.0 <= t < np.inf:
+        raise ValueError(f"time must be finite and nonnegative, got t={t}")
     t_max = tmax_inviscid(u0)
     if np.isfinite(t_max) and t >= t_max * (1.0 - HORIZON_GUARD):
         raise HorizonError(f"t={t} is past the guarded horizon {t_max * (1.0 - HORIZON_GUARD):.6g}")
 
 
-def _solve_feet(u0: InitialField, x: np.ndarray, t: float) -> np.ndarray:
-    """Solve g(xi) = xi + t*u0(xi) - x = 0 for every point of x by safeguarded Newton.
+def _solve_feet(u0: InitialField, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Solve g(xi) = xi + t*u0(xi) - x = 0 for every point of x by safeguarded Newton; returns (feet, u0(feet)).
 
-    g increases before the horizon and its root lies within t*sup|u0| of x.
-    The bracket x -/+ 2 t sup|u0| leaves room: a single sine attains the
-    tighter bound, and the first Newton step from xi = x often lands past
-    it.  Each step moves the bracket end on g's side to the iterate, then
-    takes the Newton point if it lies strictly inside the bracket and the
-    midpoint if not.  Only the points still above tolerance are stepped;
-    one left above 10 * _RESIDUAL_TOL after _MAX_STEPS raises RootFindError.
+    Newton starts at the inverse of xi -> xi + t*u0(xi), interpolated from one transform sample on the T_max
+    search's grid and xi = pi (fixed for odd data), clipped into the bracket x -/+ 2 t sup|u0| that holds the
+    root before the horizon: the start sets the step count, the bracket the guarantee.  Each step moves the
+    bracket end on g's side to the iterate, then takes the Newton point if strictly inside and the midpoint if
+    not.  Points above tolerance or NaN are stepped; one left above 10 * _RESIDUAL_TOL after _MAX_STEPS raises
+    RootFindError.  The values are the last evaluated, equal to u0.value(feet) as evaluation is point-local.
     """
-    xi = np.array(x, dtype=float, copy=True)
-    res = xi + t * u0.value(xi) - x
-    todo = np.flatnonzero(np.abs(res) > _RESIDUAL_TOL)
-    z, r, target = xi[todo], res[todo], xi[todo]
+    M = next_pow2(max(_SLOPE_SAMPLES, 2 * u0.spectrum.N))
+    xs = np.append(grid_points(M), np.pi)
     half_width = 2.0 * t * u0.sup_bound
+    start = np.interp(x, xs + t * np.append(synthesize(u0.spectrum, M).samples, 0.0), xs)
+    xi = np.clip(start, x - half_width, x + half_width)
+    val = u0.value(xi)
+    res = xi + t * val - x
+    todo = np.flatnonzero(~(np.abs(res) <= _RESIDUAL_TOL))
+    z, r, target = xi[todo], res[todo], x[todo]
     lo, hi = target - half_width, target + half_width
     for _ in range(_MAX_STEPS):
         if todo.size == 0:
-            return xi
+            return xi, val
         below = r < 0.0
         lo = np.where(below, z, lo)
         hi = np.where(below, hi, z)
         z = z - r / (1.0 + t * u0.slope(z))
         z = np.where((lo < z) & (z < hi), z, 0.5 * (lo + hi))
-        r = z + t * u0.value(z) - target
-        xi[todo] = z
-        keep = np.abs(r) > _RESIDUAL_TOL
+        v = u0.value(z)
+        r = z + t * v - target
+        xi[todo], val[todo] = z, v
+        keep = ~(np.abs(r) <= _RESIDUAL_TOL)
         todo, z, r, target, lo, hi = todo[keep], z[keep], r[keep], target[keep], lo[keep], hi[keep]
-    if np.any(np.abs(r) > 10.0 * _RESIDUAL_TOL):
-        raise RootFindError("characteristic foot not found to tolerance")
-    return xi
+    unsolved = ~(np.abs(r) <= 10.0 * _RESIDUAL_TOL)
+    if np.any(unsolved):
+        raise RootFindError(f"{np.count_nonzero(unsolved)} characteristic feet unsolved at t={t}: "
+                            f"worst residual {np.max(np.abs(r)):.3e} > {10 * _RESIDUAL_TOL:.0e}")
+    return xi, val
 
 
 def sample_solution(u0: InitialField, t: float, M: int) -> GridFunction:
@@ -154,6 +160,6 @@ def sample_solution(u0: InitialField, t: float, M: int) -> GridFunction:
     _check_horizon(u0, t)
     half = M // 2
     u = np.zeros(M)
-    u[half + 1 :] = u0.value(_solve_feet(u0, grid_points(M)[half + 1 :], t))
+    u[half + 1 :] = _solve_feet(u0, grid_points(M)[half + 1 :], t)[1]
     u[half - 1 : 0 : -1] = -u[half + 1 :]
     return GridFunction(u)

@@ -125,7 +125,7 @@ def bisect_characteristic_foot(u0_value, x, t, half_width, tol=1e-14):
 def full_grid_solution(u0, t, M):
     """The characteristics solution with every one of the M feet solved, none mirrored."""
     characteristics._check_horizon(u0, t)
-    feet = characteristics._solve_feet(u0, grid_points(M), t)
+    feet, _ = characteristics._solve_feet(u0, grid_points(M), t)
     return np.asarray(u0.value(feet), dtype=float)
 
 

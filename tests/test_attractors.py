@@ -20,8 +20,9 @@ from burgers_lab.attractors import (
     series_s,
 )
 from burgers_lab.blowup import UnsupportedRegimeError
+from burgers_lab import characteristics
 from burgers_lab.characteristics import HorizonError, InitialField, sample_solution
-from burgers_lab.spectral import SineSpectrum, grid_points, sobolev_norm
+from burgers_lab.spectral import SineSpectrum, UnderResolvedError, grid_points, sobolev_norm
 
 from conftest import lyapunov_quadrature
 
@@ -249,6 +250,17 @@ class TestDecaySeries:
         u0 = InitialField(SineSpectrum([0.5]))
         with pytest.raises(HorizonError):
             attractor_decay_series(u0, [0.5, 1.0], AttractorFn("F", R0_SINE, "origin"))
+
+    def test_grid_too_coarse_for_u0_refused_before_any_solve(self, monkeypatch):
+        # M = 64 analyzes 31 modes: the table once measured 31 of the 40 and drifted off the law unannounced
+        u0 = InitialField(SineSpectrum(0.1 / np.arange(1, 41) ** 2))
+        solve = characteristics._solve_feet
+        monkeypatch.setattr(characteristics, "_solve_feet", lambda *args: pytest.fail("_solve_feet called"))
+        with pytest.raises(UnderResolvedError, match="grid size 64 analyzes 31 modes, fewer than the 40 of u0"):
+            attractor_decay_series(u0, [0.0, 0.01], PROFILES["F"], M=64)
+        monkeypatch.setattr(characteristics, "_solve_feet", solve)
+        table = attractor_decay_series(u0, [0.0, 0.01], PROFILES["F"], M=128)  # 63 modes: accepted
+        assert table.distance[1] == pytest.approx(table.predicted[1], abs=1e-6 * table.distance[0])
 
     def test_distance_against_quadrature_oracle(self):
         # independent check of one table entry by direct grid quadrature

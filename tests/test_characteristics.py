@@ -14,6 +14,7 @@ from burgers_lab.characteristics import (
 )
 from burgers_lab.cli import main
 from burgers_lab.spectral import (
+    GridFunction,
     SineSpectrum,
     evaluate_field,
     grid_lq_norm,
@@ -26,6 +27,12 @@ from conftest import bisect_characteristic_foot, full_grid_solution, odd_symmetr
 
 def minus_sine():
     return InitialField(SineSpectrum([0.5]))
+
+
+@pytest.fixture
+def start_at_x(monkeypatch):
+    """A zero sampled forward map, from which every foot starts at xi = x."""
+    monkeypatch.setattr(characteristics, "synthesize", lambda spec, M: GridFunction(np.zeros(M)))
 
 
 class TestInitialField:
@@ -118,26 +125,33 @@ class TestEvalCharacteristics:
             )
             assert uj == pytest.approx(float(evaluate_field(spec, foot)), abs=1e-11)
 
+    def test_bad_start_still_matches_bisection(self, start_at_x):
+        # plain Newton from xi = x stalls on the field above
+        self.test_stalled_newton_field_against_bisection_oracle()
+
     @settings(max_examples=60, deadline=None)
     @given(
         psi=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=16).filter(lambda p: max(map(abs, p)) >= 1e-3),
-        frac=st.floats(0.0, 1.0 - 1e-3),
+        frac=st.floats(0.0, 1.0 - 1e-6),
     )
     def test_random_fields_up_to_the_horizon(self, psi, frac):
         u0 = InitialField(SineSpectrum(psi))
         t = frac * tmax_inviscid(u0)
         x = grid_points(256)
-        feet = characteristics._solve_feet(u0, x, t)
-        assert np.all(np.abs(feet + t * u0.value(feet) - x) <= characteristics._RESIDUAL_TOL)
+        feet, values = characteristics._solve_feet(u0, x, t)
+        # the values are those the solve last evaluated at each foot, to the bit
+        assert np.array_equal(values, u0.value(feet))
+        assert np.all(np.abs(feet + t * values - x) <= characteristics._RESIDUAL_TOL)
         # a foot error dz moves the residual by at least (1 - t/T_max) dz
         slack = 2e-12 / (1.0 - frac)
         for j in range(0, 256, 37):
             foot = bisect_characteristic_foot(u0.value, x[j], t, t * u0.sup_bound + 1e-9)
             assert abs(feet[j] - foot) <= slack
 
-    def test_step_cap_raises_root_find_error(self, monkeypatch):
+    def test_step_cap_raises_root_find_error(self, start_at_x, monkeypatch):
+        # one step from xi = x leaves feet unsolved
         monkeypatch.setattr(characteristics, "_MAX_STEPS", 1)
-        with pytest.raises(characteristics.RootFindError):
+        with pytest.raises(characteristics.RootFindError, match=r"^\d+ characteristic feet unsolved at t=0.9: worst residual .* > 1e-11$"):
             sample_solution(minus_sine(), 0.9, 64)
 
     def test_horizon_guard(self):
@@ -147,6 +161,56 @@ class TestEvalCharacteristics:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             sample_solution(minus_sine(), -0.1, 16)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    @pytest.mark.parametrize("psi", [[0.5], [0.0]], ids=["sine", "zero data"])
+    def test_non_finite_time_rejected(self, t, psi):
+        # NaN passed every horizon test and returned u0's own samples; inf did so on zero data (T_max = inf)
+        u0 = InitialField(SineSpectrum(psi))
+        with pytest.raises(ValueError, match=f"time must be finite and nonnegative, got t={t}"):
+            sample_solution(u0, t, 16)
+        with pytest.raises(ValueError, match="time must be finite"):
+            attractor_decay_series(u0, [0.1, t], AttractorFn("F", 1.0, "origin"), M=16)
+
+    def test_nan_residual_is_never_converged(self):
+        # NaN fails abs(r) > tol, so the solve once returned the feet it started from
+        with pytest.raises(characteristics.RootFindError, match=r"^15 characteristic feet unsolved at t=nan: worst residual nan"):
+            characteristics._solve_feet(minus_sine(), grid_points(16)[1:], np.nan)
+
+
+class TestSampledStart:
+    """Newton starts at the inverse of the sampled forward map, so a foot takes one step, two at most."""
+
+    @staticmethod
+    def evaluations_per_solve(u0, t, monkeypatch):
+        counts = {"value": 0, "slope": 0}
+
+        def counted(name, evaluate):
+            def wrapper(spec, x):
+                counts[name] += 1
+                return evaluate(spec, x)
+
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            patch.setattr(characteristics, "evaluate_field", counted("value", characteristics.evaluate_field))
+            patch.setattr(characteristics, "evaluate_slope", counted("slope", characteristics.evaluate_slope))
+            sample_solution(u0, t, 4096)
+        return counts["value"], counts["slope"]
+
+    @pytest.mark.parametrize("frac", [0.3, 0.6, 0.9])
+    def test_sine_takes_one_step(self, frac, monkeypatch):
+        for R in (0.5, 1.0, 2.0, 10.0):
+            u0 = InitialField(SineSpectrum.sine_wave(R))
+            # the start's values, one step's slopes and values; the solve once took 6-10 and 4-8
+            assert self.evaluations_per_solve(u0, frac * u0.t_max, monkeypatch) == (2, 1)
+
+    @pytest.mark.parametrize("frac", [0.3, 0.6, 0.9])
+    def test_seeded_fields_take_at_most_two_steps(self, frac, rng, monkeypatch):
+        for K in rng.integers(1, 17, size=20):
+            u0 = InitialField(SineSpectrum(rng.uniform(-1, 1, K) / np.arange(1, K + 1) ** rng.integers(0, 3)))
+            value, slope = self.evaluations_per_solve(u0, frac * u0.t_max, monkeypatch)
+            assert value <= 3 and slope <= 2 and value == slope + 1
 
 
 class TestSampleSolution:
@@ -201,7 +265,7 @@ class TestHalfGridSolve:
         assert np.array_equal(u[1:], -u[:0:-1])
         ref = full_grid_solution(u0, t, M)
         # both grids hold each foot to the solver's residual tolerance, which moves u by u_x times it
-        feet = characteristics._solve_feet(u0, grid_points(M), t)
+        feet, _ = characteristics._solve_feet(u0, grid_points(M), t)
         slope = u0.slope(feet)
         u_x = slope / (1.0 + t * slope)
         bound = 1e-12 * np.max(np.abs(ref)) + 2.0 * characteristics._RESIDUAL_TOL * np.abs(u_x)

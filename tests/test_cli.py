@@ -286,6 +286,16 @@ class TestInviscid:
         assert rc == 1
         assert "horizon" in capsys.readouterr().err
 
+    def test_grid_too_coarse_for_the_initial_field_exits_one(self, tmp_path, capsys):
+        # --grid-size 4 analyzes 1 of the 40 modes: it used to exit 0 with dist 5.486 against predicted 8.712
+        spec_file = tmp_path / "u0.json"
+        spec_file.write_text(json.dumps({"N": 40, "psi": (0.1 / np.arange(1, 41) ** 2).tolist()}))
+        out = tmp_path / "inv"
+        argv = ["inviscid", "--init", f"file:{spec_file}", "--grid-size", "4", "--dt", "0.01", "--t-end", "0.02", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: grid size 4 analyzes 1 modes, fewer than the 40 of u0\n"
+        assert not out.exists()
+
     def test_root_find_failure_exits_one(self, tmp_path, capsys, monkeypatch):
         def fail(u0, x, t):
             raise characteristics.RootFindError("characteristic foot not found to tolerance")
