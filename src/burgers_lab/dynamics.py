@@ -32,7 +32,11 @@ into an (..., L) array of that call's own, so calls may run on several
 threads at once.  A march owns its buffers through its stepper
 (``_if_rk4_stepper``): a contiguous (B, N) stage, the four k arrays, and
 for the default kernel a (B, L) pad and a (B, L) transform work buffer.
-Both paths run the same transforms, ``_half_grid_quadratic``.
+Both paths run the same transforms, ``_half_grid_quadratic``, bound once.
+Per step a march only adds its dissipation rate to a block of rates, which is
+summed and tested for non-finite rows at each record and when full; a record
+forms its tail fraction and holds its rows, whose other columns are formed
+for a block of records at once (see ``evolve_batch``).
 
 Time stepping is fixed-step integrating-factor RK4: the dissipative part
 is absorbed exactly through exp(-nu n^{2 alpha} dt) and classical RK4
@@ -49,7 +53,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -189,16 +193,22 @@ def _positional(transform: Callable) -> Callable:
     return call
 
 
-def _half_grid_quadratic(padded: np.ndarray, work: np.ndarray, N: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The quadratic term of the spectra in padded[..., :N] (zeros past N, only read) into ``out``.
+def _half_grid_quadratic(padded: np.ndarray, work: np.ndarray, N: int) -> Callable[..., np.ndarray]:
+    """A call writing the quadratic term of the spectra in padded[..., :N] (zeros past N, only read) into ``out``.
 
-    The DST-III goes into ``work`` (which may be ``padded``), where the square and the DCT-II run in place.
+    The transforms are bound once.  The DST-III goes into ``work`` (which may be ``padded``), where the square and the DCT-II run in place.
     """
     _, scale, dst, dct = _half_grid(N)
-    dst(padded, 3, (-1,), 0, work, 1)
-    work *= work
-    dct(work, 2, (-1,), 0, work, 1)
-    return np.multiply(scale, work[..., 1 : N + 1], out=out)
+    modes = work[..., 1 : N + 1]
+    scale = np.full(modes.shape, scale)  # of the modes' shape: a product that broadcasts is slower
+
+    def quadratic(out: np.ndarray | None = None) -> np.ndarray:
+        dst(padded, 3, (-1,), 0, work, 1)
+        np.multiply(work, work, out=work)
+        dct(work, 2, (-1,), 0, work, 1)
+        return np.multiply(scale, modes, out=out)
+
+    return quadratic
 
 
 def nonlinear_pseudospectral(psi: np.ndarray) -> np.ndarray:
@@ -215,7 +225,7 @@ def nonlinear_pseudospectral(psi: np.ndarray) -> np.ndarray:
     N = psi.shape[-1]
     u = np.zeros(psi.shape[:-1] + (_half_grid(N)[0],))
     u[..., :N] = psi
-    return _half_grid_quadratic(u, u, N)
+    return _half_grid_quadratic(u, u, N)()
 
 
 def _if_rk4_stepper(e1: np.ndarray, dt: float, kernel: Kernel) -> Callable[[np.ndarray], np.ndarray]:
@@ -238,12 +248,12 @@ def _if_rk4_stepper(e1: np.ndarray, dt: float, kernel: Kernel) -> Callable[[np.n
     given as it is, then keeps it as scratch that the next step overwrites.
     """
     e2, dt_e1, two_e1 = e1 * e1, dt * e1, 2.0 * e1
-    half_dt, N = 0.5 * dt, e1.shape[-1]
+    half_dt, sixth_dt, N = np.full(e1.shape, 0.5 * dt), np.full(e1.shape, dt / 6.0), e1.shape[-1]  # arrays: faster factors than scalars
     k1, k2, k3, k4, e_psi = (np.empty(e1.shape) for _ in range(5))
     if kernel is nonlinear_pseudospectral:
         pad = np.zeros(e1.shape[:-1] + (_half_grid(N)[0],))
         kin = pad[..., :N]
-        nonlinear = partial(_half_grid_quadratic, pad, np.empty_like(pad), N)
+        nonlinear = _half_grid_quadratic(pad, np.empty_like(pad), N)
     else:
         kin = np.empty(e1.shape)
         nonlinear = lambda k: np.copyto(k, kernel(kin))  # noqa: E731
@@ -270,7 +280,7 @@ def _if_rk4_stepper(e1: np.ndarray, dt: float, kernel: Kernel) -> Callable[[np.n
         k1 *= e2
         k1 += k2
         k1 += k4
-        k1 *= dt / 6.0
+        k1 *= sixth_dt
         k1 += e_psi
         new, k1 = k1, psi
         return new
@@ -286,8 +296,8 @@ class DiagnosticsConfig:
     store_spectra: bool = False
 
     def __post_init__(self):
-        if self.stride < 1:
-            raise ValueError(f"stride must be a positive integer, got {self.stride}")
+        if isinstance(self.stride, bool) or not isinstance(self.stride, (int, np.integer)) or self.stride < 1:
+            raise ValueError(f"stride must be a positive integer, got {self.stride!r}")
         _positive("tail threshold", self.tail_threshold)  # a NaN threshold would never trip
         if self.r is not None and not math.isfinite(float(self.r) * float(self.r) * F_L2_NORM_SQ):
             raise ValueError(f"r={self.r} is too large: the distance term r^2 ||F||^2 leaves the float range")
@@ -338,17 +348,10 @@ def tail_energy_fraction(psi: np.ndarray) -> float | np.ndarray:
     quadratic term to feed it and no tail.  Reduces along the last axis:
     one value per row of a (..., N) stack.
     """
-    squares = psi**2
-    frac = _tail_fraction(squares, squares.sum(axis=-1))
+    squares, N = psi**2, psi.shape[-1]
+    total, tail = squares.sum(axis=-1), squares[..., N - (max(1, N // 8) if N > 1 else 0) :].sum(axis=-1)
+    frac = np.divide(tail, total, out=np.zeros_like(total), where=total != 0.0)
     return frac if psi.ndim > 1 else float(frac)
-
-
-def _tail_fraction(squares: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """``tail_energy_fraction`` of the rows whose squared coefficients and their sums are given."""
-    N = squares.shape[-1]
-    cut = N - (max(1, N // 8) if N > 1 else 0)
-    tail = squares[..., cut:].sum(axis=-1)
-    return np.divide(tail, total, out=np.zeros_like(total), where=total != 0.0)
 
 
 def lyapunov_diagnostic(psi: np.ndarray, jump_location: str = "origin") -> float | np.ndarray:
@@ -421,6 +424,11 @@ def _march_steps(t_end: float, dt: float, N: int, rows: int) -> int:
     return steps
 
 
+#: a march sums the dissipation rates it holds once they span this many steps, and forms the columns of the records
+#: it holds once their min du/dx grids reach this many samples (64 KiB: 2 records at N = 1024, B = 1)
+_RATE_BLOCK, _RECORD_BLOCK_FLOATS = 64, 2**13
+
+
 def evolve_batch(
     spectra: Sequence[SineSpectrum],
     params: Sequence[ModelParams],
@@ -445,7 +453,11 @@ def evolve_batch(
     The energy, ``dist_rF``, ``h1_norm`` and tail fraction of a record are
     taken on ``_unit_scaled`` rows, exact where ||u||^2 is subnormal.
     ``diss_integral`` is the trapezoid sum of g = 2 nu ||u||_{H^alpha}^2
-    over every step, formed per step on the unscaled state.
+    over every step, g formed per step on the unscaled state and summed, in
+    step order, at the next record or full block of rates; a row gone
+    non-finite is found then, and retires before the next record.  The tail
+    fraction is formed at its record; the other columns when a block of
+    held records is flushed (when full, at a retirement and at the end).
     """
     if not spectra or len(spectra) != len(params):
         raise ValueError("need at least one spectrum and one ModelParams per spectrum")
@@ -475,58 +487,56 @@ def evolve_batch(
     step = _if_rk4_stepper(half_decay, dt, kernel)  # rebuilt when rows retire
 
     log: list[tuple[int, np.ndarray, np.ndarray]] = []  # (step, active spectra, diagnostics x rows)
+    pending: list[tuple] = []  # (step, rows, diss, their _unit_scaled rows and exponents, tail) of unlogged records
     stored: list[list[np.ndarray]] | None = [[] for _ in spectra] if diag.store_spectra else None
     terminations = [TERMINATION_T_END] * len(spectra)
     active = np.arange(len(spectra))  # the spectrum each row of psi belongs to
 
     def record(k: int, psi: np.ndarray, diss: np.ndarray) -> np.ndarray:
-        """Log the diagnostics of every active spectrum; return their tail fractions.
-
-        The quadratic columns come from one ``_unit_scaled`` copy of the
-        rows, scaled back by ldexp: exact in the normal range.
-        """
+        """Hold a copy of the rows of every active spectrum for ``flush``; return their tail fractions."""
         scaled, exp2 = _unit_scaled(psi)
-        squares = scaled**2
-        total = squares.sum(axis=-1)
-        energy = FOUR_PI * total  # _weighted_energy(scaled), from the shared squares
-        lyap = lyapunov_diagnostic(psi)
-        tail = _tail_fraction(squares, total)
-        values = np.array(
-            [
-                np.ldexp(energy, 2 * exp2),
-                diss,
-                lyap,
-                profile_distance(energy, lyap, r[active], exp2),
-                np.ldexp(np.sqrt(FOUR_PI * (n_sq * squares).sum(axis=-1)), exp2),
-                tail,
-                synthesize_slope(psi, M_diag).min(axis=-1),
-            ]
-        )
-        log.append((k, active, values))
+        rows, tail = psi.copy(), tail_energy_fraction(scaled)
+        pending.append((k, rows, diss, scaled, exp2, tail))  # diss_acc is only ever rebound, never written in place
         if stored is not None:
-            for cell, row in zip(active, psi):
-                stored[cell].append(row.copy())
+            for cell, row in zip(active, rows):
+                stored[cell].append(row)
+        if len(pending) * len(psi) * M_diag >= _RECORD_BLOCK_FLOATS:
+            flush()
         return tail
+
+    def flush() -> None:
+        """Log the held records, each column formed for all at once; the quadratic ones on ``_unit_scaled`` rows, scaled back."""
+        if pending:
+            steps, psi, diss, scaled, exp2, tails = map(np.array, zip(*pending))
+            squares = scaled**2
+            energy = FOUR_PI * squares.sum(axis=-1)  # _weighted_energy(scaled), from the shared squares
+            lyap = lyapunov_diagnostic(psi)
+            values = [np.ldexp(energy, 2 * exp2), diss, lyap, profile_distance(energy, lyap, r[active], exp2),
+                      np.ldexp(np.sqrt(FOUR_PI * (n_sq * squares).sum(axis=-1)), exp2), tails,
+                      synthesize_slope(psi, M_diag).min(axis=-1)]
+            log.extend(zip(steps, [active] * len(steps), np.array(values).swapaxes(0, 1)))
+            pending.clear()
 
     def retire(ended: np.ndarray, reason: str) -> bool:
         """Give the rows in ``ended`` their termination and drop them; return whether any row is left."""
-        nonlocal active, psi, diss_weights, diss_acc, g_prev, g_new, half_decay, squares, step
+        nonlocal active, psi, diss_weights, diss_acc, rates, half_decay, squares, step
+        flush()
         for cell in active[ended]:
             terminations[cell] = reason
         keep = ~ended
-        active, psi, diss_weights, diss_acc, g_prev, g_new, half_decay = (
-            a[keep] for a in (active, psi, diss_weights, diss_acc, g_prev, g_new, half_decay)
+        active, psi, diss_weights, diss_acc, rates, half_decay = (
+            a[keep] for a in (active, psi, diss_weights, diss_acc, rates, half_decay)
         )
         squares = np.empty(psi.shape)
         step = _if_rk4_stepper(half_decay, dt, kernel)
         return bool(keep.any())
 
-    # the dissipation rate g = sum w psi^2 of each step and its trapezoid sum, per row, in buffers
-    # of their own: g_prev + g_new, times dt/2, added to diss_acc, with g_prev then free as scratch
-    half_dt = 0.5 * dt
-    squares, g_new = np.empty(psi.shape), np.empty(len(spectra))
+    # the dissipation rate g = sum w psi^2 of each step goes into the next column of its row of ``rates``,
+    # after the g of the step before them; their trapezoid sum and finiteness test wait for a record or a full block
+    half_dt, held = 0.5 * dt, 0
+    squares, rates = np.empty(psi.shape), np.repeat(g_prev[:, None], _RATE_BLOCK + 1, axis=1)
     diss_acc = np.zeros(len(spectra))
-    # overflow in a step is caught by the finiteness check that follows it; the
+    # overflow in a step is caught by the finiteness test that follows it; the
     # diagnostics of a state too large to square read inf, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
         # k = 0 only records, so data under-resolved from the start stops there
@@ -535,20 +545,25 @@ def evolve_batch(
                 psi = step(psi)
                 np.multiply(psi, psi, out=squares)
                 squares *= diss_weights
-                np.add.reduce(squares, axis=-1, out=g_new)
-                # a NaN or inf coefficient makes its row's g NaN or inf (0 * inf is NaN)
-                if not np.isfinite(g_new).all():
+                held += 1
+                np.add.reduce(squares, axis=-1, out=rates[:, held])
+            at_record = k % diag.stride == 0 or k == n_steps
+            if at_record or held == _RATE_BLOCK:
+                g = rates[:, : held + 1]
+                trapezoids = (g[:, :-1] + g[:, 1:]) * half_dt
+                # in sequence along each row: the bits of adding each trapezoid to diss_acc step by step
+                diss_acc = np.add.accumulate(np.concatenate((diss_acc[:, None], trapezoids), axis=1), axis=1)[:, -1]
+                rates[:, 0], held = g[:, -1], 0
+                # a NaN or inf coefficient makes its row's g NaN or inf (0 * inf is NaN), and its state in every later step
+                if not np.isfinite(g).all():
                     failed = ~np.isfinite(psi).all(axis=-1)
                     if failed.any() and not retire(failed, TERMINATION_STEP_FAILURE):
                         break
-                np.add(g_prev, g_new, out=g_prev)
-                g_prev *= half_dt
-                diss_acc += g_prev
-                g_prev, g_new = g_new, g_prev
-            if k % diag.stride == 0 or k == n_steps:
+            if at_record:
                 blown = record(k, psi, diss_acc) > diag.tail_threshold
                 if blown.any() and not retire(blown, TERMINATION_BLOWUP):
                     break
+        flush()
 
     # spectra only ever leave the stack, so each one's records are a prefix of the log
     times = np.array([k * dt for k, _, _ in log])

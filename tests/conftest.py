@@ -1,6 +1,7 @@
 """Shared brute-force oracles, kept deliberately slow and transparent."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,8 +9,15 @@ import pytest
 from burgers_lab import characteristics
 from burgers_lab.attractors import c_alpha, integrate_torus
 from burgers_lab.blowup import KAPPA_F, RESOLVED_TAIL
-from burgers_lab.dynamics import dissipation_symbol, lyapunov_diagnostic, nonlinear_direct
-from burgers_lab.spectral import FOUR_PI, evaluate_field, grid_points
+from burgers_lab.dynamics import (
+    dissipation_symbol,
+    lyapunov_diagnostic,
+    nonlinear_direct,
+    nonlinear_pseudospectral,
+    optimal_scale,
+    profile_distance,
+)
+from burgers_lab.spectral import FOUR_PI, _unit_scaled, evaluate_field, grid_points, next_pow2, synthesize_slope
 
 
 def synthesize_direct(spec, M):
@@ -83,6 +91,72 @@ def if_rk4_step_reference(psi, dt, factors, nonlinear):
     e2_psi = e2 * psi
     k4 = nonlinear(e2_psi + dt_e1 * k3)
     return e2_psi + dt / 6.0 * (e2 * k1 + two_e1 * (k2 + k3) + k4)
+
+
+def march_reference(spectra, params, t_end, dt, diag, kernel=nonlinear_pseudospectral):
+    """Each spectrum marched alone, one step at a time, as ``evolve_batch`` is specified.
+
+    Every step is tested for a non-finite state and adds its trapezoid
+    (g_prev + g) dt/2 to the dissipation integral; every record forms its
+    seven columns from its own (1, N) row, with the formulas of the march.
+    Per spectrum: times, the columns by name, termination, the stored
+    spectra (or None) and the number of steps taken.
+    """
+    n_steps, out = round(t_end / dt), []
+    for spec, p in zip(spectra, params):
+        N = spec.N
+        n = np.arange(1, N + 1, dtype=float)
+        M = next_pow2(max(256, 2 * (N + 1)))
+        e1 = np.exp(-0.5 * dt * dissipation_symbol(p, N))
+        factors = (e1, e1 * e1, dt * e1, 2.0 * e1)
+        weights = 2.0 * p.nu * FOUR_PI * n ** (2.0 * p.alpha)
+        psi = spec.psi[None].copy()
+        r = optimal_scale(psi) if diag.r is None else np.array([float(diag.r)])
+        rows, kept, termination, acc, steps = [], [], "t_end_reached", 0.0, 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            g_prev = np.sum(weights * psi[0] ** 2)
+            for k in range(n_steps + 1):
+                if k:
+                    psi, steps = if_rk4_step_reference(psi, dt, factors, kernel), k
+                    if not np.isfinite(psi).all():
+                        termination = "step_failure"
+                        break
+                    g = np.sum(weights * psi[0] ** 2)
+                    acc, g_prev = acc + (g_prev + g) * (0.5 * dt), g
+                if k % diag.stride == 0 or k == n_steps:
+                    scaled, exp2 = _unit_scaled(psi)
+                    squares = scaled**2
+                    total = squares.sum(axis=-1)
+                    energy, lyap = FOUR_PI * total, lyapunov_diagnostic(psi)
+                    cut = N - (max(1, N // 8) if N > 1 else 0)
+                    tail = np.divide(squares[..., cut:].sum(axis=-1), total, out=np.zeros_like(total), where=total != 0.0)
+                    columns = (
+                        np.ldexp(energy, 2 * exp2),
+                        acc,
+                        lyap,
+                        profile_distance(energy, lyap, r, exp2),
+                        np.ldexp(np.sqrt(FOUR_PI * (n**2 * squares).sum(axis=-1)), exp2),
+                        tail,
+                        synthesize_slope(psi, M).min(axis=-1),
+                    )
+                    rows.append([k * dt] + [float(np.squeeze(c)) for c in columns])
+                    kept.append(psi[0].copy())
+                    if tail[0] > diag.tail_threshold:
+                        termination = "blowup_detected"
+                        break
+        table = np.array(rows).T
+        out.append(SimpleNamespace(
+            times=table[0],
+            columns=dict(zip(DIAGNOSTIC_COLUMNS, table[1:])),
+            termination=termination,
+            spectra=kept if diag.store_spectra else None,
+            steps=steps,
+        ))
+    return out
+
+
+#: the per-record columns of a SimulationRecord besides ``times``
+DIAGNOSTIC_COLUMNS = ("energy", "diss_integral", "lyapunov", "dist_rF", "h1_norm", "tail_fraction", "min_ux")
 
 
 def monitor_direct(record):

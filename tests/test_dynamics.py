@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,9 @@ from burgers_lab.spectral import FOUR_PI, SineSpectrum, synthesize, synthesize_s
 
 from conftest import (
     brute_force_nonlinear,
+    DIAGNOSTIC_COLUMNS,
     if_rk4_step_reference,
+    march_reference,
     nonlinear_pseudospectral_fftpack,
     odd_symmetry_residual,
 )
@@ -79,6 +82,20 @@ class TestDiagnosticsConfig:
     @pytest.mark.parametrize("r", [1e153, 5e-324, -2.0])
     def test_r_in_range_accepted(self, r):
         assert DiagnosticsConfig(r=r).r == r
+
+    @pytest.mark.parametrize("stride, shown", [(2.5, "2.5"), (True, "True"), (0, "0"), (np.int64(-1), "-1"), ("3", "'3'")])
+    def test_stride_must_be_a_positive_integer(self, stride, shown):
+        # 2.5 would record every 5th step and True every step
+        with pytest.raises(ValueError, match=f"stride must be a positive integer, got .*{shown}"):
+            DiagnosticsConfig(stride=stride)
+
+    def test_numpy_integer_stride_accepted(self):
+        rec = evolve(SineSpectrum.sine_wave(1.0, 16), ModelParams(0.5, 0.1), 0.01, 1e-3, DiagnosticsConfig(stride=np.int64(3)))
+        assert rec.times.tolist() == [k * 1e-3 for k in (0, 3, 6, 9, 10)]
+
+    def test_stride_past_any_march_records_only_the_ends(self):
+        rec = evolve(SineSpectrum.sine_wave(1.0, 16), ModelParams(0.5, 0.1), 0.1, 1e-3, DiagnosticsConfig(stride=10**18))
+        assert rec.termination == "t_end_reached" and rec.times.tolist() == [0.0, 100 * 1e-3]
 
 
 class TestStepCountDomain:
@@ -707,6 +724,91 @@ class TestEvolveBatch:
         assert 0.3 / 0.1 != 3.0  # 2.9999999999999996
         rec = evolve(SineSpectrum.sine_wave(1.0, 16), ModelParams(0.5, 0.1), 0.3, 0.1, DiagnosticsConfig(stride=1))
         assert rec.termination == "t_end_reached" and rec.times.size == 4
+
+
+def _assert_matches_reference(records, references):
+    for rec, ref in zip(records, references, strict=True):
+        assert rec.termination == ref.termination
+        assert np.array_equal(rec.times, ref.times)
+        for name in DIAGNOSTIC_COLUMNS:
+            assert np.array_equal(getattr(rec, name), ref.columns[name], equal_nan=True), name
+        assert (rec.spectra is None) == (ref.spectra is None)
+        if rec.spectra is not None:
+            assert len(rec.spectra) == len(ref.spectra)
+            assert all(np.array_equal(a, b) for a, b in zip(rec.spectra, ref.spectra))
+
+
+#: rows that overflow at steps 5 and 20, and one that marches to t_end, with dt = 0.05 to t_end = 2
+_FAILING_CELLS = [(0.5, 0.1, SineSpectrum(np.ones(16))), (0.25, 0.04, SineSpectrum.sine_wave(6.0, 16)),
+                  (1.0, 1.0, SineSpectrum.sine_wave(0.1, 16))]
+
+
+class TestMarchMatchesReference:
+    """``evolve_batch`` against ``march_reference``, which sums, tests and records at every step as written."""
+
+    CELLS = [SineSpectrum.sine_wave(R, 64) for _, _, R in TestEvolveBatch.CELLS], [
+        ModelParams(a, nu) for a, nu, _ in TestEvolveBatch.CELLS
+    ]
+    FAILING = [spec for _, _, spec in _FAILING_CELLS], [ModelParams(a, nu) for a, nu, _ in _FAILING_CELLS]
+    CASES = {
+        "N=512": ([SineSpectrum.sine_wave(1.0, 512)], [ModelParams(0.25, 0.1)], 5e-3, 1e-4, 10, {}),
+        "N=1024": ([SineSpectrum.sine_wave(10.0, 1024)], [ModelParams(0.25, 0.04)], 2.5e-3, 5e-5, 10, {}),
+        "cells": (*CELLS, 0.2, 1e-3, 5, {}),
+        "failing between records": (*FAILING, 2.0, 0.05, 7, {"tail_threshold": 1.0}),
+        "stride 1": (*CELLS, 0.2, 1e-3, 1, {}),
+        "stride past the end": (*CELLS, 0.2, 1e-3, 1000, {}),
+        "stride not dividing the steps": (*CELLS, 0.2, 1e-3, 7, {"r": 1.3}),
+        "failing, stride past the end": (*FAILING, 2.0, 0.05, 100, {"tail_threshold": 1.0}),
+        "direct kernel": ([SineSpectrum.sine_wave(R, 24) for R in (1.0, 3.0)], [ModelParams(0.25, 0.04)] * 2, 0.02, 1e-3,
+                          3, {"kernel": nonlinear_direct}),
+        "sine:1e-160": ([SineSpectrum.sine_wave(1e-160, 64), SineSpectrum.sine_wave(1.0, 64)], [ModelParams(0.25, 0.04)] * 2,
+                        0.1, 1e-3, 7, {}),
+    }
+
+    @pytest.mark.parametrize("store", [False, True])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_batch_equals_reference(self, case, store):
+        specs, params, t_end, dt, stride, extra = self.CASES[case]
+        kernel = extra.get("kernel", nonlinear_pseudospectral)
+        config = {key: value for key, value in extra.items() if key != "kernel"}
+        diag = DiagnosticsConfig(stride=stride, store_spectra=store, **config)
+        references = march_reference(specs, params, t_end, dt, diag, kernel)
+        _assert_matches_reference(evolve_batch(specs, params, t_end, dt, diag, kernel), references)
+        if case.startswith("failing"):
+            assert [ref.termination for ref in references] == ["step_failure", "step_failure", "t_end_reached"]
+            assert [ref.steps for ref in references[:2]] == [5, 20] and 5 % stride and 20 % stride  # between records
+
+    @pytest.mark.parametrize("stride", [3, 7, 30])
+    def test_lone_row_failing_between_records_stops_within_a_stride(self, stride):
+        calls = []
+
+        def counted(psi):
+            calls.append(psi.shape)
+            return nonlinear_pseudospectral(psi)
+
+        spec, p = _FAILING_CELLS[0][2], ModelParams(*_FAILING_CELLS[0][:2])
+        diag = DiagnosticsConfig(stride=stride, tail_threshold=1.0)
+        (ref,) = march_reference([spec], [p], 2.0, 0.05, diag)
+        rec = evolve(spec, p, 2.0, 0.05, diag, kernel=counted)
+        _assert_matches_reference([rec], [ref])
+        assert rec.termination == "step_failure" and ref.steps % stride
+        assert ref.steps <= len(calls) // 4 < ref.steps + stride
+
+    def test_memory_grows_only_by_the_records(self):
+        # at N = 1024 and stride 1, ten times the steps may add the records' own columns (times and 7
+        # diagnostics, with their log entries, a few hundred bytes each), not N = 1024 floats (8 KiB) each
+        spec, p, dt = SineSpectrum.sine_wave(1.0, 1024), ModelParams(0.25, 0.1), 1e-4
+        diag = DiagnosticsConfig(stride=1)
+        evolve(spec, p, 10 * dt, dt, diag)  # caches filled before tracing
+        peaks = []
+        for steps in (40, 400):
+            tracemalloc.start()
+            try:
+                evolve(spec, p, steps * dt, dt, diag)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 360 * 1024
 
 
 class TestOddSubspacePreservation:
