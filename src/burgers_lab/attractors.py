@@ -31,9 +31,9 @@ from typing import Sequence
 import numpy as np
 
 from .characteristics import InitialField, sample_solution
-from .dynamics import F_L2_NORM_SQ, lyapunov_diagnostic, nonlinear_direct, optimal_scale, profile_distance
-from .spectral import FOUR_PI, SineSpectrum, UnderResolvedError, _unit_scaled, _weighted_energy, analyze, check_grid_size
-from .spectral import evaluate_field, evaluate_slope
+from .dynamics import F_L2_NORM_SQ, _checked, _jump, lyapunov_diagnostic, nonlinear_direct, optimal_scale, profile_distance
+from .spectral import FOUR_PI, SineSpectrum, UnderResolvedError, _unit_scaled, _weighted_energy, analyze, check_grid_size, next_pow2
+from .spectral import evaluate_field, evaluate_slope  # not called here: kept for perfbench/tracing.py until ROADMAP item 13
 
 
 class DivergentSeriesError(ValueError):
@@ -67,6 +67,8 @@ class AttractorFn:
     jump_location: str  # "origin" | "pi"
 
     def __post_init__(self):
+        _checked("scale", self.scale, "a real number")
+        _jump(self.jump_location)
         if not math.isfinite(self.l2_norm_sq):
             raise ValueError(f"scale {self.scale} is too large: ||H||^2 = c^2 ||F||^2 leaves the float range")
 
@@ -106,13 +108,15 @@ _F = PROFILES["F"]
 # ---------------------------------------------------------------------------
 # quadrature split at the jump
 
-def _panel_rule(a: float, b: float, n_panels: int, nodes: np.ndarray, weights: np.ndarray):
-    edges = np.linspace(a, b, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    pts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    wts = (half[:, None] * weights[None, :]).ravel()
-    return pts, wts
+def _panel_rule(jump_location: str, total_nodes: int) -> tuple[np.ndarray, float]:
+    """Midpoints m_p of max(4, total_nodes // (32 * pieces)) equal panels per piece of the torus split at the jump, and their half-width h.
+
+    The 32-point rule's nodes are m_p + h t_j, and the jump is never one.
+    """
+    starts = {"origin": (-np.pi, 0.0), "pi": (-np.pi,)}[_jump(jump_location)]
+    n_panels = max(4, total_nodes // (32 * len(starts)))
+    h = np.pi / (len(starts) * n_panels)
+    return np.concatenate([a + h * np.arange(1.0, 2 * n_panels, 2) for a in starts]), h
 
 
 @lru_cache(maxsize=1)
@@ -128,25 +132,38 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 
 
 def integrate_torus(f, jump_location: str, total_nodes: int) -> float:
-    """Integrate f over [-pi, pi] with Gauss-Legendre panels split at the jump.
+    """Integrate f over [-pi, pi] on ``_panel_rule``'s panels: each lies in a smooth piece, so trig polynomials converge to round-off."""
+    nodes, weights = _gauss_legendre()
+    mids, h = _panel_rule(jump_location, total_nodes)
+    return float(np.dot(np.tile(h * weights, mids.size), f((mids[:, None] + h * nodes).ravel())))
 
-    The split keeps every panel inside a smooth piece, so trig-polynomial
-    integrands converge to machine precision; the jump point itself is
-    never a node.
+
+@lru_cache(maxsize=1)
+def _key_identity_tables(total_nodes: int, modes: int) -> tuple[np.ndarray, ...]:
+    """F w at the nodes m_p + h t_j split at the origin, e^{i n m_p} and e^{i n h t_j} for n = 1..modes; read-only.
+
+    Above N = 512 the panels grow as N / 8, so the e^{i n m_p} table holds about N^2 / 4 entries.
     """
     nodes, weights = _gauss_legendre()
-    if jump_location == "origin":
-        pieces = [(-np.pi, 0.0), (0.0, np.pi)]
-    elif jump_location == "pi":
-        pieces = [(-np.pi, np.pi)]
-    else:
-        raise ValueError(f"unknown jump location {jump_location!r}")
-    n_panels = max(4, total_nodes // (32 * len(pieces)))
-    total = 0.0
-    for a, b in pieces:
-        pts, wts = _panel_rule(a, b, n_panels, nodes, weights)
-        total += float(np.dot(wts, f(pts)))
-    return total
+    mids, h = _panel_rule("origin", total_nodes)
+    n = np.arange(1, modes + 1)
+    outer, inner = np.exp(1j * np.multiply.outer(mids, n)), np.exp(1j * np.multiply.outer(n, h * nodes))
+    tables = _F.evaluate(mids[:, None] + h * nodes) * (h * weights), outer, inner
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _key_identity_nodes(spec: SineSpectrum, total_nodes: int) -> tuple[np.ndarray, ...]:
+    """F w, u and u_x at the Gauss nodes split at the origin, (panels, 32) each.
+
+    As e^{i n x} = e^{i n m_p} e^{i n h t_j}, u and u_x are -2 Im and -2 Re of (e^{i n m_p} psi_n) @ e^{i n h t_j}
+    and of the same product for n psi_n; the tables cover the next power of two >= max(N, 32) modes.
+    """
+    N = spec.N
+    f_w, outer, inner = _key_identity_tables(total_nodes, next_pow2(max(N, 32)))
+    series, slopes = (outer[:, :N] * np.stack([spec.psi, np.arange(1, N + 1) * spec.psi])[:, None]) @ inner[:N]
+    return f_w, -2.0 * series.imag, -2.0 * slopes.real
 
 
 # ---------------------------------------------------------------------------
@@ -163,19 +180,14 @@ def key_identity_residuals(spec: SineSpectrum) -> tuple[float, float]:
     The coefficient path embeds u in 2N modes so the quadratic product is
     complete, takes u u_x = -(Galerkin nonlinearity), and pairs with 1/n.
     The quadrature path integrates F*u*u_x with the panel rule split at
-    the origin, on max(4096, 8N) nodes.
+    the origin, on max(4096, 8N) nodes, taking u and u_x at every node
+    from their series (``_key_identity_nodes``).
     """
     energy = float(_weighted_energy(spec.psi))
     padded = spec.padded(2 * spec.N)
     res_coeff = float(lyapunov_diagnostic(-nonlinear_direct(padded.psi)) + 0.5 * energy)
-    f_eval = _F.evaluate
-    quad = integrate_torus(
-        lambda x: f_eval(x) * evaluate_field(spec, x) * evaluate_slope(spec, x),
-        "origin",
-        max(4096, 8 * spec.N),
-    )
-    res_quad = float(quad + 0.5 * energy)
-    return res_coeff, res_quad
+    f_w, u, u_x = _key_identity_nodes(spec, max(4096, 8 * spec.N))
+    return res_coeff, float(np.sum(f_w * u * u_x) + 0.5 * energy)
 
 
 def attractor_distance(spec: SineSpectrum, r: float, jump_location: str = "origin") -> float:

@@ -51,6 +51,7 @@ import importlib.machinery
 import importlib.util
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -81,17 +82,30 @@ class ModelParams:
     nu: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:  # NaN fails too
-            raise ValueError(f"alpha must be finite and lie in (0, 1], got {self.alpha}")
-        if not (math.isfinite(self.nu) and self.nu >= 0.0):
-            raise ValueError(f"nu must be finite and >= 0, got {self.nu}")
+        _checked("alpha", self.alpha, "finite and lie in (0, 1]", lambda alpha: 0.0 < alpha <= 1.0)  # NaN fails too
+        _checked("nu", self.nu, "finite and >= 0", lambda nu: 0.0 <= nu < math.inf)
+
+
+def _checked(name: str, value, what: str, ok: Callable | None = None, kind: type = numbers.Real):
+    """``value`` if it is a ``kind`` (a bool only where ``kind`` is bool) and ``ok(value)`` holds, else ValueError naming both.
+
+    The one field rule of the library's dataclasses and of ``AttractorFn``.
+    """
+    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool) or not (ok is None or ok(value)):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
 
 
 def _positive(name: str, value: float) -> float:
     """``value``, unless it is not a finite positive real (NaN included): then ValueError naming it."""
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-    return value
+    return _checked(name, value, "positive and finite", lambda v: 0.0 < v < math.inf)
+
+
+def _jump(jump_location: str) -> str:
+    """``jump_location`` if it is "origin" (s = 0) or "pi" (s = pi), where c F(x - s) jumps; else ValueError naming it."""
+    if jump_location not in ("origin", "pi"):
+        raise ValueError(f"unknown jump location {jump_location!r}")
+    return jump_location
 
 
 def dissipation_symbol(params: ModelParams, N: int) -> np.ndarray:
@@ -296,10 +310,11 @@ class DiagnosticsConfig:
     store_spectra: bool = False
 
     def __post_init__(self):
-        if isinstance(self.stride, bool) or not isinstance(self.stride, (int, np.integer)) or self.stride < 1:
-            raise ValueError(f"stride must be a positive integer, got {self.stride!r}")
+        _checked("stride", self.stride, "a positive integer", lambda stride: stride >= 1, numbers.Integral)
         _positive("tail threshold", self.tail_threshold)  # a NaN threshold would never trip
-        if self.r is not None and not math.isfinite(float(self.r) * float(self.r) * F_L2_NORM_SQ):
+        _checked("store_spectra", self.store_spectra, "a bool", kind=bool)
+        r = None if self.r is None else float(_checked("r", self.r, "a real number or None"))
+        if r is not None and not math.isfinite(r * r * F_L2_NORM_SQ):
             raise ValueError(f"r={self.r} is too large: the distance term r^2 ||F||^2 leaves the float range")
 
 
@@ -360,7 +375,7 @@ def lyapunov_diagnostic(psi: np.ndarray, jump_location: str = "origin") -> float
     The march records it for F (s = 0); the pairing with c F(x - s) is c times it.
     """
     n = np.arange(1, psi.shape[-1] + 1, dtype=float)
-    if jump_location == "pi":
+    if _jump(jump_location) == "pi":
         n[::2] *= -1.0
     lyap = FOUR_PI * np.sum(psi / n, axis=-1)
     return lyap if psi.ndim > 1 else float(lyap)

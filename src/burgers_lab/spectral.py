@@ -42,9 +42,12 @@ class NonOddInputError(ValueError):
 
 
 def _as_coeff_array(values) -> np.ndarray:
-    psi = np.asarray(values, dtype=float)
-    if psi.ndim != 1 or psi.size < 1:
+    raw = np.asarray(values)
+    if raw.ndim != 1 or raw.size < 1:
         raise ValueError("need a 1d coefficient sequence with N >= 1")
+    if raw.dtype.kind not in "iuf" or (raw is not values and any(isinstance(v, (bool, np.bool_)) for v in values)):
+        raise ValueError(f"psi must hold real numbers, not bools, got {values!r}")
+    psi = raw.astype(float, copy=False)
     if not np.all(np.isfinite(psi)):
         raise ValueError("sine coefficients must be finite")
     return psi

@@ -9,6 +9,10 @@ from burgers_lab.attractors import (
     AttractorFn,
     DivergentSeriesError,
     F_L2_NORM_SQ,
+    _gauss_legendre,
+    _key_identity_nodes,
+    _key_identity_tables,
+    _panel_rule,
     attractor_decay_series,
     attractor_distance,
     c_alpha,
@@ -22,7 +26,7 @@ from burgers_lab.attractors import (
 from burgers_lab.blowup import UnsupportedRegimeError
 from burgers_lab import characteristics
 from burgers_lab.characteristics import HorizonError, InitialField, sample_solution
-from burgers_lab.spectral import SineSpectrum, UnderResolvedError, grid_points, sobolev_norm
+from burgers_lab.spectral import SineSpectrum, UnderResolvedError, evaluate_field, evaluate_slope, grid_points, sobolev_norm
 
 from conftest import lyapunov_quadrature
 
@@ -105,6 +109,26 @@ class TestProfiles:
         assert abs(att.l2_norm_sq - quad) <= 1e-8 * att.l2_norm_sq
 
 
+class TestAttractorFnFields:
+    @pytest.mark.parametrize("jump", ["middle", "Origin", "", None])
+    def test_unknown_jump_location_refused(self, jump):
+        # 'middle' used to pair like the jump at the origin: 7.5398 for psi = [0.5, 0.2]
+        with pytest.raises(ValueError, match=f"unknown jump location {jump!r}"):
+            AttractorFn("F", 1.0, jump)
+
+    @pytest.mark.parametrize("scale", [True, False, "1.0", None])
+    def test_bool_or_non_numeric_scale_refused(self, scale):
+        with pytest.raises(ValueError, match=f"scale must be a real number, got {scale!r}"):
+            AttractorFn("F", scale, "origin")
+
+    def test_numpy_scale_accepted(self):
+        assert lyapunov(SineSpectrum([0.5, 0.2]), AttractorFn("F", np.float64(2.0), "pi")) == pytest.approx(-3.2 * np.pi)
+
+    def test_attractor_distance_refuses_an_unknown_jump_location(self):
+        with pytest.raises(ValueError, match="unknown jump location 'middle'"):
+            attractor_distance(SineSpectrum([0.5, 0.2]), 1.0, "middle")
+
+
 class TestLyapunov:
     def test_sine_pairing(self):
         for R in (1.0, 3.5):
@@ -148,6 +172,38 @@ class TestKeyIdentity:
             rc, rq = key_identity_residuals(spec)
             assert abs(rc) <= 1e-10 * energy
             assert abs(rq) <= 1e-10 * max(energy, 1.0)
+
+
+class TestKeyIdentityNodes:
+    """The two exponential tables give u and u_x at every node of the key identity's quadrature."""
+
+    @pytest.mark.parametrize("N", [1, 32, 600])
+    def test_tables_match_pointwise_evaluation(self, rng, N):
+        spec = SineSpectrum(rng.uniform(-1.0, 1.0, N))
+        total = max(4096, 8 * N)
+        mids, h = _panel_rule("origin", total)
+        nodes = mids[:, None] + h * _gauss_legendre()[0]
+        assert mids.size == 2 * max(64, N // 8)  # 75 panels per piece at N = 600
+        assert np.sum(nodes < 0.0) == np.sum(nodes > 0.0) == nodes.size // 2  # both pieces, never the jump
+        _, u, u_x = _key_identity_nodes(spec, total)
+        scale = float(np.sum(np.arange(1, N + 1) * np.abs(spec.psi)))
+        assert np.max(np.abs(u - evaluate_field(spec, nodes))) <= 1e-12 * scale
+        assert np.max(np.abs(u_x - evaluate_slope(spec, nodes))) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("N", [7, 600])
+    def test_quadrature_matches_the_split_panel_rule(self, rng, N):
+        # the same nodes and weights as integrate_torus, with u and u_x by pointwise evaluation
+        spec = SineSpectrum(rng.uniform(-1.0, 1.0, N))
+        F = PROFILES["F"]
+        total = max(4096, 8 * N)
+        f_w, u, u_x = _key_identity_nodes(spec, total)
+        pointwise = integrate_torus(
+            lambda x: F.evaluate(x) * evaluate_field(spec, x) * evaluate_slope(spec, x), "origin", total
+        )
+        assert np.sum(f_w * u * u_x) == pytest.approx(pointwise, rel=1e-12, abs=1e-12)
+
+    def test_tables_are_read_only(self):
+        assert not any(table.flags.writeable for table in _key_identity_tables(4096, 32))
 
 
 class TestOptimalScaling:
@@ -344,6 +400,14 @@ class TestQuadrature:
     def test_unknown_jump_location_refused(self):
         with pytest.raises(ValueError, match="unknown jump location 'middle'"):
             integrate_torus(np.sin, "middle", 2048)
+
+    @pytest.mark.parametrize("jump, pieces", [("origin", 2), ("pi", 1)])
+    def test_one_half_width_per_layout(self, jump, pieces):
+        mids, h = _panel_rule(jump, 2048)
+        n_panels = 2048 // (32 * pieces)
+        assert mids.size == pieces * n_panels and h == np.pi / (pieces * n_panels)
+        np.testing.assert_allclose(np.diff(mids), 2.0 * h, rtol=1e-12)
+        assert mids[0] - h == pytest.approx(-np.pi, abs=1e-15) and mids[-1] + h == pytest.approx(np.pi, abs=1e-15)
 
     def test_unsplit_rule_would_be_wrong(self):
         # sanity: a panel straddling the jump loses accuracy (odd panel count

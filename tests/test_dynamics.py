@@ -65,6 +65,20 @@ class TestModelParams:
         sym = dissipation_symbol(ModelParams(0.5, 2.0), 3)
         np.testing.assert_allclose(sym, 2.0 * np.array([1.0, 2.0, 3.0]))
 
+    @pytest.mark.parametrize(
+        "fields, shown",
+        [({"alpha": True, "nu": False}, "alpha .* got True"), ({"alpha": 0.5, "nu": False}, "nu .* got False"),
+         ({"alpha": "0.5"}, "alpha .* got '0.5'"), ({"alpha": 0.5, "nu": None}, "nu .* got None")],
+    )
+    def test_bools_and_non_numbers_refused(self, fields, shown):
+        # True used to build a march with alpha = 1 and False one with nu = 0; '0.5' raised TypeError
+        with pytest.raises(ValueError, match=shown):
+            ModelParams(**fields)
+
+    def test_numpy_scalars_accepted(self):
+        params = ModelParams(np.float64(0.25), np.int64(0))
+        assert (params.alpha, params.nu) == (0.25, 0)
+
 
 class TestDiagnosticsConfig:
     @pytest.mark.parametrize("threshold", [0.0, -1.0, np.nan, np.inf])
@@ -88,6 +102,21 @@ class TestDiagnosticsConfig:
         # 2.5 would record every 5th step and True every step
         with pytest.raises(ValueError, match=f"stride must be a positive integer, got .*{shown}"):
             DiagnosticsConfig(stride=stride)
+
+    @pytest.mark.parametrize(
+        "fields, shown",
+        [({"tail_threshold": True}, "tail threshold .* got True"), ({"tail_threshold": "1e-3"}, "tail threshold .* got '1e-3'"),
+         ({"r": True}, "r must be a real number or None, got True"), ({"r": "2"}, "r .* got '2'"),
+         ({"store_spectra": "no"}, "store_spectra must be a bool, got 'no'"), ({"store_spectra": 1}, "store_spectra .* got 1")],
+    )
+    def test_bools_and_non_numbers_refused(self, fields, shown):
+        # True, '2', 'no' and 1 were accepted: a threshold of True stopped at a tail fraction of 1, 'no' stored spectra
+        with pytest.raises(ValueError, match=shown):
+            DiagnosticsConfig(**fields)
+
+    def test_numpy_scalars_accepted(self):
+        diag = DiagnosticsConfig(r=np.float64(0.5), tail_threshold=np.float32(1e-3), store_spectra=True)
+        assert diag.r == 0.5 and diag.store_spectra is True
 
     def test_numpy_integer_stride_accepted(self):
         rec = evolve(SineSpectrum.sine_wave(1.0, 16), ModelParams(0.5, 0.1), 0.01, 1e-3, DiagnosticsConfig(stride=np.int64(3)))

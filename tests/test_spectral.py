@@ -42,6 +42,17 @@ class TestSineSpectrum:
         with pytest.raises(ValueError):
             SineSpectrum([])
 
+    @pytest.mark.parametrize(
+        "values", [np.array([True, False]), [True, 0.5], [0.5, np.True_], ["0.5"], np.array([1.0 + 0j]), [None]]
+    )
+    def test_rejects_bools_and_non_numbers(self, values):
+        # np.array([True, False]) used to give psi = [1, 0] and ['0.5'] psi = [0.5]
+        with pytest.raises(ValueError, match="psi must hold real numbers, not bools, got"):
+            SineSpectrum(values)
+
+    def test_integer_coefficients_accepted(self):
+        assert SineSpectrum(np.array([1, -2])).psi.tolist() == [1.0, -2.0] and SineSpectrum((1, 0.5)).N == 2
+
     def test_immutable(self):
         s = SineSpectrum([1.0, 2.0])
         with pytest.raises(ValueError):
