@@ -34,7 +34,7 @@ import numpy as np
 from . import attractors
 # power_sum and nonlinear_direct are not called here (perfbench/tracing.py patches them), nor UnsupportedRegimeError (re-exported)
 from .attractors import AttractorFn, UnsupportedRegimeError, c_alpha, lyapunov, power_sum, series_s
-from .dynamics import F_L2_NORM_SQ, TERMINATION_BLOWUP, ModelParams, SimulationRecord, nonlinear_direct
+from .dynamics import F_L2_NORM_SQ, TERMINATION_BLOWUP, ModelParams, SimulationRecord, _checked, nonlinear_direct
 from .spectral import FOUR_PI, SineSpectrum, sobolev_norm
 
 #: Riccati coefficient attached to the profile F: 1 / (2 ||F||^2) = 3 / (4 pi^3)
@@ -68,9 +68,10 @@ class HypothesisError(ValueError):
 # scalar comparison bounds
 
 def _check_lemma_inputs(y0: float, kappa: float, M: float = 0.0) -> None:
-    """ValueError unless y0 > 0, kappa > 0 and M >= 0 are finite (a NaN fails every comparison)."""
-    if not (0 < y0 < math.inf and 0 < kappa < math.inf and 0 <= M < math.inf):
-        raise ValueError("need finite y0 > 0, kappa > 0 and M >= 0")
+    """ValueError naming the field unless y0 > 0, kappa > 0 and M >= 0 are finite reals, not bools (NaN fails too)."""
+    _checked("y0", y0, "finite and > 0", lambda v: 0 < v < math.inf)
+    _checked("kappa", kappa, "finite and > 0", lambda v: 0 < v < math.inf)
+    _checked("M", M, "finite and >= 0", lambda v: 0 <= v < math.inf)
 
 
 def _product(a: float, b: float, c: float) -> float:
@@ -88,7 +89,7 @@ def comparison_lower_bound(y0: float, kappa: float, M: float, t: float) -> float
     range; returns +inf once that crosses zero (the bound has blown up).
     """
     _check_lemma_inputs(y0, kappa, M)
-    if not t >= 0:
+    if not _checked("t", t, "a real number") >= 0:
         raise OutsideValidityError(f"t must be nonnegative, got {t}")
     r = M * math.sqrt(t) / y0
     if not r < 1.0:
@@ -154,6 +155,7 @@ def simplified_lower_bound(y0: float, kappa: float, M: float, t: float) -> float
     both even where they underflow, and gives y0/3.
     """
     _check_lemma_inputs(y0, kappa, M)
+    _checked("t", t, "a real number")
     margin = _margin(y0, kappa, M)
     if not margin >= 1.0:
         raise HypothesisError(f"y0^3 kappa / (12 M^2) = {margin:.6g} < 1")

@@ -6,9 +6,9 @@ xi -> xi + t*u0(xi) is strictly increasing while
 
     t < T_max = 1 / (-min_x u0'(x)),
 
-so the root is unique and the solver below (vectorized Newton from the inverse of the sampled
-map, kept inside a guaranteed bracket, taking its midpoint when a step would leave it) is
-an oracle for the Galerkin dynamics up to the guarded horizon.
+so the root is unique and the solver below (vectorized Newton from a cubic Hermite inverse of the
+map through a table of u0 and u0', kept inside a guaranteed bracket, taking its midpoint when a
+step would leave it) is an oracle for the Galerkin dynamics up to the guarded horizon.
 
 Odd data stay odd, u(-x, t) = -u(x, t), so a grid sample needs only the
 feet of its points in (0, pi): the other half is their mirror image, and
@@ -30,7 +30,7 @@ HORIZON_GUARD = 1e-6
 _RESIDUAL_TOL = 1e-12
 #: steps per foot; midpoint steps alone shrink any bracket to round-off in about 60
 _MAX_STEPS = 200
-#: least number of transform samples of u0' before the zoom on its minimum, and of u0 for the Newton start
+#: least number of points of the table of u0 and u0' that the T_max search and the Newton start read
 _SLOPE_SAMPLES = 4096
 #: points u0' is evaluated at in each zoom round; each round shrinks the bracket 16-fold
 _ZOOM_POINTS = 33
@@ -52,7 +52,8 @@ class InitialField:
 
     Trailing zero coefficients are dropped on construction (at least one
     mode is kept), so every evaluation costs O(K) per point for the K
-    active modes rather than the padded N.
+    active modes rather than the padded N.  u0 and u0' are sampled once
+    per field, on first use, by inverse transform (``_samples``).
     """
 
     spectrum: SineSpectrum
@@ -63,6 +64,17 @@ class InitialField:
         K = int(active[-1]) + 1 if active.size else 1
         if K < psi.size:
             object.__setattr__(self, "spectrum", SineSpectrum(psi[:K]))
+
+    @cached_property
+    def _samples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (xs, u0(xs), u0'(xs)) on the M = next_pow2(max(_SLOPE_SAMPLES, 2K))-point grid and at xi = pi,
+        where odd data vanish and u0' repeats its value at xi = -pi."""
+        M = next_pow2(max(_SLOPE_SAMPLES, 2 * self.spectrum.N))
+        values, slopes = synthesize(self.spectrum, M).samples, synthesize_slope(self.spectrum, M)
+        table = np.append(grid_points(M), np.pi), np.append(values, 0.0), np.append(slopes, slopes[0])
+        for column in table:
+            column.flags.writeable = False
+        return table
 
     @cached_property
     def t_max(self) -> float:
@@ -83,13 +95,12 @@ class InitialField:
 
 
 def min_initial_slope(u0: InitialField) -> float:
-    """Least u0' seen on the transform grid of M >= max(_SLOPE_SAMPLES, 2K) points and in a zoom on its least
+    """Least u0' seen on the grid of ``u0._samples`` and in a zoom on its least
     sample: each round evaluates u0' at _ZOOM_POINTS points across the bracket around the best point and keeps
     the two cells beside the round's least value, until the bracket's half-width is below _ZOOM_TOL."""
-    M = next_pow2(max(_SLOPE_SAMPLES, 2 * u0.spectrum.N))
-    slopes = synthesize_slope(u0.spectrum, M)
-    i = int(np.argmin(slopes))
-    least, x_best, h = slopes[i], grid_points(M)[i], 2.0 * np.pi / M
+    xs, _, slopes = u0._samples
+    i = int(np.argmin(slopes))  # never the appended xi = pi, whose slope repeats that of xi = -pi
+    least, x_best, h = slopes[i], xs[i], 2.0 * np.pi / (xs.size - 1)
     while h > _ZOOM_TOL:
         x = np.linspace(x_best - h, x_best + h, _ZOOM_POINTS)
         slopes = u0.slope(x)
@@ -111,21 +122,37 @@ def _check_horizon(u0: InitialField, t: float) -> None:
         raise HorizonError(f"t={t} is past the guarded horizon {t_max * (1.0 - HORIZON_GUARD):.6g}")
 
 
+def _newton_start(u0: InitialField, x: np.ndarray, t: float) -> np.ndarray:
+    """Cubic Hermite interpolant, at x, of the inverse of X(xi) = xi + t*u0(xi) through the points of ``u0._samples``.
+
+    Its slopes there are the exact dxi/dX = 1/(1 + t*u0'), so below the horizon it is O(h^4) off for the grid
+    spacing h.  One interpolation of the sample index gives the interval j and the offset s in it; the start is
+    formed locally, xs[j] plus a cubic in s, since xs[0] plus a long offset loses about 7e-13 to rounding.
+    """
+    xs, values, slopes = u0._samples
+    X = xs + t * values
+    p = np.interp(x, X, np.arange(xs.size, dtype=float))
+    j = np.fmin(np.floor(p), xs.size - 2)  # fmin takes the last interval for a NaN p (NaN t)
+    s = p - j
+    r, j = 1.0 - s, j.astype(np.intp)
+    k = j + 1
+    xi_j, d_X = xs[j], X[k] - X[j]
+    d_xi, m_j, m_k = xs[k] - xi_j, d_X / (1.0 + t * slopes[j]), d_X / (1.0 + t * slopes[k])
+    return xi_j + s * (d_xi + r * (r * (m_j - d_xi) + s * (d_xi - m_k)))
+
+
 def _solve_feet(u0: InitialField, x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Solve g(xi) = xi + t*u0(xi) - x = 0 for every point of x by safeguarded Newton; returns (feet, u0(feet)).
 
-    Newton starts at the inverse of xi -> xi + t*u0(xi), interpolated from one transform sample on the T_max
-    search's grid and xi = pi (fixed for odd data), clipped into the bracket x -/+ 2 t sup|u0| that holds the
-    root before the horizon: the start sets the step count, the bracket the guarantee.  Each step moves the
-    bracket end on g's side to the iterate, then takes the Newton point if strictly inside and the midpoint if
-    not.  Points above tolerance or NaN are stepped; one left above 10 * _RESIDUAL_TOL after _MAX_STEPS raises
-    RootFindError.  The values are the last evaluated, equal to u0.value(feet) as evaluation is point-local.
+    Newton starts at ``_newton_start``, clipped into the bracket x -/+ 2 t sup|u0| that holds the root before the
+    horizon: the start sets the step count (most feet meet the tolerance there and take no step), the bracket
+    the guarantee.  Each step moves the bracket end on g's side to the iterate, then takes the Newton point if
+    strictly inside and the midpoint if not.  Points above tolerance or NaN are stepped; one left above
+    10 * _RESIDUAL_TOL after _MAX_STEPS raises RootFindError.  The values are the last evaluated, equal to
+    u0.value(feet) as evaluation is point-local.
     """
-    M = next_pow2(max(_SLOPE_SAMPLES, 2 * u0.spectrum.N))
-    xs = np.append(grid_points(M), np.pi)
     half_width = 2.0 * t * u0.sup_bound
-    start = np.interp(x, xs + t * np.append(synthesize(u0.spectrum, M).samples, 0.0), xs)
-    xi = np.clip(start, x - half_width, x + half_width)
+    xi = np.clip(_newton_start(u0, x, t), x - half_width, x + half_width)
     val = u0.value(xi)
     res = xi + t * val - x
     todo = np.flatnonzero(~(np.abs(res) <= _RESIDUAL_TOL))

@@ -47,7 +47,7 @@ def _as_coeff_array(values) -> np.ndarray:
         raise ValueError("need a 1d coefficient sequence with N >= 1")
     if raw.dtype.kind not in "iuf" or (raw is not values and any(isinstance(v, (bool, np.bool_)) for v in values)):
         raise ValueError(f"psi must hold real numbers, not bools, got {values!r}")
-    psi = raw.astype(float, copy=False)
+    psi = raw.astype(float)  # a copy: the spectrum freezes its own array, never the caller's
     if not np.all(np.isfinite(psi)):
         raise ValueError("sine coefficients must be finite")
     return psi

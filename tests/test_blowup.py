@@ -109,6 +109,16 @@ class TestNonFiniteBoundInputs:
             with pytest.raises(ValueError, match="finite"):
                 simplified_horizon(y0, kappa)
 
+    @pytest.mark.parametrize("field, index, value", [("y0", 0, True), ("y0", 0, "1"), ("kappa", 1, np.True_),
+                                                     ("M", 2, False), ("M", 2, None), ("t", 3, True), ("t", 3, "0.1")])
+    def test_bools_and_non_numbers_refused(self, field, index, value):
+        # simplified_lower_bound(True, 1.0, 0.0, 0.1) once returned 0.3448, and a string y0 raised TypeError
+        args = [2.0, 1.0, 0.0, 0.1]
+        args[index] = value
+        for bound in (comparison_lower_bound, simplified_lower_bound):
+            with pytest.raises(ValueError, match=f"^{field} must be .*, got {value!r}$"):
+                bound(*args)
+
     def test_nan_time_outside_validity(self):
         with pytest.raises(OutsideValidityError):
             comparison_lower_bound(1.0, 1.0, 0.1, math.nan)

@@ -14,7 +14,6 @@ from burgers_lab.characteristics import (
 )
 from burgers_lab.cli import main
 from burgers_lab.spectral import (
-    GridFunction,
     SineSpectrum,
     evaluate_field,
     grid_lq_norm,
@@ -31,8 +30,8 @@ def minus_sine():
 
 @pytest.fixture
 def start_at_x(monkeypatch):
-    """A zero sampled forward map, from which every foot starts at xi = x."""
-    monkeypatch.setattr(characteristics, "synthesize", lambda spec, M: GridFunction(np.zeros(M)))
+    """Every foot starts at xi = x, as the solve once did."""
+    monkeypatch.setattr(characteristics, "_newton_start", lambda u0, x, t: x)
 
 
 class TestInitialField:
@@ -179,10 +178,14 @@ class TestEvalCharacteristics:
 
 
 class TestSampledStart:
-    """Newton starts at the inverse of the sampled forward map, so a foot takes one step, two at most."""
+    """Newton starts at a cubic Hermite inverse of the sampled forward map, so most feet take no step, one at most."""
+
+    #: the feet sample_solution solves on its 4096-point grid
+    X = grid_points(4096)[2049:]
 
     @staticmethod
-    def evaluations_per_solve(u0, t, monkeypatch):
+    def counted_solve(u0, t, monkeypatch):
+        """(feet, values, u0 evaluations, u0' evaluations) of one solve of the feet X."""
         counts = {"value": 0, "slope": 0}
 
         def counted(name, evaluate):
@@ -192,25 +195,51 @@ class TestSampledStart:
 
             return wrapper
 
+        u0.t_max  # the T_max search's zoom evaluates u0' too
         with monkeypatch.context() as patch:
             patch.setattr(characteristics, "evaluate_field", counted("value", characteristics.evaluate_field))
             patch.setattr(characteristics, "evaluate_slope", counted("slope", characteristics.evaluate_slope))
-            sample_solution(u0, t, 4096)
-        return counts["value"], counts["slope"]
+            feet, values = characteristics._solve_feet(u0, TestSampledStart.X, t)
+        return feet, values, counts["value"], counts["slope"]
 
     @pytest.mark.parametrize("frac", [0.3, 0.6, 0.9])
-    def test_sine_takes_one_step(self, frac, monkeypatch):
+    def test_sine_takes_no_step(self, frac, monkeypatch):
         for R in (0.5, 1.0, 2.0, 10.0):
             u0 = InitialField(SineSpectrum.sine_wave(R))
-            # the start's values, one step's slopes and values; the solve once took 6-10 and 4-8
-            assert self.evaluations_per_solve(u0, frac * u0.t_max, monkeypatch) == (2, 1)
+            # the start's values alone; the linearly interpolated start took (2, 1), plain Newton from x 6-10 and 4-8
+            assert self.counted_solve(u0, frac * u0.t_max, monkeypatch)[2:] == (1, 0)
 
     @pytest.mark.parametrize("frac", [0.3, 0.6, 0.9])
-    def test_seeded_fields_take_at_most_two_steps(self, frac, rng, monkeypatch):
+    def test_seeded_fields_take_at_most_one_step(self, frac, rng, monkeypatch):
         for K in rng.integers(1, 17, size=20):
             u0 = InitialField(SineSpectrum(rng.uniform(-1, 1, K) / np.arange(1, K + 1) ** rng.integers(0, 3)))
-            value, slope = self.evaluations_per_solve(u0, frac * u0.t_max, monkeypatch)
-            assert value <= 3 and slope <= 2 and value == slope + 1
+            _, _, value, slope = self.counted_solve(u0, frac * u0.t_max, monkeypatch)
+            assert value <= 2 and slope <= 1 and value == slope + 1
+
+    def test_seeded_fields_near_the_horizon(self, rng, monkeypatch):
+        for K in rng.integers(1, 17, size=60):
+            u0 = InitialField(SineSpectrum(rng.uniform(-1, 1, K) / np.arange(1, K + 1) ** rng.integers(0, 3)))
+            t = (1.0 - 2e-6) * u0.t_max
+            feet, values, value, _ = self.counted_solve(u0, t, monkeypatch)
+            assert np.all(np.abs(feet + t * values - self.X) <= characteristics._RESIDUAL_TOL)
+            assert value <= 2
+
+    def test_one_read_only_table_per_field(self, monkeypatch):
+        calls = {"synthesize": 0, "synthesize_slope": 0}
+        for name in calls:
+            def counted(spec, M, name=name, transform=getattr(characteristics, name)):
+                calls[name] += 1
+                return transform(spec, M)
+
+            monkeypatch.setattr(characteristics, name, counted)
+        u0 = InitialField(SineSpectrum([0.3, -0.1, 0.05]))
+        u0.t_max
+        for frac in (0.2, 0.5, 0.9):
+            sample_solution(u0, frac * u0.t_max, 256)
+        assert calls == {"synthesize": 1, "synthesize_slope": 1}
+        for column in u0._samples:
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
 
 
 class TestSampleSolution:

@@ -58,6 +58,15 @@ class TestSineSpectrum:
         with pytest.raises(ValueError):
             s.psi[0] = 3.0
 
+    def test_owns_a_copy_of_the_callers_array(self):
+        # the spectrum once froze the caller's float array in place
+        a = np.zeros(3)
+        s = SineSpectrum(a)
+        a[0] = 1.0
+        assert s.psi.tolist() == [0.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match="read-only"):
+            s.psi[0] = 1.0
+
     @pytest.mark.parametrize("N", [0, -1])
     def test_sine_wave_needs_a_mode(self, N):
         with pytest.raises(ValueError):
