@@ -1,7 +1,6 @@
 """Spectral laboratory for odd solutions of Burgers-type equations on the torus."""
 
 from .spectral import (
-    GridFunction,
     NonOddInputError,
     SineSpectrum,
     UnderResolvedError,

@@ -62,12 +62,11 @@ class AttractorFn:
     pairings and every fractional norm are exact.
     """
 
-    kind: str
     scale: float
     jump_location: str  # "origin" | "pi"
 
     def __post_init__(self):
-        _checked("scale", self.scale, "a real number")
+        object.__setattr__(self, "scale", _checked("scale", self.scale, "a real number"))
         _jump(self.jump_location)
         if not math.isfinite(self.l2_norm_sq):
             raise ValueError(f"scale {self.scale} is too large: ||H||^2 = c^2 ||F||^2 leaves the float range")
@@ -94,11 +93,11 @@ class AttractorFn:
         return self.scale**2 * FOUR_PI * series_s(alpha)
 
 
-#: every profile the lab builds, by kind
+#: every profile the lab builds, by name
 PROFILES = {
-    "F": AttractorFn("F", 1.0, "origin"),
-    "Phi": AttractorFn("Phi", 1.0 / math.sqrt(F_L2_NORM_SQ), "origin"),
-    "sawtooth": AttractorFn("sawtooth", 1.0, "pi"),
+    "F": AttractorFn(1.0, "origin"),
+    "Phi": AttractorFn(1.0 / math.sqrt(F_L2_NORM_SQ), "origin"),
+    "sawtooth": AttractorFn(1.0, "pi"),
 }
 
 
@@ -106,17 +105,16 @@ _F = PROFILES["F"]
 
 
 # ---------------------------------------------------------------------------
-# quadrature split at the jump
+# quadrature split at F's jump
 
-def _panel_rule(jump_location: str, total_nodes: int) -> tuple[np.ndarray, float]:
-    """Midpoints m_p of max(4, total_nodes // (32 * pieces)) equal panels per piece of the torus split at the jump, and their half-width h.
+def _panel_rule(total_nodes: int) -> tuple[np.ndarray, float]:
+    """Midpoints m_p of max(4, total_nodes // 64) equal panels on each of [-pi, 0] and [0, pi], and their half-width h.
 
-    The 32-point rule's nodes are m_p + h t_j, and the jump is never one.
+    The 32-point rule's nodes are m_p + h t_j, and the jump at the origin is never one.
     """
-    starts = {"origin": (-np.pi, 0.0), "pi": (-np.pi,)}[_jump(jump_location)]
-    n_panels = max(4, total_nodes // (32 * len(starts)))
-    h = np.pi / (len(starts) * n_panels)
-    return np.concatenate([a + h * np.arange(1.0, 2 * n_panels, 2) for a in starts]), h
+    n_panels = max(4, total_nodes // 64)
+    h = np.pi / (2 * n_panels)
+    return np.concatenate([a + h * np.arange(1.0, 2 * n_panels, 2) for a in (-np.pi, 0.0)]), h
 
 
 @lru_cache(maxsize=1)
@@ -131,13 +129,6 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def integrate_torus(f, jump_location: str, total_nodes: int) -> float:
-    """Integrate f over [-pi, pi] on ``_panel_rule``'s panels: each lies in a smooth piece, so trig polynomials converge to round-off."""
-    nodes, weights = _gauss_legendre()
-    mids, h = _panel_rule(jump_location, total_nodes)
-    return float(np.dot(np.tile(h * weights, mids.size), f((mids[:, None] + h * nodes).ravel())))
-
-
 @lru_cache(maxsize=1)
 def _key_identity_tables(total_nodes: int, modes: int) -> tuple[np.ndarray, ...]:
     """F w at the nodes m_p + h t_j split at the origin, e^{i n m_p} and e^{i n h t_j} for n = 1..modes; read-only.
@@ -145,7 +136,7 @@ def _key_identity_tables(total_nodes: int, modes: int) -> tuple[np.ndarray, ...]
     Above N = 512 the panels grow as N / 8, so the e^{i n m_p} table holds about N^2 / 4 entries.
     """
     nodes, weights = _gauss_legendre()
-    mids, h = _panel_rule("origin", total_nodes)
+    mids, h = _panel_rule(total_nodes)
     n = np.arange(1, modes + 1)
     outer, inner = np.exp(1j * np.multiply.outer(mids, n)), np.exp(1j * np.multiply.outer(n, h * nodes))
     tables = _F.evaluate(mids[:, None] + h * nodes) * (h * weights), outer, inner
@@ -232,7 +223,7 @@ class DecayTable:
 
 
 def attractor_decay_series(u0: InitialField, times: Sequence[float], attractor: AttractorFn, M: int = 4096) -> DecayTable:
-    """||u(t) - H||^2 along the characteristics oracle for the profile H; H = r F is AttractorFn("F", r, "origin").
+    """||u(t) - H||^2 along the characteristics oracle for the profile H; H = r F is AttractorFn(r, "origin").
 
     Each distance is ``attractor_distance`` of the sample analyzed on the
     M-point grid, so the only error is the (spectrally small) analysis error
@@ -281,6 +272,7 @@ def power_sum(p: float, tol: float) -> float:
 
 def series_s(alpha: float) -> float:
     """S(alpha) = sum n^{-2(1-alpha)} summed to SERIES_TOL: the one alpha < 1/2 guard, since every certificate needs it."""
+    alpha = _checked("alpha", alpha, "positive", lambda a: a > 0)  # NaN fails too
     if alpha >= 0.5:
         raise UnsupportedRegimeError(f"alpha={alpha} is not supercritical (< 1/2): S(alpha) = sum n^(-2(1-alpha)) diverges")
     return power_sum(2.0 * (1.0 - alpha), SERIES_TOL)

@@ -67,11 +67,14 @@ class HypothesisError(ValueError):
 # ---------------------------------------------------------------------------
 # scalar comparison bounds
 
-def _check_lemma_inputs(y0: float, kappa: float, M: float = 0.0) -> None:
-    """ValueError naming the field unless y0 > 0, kappa > 0 and M >= 0 are finite reals, not bools (NaN fails too)."""
-    _checked("y0", y0, "finite and > 0", lambda v: 0 < v < math.inf)
-    _checked("kappa", kappa, "finite and > 0", lambda v: 0 < v < math.inf)
-    _checked("M", M, "finite and >= 0", lambda v: 0 <= v < math.inf)
+def _check_lemma_inputs(y0: float, kappa: float, M: float = 0.0) -> tuple[float, float, float]:
+    """(y0, kappa, M) as ``_checked`` returns them; ValueError naming the field unless y0 > 0, kappa > 0 and M >= 0
+    are finite reals, not bools (NaN fails too)."""
+    return (
+        _checked("y0", y0, "finite and > 0", lambda v: 0 < v < math.inf),
+        _checked("kappa", kappa, "finite and > 0", lambda v: 0 < v < math.inf),
+        _checked("M", M, "finite and >= 0", lambda v: 0 <= v < math.inf),
+    )
 
 
 def _product(a: float, b: float, c: float) -> float:
@@ -88,8 +91,9 @@ def comparison_lower_bound(y0: float, kappa: float, M: float, t: float) -> float
     1 + r/(1 - r)^2 - kappa t y0, whose first part never leaves the float
     range; returns +inf once that crosses zero (the bound has blown up).
     """
-    _check_lemma_inputs(y0, kappa, M)
-    if not _checked("t", t, "a real number") >= 0:
+    y0, kappa, M = _check_lemma_inputs(y0, kappa, M)
+    t = _checked("t", t, "a real number")
+    if not t >= 0:
         raise OutsideValidityError(f"t must be nonnegative, got {t}")
     r = M * math.sqrt(t) / y0
     if not r < 1.0:
@@ -100,7 +104,7 @@ def comparison_lower_bound(y0: float, kappa: float, M: float, t: float) -> float
 
 def simplified_horizon(y0: float, kappa: float) -> float:
     """Blowup horizon 3/(kappa y0) implied by the simplified bound; OverflowError beyond the float range."""
-    _check_lemma_inputs(y0, kappa)
+    y0, kappa, _ = _check_lemma_inputs(y0, kappa)
     rate = kappa * y0
     horizon = 3.0 / rate if rate > 0.0 else math.inf  # the rate underflows to 0 for tiny y0
     if horizon == math.inf:
@@ -113,7 +117,7 @@ def simplified_window(y0: float, kappa: float, M: float) -> float:
 
     Formed as (y0 / 2M)^2, which leaves the float range only where the window does.
     """
-    _check_lemma_inputs(y0, kappa, M)
+    y0, kappa, M = _check_lemma_inputs(y0, kappa, M)
     if M == 0:
         return math.inf
     half_ratio = y0 / (2.0 * M)
@@ -154,8 +158,8 @@ def simplified_lower_bound(y0: float, kappa: float, M: float, t: float) -> float
     the window y0^2/(4 M^2) and the horizon 3/(kappa y0); t = 0 lies below
     both even where they underflow, and gives y0/3.
     """
-    _check_lemma_inputs(y0, kappa, M)
-    _checked("t", t, "a real number")
+    y0, kappa, M = _check_lemma_inputs(y0, kappa, M)
+    t = _checked("t", t, "a real number")
     margin = _margin(y0, kappa, M)
     if not margin >= 1.0:
         raise HypothesisError(f"y0^3 kappa / (12 M^2) = {margin:.6g} < 1")
@@ -290,8 +294,9 @@ def verify_comparison_lemma(y0: float, kappa: float, M: float) -> ComparisonRepo
     is refused.  For M = 0 the solution is also compared against the
     closed-form Riccati solution y0/(1 - kappa y0 t).
     """
-    if not (0 < y0 < _LEMMA_STOP and 0 < kappa < math.inf and 0 <= M < math.inf):
-        raise ValueError(f"need 0 < y0 < {_LEMMA_STOP:g} (the stop level), finite kappa > 0 and M >= 0")
+    y0, kappa, M = _check_lemma_inputs(y0, kappa, M)
+    if not y0 < _LEMMA_STOP:
+        raise ValueError(f"need 0 < y0 < {_LEMMA_STOP:g} (the stop level), got y0={y0!r}")
     hypothesis_ok = _margin(y0, kappa, M) >= 1.0
     ratio = math.inf if M == 0 else y0 / M
     window_prop = ratio * ratio
@@ -437,8 +442,7 @@ def corollary_condition(R: float, params: ModelParams) -> BlowupCertificate:
     L0, kappa and M are F's certificate's on u0, to the bit.
     """
     S = series_s(params.alpha)
-    if not 0 < R < math.inf:
-        raise ValueError("amplitude R must be positive and finite")
+    R = _checked("amplitude R", R, "positive and finite", lambda v: 0 < v < math.inf)
     threshold = 8.0 * np.pi**2 * S
     ratio = math.inf if params.nu == 0.0 else R / params.nu
     M = _forcing_M(FOUR_PI * S, SineSpectrum.sine_wave(R), params.nu)  # ||F||_{H^alpha}^2 = 4 pi S

@@ -22,7 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import GridFunction, SineSpectrum, check_grid_size, evaluate_field, evaluate_slope, grid_points, next_pow2, synthesize, synthesize_slope
+from .dynamics import _checked
+from .spectral import SineSpectrum, check_grid_size, evaluate_field, evaluate_slope, grid_points, next_pow2, synthesize, synthesize_slope
 
 #: fraction of T_max kept away from the horizon, where the map stays monotone
 HORIZON_GUARD = 1e-6
@@ -70,7 +71,7 @@ class InitialField:
         """Read-only (xs, u0(xs), u0'(xs)) on the M = next_pow2(max(_SLOPE_SAMPLES, 2K))-point grid and at xi = pi,
         where odd data vanish and u0' repeats its value at xi = -pi."""
         M = next_pow2(max(_SLOPE_SAMPLES, 2 * self.spectrum.N))
-        values, slopes = synthesize(self.spectrum, M).samples, synthesize_slope(self.spectrum, M)
+        values, slopes = synthesize(self.spectrum, M), synthesize_slope(self.spectrum.psi, M)
         table = np.append(grid_points(M), np.pi), np.append(values, 0.0), np.append(slopes, slopes[0])
         for column in table:
             column.flags.writeable = False
@@ -114,12 +115,13 @@ def tmax_inviscid(u0: InitialField) -> float:
     return u0.t_max
 
 
-def _check_horizon(u0: InitialField, t: float) -> None:
-    if not 0.0 <= t < np.inf:
-        raise ValueError(f"time must be finite and nonnegative, got t={t}")
+def _check_horizon(u0: InitialField, t: float) -> float:
+    """``t`` (a numpy scalar as its Python value) if it is a real time below the guarded horizon, else ValueError."""
+    t = _checked("time", t, "finite and nonnegative", lambda v: 0.0 <= v < np.inf)
     t_max = tmax_inviscid(u0)
     if np.isfinite(t_max) and t >= t_max * (1.0 - HORIZON_GUARD):
         raise HorizonError(f"t={t} is past the guarded horizon {t_max * (1.0 - HORIZON_GUARD):.6g}")
+    return t
 
 
 def _newton_start(u0: InitialField, x: np.ndarray, t: float) -> np.ndarray:
@@ -178,15 +180,16 @@ def _solve_feet(u0: InitialField, x: np.ndarray, t: float) -> tuple[np.ndarray, 
     return xi, val
 
 
-def sample_solution(u0: InitialField, t: float, M: int) -> GridFunction:
-    """Characteristics solution sampled on the M-point grid, for 0 <= t < T_max (1 - HORIZON_GUARD).
+def sample_solution(u0: InitialField, t: float, M: int) -> np.ndarray:
+    """Read-only samples of the characteristics solution on the M-point grid, for 0 <= t < T_max (1 - HORIZON_GUARD).
 
     Solves the M/2 - 1 feet in (0, pi) alone; u(x_j) = -u(x_{M-j}) fills (-pi, 0).
     """
     check_grid_size(M)
-    _check_horizon(u0, t)
+    t = _check_horizon(u0, t)
     half = M // 2
     u = np.zeros(M)
     u[half + 1 :] = _solve_feet(u0, grid_points(M)[half + 1 :], t)[1]
     u[half - 1 : 0 : -1] = -u[half + 1 :]
-    return GridFunction(u)
+    u.flags.writeable = False
+    return u

@@ -263,7 +263,7 @@ def run_inviscid(cfg: ExperimentConfig) -> int:
     times = cfg.dt * np.arange(_step_count(cfg.t_end, cfg.dt) + 1)
     # F is scaled, by --r or by r0 = ||u0|| / ||F||; any other profile is taken as it is
     attractor = (
-        AttractorFn("F", scaling.r0 if cfg.r == "auto" else float(cfg.r), "origin")
+        AttractorFn(scaling.r0 if cfg.r == "auto" else float(cfg.r), "origin")
         if cfg.attractor == "F"
         else _resolve_attractor(cfg.attractor)
     )

@@ -28,10 +28,10 @@ copies the result and later overwrites the input it passed, so a kernel
 keeps no reference to its input.
 
 Buffers: the public ``nonlinear_pseudospectral`` pads each call's input
-into an (..., L) array of that call's own, so calls may run on several
-threads at once.  A march owns its buffers through its stepper
-(``_if_rk4_stepper``): a contiguous (B, N) stage, the four k arrays, and
-for the default kernel a (B, L) pad and a (B, L) transform work buffer.
+into an (..., L) array of that call's own.  A march owns its buffers
+through its stepper (``_if_rk4_stepper``): a contiguous (B, N) stage, the
+four k arrays, and for the default kernel a (B, L) pad and a (B, L)
+transform work buffer.
 Both paths run the same transforms, ``_half_grid_quadratic``, bound once.
 Per step a march only adds its dissipation rate to a block of rates, which is
 summed and tested for non-finite rows at each record and when full; a record
@@ -82,18 +82,21 @@ class ModelParams:
     nu: float = 0.0
 
     def __post_init__(self):
-        _checked("alpha", self.alpha, "finite and lie in (0, 1]", lambda alpha: 0.0 < alpha <= 1.0)  # NaN fails too
-        _checked("nu", self.nu, "finite and >= 0", lambda nu: 0.0 <= nu < math.inf)
+        alpha = _checked("alpha", self.alpha, "finite and lie in (0, 1]", lambda alpha: 0.0 < alpha <= 1.0)  # NaN fails too
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "nu", _checked("nu", self.nu, "finite and >= 0", lambda nu: 0.0 <= nu < math.inf))
 
 
 def _checked(name: str, value, what: str, ok: Callable | None = None, kind: type = numbers.Real):
     """``value`` if it is a ``kind`` (a bool only where ``kind`` is bool) and ``ok(value)`` holds, else ValueError naming both.
 
-    The one field rule of the library's dataclasses and of ``AttractorFn``.
+    A numpy scalar is checked and returned as its Python value, so nothing downstream runs in float32.
+    The one field rule of the library's dataclasses, of ``AttractorFn`` and of the scalar entry points.
     """
-    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool) or not (ok is None or ok(value)):
+    checked = value.item() if isinstance(value, np.generic) else value
+    if not isinstance(checked, kind) or isinstance(checked, bool) != (kind is bool) or not (ok is None or ok(checked)):
         raise ValueError(f"{name} must be {what}, got {value!r}")
-    return value
+    return checked
 
 
 def _positive(name: str, value: float) -> float:
@@ -178,7 +181,7 @@ def _half_grid(N: int) -> tuple[int, np.ndarray, Callable, Callable]:
     breaks it, the public ``scipy.fft`` transforms and ``next_fast_len``
     stand in behind the same calls (bit-identical, only slower).
 
-    The scale is read-only: the cache is shared by every thread.
+    The scale is read-only: the cache shares it with every caller.
     """
     binding = _load_pocketfft()
     if binding is None:
@@ -232,8 +235,7 @@ def nonlinear_pseudospectral(psi: np.ndarray) -> np.ndarray:
     midpoint rule on (0, pi) turns the unnormalised DCT-II of u^2 into
     2L times its Fourier coefficients w_hat(n), and mode n of -(u^2/2)_x
     is -(n/2) * w_hat(n).  Both transforms run along the last axis, in
-    place on a padded buffer of the call's own (so calls may run on
-    several threads at once).
+    place on a padded buffer of the call's own, so the input is only read.
     """
     psi = np.asarray(psi, dtype=float)
     N = psi.shape[-1]
@@ -251,9 +253,9 @@ def _if_rk4_stepper(e1: np.ndarray, dt: float, kernel: Kernel) -> Callable[[np.n
     order and grouping of that formula, so every rounding is the same as if
     it were evaluated term by term.
 
-    The buffers are the stepper's own, so marches on several threads share
-    none.  Each stage is formed in a contiguous (B, N) ``stage``, and its
-    last operation writes it into the kernel's input ``kin``.  For the
+    The buffers are the stepper's own: no two marches share one.  Each
+    stage is formed in a contiguous (B, N) ``stage``, and its last
+    operation writes it into the kernel's input ``kin``.  For the
     default kernel ``kin`` is the first N columns of a (B, L) pad whose tail
     is zeroed once, here, and ``_half_grid_quadratic`` transforms the pad
     through a (B, L) work buffer; a custom kernel reads a (B, N) ``kin``
@@ -310,11 +312,15 @@ class DiagnosticsConfig:
     store_spectra: bool = False
 
     def __post_init__(self):
-        _checked("stride", self.stride, "a positive integer", lambda stride: stride >= 1, numbers.Integral)
-        _positive("tail threshold", self.tail_threshold)  # a NaN threshold would never trip
-        _checked("store_spectra", self.store_spectra, "a bool", kind=bool)
-        r = None if self.r is None else float(_checked("r", self.r, "a real number or None"))
-        if r is not None and not math.isfinite(r * r * F_L2_NORM_SQ):
+        checked = {
+            "stride": _checked("stride", self.stride, "a positive integer", lambda stride: stride >= 1, numbers.Integral),
+            "tail_threshold": _positive("tail threshold", self.tail_threshold),  # a NaN threshold would never trip
+            "store_spectra": _checked("store_spectra", self.store_spectra, "a bool", kind=bool),
+            "r": None if self.r is None else _checked("r", self.r, "a real number or None"),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
+        if self.r is not None and not math.isfinite(float(self.r) * float(self.r) * F_L2_NORM_SQ):
             raise ValueError(f"r={self.r} is too large: the distance term r^2 ||F||^2 leaves the float range")
 
 

@@ -83,26 +83,6 @@ class SineSpectrum:
         return SineSpectrum(psi)
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    """Samples u(x_j) on the uniform grid x_j = -pi + 2*pi*j/M."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        u = np.asarray(self.samples, dtype=float)
-        if u.ndim != 1:
-            raise ValueError("grid samples must be one-dimensional")
-        check_grid_size(u.size)
-        u = u.copy()
-        u.flags.writeable = False
-        object.__setattr__(self, "samples", u)
-
-    @property
-    def M(self) -> int:
-        return self.samples.size
-
-
 def check_grid_size(M: int) -> None:
     """ValueError unless M is a power of two, at least 4, the grids on which x = -pi and x = 0 are samples."""
     if not (isinstance(M, (int, np.integer)) and M >= 4 and M & (M - 1) == 0):
@@ -144,27 +124,26 @@ def _alternating_synthesis(psi: np.ndarray, M: int, signed_prefactor) -> np.ndar
 
 @lru_cache(maxsize=64)
 def _slope_prefactor(N: int, M: int) -> np.ndarray:
-    """-M n (-1)^n for n = 1..N; read-only, since the cache is shared by every thread."""
+    """-M n (-1)^n for n = 1..N; read-only, since the cache shares it with every caller."""
     prefactor = -M * np.arange(1, N + 1) * _alternating_signs(N + 1)[1:]
     prefactor.flags.writeable = False
     return prefactor
 
 
-def synthesize(spec: SineSpectrum, M: int) -> GridFunction:
-    """Evaluate -2 sum psi_n sin(n x_j) on the M-point grid, exactly.
+def synthesize(spec: SineSpectrum, M: int) -> np.ndarray:
+    """Read-only samples of -2 sum psi_n sin(n x_j) on the M-point grid, exact.
 
-    Requires M >= 2N so every stored mode is resolved, and M a power of
-    two, at least 4 (GridFunction's check).
+    Requires M a power of two, at least 4 (``check_grid_size``), and
+    M >= 2N so every stored mode is resolved.
     """
-    return GridFunction(_alternating_synthesis(spec.psi, M, 1j * M * _alternating_signs(spec.N + 1)[1:]))
+    check_grid_size(M)
+    u = _alternating_synthesis(spec.psi, M, 1j * M * _alternating_signs(spec.N + 1)[1:])
+    u.flags.writeable = False
+    return u
 
 
-def synthesize_slope(spec: SineSpectrum | np.ndarray, M: int) -> np.ndarray:
-    """Samples of du/dx = -2 sum n psi_n cos(n x_j) (an even function).
-
-    Takes a spectrum or a (..., N) stack of coefficient rows.
-    """
-    psi = spec.psi if isinstance(spec, SineSpectrum) else spec
+def synthesize_slope(psi: np.ndarray, M: int) -> np.ndarray:
+    """Samples of du/dx = -2 sum n psi_n cos(n x_j) (an even function), for a (..., N) stack of coefficient rows."""
     return _alternating_synthesis(psi, M, _slope_prefactor(psi.shape[-1], M))
 
 
@@ -186,13 +165,13 @@ def oddness_residual(samples: np.ndarray, Y: np.ndarray | None = None) -> float:
     return np.sqrt(cos_energy / total)
 
 
-def analyze(grid: GridFunction | np.ndarray, N: int) -> SineSpectrum:
+def analyze(grid: np.ndarray, N: int) -> SineSpectrum:
     """Recover psi_n, n = 1..N from grid samples (u_hat(n) = i*psi_n).
 
     Raises NonOddInputError when the relative cosine/mean energy exceeds
     ODDNESS_TOL, and UnderResolvedError when M < 2N.
     """
-    u = grid.samples if isinstance(grid, GridFunction) else np.asarray(grid, dtype=float)
+    u = np.asarray(grid, dtype=float)
     M = u.size
     if M < 2 * N:
         raise UnderResolvedError(f"grid size {M} < 2N = {2 * N}")
@@ -262,9 +241,9 @@ def sobolev_norm(spec: SineSpectrum, s: float) -> float:
     return math.ldexp(float(np.sqrt(_weighted_energy(scaled, n ** (2.0 * s)))), int(k))
 
 
-def grid_lq_norm(grid: GridFunction | np.ndarray, q: float) -> float:
+def grid_lq_norm(grid: np.ndarray, q: float) -> float:
     """L^q norm by uniform-grid quadrature; q = inf gives max |u_j|."""
-    u = grid.samples if isinstance(grid, GridFunction) else np.asarray(grid, dtype=float)
+    u = np.asarray(grid, dtype=float)
     if np.isinf(q):
         return float(np.max(np.abs(u)))
     if q < 1:

@@ -1,9 +1,8 @@
 """Named invariant suites behind the ``verify`` command.
 
-Each suite draws its own data from a seeded generator, checks one of the
-structural identities at its pinned tolerance, and reports the worst
-deviation seen.  The quadratic kernel is injectable so a deliberately
-broken build (e.g. a sign flip in the tail sum) can be shown to fail.
+Each suite takes only a seed: it draws its own data from a seeded
+generator, checks one of the structural identities at its pinned
+tolerance, and reports the worst deviation seen.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import numpy as np
 from .attractors import key_identity_residuals
 from .blowup import verify_comparison_lemma
 from .characteristics import InitialField, sample_solution, tmax_inviscid
-from .dynamics import Kernel, nonlinear_direct, nonlinear_pseudospectral
+from .dynamics import nonlinear_direct, nonlinear_pseudospectral
 from .spectral import SineSpectrum, _weighted_energy, grid_lq_norm, synthesize
 
 
@@ -67,25 +66,22 @@ def key_identity_suite(seed: int = 0) -> SuiteResult:
     return _named_result("key-identity", "50 odd polynomials, N<=32", checks)
 
 
-def energy_neutrality_suite(
-    seed: int = 0, cases: int = 100, N: int = 256, nonlinear: Kernel | None = None
-) -> SuiteResult:
-    """sum psi_n * Nonlinear(psi)_n = 0 exactly under truncation."""
-    nl = nonlinear or nonlinear_direct
+def energy_neutrality_suite(seed: int = 0) -> SuiteResult:
+    """sum psi_n * Nonlinear(psi)_n = 0 exactly under truncation, over 100 spectra at N = 256."""
+    cases, N = 100, 256
     rng = np.random.default_rng(seed)
     deviations = []
     for _ in range(cases):
         psi = rng.uniform(-1.0, 1.0, N)
         scale = float(np.sum(np.abs(psi))) ** 3
-        deviations.append(abs(float(np.dot(psi, nl(psi)))) / scale)
+        deviations.append(abs(float(np.dot(psi, nonlinear_direct(psi)))) / scale)
     at = lambda i: f"seed {seed}, case {i}, N={N}"
     return SuiteResult("energy-neutrality", *_check(deviations, 1e-12, at), f"{cases} spectra at N={N}")
 
 
-def lyapunov_identity_suite(seed: int = 0, cases: int = 100, nonlinear: Kernel | None = None) -> SuiteResult:
-    """sum Nonlinear(psi)_n / n = sum psi_n^2 / 2 for half-supported spectra at N = 256."""
-    nl = nonlinear or nonlinear_direct
-    N = 256
+def lyapunov_identity_suite(seed: int = 0) -> SuiteResult:
+    """sum Nonlinear(psi)_n / n = sum psi_n^2 / 2 for 100 half-supported spectra at N = 256."""
+    cases, N = 100, 256
     rng = np.random.default_rng(seed)
     n = np.arange(1, N + 1, dtype=float)
     deviations = []
@@ -93,7 +89,7 @@ def lyapunov_identity_suite(seed: int = 0, cases: int = 100, nonlinear: Kernel |
         psi = np.zeros(N)
         psi[: N // 2] = rng.uniform(-1.0, 1.0, N // 2)
         scale = float(np.sum(np.abs(psi))) ** 2
-        res = abs(float(np.sum(nl(psi) / n)) - 0.5 * float(np.sum(psi**2)))
+        res = abs(float(np.sum(nonlinear_direct(psi) / n)) - 0.5 * float(np.sum(psi**2)))
         deviations.append(res / scale)
     at = lambda i: f"seed {seed}, case {i}, N={N}"
     return SuiteResult("lyapunov-identity", *_check(deviations, 1e-12, at), f"{cases} half-supported spectra at N={N}")

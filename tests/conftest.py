@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from burgers_lab import characteristics
-from burgers_lab.attractors import c_alpha, integrate_torus
+from burgers_lab.attractors import _gauss_legendre, _panel_rule, c_alpha
 from burgers_lab.blowup import KAPPA_F, RESOLVED_TAIL
 from burgers_lab.dynamics import (
+    _jump,
     dissipation_symbol,
     lyapunov_diagnostic,
     nonlinear_direct,
@@ -40,6 +41,29 @@ def odd_symmetry_residual(samples):
     """max_j |u(x_j) + u(-x_j)| on the uniform grid; -x_j lands on index (M - j) mod M."""
     u = np.asarray(samples, dtype=float)
     return float(np.max(np.abs(u + np.roll(u[::-1], 1))))
+
+
+def torus_panels(jump_location, total_nodes):
+    """Panel midpoints and half-width of the torus split at the jump of c F(x - s).
+
+    At the origin these are ``attractors._panel_rule``'s two pieces; for a
+    jump at pi the torus is one piece of max(4, total_nodes // 32) panels.
+    """
+    if _jump(jump_location) == "origin":
+        return _panel_rule(total_nodes)
+    n_panels = max(4, total_nodes // 32)
+    h = np.pi / n_panels
+    return -np.pi + h * np.arange(1.0, 2 * n_panels, 2), h
+
+
+def integrate_torus(f, jump_location, total_nodes):
+    """Integrate f over [-pi, pi] by the 32-point Gauss-Legendre rule on ``torus_panels``.
+
+    Each panel lies in a smooth piece, so trig polynomials times the profile converge to round-off.
+    """
+    nodes, weights = _gauss_legendre()
+    mids, h = torus_panels(jump_location, total_nodes)
+    return float(np.dot(np.tile(h * weights, mids.size), f((mids[:, None] + h * nodes).ravel())))
 
 
 def lyapunov_quadrature(spec, attractor, total_nodes=4096):

@@ -103,7 +103,7 @@ def test_criterion_02_exact_attractor_decay():
     worst = 0.0
     for r in (0.5 * r0, r0, 2.0 * r0):
         d0 = attractor_distance(u0.spectrum, r)
-        table = attractor_decay_series(u0, times, AttractorFn("F", r, "origin"))
+        table = attractor_decay_series(u0, times, AttractorFn(r, "origin"))
         law = d0 - r * energy0 * times
         worst = max(worst, float(np.max(np.abs(table.distance - law)) / d0))
     ok = worst <= 1e-6

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.special
@@ -16,7 +18,6 @@ from burgers_lab.attractors import (
     attractor_decay_series,
     attractor_distance,
     c_alpha,
-    integrate_torus,
     key_identity_residuals,
     lyapunov,
     optimal_r,
@@ -28,7 +29,7 @@ from burgers_lab import characteristics
 from burgers_lab.characteristics import HorizonError, InitialField, sample_solution
 from burgers_lab.spectral import SineSpectrum, UnderResolvedError, evaluate_field, evaluate_slope, grid_points, sobolev_norm
 
-from conftest import lyapunov_quadrature
+from conftest import integrate_torus, lyapunov_quadrature, torus_panels
 
 R0_SINE = np.sqrt(3.0) / (np.pi * np.sqrt(2.0))  # ||-sin|| / ||F||
 D0_SINE = 2.0 * np.pi - 2.0 * np.sqrt(6.0)  # ||u0 - r0 F||^2 for u0 = -sin
@@ -95,12 +96,11 @@ class TestProfiles:
     @pytest.mark.parametrize("scale", [1e200, 1e308, np.inf, np.nan])
     def test_scale_whose_norm_overflows_refused(self, scale):
         with pytest.raises(ValueError, match="float range"):
-            AttractorFn("F", scale, "origin")
+            AttractorFn(scale, "origin")
 
     def test_slope_floors(self):
         assert PROFILES["F"].slope_floor == 1.0 and PROFILES["sawtooth"].slope_floor == 1.0
         assert PROFILES["Phi"].slope_floor == pytest.approx(1.0 / np.sqrt(F_L2_NORM_SQ))
-        assert all(att.kind == kind for kind, att in PROFILES.items())
 
     @pytest.mark.parametrize("kind", sorted(PROFILES))
     def test_l2_norm_matches_quadrature(self, kind):
@@ -114,15 +114,17 @@ class TestAttractorFnFields:
     def test_unknown_jump_location_refused(self, jump):
         # 'middle' used to pair like the jump at the origin: 7.5398 for psi = [0.5, 0.2]
         with pytest.raises(ValueError, match=f"unknown jump location {jump!r}"):
-            AttractorFn("F", 1.0, jump)
+            AttractorFn(1.0, jump)
 
     @pytest.mark.parametrize("scale", [True, False, "1.0", None])
     def test_bool_or_non_numeric_scale_refused(self, scale):
         with pytest.raises(ValueError, match=f"scale must be a real number, got {scale!r}"):
-            AttractorFn("F", scale, "origin")
+            AttractorFn(scale, "origin")
 
     def test_numpy_scale_accepted(self):
-        assert lyapunov(SineSpectrum([0.5, 0.2]), AttractorFn("F", np.float64(2.0), "pi")) == pytest.approx(-3.2 * np.pi)
+        assert lyapunov(SineSpectrum([0.5, 0.2]), AttractorFn(np.float64(2.0), "pi")) == pytest.approx(-3.2 * np.pi)
+        att = AttractorFn(np.float32(2.0), "pi")  # stored as its Python value
+        assert type(att.scale) is float and att == AttractorFn(2.0, "pi")
 
     def test_attractor_distance_refuses_an_unknown_jump_location(self):
         with pytest.raises(ValueError, match="unknown jump location 'middle'"):
@@ -181,7 +183,7 @@ class TestKeyIdentityNodes:
     def test_tables_match_pointwise_evaluation(self, rng, N):
         spec = SineSpectrum(rng.uniform(-1.0, 1.0, N))
         total = max(4096, 8 * N)
-        mids, h = _panel_rule("origin", total)
+        mids, h = _panel_rule(total)
         nodes = mids[:, None] + h * _gauss_legendre()[0]
         assert mids.size == 2 * max(64, N // 8)  # 75 panels per piece at N = 600
         assert np.sum(nodes < 0.0) == np.sum(nodes > 0.0) == nodes.size // 2  # both pieces, never the jump
@@ -284,7 +286,7 @@ class TestDecaySeries:
         u0 = InitialField(SineSpectrum([0.5]))
         times = np.arange(0.1, 0.95, 0.1)
         for r in (0.5 * R0_SINE, R0_SINE, 2.0 * R0_SINE):
-            table = attractor_decay_series(u0, times, AttractorFn("F", r, "origin"))
+            table = attractor_decay_series(u0, times, AttractorFn(r, "origin"))
             d0 = attractor_distance(u0.spectrum, r)
             law = d0 - r * np.pi * times
             np.testing.assert_allclose(table.distance, law, atol=1e-6 * d0)
@@ -292,7 +294,7 @@ class TestDecaySeries:
 
     def test_time_zero_row(self):
         u0 = InitialField(SineSpectrum([0.5]))
-        table = attractor_decay_series(u0, [0.0], AttractorFn("F", R0_SINE, "origin"))
+        table = attractor_decay_series(u0, [0.0], AttractorFn(R0_SINE, "origin"))
         assert table.distance[0] == pytest.approx(D0_SINE, rel=1e-12)
 
     def test_sawtooth_upper_bound(self):
@@ -305,7 +307,7 @@ class TestDecaySeries:
     def test_horizon_rejected(self):
         u0 = InitialField(SineSpectrum([0.5]))
         with pytest.raises(HorizonError):
-            attractor_decay_series(u0, [0.5, 1.0], AttractorFn("F", R0_SINE, "origin"))
+            attractor_decay_series(u0, [0.5, 1.0], AttractorFn(R0_SINE, "origin"))
 
     def test_grid_too_coarse_for_u0_refused_before_any_solve(self, monkeypatch):
         # M = 64 analyzes 31 modes: the table once measured 31 of the 40 and drifted off the law unannounced
@@ -322,11 +324,11 @@ class TestDecaySeries:
         # independent check of one table entry by direct grid quadrature
         u0 = InitialField(SineSpectrum([0.5]))
         t = 0.5
-        table = attractor_decay_series(u0, [t], AttractorFn("F", R0_SINE, "origin"))
+        table = attractor_decay_series(u0, [t], AttractorFn(R0_SINE, "origin"))
         g = sample_solution(u0, t, 8192)
         F = PROFILES["F"]
-        integrand = (g.samples - R0_SINE * F.evaluate(grid_points(g.M))) ** 2
-        quad = 2 * np.pi / g.M * np.sum(integrand)
+        integrand = (g - R0_SINE * F.evaluate(grid_points(g.size))) ** 2
+        quad = 2 * np.pi / g.size * np.sum(integrand)
         assert table.distance[0] == pytest.approx(quad, rel=5e-3)
 
 
@@ -350,6 +352,7 @@ class TestSeriesConstants:
     def test_c_alpha_quarter(self):
         expected = np.sqrt(2 * np.pi * scipy.special.zeta(1.5))
         assert c_alpha(0.25) == pytest.approx(expected, abs=1e-9)
+        assert c_alpha(np.float32(0.25)) == c_alpha(0.25)  # once summed in float32
 
     def test_c_alpha_small_alpha_limit(self):
         assert c_alpha(1e-12) ** 2 == pytest.approx(np.pi**3 / 3, rel=1e-9)
@@ -360,6 +363,13 @@ class TestSeriesConstants:
         with pytest.raises(DivergentSeriesError):
             c_alpha(0.7)
         assert c_alpha(0.49) > c_alpha(0.25)  # finite but large below the threshold
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, -np.inf, np.nan, np.float32(np.nan), True, "0.25", None])
+    def test_alpha_outside_the_supercritical_range_refused(self, alpha):
+        # c_alpha(-1.0) returned 2.6078, and series_s(nan) ended in "cannot convert float NaN to integer"
+        for series in (c_alpha, series_s):
+            with pytest.raises(ValueError, match=re.escape(f"alpha must be positive, got {alpha!r}")):
+                series(alpha)
 
     @pytest.mark.parametrize("p", [1.0, 0.5])
     def test_power_sum_refuses_a_divergent_series(self, p):
@@ -403,7 +413,7 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("jump, pieces", [("origin", 2), ("pi", 1)])
     def test_one_half_width_per_layout(self, jump, pieces):
-        mids, h = _panel_rule(jump, 2048)
+        mids, h = torus_panels(jump, 2048)
         n_panels = 2048 // (32 * pieces)
         assert mids.size == pieces * n_panels and h == np.pi / (pieces * n_panels)
         np.testing.assert_allclose(np.diff(mids), 2.0 * h, rtol=1e-12)

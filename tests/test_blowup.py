@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from burgers_lab import blowup, dynamics
-from burgers_lab.attractors import PROFILES, optimal_r
+from burgers_lab.attractors import PROFILES, c_alpha, optimal_r
 from burgers_lab.blowup import (
     KAPPA_F,
     HypothesisError,
@@ -241,14 +242,20 @@ class TestVerifyComparisonLemma:
             # the grid's 1e-12 pin on y0 ~ 1, taken relative to y0
             assert rep.riccati_max_error <= 1e-12 * case[0]
 
-    @pytest.mark.parametrize(
-        "case",
+    @pytest.mark.parametrize("case", [(1e9, 1.0, 0.0), (2e9, 1.0, 0.0)])
+    def test_y0_at_or_above_the_stop_level_is_refused(self, case):
         # y0 at or above the stop level 1e9 never sees the stop's sign change
-        [(1e9, 1.0, 0.0), (2e9, 1.0, 0.0), (math.nan, 1.0, 0.0), (1.0, math.nan, 0.0), (1.0, 1.0, math.nan),
-         (1.0, math.inf, 0.0)],
-    )
-    def test_out_of_range_input_is_refused(self, case):
         with pytest.raises(ValueError, match="need 0 < y0 < 1e\\+09"):
+            verify_comparison_lemma(*case)
+
+    @pytest.mark.parametrize(
+        "case, field",
+        # a string y0 raised TypeError, as the range test ran before any field check
+        [((math.nan, 1.0, 0.0), "y0"), ((1.0, math.nan, 0.0), "kappa"), ((1.0, 1.0, math.nan), "M"),
+         ((1.0, math.inf, 0.0), "kappa"), (("1", 1.0, 0.0), "y0"), ((1.0, True, 0.0), "kappa"), ((1.0, 1.0, None), "M")],
+    )
+    def test_out_of_range_input_is_refused(self, case, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and "):
             verify_comparison_lemma(*case)
 
     @pytest.mark.parametrize("case", [(1.0, 1.0, 0.2), (2.0, 1.0, 0.5), (1.0, 0.5, 0.1), (2.0, 0.25, 0.05)])
@@ -375,8 +382,9 @@ class TestCorollary:
         assert not cert.hypotheses_hold
         assert cert.predicted_bound_T is None
 
-    @pytest.mark.parametrize("R", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("R", [-1.0, 0.0, math.nan, math.inf, True, "2", None])
     def test_amplitude_validation(self, R):
+        # R = True once certified R = 1 with margin 0.1212, and a string raised TypeError
         with pytest.raises(ValueError, match="amplitude R"):
             corollary_condition(R, SUPER)
 
@@ -682,3 +690,52 @@ class TestQuadraticLyapunovRate:
     @pytest.mark.parametrize("N", [1, 2, 17, 512])
     def test_zero_field(self, N):
         assert quadratic_lyapunov_rate(np.zeros(N)) == 0.0
+
+
+class TestScalarEntryPoints:
+    def test_numpy_scalars_run_in_double_precision(self):
+        # with float32 inputs the threshold was 206.26487731933594, the lemma check failed with a violation
+        # of 1.36e7 and the bound came back as np.float32(0.89040744)
+        assert corollary_condition(2.0, ModelParams(np.float32(0.25), 0.04)) == corollary_condition(2.0, SUPER)
+        report = verify_comparison_lemma(1.0, 1.0, np.float32(0.2))
+        assert report.passed and report == verify_comparison_lemma(1.0, 1.0, np.float32(0.2).item())
+        bound = comparison_lower_bound(1.0, 1.0, np.float32(0.5), 0.1)
+        assert type(bound) is float and bound == comparison_lower_bound(1.0, 1.0, 0.5, 0.1)
+
+
+#: the edges of the scalar domains, numpy scalars and a string among them, and values inside every domain
+_EDGES = [0, 5e-324, 1e-300, 1e308, math.inf, -math.inf, math.nan, -1, True, "1",
+          np.float32(0.25), np.float32(2.0), np.float32(math.inf), np.float32(math.nan), np.int64(1), np.int64(-1),
+          0.1, 0.2, 0.5, 1.0, 2.0]
+
+#: each scalar entry point with its number of scalar arguments
+_ENTRY_POINTS = {
+    "comparison_lower_bound": (comparison_lower_bound, 4),
+    "simplified_lower_bound": (simplified_lower_bound, 4),
+    "simplified_window": (simplified_window, 3),
+    "simplified_horizon": (simplified_horizon, 2),
+    "verify_comparison_lemma": (verify_comparison_lemma, 3),
+    "corollary_condition": (lambda R, alpha, nu: corollary_condition(R, ModelParams(alpha, nu)), 3),
+    "c_alpha": (c_alpha, 1),
+}
+
+
+def _outcome(fn, args):
+    """repr of fn's result, or the type of its ValueError or OverflowError; any other error or warning propagates."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return repr(fn(*args))
+        except (ValueError, OverflowError) as exc:
+            return type(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(_ENTRY_POINTS)), st.lists(st.sampled_from(_EDGES), min_size=4, max_size=4))
+def test_scalar_entry_points_end_in_a_value_or_a_clean_error(name, edges):
+    # strings raised TypeError, and numpy scalars numpy RuntimeWarnings, in five of these functions
+    fn, arity = _ENTRY_POINTS[name]
+    args = edges[:arity]
+    outcome = _outcome(fn, args)
+    python_args = [a.item() if isinstance(a, np.generic) else a for a in args]
+    assert outcome == _outcome(fn, python_args)

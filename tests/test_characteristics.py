@@ -82,25 +82,25 @@ class TestEvalCharacteristics:
 
     def test_identity_at_t_zero(self):
         g = sample_solution(minus_sine(), 0.0, 16)
-        np.testing.assert_allclose(g.samples, -np.sin(grid_points(g.M)), atol=1e-14)
+        np.testing.assert_allclose(g, -np.sin(grid_points(g.size)), atol=1e-14)
 
     def test_origin_is_fixed_point(self):
         for t in (0.1, 0.5, 0.9):
             g = sample_solution(minus_sine(), t, 16)
-            assert grid_points(g.M)[8] == 0.0 and g.samples[8] == pytest.approx(0.0, abs=1e-12)
+            assert grid_points(g.size)[8] == 0.0 and g[8] == pytest.approx(0.0, abs=1e-12)
 
     def test_against_bisection_oracle(self):
         g = sample_solution(minus_sine(), 0.5, 16)
-        assert grid_points(g.M)[12] == np.pi / 2
+        assert grid_points(g.size)[12] == np.pi / 2
         foot = bisect_characteristic_foot(lambda z: -np.sin(z), np.pi / 2, 0.5, 0.5, tol=1e-14)
-        assert g.samples[12] == pytest.approx(-np.sin(foot), abs=1e-12)
+        assert g[12] == pytest.approx(-np.sin(foot), abs=1e-12)
 
     def test_multimode_against_bisection_oracle(self, rng):
         spec = SineSpectrum(rng.uniform(-0.5, 0.5, 5))
         u0 = InitialField(spec)
         t = 0.4 * tmax_inviscid(u0)
         g = sample_solution(u0, t, 8)
-        for x, u in zip(grid_points(g.M), g.samples):
+        for x, u in zip(grid_points(g.size), g):
             foot = bisect_characteristic_foot(
                 lambda z: float(evaluate_field(spec, z)), x, t, t * u0.sup_bound + 1e-9
             )
@@ -118,7 +118,7 @@ class TestEvalCharacteristics:
             xi = xi - (xi + t * u0.value(xi) - x) / (1.0 + t * u0.slope(xi))
         assert np.sum(~(np.abs(xi + t * u0.value(xi) - x) <= characteristics._RESIDUAL_TOL)) >= 4
         g = sample_solution(u0, t, 64)
-        for xj, uj in zip(x, g.samples):
+        for xj, uj in zip(x, g):
             foot = bisect_characteristic_foot(
                 lambda z: float(evaluate_field(spec, z)), xj, t, t * u0.sup_bound + 1e-9
             )
@@ -166,10 +166,16 @@ class TestEvalCharacteristics:
     def test_non_finite_time_rejected(self, t, psi):
         # NaN passed every horizon test and returned u0's own samples; inf did so on zero data (T_max = inf)
         u0 = InitialField(SineSpectrum(psi))
-        with pytest.raises(ValueError, match=f"time must be finite and nonnegative, got t={t}"):
+        with pytest.raises(ValueError, match=f"time must be finite and nonnegative, got {t}"):
             sample_solution(u0, t, 16)
         with pytest.raises(ValueError, match="time must be finite"):
-            attractor_decay_series(u0, [0.1, t], AttractorFn("F", 1.0, "origin"), M=16)
+            attractor_decay_series(u0, [0.1, t], AttractorFn(1.0, "origin"), M=16)
+
+    @pytest.mark.parametrize("t", [True, "0.1", None])
+    def test_bool_or_non_numeric_time_refused(self, t):
+        # t=True once sampled as t=1 and raised HorizonError past the guarded horizon; a string raised TypeError
+        with pytest.raises(ValueError, match=f"time must be finite and nonnegative, got {t!r}"):
+            sample_solution(InitialField(SineSpectrum([0.5])), t, 64)
 
     def test_nan_residual_is_never_converged(self):
         # NaN fails abs(r) > tol, so the solve once returned the feet it started from
@@ -245,12 +251,12 @@ class TestSampledStart:
 class TestSampleSolution:
     def test_t_zero_equals_synthesis(self):
         g = sample_solution(minus_sine(), 0.0, 256)
-        np.testing.assert_allclose(g.samples, synthesize(SineSpectrum([0.5]), 256).samples, atol=1e-14)
+        np.testing.assert_allclose(g, synthesize(SineSpectrum([0.5]), 256), atol=1e-14)
 
     def test_odd_symmetry_preserved(self):
         for t in (0.2, 0.6, 0.9):
             g = sample_solution(minus_sine(), t, 1024)
-            assert odd_symmetry_residual(g.samples) <= 1e-10
+            assert odd_symmetry_residual(g) <= 1e-10
 
     def test_l2_norm_conserved_near_horizon(self):
         g = sample_solution(minus_sine(), 0.9, 4096)
@@ -288,7 +294,7 @@ class TestHalfGridSolve:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(characteristics, "_solve_feet", counted)
-            u = sample_solution(u0, t, M).samples
+            u = sample_solution(u0, t, M)
         assert sizes == [M // 2 - 1]
         assert u[0] == 0.0 and u[M // 2] == 0.0
         assert np.array_equal(u[1:], -u[:0:-1])
@@ -316,9 +322,9 @@ class TestPdeResidual:
         u0 = minus_sine()
         t, ht, M = 0.3, 1e-5, 1024
         x = grid_points(M)
-        um = sample_solution(u0, t - ht, M).samples
-        u = sample_solution(u0, t, M).samples
-        up = sample_solution(u0, t + ht, M).samples
+        um = sample_solution(u0, t - ht, M)
+        u = sample_solution(u0, t, M)
+        up = sample_solution(u0, t + ht, M)
         u_t = (up - um) / (2 * ht)
         hx = 2 * np.pi / M
         u_x = (np.roll(u, -1) - np.roll(u, 1)) / (2 * hx)
@@ -357,8 +363,8 @@ class TestZeroPadding:
         t_max = tmax_inviscid(fields[0])
         times = np.linspace(0.0, 0.8 * t_max, 5)
         r = optimal_r(spec).r0
-        grids = [sample_solution(u0, float(times[-1]), 1024).samples for u0 in fields]
-        tables = [attractor_decay_series(u0, times, AttractorFn("F", r, "origin"), M=1024) for u0 in fields]
+        grids = [sample_solution(u0, float(times[-1]), 1024) for u0 in fields]
+        tables = [attractor_decay_series(u0, times, AttractorFn(r, "origin"), M=1024) for u0 in fields]
         assert np.max(np.abs(grids[0] - grids[1])) <= 1e-13
         assert np.max(np.abs(tables[0].distance - tables[1].distance)) <= 1e-13
         assert np.max(np.abs(tables[0].predicted - tables[1].predicted)) <= 1e-13

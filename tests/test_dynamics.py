@@ -75,9 +75,12 @@ class TestModelParams:
         with pytest.raises(ValueError, match=shown):
             ModelParams(**fields)
 
-    def test_numpy_scalars_accepted(self):
-        params = ModelParams(np.float64(0.25), np.int64(0))
-        assert (params.alpha, params.nu) == (0.25, 0)
+    @pytest.mark.parametrize("alpha", [np.float64(0.25), np.float32(0.25)])
+    def test_numpy_scalars_accepted(self, alpha):
+        # stored as their Python values: np.float32(0.25) was kept, and S(alpha) then ran in float32
+        params = ModelParams(alpha, np.int64(0))
+        assert (params.alpha, params.nu) == (0.25, 0) and (type(params.alpha), type(params.nu)) == (float, int)
+        assert type(ModelParams(1, 0).alpha) is int  # a Python int stays one, and prints as one in run.json
 
 
 class TestDiagnosticsConfig:
@@ -115,8 +118,10 @@ class TestDiagnosticsConfig:
             DiagnosticsConfig(**fields)
 
     def test_numpy_scalars_accepted(self):
-        diag = DiagnosticsConfig(r=np.float64(0.5), tail_threshold=np.float32(1e-3), store_spectra=True)
+        diag = DiagnosticsConfig(stride=np.int64(3), r=np.float64(0.5), tail_threshold=np.float32(1e-3), store_spectra=True)
         assert diag.r == 0.5 and diag.store_spectra is True
+        # stored as their Python values
+        assert [type(v) for v in (diag.stride, diag.r, diag.tail_threshold)] == [int, float, float]
 
     def test_numpy_integer_stride_accepted(self):
         rec = evolve(SineSpectrum.sine_wave(1.0, 16), ModelParams(0.5, 0.1), 0.01, 1e-3, DiagnosticsConfig(stride=np.int64(3)))
@@ -533,7 +538,7 @@ class TestEvolve:
             DiagnosticsConfig(stride=5, store_spectra=True),
         )
         M = 512  # the default diagnostic grid for N = 200
-        mins = [synthesize_slope(SineSpectrum(psi), M).min() for psi in rec.spectra]
+        mins = [synthesize_slope(psi, M).min() for psi in rec.spectra]
         assert rec.min_ux.tolist() == mins
 
     def test_tail_fraction_zero_field(self):
@@ -855,7 +860,7 @@ class TestOddSubspacePreservation:
         params = ModelParams(0.25, 0.05)
         N, M = 32, 128
         g = synthesize(SineSpectrum(1.0 / np.arange(1, N + 1) ** 2), M)
-        u_hat = np.fft.rfft(g.samples) / M
+        u_hat = np.fft.rfft(g) / M
         k = np.arange(M // 2 + 1, dtype=float)
         dt = 1e-3
         for _ in range(200):
@@ -873,7 +878,7 @@ class TestOddSubspacePreservation:
         rec = evolve(SineSpectrum.sine_wave(1.0, 64), ModelParams(0.25, 0.05), 0.2, 1e-3,
                      DiagnosticsConfig(store_spectra=True))
         g = synthesize(SineSpectrum(rec.spectra[-1]), 256)
-        assert odd_symmetry_residual(g.samples) < 1e-12
+        assert odd_symmetry_residual(g) < 1e-12
 
 
 class TestRecordSerialization:
@@ -938,4 +943,4 @@ class TestGalerkinVsCharacteristics:
         )
         exact = sample_solution(InitialField(SineSpectrum([0.5])), t_half, 2048)
         approx = synthesize(SineSpectrum(rec.spectra[-1]), 2048)
-        assert np.max(np.abs(exact.samples - approx.samples)) <= 1e-5
+        assert np.max(np.abs(exact - approx)) <= 1e-5

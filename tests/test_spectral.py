@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from burgers_lab.characteristics import InitialField, sample_solution
 from burgers_lab.spectral import (
-    GridFunction,
     NonOddInputError,
     SineSpectrum,
     UnderResolvedError,
@@ -85,11 +85,11 @@ class TestSineSpectrum:
 class TestSynthesize:
     def test_single_mode_is_minus_sine(self):
         g = synthesize(SineSpectrum([0.5]), 8)
-        np.testing.assert_allclose(g.samples, -np.sin(grid_points(g.M)), atol=1e-15)
+        np.testing.assert_allclose(g, -np.sin(grid_points(g.size)), atol=1e-15)
 
     def test_zero_field(self):
         g = synthesize(SineSpectrum(np.zeros(5)), 32)
-        assert np.all(g.samples == 0.0)
+        assert np.all(g == 0.0)
 
     def test_partial_attractor_sum_matches_direct_summation(self):
         # psi_n = 1/n, value at x = pi/2 against the plain summation oracle
@@ -97,10 +97,10 @@ class TestSynthesize:
         spec = SineSpectrum(1.0 / np.arange(1, N + 1))
         g = synthesize(spec, M)
         direct = synthesize_direct(spec, M)
-        np.testing.assert_allclose(g.samples, direct, atol=1e-12)
-        j = np.argmin(np.abs(grid_points(g.M) - np.pi / 2))
+        np.testing.assert_allclose(g, direct, atol=1e-12)
+        j = np.argmin(np.abs(grid_points(g.size) - np.pi / 2))
         expected = -2.0 * sum(np.sin(n * np.pi / 2) / n for n in range(1, N + 1))
-        assert abs(g.samples[j] - expected) < 1e-12
+        assert abs(g[j] - expected) < 1e-12
 
     def test_under_resolution_error(self):
         with pytest.raises(UnderResolvedError):
@@ -112,29 +112,29 @@ class TestSynthesize:
 
     def test_output_is_odd(self):
         g = synthesize(SineSpectrum([0.3, -0.2]), 16)
-        assert odd_symmetry_residual(g.samples) < 1e-14
+        assert odd_symmetry_residual(g) < 1e-14
 
 
 class TestAnalyze:
     def test_single_mode(self):
-        grid = GridFunction(-2.0 * np.sin(3 * grid_points(64)))
+        grid = -2.0 * np.sin(3 * grid_points(64))
         psi = analyze(grid, 8).psi
         np.testing.assert_allclose(psi[2], 1.0, atol=1e-14)
         assert np.max(np.abs(np.delete(psi, 2))) < 1e-14
 
     def test_even_function_rejected(self):
         with pytest.raises(NonOddInputError):
-            analyze(GridFunction(np.cos(grid_points(64))), 8)
+            analyze(np.cos(grid_points(64)), 8)
 
     def test_under_resolution(self):
         with pytest.raises(UnderResolvedError):
-            analyze(GridFunction(np.zeros(16)), 16)
+            analyze(np.zeros(16), 16)
 
     def test_matches_direct_projection(self, rng):
         spec = SineSpectrum(rng.uniform(-1, 1, 9))
         g = synthesize(spec, 64)
         np.testing.assert_allclose(
-            analyze(g, 9).psi, analyze_direct(g.samples, 9), atol=1e-13
+            analyze(g, 9).psi, analyze_direct(g, 9), atol=1e-13
         )
 
     @settings(max_examples=40, deadline=None)
@@ -190,12 +190,12 @@ class TestPointwiseEvaluation:
     def test_field_matches_grid(self, rng):
         spec = SineSpectrum(rng.uniform(-1, 1, 12))
         g = synthesize(spec, 128)
-        x = grid_points(g.M)
-        np.testing.assert_allclose(evaluate_field(spec, x), g.samples, atol=1e-12)
+        x = grid_points(g.size)
+        np.testing.assert_allclose(evaluate_field(spec, x), g, atol=1e-12)
         # a scalar, a few points and the whole grid go through the same Horner sum
         for j in (0, 17, 64):
-            assert evaluate_field(spec, x[j]) == pytest.approx(g.samples[j], abs=1e-12)
-        np.testing.assert_allclose(evaluate_field(spec, x[:5]), g.samples[:5], atol=1e-12)
+            assert evaluate_field(spec, x[j]) == pytest.approx(g[j], abs=1e-12)
+        np.testing.assert_allclose(evaluate_field(spec, x[:5]), g[:5], atol=1e-12)
 
     def test_slope_matches_finite_differences(self, rng):
         spec = SineSpectrum(rng.uniform(-1, 1, 12))
@@ -206,7 +206,7 @@ class TestPointwiseEvaluation:
 
     def test_slope_grid_synthesis(self, rng):
         spec = SineSpectrum(rng.uniform(-1, 1, 12))
-        got = synthesize_slope(spec, 128)
+        got = synthesize_slope(spec.psi, 128)
         x = grid_points(128)
         np.testing.assert_allclose(got, evaluate_slope(spec, x), atol=1e-12)
         for j in (0, 17, 64):
@@ -228,19 +228,31 @@ class TestPointwiseEvaluation:
         psi = rng.uniform(-1, 1, (6, 40))
         got = synthesize_slope(psi, 128)
         assert got.shape == (6, 128)
-        assert np.array_equal(got, np.stack([synthesize_slope(SineSpectrum(row), 128) for row in psi]))
+        assert np.array_equal(got, np.stack([synthesize_slope(row, 128) for row in psi]))
         with pytest.raises(UnderResolvedError):
             synthesize_slope(psi, 64)
 
 
-class TestGridFunction:
+class TestGridSamples:
+    """Grids are read-only float arrays; the two producers, synthesize and sample_solution, check their size."""
+
     def test_power_of_two_required(self):
-        with pytest.raises(ValueError):
-            GridFunction(np.zeros(24))
+        with pytest.raises(ValueError, match="grid size must be a power of two, at least 4"):
+            synthesize(SineSpectrum([1.0]), 24)
+        with pytest.raises(ValueError, match="grid size must be a power of two, at least 4"):
+            sample_solution(InitialField(SineSpectrum([0.5])), 0.1, 24)
 
     def test_minimum_size(self):
-        with pytest.raises(ValueError):
-            GridFunction(np.zeros(2))
+        with pytest.raises(ValueError, match="grid size must be a power of two, at least 4"):
+            synthesize(SineSpectrum([1.0]), 2)
+        with pytest.raises(ValueError, match="grid size must be a power of two, at least 4"):
+            sample_solution(InitialField(SineSpectrum([0.5])), 0.1, 2)
+
+    def test_samples_are_read_only_arrays(self):
+        grids = synthesize(SineSpectrum([0.5]), 64), sample_solution(InitialField(SineSpectrum([0.5])), 0.1, 64)
+        for u in grids:
+            assert isinstance(u, np.ndarray) and u.dtype == float and u.shape == (64,)
+            assert not u.flags.writeable
 
     def test_lq_norms(self):
         g = synthesize(SineSpectrum([0.5]), 4096)

@@ -1,8 +1,10 @@
+import inspect
 import re
 
 import numpy as np
 import pytest
 
+from burgers_lab import verify
 from burgers_lab.dynamics import nonlinear_direct
 from burgers_lab.verify import (
     SUITES,
@@ -55,25 +57,34 @@ def _tail_sign_flipped(psi):
     return n * (0.5 * s1 + s2)
 
 
-def test_injected_sign_error_fails_energy_neutrality():
-    assert energy_neutrality_suite(seed=0, cases=5).passed
-    broken = energy_neutrality_suite(seed=0, cases=5, nonlinear=_tail_sign_flipped)
+def test_injected_sign_error_fails_energy_neutrality(monkeypatch):
+    assert energy_neutrality_suite(seed=0).passed
+    monkeypatch.setattr(verify, "nonlinear_direct", _tail_sign_flipped)
+    broken = energy_neutrality_suite(seed=0)
     assert not broken.passed
 
 
-def test_injected_sign_error_fails_lyapunov_identity():
-    broken = lyapunov_identity_suite(seed=0, cases=5, nonlinear=_tail_sign_flipped)
+def test_injected_sign_error_fails_lyapunov_identity(monkeypatch):
+    monkeypatch.setattr(verify, "nonlinear_direct", _tail_sign_flipped)
+    broken = lyapunov_identity_suite(seed=0)
     assert not broken.passed
 
 
-def test_non_finite_kernel_output_fails_and_is_located():
+def test_non_finite_kernel_output_fails_and_is_located(monkeypatch):
     calls = []
 
     def nan_on_third_call(psi):
         calls.append(psi)
         return np.full_like(psi, np.nan) if len(calls) == 3 else nonlinear_direct(psi)
 
-    broken = energy_neutrality_suite(seed=0, cases=5, N=16, nonlinear=nan_on_third_call)
+    monkeypatch.setattr(verify, "nonlinear_direct", nan_on_third_call)
+    broken = energy_neutrality_suite(seed=0)
     assert not broken.passed and np.isnan(broken.worst)
-    assert broken.where == "seed 0, case 2, N=16"
+    assert broken.where == "seed 0, case 2, N=256"
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_every_suite_takes_only_a_seed(name):
+    # the data, sizes and kernel of a suite are its own: a seam set only by tests does not come back
+    assert list(inspect.signature(SUITES[name]).parameters) == ["seed"]
 
