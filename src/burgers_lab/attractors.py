@@ -183,6 +183,7 @@ def key_identity_residuals(spec: SineSpectrum) -> tuple[float, float]:
 
 def attractor_distance(spec: SineSpectrum, r: float, jump_location: str = "origin") -> float:
     """||u - r F(x - s)||^2 expanded exactly (``profile_distance``) with E taken on ``_unit_scaled`` psi, as the march records it."""
+    r = _checked("r", r, "a real number with r^2 ||F||^2 finite", lambda v: v * v * F_L2_NORM_SQ < math.inf)
     scaled, k = _unit_scaled(spec.psi)
     return float(profile_distance(_weighted_energy(scaled), lyapunov_diagnostic(spec.psi, jump_location), r, k))
 

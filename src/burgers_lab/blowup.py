@@ -25,7 +25,6 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
@@ -51,9 +50,6 @@ _LEMMA_SAMPLES = 100
 _LEMMA_SLACK = 1e-9
 #: level of y at which the equality-case run stops
 _LEMMA_STOP = 1e9
-#: Chebyshev-Lobatto nodes per panel of that run, and its number of equal panels
-_PANEL_NODES = 25
-_PANELS = 16
 
 
 class OutsideValidityError(ValueError):
@@ -170,10 +166,7 @@ def simplified_lower_bound(y0: float, kappa: float, M: float, t: float) -> float
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Outcome of integrating y' = -f + kappa y^2 against both bounds.
-
-    ``steps`` counts the Chebyshev panels of the integration.
-    """
+    """Outcome of integrating y' = -f + kappa y^2 against both bounds."""
 
     passed: bool
     hypothesis_ok: bool
@@ -181,95 +174,61 @@ class ComparisonReport:
     max_comparison_violation: float
     max_simplified_violation: float | None
     riccati_max_error: float | None
-    steps: int
-
-
-@lru_cache(maxsize=1)
-def _chebyshev_panel() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Chebyshev-Lobatto nodes x on [-1, 1] (ascending), their barycentric
-    weights, and the integration matrix J: (J g)_i = int_{-1}^{x_i} of the
-    interpolant of g's node values.  Built once per process; read-only.
-    """
-    n = _PANEL_NODES - 1
-    nodes = -np.cos(np.pi * np.arange(n + 1) / n)
-    weights = (-1.0) ** np.arange(n + 1)
-    weights[[0, -1]] *= 0.5
-    cheb = np.polynomial.chebyshev
-    to_coeffs = np.linalg.inv(cheb.chebvander(nodes, n))
-    integrate = cheb.chebvander(nodes, n + 1) @ cheb.chebint(to_coeffs, lbnd=-1.0)
-    integrate[0] = 0.0  # an empty integral, exactly: each panel starts at the last one's end values
-    for a in (nodes, weights, integrate):
-        a.flags.writeable = False
-    return nodes, weights, integrate
-
-
-def _barycentric(x: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Row i of ``values``, given at the panel's nodes, interpolated at x[i]."""
-    nodes, weights, _ = _chebyshev_panel()
-    diff = x[:, None] - nodes
-    hit = diff == 0.0
-    diff[hit] = 1.0
-    c = weights / diff
-    on_node = hit.any(axis=1)
-    c[on_node] = hit[on_node]
-    return np.sum(c * values, axis=1) / np.sum(c, axis=1)
 
 
 def _equality_case(
     y0: float, kappa: float, M: float, t_end: float
-) -> tuple[Callable[[np.ndarray], np.ndarray], float, bool, int]:
+) -> tuple[Callable[[np.ndarray], np.ndarray], float, bool]:
     """Integrate y' = kappa y^2 - M / (2 sqrt(t)), y(0) = y0, on [0, t_end] until y = _LEMMA_STOP.
 
-    Returns y on the times reached, the last time reached (a float), whether
-    y hit the stop level there, and the number of panels.  The linear system
-    of ``verify_comparison_lemma`` is taken in sigma = sqrt(t / t_end) and
-    U = V / (kappa y0), where it reads
+    Returns y on the times reached, the last time reached (a float), and
+    whether y hit the stop level there.  In sigma = sqrt(t / t_end) and
+    U = V / (kappa y0), ``verify_comparison_lemma``'s linear system reads
+    dW/dsigma = 2 a sigma U, dU/dsigma = b W, W(0) = 1, U(0) = -1, with
+    a = kappa y0 t_end, b = M sqrt(t_end) / y0 and y = -y0 U / W.  W and U
+    are entire (built from the Bessel functions I_{+-2/3} of t^{3/4},
+    Abramowitz & Stegun 9.6.10): their Taylor coefficients in sigma, from
+    w_0 = 1, u_0 = -1, (k + 1) w_{k+1} = 2 a u_{k-1} and
+    (k + 1) u_{k+1} = b w_k, are summed by Horner's rule.  verify's t_end,
+    the lesser of y0^2/M^2 and ten horizons 3/(kappa y0), gives a <= 30 and
+    b <= 1 at any scale of the inputs.  Past k = 2a each coefficient is
+    below one of the three before it, and the series stops where those three
+    fall below 1e-18 of the largest: at (a, b) = (30, 1) after 62 terms,
+    whose magnitudes sum to 584 (W) and 78 (U), a bound on the round-off.
 
-        dW/dsigma = 2 a sigma U,   dU/dsigma = b W,   W(0) = 1,   U(0) = -1,
-
-    with a = kappa y0 t_end and b = M sqrt(t_end) / y0, and y = -y0 U / W.
-    On verify's runs a <= 30 and b <= 1, so nothing leaves the float range
-    at any scale of the inputs.  It is collocated in integral form on
-    _PANELS = 16 equal panels of [0, 1]: on [c, c + h] the unknowns are W'
-    and U' at the Chebyshev nodes, W = W(c) + J W' and U = U(c) + J U' with
-    J scaled by h/2, and one 2n x 2n solve gives the panel, whose end values
-    start the next.  The stop is at the first node where
-    z = -y0 U - _LEMMA_STOP W >= 0, refined by bisection on the panel's
-    interpolant of z to one ulp of the panel coordinate.
+    z = -y0 U - _LEMMA_STOP W, which is W (y - _LEMMA_STOP) while W > 0, is
+    negative until y first reaches the stop level, from where y rises to its
+    pole; W falls through zero there with U < 0, and then W and U both fall,
+    so z changes sign at most once on [0, 1].  If z(1) >= 0 that change is
+    bisected to one ulp of sigma; otherwise the run ends at t_end.
     """
-    nodes, _, integrate = _chebyshev_panel()
-    n, h = nodes.size, 1.0 / _PANELS
     a, b = t_end * (kappa * y0), M * math.sqrt(t_end) / y0
-    jh = 0.5 * h * integrate
-    panels = []
-    w_c, u_c, s_last, blew_up = 1.0, -1.0, 1.0, False
-    for c in h * np.arange(_PANELS):
-        s = c + 0.5 * h * (nodes + 1.0)
-        system = np.eye(2 * n)
-        system[:n, n:] = -2.0 * a * s[:, None] * jh
-        system[n:, :n] = -b * jh
-        dw, du = np.split(np.linalg.solve(system, np.concatenate([2.0 * a * s * u_c, np.full(n, b * w_c)])), 2)
-        w, u = w_c + jh @ dw, u_c + jh @ du
-        panels.append((w, u))
-        z = -y0 * u - _LEMMA_STOP * w
-        crossed = np.flatnonzero(z >= 0.0)
-        if crossed.size:
-            lo, hi = nodes[crossed[0] - 1], nodes[crossed[0]]
-            while lo < 0.5 * (lo + hi) < hi:
-                mid = 0.5 * (lo + hi)
-                lo, hi = (lo, mid) if _barycentric(np.array([mid]), z[None, :])[0] >= 0.0 else (mid, hi)
-            s_last, blew_up = c + 0.5 * h * (hi + 1.0), True
-            break
-        w_c, u_c = w[-1], u[-1]
-    ws, us = map(np.array, zip(*panels))
+    w, u, peak = [1.0], [-1.0], 1.0
+    while len(w) <= 2.0 * a + 1.0 or max(map(abs, w[-3:] + u[-3:])) > 1e-18 * peak:
+        k = len(w) - 1
+        w.append(2.0 * a * u[k - 1] / (k + 1) if k else 0.0)
+        u.append(b * w[k] / (k + 1))
+        peak = max(peak, abs(w[-1]), abs(u[-1]))
+    z = [-y0 * uk - _LEMMA_STOP * wk for wk, uk in zip(w, u)][::-1]
+
+    def z_at(s: float) -> float:
+        acc = 0.0
+        for c in z:
+            acc = acc * s + c
+        return acc
+
+    lo, hi = 0.0, 1.0
+    blew_up = z_at(hi) >= 0.0
+    while blew_up and lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if z_at(mid) >= 0.0 else (mid, hi)
+    coeffs = np.array([w, u]).T
 
     def y(t: np.ndarray) -> np.ndarray:
-        scaled = np.sqrt(t / t_end) * _PANELS  # the panel index plus the place within it
-        k = np.clip(np.floor(scaled), 0, len(panels) - 1).astype(int)
-        x = 2.0 * (scaled - k) - 1.0
-        return -y0 * _barycentric(x, us[k]) / _barycentric(x, ws[k])
+        W, U = np.polynomial.polynomial.polyval(np.sqrt(t / t_end), coeffs)
+        return -y0 * U / W
 
-    return y, float(s_last) ** 2 * t_end, blew_up, len(panels)
+    return y, hi * hi * t_end, blew_up
 
 
 def verify_comparison_lemma(y0: float, kappa: float, M: float) -> ComparisonReport:
@@ -287,12 +246,13 @@ def verify_comparison_lemma(y0: float, kappa: float, M: float) -> ComparisonRepo
     and y = -V/(kappa W): the forcing's singularity at t = 0 leaves only
     the constant 2 s f(s^2) = M.  W = exp(-kappa int y) stays positive until
     y blows up and then crosses zero linearly, so the integration never
-    walks into the pole of y.  ``_equality_case`` collocates this system on
-    16 equal Chebyshev panels, up to the first of the window y0^2/M^2
-    and ten horizons 3/(kappa y0).  The run stops at y = _LEMMA_STOP,
-    located to one ulp of the panel coordinate; y0 at or above that level
-    is refused.  For M = 0 the solution is also compared against the
-    closed-form Riccati solution y0/(1 - kappa y0 t).
+    walks into the pole of y.  ``_equality_case`` sums this system's power
+    series up to the first of the window y0^2/M^2 and ten horizons
+    3/(kappa y0), and stops at y = _LEMMA_STOP (y0 at or above it is
+    refused).  For M = 0 the run is also compared against the closed-form
+    Riccati solution y0/(1 - kappa y0 t).  _LEMMA_SLACK is absolute, so
+    where y nears the stop level round-off alone can exceed it: the correct
+    run at (y0, kappa, M) = (1e8, 1e-3, 0) reports passed=False, violation 9.5e-7.
     """
     y0, kappa, M = _check_lemma_inputs(y0, kappa, M)
     if not y0 < _LEMMA_STOP:
@@ -304,7 +264,7 @@ def verify_comparison_lemma(y0: float, kappa: float, M: float) -> ComparisonRepo
     t_end = min(window_prop, 10.0 * horizon, sys.float_info.max)  # ten horizons can pass the float range where one does not
     if t_end < sys.float_info.min:  # a subnormal span has too few digits to sample
         raise ValueError(f"the window y0^2/M^2 or the horizon 3/(kappa y0) underflows at y0={y0:g}, kappa={kappa:g}, M={M:g}")
-    y, t_num, blew_up, steps = _equality_case(y0, kappa, M, t_end)
+    y, t_num, blew_up = _equality_case(y0, kappa, M, t_end)
 
     # with f = 0 the first bound has zero slack (it IS the solution), so the
     # samples stay away from the pole where phase error would dominate
@@ -339,7 +299,6 @@ def verify_comparison_lemma(y0: float, kappa: float, M: float) -> ComparisonRepo
         max_comparison_violation=max_comp,
         max_simplified_violation=max_simp,
         riccati_max_error=riccati_err,
-        steps=steps,
     )
 
 

@@ -22,8 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import _checked
-from .spectral import SineSpectrum, check_grid_size, evaluate_field, evaluate_slope, grid_points, next_pow2, synthesize, synthesize_slope
+from .spectral import SineSpectrum, _checked, check_grid_size, evaluate_field, evaluate_slope, grid_points, next_pow2, synthesize, synthesize_slope
 
 #: fraction of T_max kept away from the horizon, where the map stays monotone
 HORIZON_GUARD = 1e-6

@@ -60,7 +60,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .spectral import FOUR_PI, SineSpectrum, _unit_scaled, _weighted_energy, next_pow2, synthesize_slope
+from .spectral import FOUR_PI, SineSpectrum, _checked, _unit_scaled, _weighted_energy, next_pow2, synthesize_slope
 
 #: ||F||_{L2}^2 = 4*pi * sum 1/n^2 = 2*pi^3/3 for the attractor profile F,
 #: whose sine coefficients 1/n make  L = 4*pi*sum(psi_n/n)  the natural
@@ -85,18 +85,6 @@ class ModelParams:
         alpha = _checked("alpha", self.alpha, "finite and lie in (0, 1]", lambda alpha: 0.0 < alpha <= 1.0)  # NaN fails too
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "nu", _checked("nu", self.nu, "finite and >= 0", lambda nu: 0.0 <= nu < math.inf))
-
-
-def _checked(name: str, value, what: str, ok: Callable | None = None, kind: type = numbers.Real):
-    """``value`` if it is a ``kind`` (a bool only where ``kind`` is bool) and ``ok(value)`` holds, else ValueError naming both.
-
-    A numpy scalar is checked and returned as its Python value, so nothing downstream runs in float32.
-    The one field rule of the library's dataclasses, of ``AttractorFn`` and of the scalar entry points.
-    """
-    checked = value.item() if isinstance(value, np.generic) else value
-    if not isinstance(checked, kind) or isinstance(checked, bool) != (kind is bool) or not (ok is None or ok(checked)):
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-    return checked
 
 
 def _positive(name: str, value: float) -> float:

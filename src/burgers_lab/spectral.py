@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -31,6 +33,18 @@ FOUR_PI = 4.0 * np.pi
 
 #: relative cosine/mean energy above which a grid is rejected as non-odd
 ODDNESS_TOL = 1e-10
+
+
+def _checked(name: str, value, what: str, ok: Callable | None = None, kind: type = numbers.Real):
+    """``value`` if it is a ``kind`` (a bool only where ``kind`` is bool) and ``ok(value)`` holds, else ValueError naming both.
+
+    A numpy scalar is checked and returned as its Python value, so nothing downstream runs in float32.
+    The one field rule of the library's dataclasses, of ``sobolev_norm``, of ``AttractorFn`` and of the scalar entry points.
+    """
+    checked = value.item() if isinstance(value, np.generic) else value
+    if not isinstance(checked, kind) or isinstance(checked, bool) != (kind is bool) or not (ok is None or ok(checked)):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return checked
 
 
 class UnderResolvedError(ValueError):
@@ -234,8 +248,7 @@ def _unit_scaled(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def sobolev_norm(spec: SineSpectrum, s: float) -> float:
     """Homogeneous Sobolev norm sqrt(4*pi * sum n^{2s} psi_n^2); s=0 is L2, taken on ``_unit_scaled`` psi."""
-    if s < 0:
-        raise ValueError("order s must be >= 0")
+    s = _checked("s", s, "finite and >= 0", lambda v: 0 <= v < math.inf)
     n = np.arange(1, spec.N + 1, dtype=float)
     scaled, k = _unit_scaled(spec.psi)
     return math.ldexp(float(np.sqrt(_weighted_energy(scaled, n ** (2.0 * s)))), int(k))

@@ -124,8 +124,7 @@ def comparison_lemma_suite(seed: int = 0) -> SuiteResult:
     at = lambda i: "y0={:g}, kappa={:g}, M={:g}".format(*cases[i])
     riccati = _check([reports[-1].riccati_max_error], 1e-9, lambda _: at(len(cases) - 1))
     checks = {"violation": _check(violations, 1e-9, at), "riccati": riccati}
-    steps = sum(rep.steps for rep in reports)
-    return _named_result("comparison-lemma", f"3 forced cases + closed-form check, {steps} steps", checks)
+    return _named_result("comparison-lemma", "3 forced cases + closed-form check", checks)
 
 
 def lq_conservation_suite(seed: int = 0) -> SuiteResult:

@@ -1,5 +1,4 @@
 import inspect
-import re
 
 import numpy as np
 import pytest
@@ -28,10 +27,8 @@ def test_suites_pass_at_other_seeds():
         assert all(r.passed for r in run_suites(seed=seed))
 
 
-def test_comparison_lemma_prints_its_step_total():
-    # the "steps" are the Chebyshev panels of the four runs: 15, at most 16 each
-    steps = re.search(r", (\d+) steps$", comparison_lemma_suite().detail)
-    assert steps and 0 < int(steps.group(1)) < 200
+def test_comparison_lemma_names_its_cases():
+    assert comparison_lemma_suite().detail == "3 forced cases + closed-form check"
 
 
 def test_suite_filter():
