@@ -32,8 +32,7 @@ import numpy as np
 
 from .characteristics import InitialField, sample_solution
 from .dynamics import F_L2_NORM_SQ, _checked, _jump, lyapunov_diagnostic, nonlinear_direct, optimal_scale, profile_distance
-from .spectral import FOUR_PI, SineSpectrum, UnderResolvedError, _unit_scaled, _weighted_energy, analyze, check_grid_size, next_pow2
-from .spectral import evaluate_field, evaluate_slope  # not called here: kept for perfbench/tracing.py until ROADMAP item 13
+from .spectral import FOUR_PI, SineSpectrum, UnderResolvedError, _unit_scaled, _weighted_energy, analyze, check_grid_size, evaluate_field, evaluate_slope
 
 
 class DivergentSeriesError(ValueError):
@@ -42,10 +41,6 @@ class DivergentSeriesError(ValueError):
 
 class UnsupportedRegimeError(DivergentSeriesError):
     """S(alpha) diverges at alpha >= 1/2, so no certificate applies: they need supercritical dissipation."""
-
-
-def _wrap(x: np.ndarray) -> np.ndarray:
-    return (np.asarray(x, dtype=float) + np.pi) % (2.0 * np.pi) - np.pi
 
 
 #: bound on the summation error of every series constant (``power_sum``) the lab uses
@@ -83,7 +78,7 @@ class AttractorFn:
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Pointwise values; at the jump, the midpoint 0."""
-        xr = _wrap(x)
+        xr = (np.asarray(x, dtype=float) + np.pi) % (2.0 * np.pi) - np.pi
         if self.jump_location == "pi":
             return self.scale * np.where(xr == -np.pi, 0.0, xr)
         return self.scale * np.where(xr > 0, xr - np.pi, np.where(xr < 0, xr + np.pi, 0.0))
@@ -107,12 +102,13 @@ _F = PROFILES["F"]
 # ---------------------------------------------------------------------------
 # quadrature split at F's jump
 
-def _panel_rule(total_nodes: int) -> tuple[np.ndarray, float]:
-    """Midpoints m_p of max(4, total_nodes // 64) equal panels on each of [-pi, 0] and [0, pi], and their half-width h.
+def _panel_rule(N: int) -> tuple[np.ndarray, float]:
+    """Midpoints m_p of N // 8 + 1 equal panels on each of [-pi, 0] and [0, pi], and their half-width h.
 
-    The 32-point rule's nodes are m_p + h t_j, and the jump at the origin is never one.
+    A panel is shorter than 8 pi / N, so it spans fewer than 8 periods of mode 2N, the top mode of u u_x
+    for N modes of u.  The 32-point rule's nodes are m_p + h t_j, and the jump at the origin is never one.
     """
-    n_panels = max(4, total_nodes // 64)
+    n_panels = N // 8 + 1
     h = np.pi / (2 * n_panels)
     return np.concatenate([a + h * np.arange(1.0, 2 * n_panels, 2) for a in (-np.pi, 0.0)]), h
 
@@ -124,37 +120,8 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     Both arrays are read-only: the cache shares them with every caller.
     """
     nodes, weights = np.polynomial.legendre.leggauss(32)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
+    nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
-
-
-@lru_cache(maxsize=1)
-def _key_identity_tables(total_nodes: int, modes: int) -> tuple[np.ndarray, ...]:
-    """F w at the nodes m_p + h t_j split at the origin, e^{i n m_p} and e^{i n h t_j} for n = 1..modes; read-only.
-
-    Above N = 512 the panels grow as N / 8, so the e^{i n m_p} table holds about N^2 / 4 entries.
-    """
-    nodes, weights = _gauss_legendre()
-    mids, h = _panel_rule(total_nodes)
-    n = np.arange(1, modes + 1)
-    outer, inner = np.exp(1j * np.multiply.outer(mids, n)), np.exp(1j * np.multiply.outer(n, h * nodes))
-    tables = _F.evaluate(mids[:, None] + h * nodes) * (h * weights), outer, inner
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
-def _key_identity_nodes(spec: SineSpectrum, total_nodes: int) -> tuple[np.ndarray, ...]:
-    """F w, u and u_x at the Gauss nodes split at the origin, (panels, 32) each.
-
-    As e^{i n x} = e^{i n m_p} e^{i n h t_j}, u and u_x are -2 Im and -2 Re of (e^{i n m_p} psi_n) @ e^{i n h t_j}
-    and of the same product for n psi_n; the tables cover the next power of two >= max(N, 32) modes.
-    """
-    N = spec.N
-    f_w, outer, inner = _key_identity_tables(total_nodes, next_pow2(max(N, 32)))
-    series, slopes = (outer[:, :N] * np.stack([spec.psi, np.arange(1, N + 1) * spec.psi])[:, None]) @ inner[:N]
-    return f_w, -2.0 * series.imag, -2.0 * slopes.real
 
 
 # ---------------------------------------------------------------------------
@@ -170,22 +137,30 @@ def key_identity_residuals(spec: SineSpectrum) -> tuple[float, float]:
 
     The coefficient path embeds u in 2N modes so the quadratic product is
     complete, takes u u_x = -(Galerkin nonlinearity), and pairs with 1/n.
-    The quadrature path integrates F*u*u_x with the panel rule split at
-    the origin, on max(4096, 8N) nodes, taking u and u_x at every node
-    from their series (``_key_identity_nodes``).
+    The quadrature path integrates F*u*u_x with the 32-point rule on the
+    64 (N // 8 + 1) nodes of ``_panel_rule``, split at the origin, taking
+    u and u_x at every node from the lab's point evaluator
+    (``evaluate_field``, ``evaluate_slope``).
     """
     energy = float(_weighted_energy(spec.psi))
     padded = spec.padded(2 * spec.N)
     res_coeff = float(lyapunov_diagnostic(-nonlinear_direct(padded.psi)) + 0.5 * energy)
-    f_w, u, u_x = _key_identity_nodes(spec, max(4096, 8 * spec.N))
-    return res_coeff, float(np.sum(f_w * u * u_x) + 0.5 * energy)
+    nodes, weights = _gauss_legendre()
+    mids, h = _panel_rule(spec.N)
+    x = mids[:, None] + h * nodes
+    f_w = _F.evaluate(x) * (h * weights)
+    return res_coeff, float(np.sum(f_w * evaluate_field(spec, x) * evaluate_slope(spec, x)) + 0.5 * energy)
 
 
 def attractor_distance(spec: SineSpectrum, r: float, jump_location: str = "origin") -> float:
-    """||u - r F(x - s)||^2 expanded exactly (``profile_distance``) with E taken on ``_unit_scaled`` psi, as the march records it."""
+    """||u - r F(x - s)||^2 by ``profile_distance``, E on ``_unit_scaled`` psi as the march records it; OverflowError beyond the float range."""
     r = _checked("r", r, "a real number with r^2 ||F||^2 finite", lambda v: v * v * F_L2_NORM_SQ < math.inf)
     scaled, k = _unit_scaled(spec.psi)
-    return float(profile_distance(_weighted_energy(scaled), lyapunov_diagnostic(spec.psi, jump_location), r, k))
+    with np.errstate(over="ignore"):
+        dist = float(profile_distance(_weighted_energy(scaled), lyapunov_diagnostic(spec.psi, jump_location), r, k))
+    if dist == math.inf:
+        raise OverflowError(f"||u - r F||^2 leaves the float range at r={r}")
+    return dist
 
 
 @dataclass(frozen=True)
@@ -260,11 +235,16 @@ def power_sum(p: float, tol: float) -> float:
     result never falls below the true sum (the safe side for the certificate
     thresholds).  The float round-off of the partial sum can push the excess
     slightly past tol: up to 1.009e-12 at tol = 1e-12 against mpmath's zeta.
+    A tol that needs more than 10^7 terms (80 MB of floats) is refused before any is formed.
     """
-    if p <= 1.0:
+    p = _checked("p", p, "a real number")
+    tol = _checked("tol", tol, "positive and finite", lambda v: 0 < v < math.inf)
+    if not p > 1.0:  # NaN too
         raise DivergentSeriesError(f"sum n^(-{p}) diverges")
-    n0 = int(np.ceil((p / (24.0 * tol)) ** (1.0 / (p + 1.0))))
-    n0 = max(64, n0)
+    terms = (p / (24.0 * tol)) ** (1.0 / (p + 1.0))
+    if not terms <= 1e7:
+        raise ValueError(f"tol={tol} needs {terms:.3g} terms of sum n^(-{p}), more than 1e+07")
+    n0 = max(64, math.ceil(terms))
     n = np.arange(1, n0 + 1, dtype=float)
     partial = float(np.sum(n**-p))
     tail = (n0 + 0.5) ** (1.0 - p) / (p - 1.0)

@@ -182,21 +182,27 @@ def oddness_residual(samples: np.ndarray, Y: np.ndarray | None = None) -> float:
 def analyze(grid: np.ndarray, N: int) -> SineSpectrum:
     """Recover psi_n, n = 1..N from grid samples (u_hat(n) = i*psi_n).
 
-    Raises NonOddInputError when the relative cosine/mean energy exceeds
-    ODDNESS_TOL, and UnderResolvedError when M < 2N.
+    Raises NonOddInputError when the relative cosine/mean energy exceeds ODDNESS_TOL, UnderResolvedError
+    when M < 2N, and ValueError for a non-finite sample.  It transforms u / 2^k, max |u_j| / 2^k in
+    [1/2, 1) as in ``_unit_scaled``, so no square overflows: exact in the normal range.
     """
     u = np.asarray(grid, dtype=float)
     M = u.size
     if M < 2 * N:
         raise UnderResolvedError(f"grid size {M} < 2N = {2 * N}")
-    Y = np.fft.rfft(u)
-    residual = oddness_residual(u, Y)
-    if residual > ODDNESS_TOL:
+    peak = np.abs(u).max()
+    if not np.isfinite(peak):
+        raise ValueError("grid samples must be finite")
+    k = np.frexp(peak)[1]
+    scaled = np.ldexp(u, -k)
+    Y = np.fft.rfft(scaled)
+    residual = oddness_residual(scaled, Y)
+    if not residual <= ODDNESS_TOL:  # NaN fails too
         raise NonOddInputError(
             f"cosine/mean energy fraction {residual:.3e} exceeds tolerance {ODDNESS_TOL:.1e}"
         )
     alt = _alternating_signs(N + 1)
-    psi = alt[1:] * Y[1 : N + 1].imag / M
+    psi = np.ldexp(alt[1:] * Y[1 : N + 1].imag / M, k)
     return SineSpectrum(psi)
 
 
@@ -247,11 +253,23 @@ def _unit_scaled(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sobolev_norm(spec: SineSpectrum, s: float) -> float:
-    """Homogeneous Sobolev norm sqrt(4*pi * sum n^{2s} psi_n^2); s=0 is L2, taken on ``_unit_scaled`` psi."""
+    """Homogeneous Sobolev norm sqrt(4*pi * sum n^{2s} psi_n^2); s=0 is L2, taken on ``_unit_scaled`` psi.
+
+    Zero coefficients add 0 at any s.  Where a term overflows, the terms are summed over the largest, through
+    their logarithms, and only a norm beyond the float range raises OverflowError.
+    """
     s = _checked("s", s, "finite and >= 0", lambda v: 0 <= v < math.inf)
     n = np.arange(1, spec.N + 1, dtype=float)
     scaled, k = _unit_scaled(spec.psi)
-    return math.ldexp(float(np.sqrt(_weighted_energy(scaled, n ** (2.0 * s)))), int(k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.where(scaled != 0, n ** (2.0 * s), 0.0)
+        norm = float(np.ldexp(np.sqrt(_weighted_energy(scaled, weights)), k))
+        if not norm < math.inf:  # inf, or NaN where an overflowing n^{2s} met an underflowing psi_n^2
+            logs = s * np.log(n[weights > 0]) + np.log(np.abs(spec.psi[weights > 0]))  # log(n^s |psi_n|)
+            norm = float(np.exp(logs.max()) * np.sqrt(_weighted_energy(np.exp(logs - logs.max()))))
+    if not norm < math.inf:
+        raise OverflowError(f"the H^s norm at s={s} leaves the float range")
+    return norm
 
 
 def grid_lq_norm(grid: np.ndarray, q: float) -> float:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from burgers_lab import characteristics
-from burgers_lab.attractors import _gauss_legendre, _panel_rule, c_alpha
+from burgers_lab.attractors import _gauss_legendre, c_alpha
 from burgers_lab.blowup import KAPPA_F, RESOLVED_TAIL
 from burgers_lab.dynamics import (
     _jump,
@@ -46,12 +46,10 @@ def odd_symmetry_residual(samples):
 def torus_panels(jump_location, total_nodes):
     """Panel midpoints and half-width of the torus split at the jump of c F(x - s).
 
-    At the origin these are ``attractors._panel_rule``'s two pieces; for a
-    jump at pi the torus is one piece of max(4, total_nodes // 32) panels.
+    For a jump at the origin, max(4, total_nodes // 64) panels on each of [-pi, 0] and [0, pi],
+    so the origin is a panel edge; for a jump at pi, one piece of max(4, total_nodes // 32) panels.
     """
-    if _jump(jump_location) == "origin":
-        return _panel_rule(total_nodes)
-    n_panels = max(4, total_nodes // 32)
+    n_panels = 2 * max(4, total_nodes // 64) if _jump(jump_location) == "origin" else max(4, total_nodes // 32)
     h = np.pi / n_panels
     return -np.pi + h * np.arange(1.0, 2 * n_panels, 2), h
 

@@ -1,4 +1,6 @@
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +14,6 @@ from burgers_lab.attractors import (
     DivergentSeriesError,
     F_L2_NORM_SQ,
     _gauss_legendre,
-    _key_identity_nodes,
-    _key_identity_tables,
     _panel_rule,
     attractor_decay_series,
     attractor_distance,
@@ -176,36 +176,40 @@ class TestKeyIdentity:
             assert abs(rq) <= 1e-10 * max(energy, 1.0)
 
 
-class TestKeyIdentityNodes:
-    """The two exponential tables give u and u_x at every node of the key identity's quadrature."""
+class TestKeyIdentityQuadrature:
+    """The quadrature path: 64 (N // 8 + 1) Gauss nodes, u and u_x from the point evaluator."""
 
-    @pytest.mark.parametrize("N", [1, 32, 600])
-    def test_tables_match_pointwise_evaluation(self, rng, N):
-        spec = SineSpectrum(rng.uniform(-1.0, 1.0, N))
-        total = max(4096, 8 * N)
-        mids, h = _panel_rule(total)
+    @pytest.mark.parametrize("N", [1, 7, 8, 600])
+    def test_nodes_are_sized_by_N(self, N):
+        mids, h = _panel_rule(N)
         nodes = mids[:, None] + h * _gauss_legendre()[0]
-        assert mids.size == 2 * max(64, N // 8)  # 75 panels per piece at N = 600
+        assert nodes.size == 64 * (N // 8 + 1) and 2.0 * h < 8.0 * np.pi / N
         assert np.sum(nodes < 0.0) == np.sum(nodes > 0.0) == nodes.size // 2  # both pieces, never the jump
-        _, u, u_x = _key_identity_nodes(spec, total)
-        scale = float(np.sum(np.arange(1, N + 1) * np.abs(spec.psi)))
-        assert np.max(np.abs(u - evaluate_field(spec, nodes))) <= 1e-12 * scale
-        assert np.max(np.abs(u_x - evaluate_slope(spec, nodes))) <= 1e-12 * scale
+        assert not any(array.flags.writeable for array in _gauss_legendre())  # the cache shares them
 
     @pytest.mark.parametrize("N", [7, 600])
     def test_quadrature_matches_the_split_panel_rule(self, rng, N):
-        # the same nodes and weights as integrate_torus, with u and u_x by pointwise evaluation
+        # an independent oracle: integrate_torus on its own, finer panels (4096 nodes or more)
         spec = SineSpectrum(rng.uniform(-1.0, 1.0, N))
         F = PROFILES["F"]
-        total = max(4096, 8 * N)
-        f_w, u, u_x = _key_identity_nodes(spec, total)
-        pointwise = integrate_torus(
-            lambda x: F.evaluate(x) * evaluate_field(spec, x) * evaluate_slope(spec, x), "origin", total
+        energy = sobolev_norm(spec, 0.0) ** 2
+        oracle = integrate_torus(
+            lambda x: F.evaluate(x) * evaluate_field(spec, x) * evaluate_slope(spec, x), "origin", max(4096, 8 * N)
         )
-        assert np.sum(f_w * u * u_x) == pytest.approx(pointwise, rel=1e-12, abs=1e-12)
+        assert key_identity_residuals(spec)[1] == pytest.approx(oracle + 0.5 * energy, abs=1e-12 * energy)
 
-    def test_tables_are_read_only(self):
-        assert not any(table.flags.writeable for table in _key_identity_tables(4096, 32))
+    def test_large_N_is_accurate_in_little_memory(self, rng):
+        # the exponential tables this path once read took 49.7 MiB at N = 2048
+        spec = SineSpectrum(rng.uniform(-1.0, 1.0, 2048))
+        energy = sobolev_norm(spec, 0.0) ** 2
+        tracemalloc.start()
+        try:
+            _, rq = key_identity_residuals(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(rq) <= 1e-10 * energy
+        assert peak < 8 * 2**20
 
 
 class TestOptimalScaling:
@@ -258,6 +262,14 @@ class TestAttractorDistance:
     def test_r_zero_is_energy(self):
         spec = SineSpectrum([0.3, -0.2])
         assert attractor_distance(spec, 0.0) == pytest.approx(sobolev_norm(spec, 0) ** 2)
+
+    @pytest.mark.parametrize("psi, r", [(-3e153, 2.9e153), (1e153, -2.9e153)])
+    def test_distance_beyond_the_float_range_raises(self, psi, r):
+        # r^2 ||F||^2 is finite, the distance ||u - r F||^2 is not; it read inf with a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="leaves the float range"):
+                attractor_distance(SineSpectrum([psi]), r)
 
     def test_self_distance_vanishes_in_the_limit(self):
         dists = [
@@ -371,10 +383,26 @@ class TestSeriesConstants:
             with pytest.raises(ValueError, match=re.escape(f"alpha must be positive, got {alpha!r}")):
                 series(alpha)
 
-    @pytest.mark.parametrize("p", [1.0, 0.5])
+    @pytest.mark.parametrize("p", [1.0, 0.5, np.nan])
     def test_power_sum_refuses_a_divergent_series(self, p):
         with pytest.raises(DivergentSeriesError, match="diverges"):
             power_sum(p, 1e-9)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.inf, np.nan, "1e-9", True, None])
+    def test_power_sum_refuses_a_bad_tol(self, tol):
+        # tol = 0 raised ZeroDivisionError and tol < 0 TypeError
+        with pytest.raises(ValueError, match=re.escape(f"tol must be positive and finite, got {tol!r}")):
+            power_sum(2.0, tol)
+
+    @pytest.mark.parametrize("p", ["2", True, None])
+    def test_power_sum_refuses_a_bad_p(self, p):
+        with pytest.raises(ValueError, match=re.escape(f"p must be a real number, got {p!r}")):
+            power_sum(p, 1e-9)
+
+    def test_power_sum_refuses_a_tol_needing_too_many_terms(self):
+        # 4.4e99 terms: refused before any array is formed
+        with pytest.raises(ValueError, match=r"needs 4.37e\+99 terms .* more than 1e\+07"):
+            power_sum(2.0, 1e-300)
 
     def test_monotone_in_alpha(self):
         grid = np.linspace(0.05, 0.49, 12)

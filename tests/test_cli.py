@@ -719,6 +719,25 @@ class TestFloatOverflow:
         assert err.startswith("error: ") and "float range" in err and err.count("\n") == 1
         assert not out.exists()
 
+    def test_overflowing_distance_exits_one(self, tmp_path, capsys):
+        # finite energy, but ||u - r F||^2 beyond the float range: decay.csv read inf after two numpy warnings
+        spec = tmp_path / "big.json"
+        spec.write_text(json.dumps({"N": 1, "psi": [-3e153]}))
+        out = tmp_path / "out"
+        argv = ["inviscid", "--init", f"file:{spec}", "--r", "2.9e153", "--dt", "1e-160", "--t-end", "1e-160"]
+        assert main([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: float overflow: ") and captured.err.count("\n") == 1
+        assert captured.out == "" and not out.exists()
+
+    def test_large_amplitude_follows_the_decay_law(self, tmp_path):
+        # the samples' squared transform overflowed in analyze's oddness check
+        out = tmp_path / "out"
+        argv = ["inviscid", "--init", "sine:1e153", "--dt", "1e-154", "--t-end", "3e-154", "--out", str(out)]
+        assert main(argv) == 0
+        _, data = read_csv(out / "decay.csv")
+        np.testing.assert_allclose(data[:, 1], data[:, 2], rtol=1e-12)
+
     def test_certificate_overflow_exits_one(self, tmp_path, capsys):
         # the hypotheses hold, but the bound 2 pi^2 / R is beyond the float range
         out = tmp_path / "out"

@@ -1,4 +1,7 @@
 import json
+import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +129,11 @@ class TestAnalyze:
         with pytest.raises(NonOddInputError):
             analyze(np.cos(grid_points(64)), 8)
 
+    def test_constant_grid_with_overflowing_squares_rejected(self):
+        # its cosine energy once read inf/inf = NaN, which passed the oddness check
+        with pytest.raises(NonOddInputError):
+            analyze(np.full(4096, 1e160), 4)
+
     def test_under_resolution(self):
         with pytest.raises(UnderResolvedError):
             analyze(np.zeros(16), 16)
@@ -153,6 +161,24 @@ class TestAnalyze:
     def test_oddness_residual_zero_field(self):
         assert oddness_residual(np.zeros(16)) == 0.0
 
+    def test_large_amplitude_round_trip(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = analyze(synthesize(SineSpectrum([1e300, -3e299]), 16), 2)
+        np.testing.assert_allclose(back.psi, [1e300, -3e299], rtol=1e-14)
+
+    @pytest.mark.parametrize("k", [-1000, -300, 7, 300, 900])
+    def test_power_of_two_scaling_is_exact(self, rng, k):
+        g = np.array(synthesize(SineSpectrum(rng.uniform(-1, 1, 9)), 64))
+        assert np.array_equal(analyze(np.ldexp(g, k), 9).psi, np.ldexp(analyze(g, 9).psi, k))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_samples_rejected(self, bad):
+        g = np.array(synthesize(SineSpectrum([0.5]), 16))
+        g[5] = bad
+        with pytest.raises(ValueError, match="grid samples must be finite"):
+            analyze(g, 4)
+
 
 class TestNormsAndPairing:
     def test_l2_of_minus_sine(self):
@@ -171,6 +197,24 @@ class TestNormsAndPairing:
 
     def test_weighted_single_mode(self):
         assert abs(sobolev_norm(SineSpectrum([1.0]), 2.0) - np.sqrt(4 * np.pi)) < 1e-15
+
+    def test_zero_coefficient_adds_nothing_at_any_order(self):
+        # n^{2s} = inf met psi_2 = 0 and the norm read inf * 0 = NaN
+        assert sobolev_norm(SineSpectrum([0.5, 0.0]), 600.0) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
+
+    def test_overflowing_weight_with_a_finite_norm(self):
+        # 2^1200 overflows, but the norm sqrt(4 pi) 0.2 2^600 (to 1 part in 10^361) does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = sobolev_norm(SineSpectrum([0.5, 0.2]), 600.0)
+            tiny = sobolev_norm(SineSpectrum([0.5, 1e-300]), 600.0)
+        assert value == pytest.approx(math.ldexp(0.4 * math.sqrt(math.pi), 600), rel=1e-13)
+        assert tiny == pytest.approx(math.sqrt(math.pi), rel=1e-13)
+
+    @pytest.mark.parametrize("psi, s", [([0.5, 0.2], 2000.0), ([0.5, 0.2], 1e308), ([1e308] * 8, 0.0)])
+    def test_norm_beyond_the_float_range_raises(self, psi, s):
+        with pytest.raises(OverflowError, match=re.escape(f"at s={s} leaves the float range")):
+            sobolev_norm(SineSpectrum(psi), s)
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
