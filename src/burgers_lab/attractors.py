@@ -242,6 +242,8 @@ def power_sum(p: float, tol: float) -> float:
     if not p > 1.0:  # NaN too
         raise DivergentSeriesError(f"sum n^(-{p}) diverges")
     terms = (p / (24.0 * tol)) ** (1.0 / (p + 1.0))
+    if terms == math.inf:  # p / (24 tol) overflowed (p finite): count through logarithms; other pairs keep their bits
+        terms = math.exp((math.log(p) - math.log(24.0 * tol)) / (p + 1.0))
     if not terms <= 1e7:
         raise ValueError(f"tol={tol} needs {terms:.3g} terms of sum n^(-{p}), more than 1e+07")
     n0 = max(64, math.ceil(terms))

@@ -33,10 +33,11 @@ through its stepper (``_if_rk4_stepper``): a contiguous (B, N) stage, the
 four k arrays, and for the default kernel a (B, L) pad and a (B, L)
 transform work buffer.
 Both paths run the same transforms, ``_half_grid_quadratic``, bound once.
-Per step a march only adds its dissipation rate to a block of rates, which is
-summed and tested for non-finite rows at each record and when full; a record
-forms its tail fraction and holds its rows, whose other columns are formed
-for a block of records at once (see ``evolve_batch``).
+Per step a march only adds its weighted squares to a running sum per mode,
+which is tested for non-finite rows at each record and every
+``_CHECK_INTERVAL`` steps; a record forms its dissipation integral from the
+sums and its tail fraction, and holds its rows, whose other columns are
+formed for a block of records at once (see ``evolve_batch``).
 
 Time stepping is fixed-step integrating-factor RK4: the dissipative part
 is absorbed exactly through exp(-nu n^{2 alpha} dt) and classical RK4
@@ -433,9 +434,10 @@ def _march_steps(t_end: float, dt: float, N: int, rows: int) -> int:
     return steps
 
 
-#: a march sums the dissipation rates it holds once they span this many steps, and forms the columns of the records
-#: it holds once their min du/dx grids reach this many samples (64 KiB: 2 records at N = 1024, B = 1)
-_RATE_BLOCK, _RECORD_BLOCK_FLOATS = 64, 2**13
+#: a march tests its rows for a non-finite state at least this often, besides at each record, so a row that fails
+#: stops within this many steps at any stride; it forms the columns of the records it holds once their min du/dx
+#: grids reach this many samples (64 KiB: 2 records at N = 1024, B = 1)
+_CHECK_INTERVAL, _RECORD_BLOCK_FLOATS = 64, 2**13
 
 
 def evolve_batch(
@@ -462,11 +464,14 @@ def evolve_batch(
     The energy, ``dist_rF``, ``h1_norm`` and tail fraction of a record are
     taken on ``_unit_scaled`` rows, exact where ||u||^2 is subnormal.
     ``diss_integral`` is the trapezoid sum of g = 2 nu ||u||_{H^alpha}^2
-    over every step, g formed per step on the unscaled state and summed, in
-    step order, at the next record or full block of rates; a row gone
-    non-finite is found then, and retires before the next record.  The tail
-    fraction is formed at its record; the other columns when a block of
-    held records is flushed (when full, at a retirement and at the end).
+    = sum_n w_n psi_n^2 over every step, reordered by linearity: each step
+    adds dt w_n psi_n^2 of the unscaled state to a running sum per mode,
+    S_n = dt w_n (psi_{0,n}^2 / 2 + sum_{1<=j<=k} psi_{j,n}^2), and a
+    record at step k forms sum_n (S_n - dt w_n psi_{k,n}^2 / 2).  S is
+    tested at each record and every ``_CHECK_INTERVAL`` steps, so a row gone
+    non-finite retires before its next record and within that many steps.
+    The other columns but the tail fraction are formed when a block of held
+    records is flushed (when full, at a retirement and at the end).
     """
     if not spectra or len(spectra) != len(params):
         raise ValueError("need at least one spectrum and one ModelParams per spectrum")
@@ -485,8 +490,8 @@ def evolve_batch(
         half_decay = np.stack([np.exp(-0.5 * dt * dissipation_symbol(p, N)) for p in params])
         # g(psi) = 2 nu ||psi||_{H^alpha}^2 = sum w psi^2, the dissipation rate
         diss_weights = np.stack([2.0 * p.nu * FOUR_PI * n ** (2.0 * p.alpha) for p in params])
-        g_prev = (diss_weights * psi**2).sum(axis=-1)
-    for p, weights, g in zip(params, diss_weights, g_prev):
+        g0 = (diss_weights * psi**2).sum(axis=-1)
+    for p, weights, g in zip(params, diss_weights, g0):
         if not np.isfinite(weights[-1]):
             raise ValueError(f"nu={p.nu:g} is too large: the dissipation weight 8 pi nu N^(2 alpha) overflows at N={N}")
         if p.nu > 0.0 and not np.isfinite(g):
@@ -505,7 +510,7 @@ def evolve_batch(
         """Hold a copy of the rows of every active spectrum for ``flush``; return their tail fractions."""
         scaled, exp2 = _unit_scaled(psi)
         rows, tail = psi.copy(), tail_energy_fraction(scaled)
-        pending.append((k, rows, diss, scaled, exp2, tail))  # diss_acc is only ever rebound, never written in place
+        pending.append((k, rows, diss, scaled, exp2, tail))
         if stored is not None:
             for cell, row in zip(active, rows):
                 stored[cell].append(row)
@@ -528,48 +533,41 @@ def evolve_batch(
 
     def retire(ended: np.ndarray, reason: str) -> bool:
         """Give the rows in ``ended`` their termination and drop them; return whether any row is left."""
-        nonlocal active, psi, diss_weights, diss_acc, rates, half_decay, squares, step
+        nonlocal active, psi, diss_weights, sums, squares, half_decay, step
         flush()
         for cell in active[ended]:
             terminations[cell] = reason
         keep = ~ended
-        active, psi, diss_weights, diss_acc, rates, half_decay = (
-            a[keep] for a in (active, psi, diss_weights, diss_acc, rates, half_decay)
+        # ``squares`` too: a record at the step of a retirement reads it
+        active, psi, diss_weights, sums, squares, half_decay = (
+            a[keep] for a in (active, psi, diss_weights, sums, squares, half_decay)
         )
-        squares = np.empty(psi.shape)
         step = _if_rk4_stepper(half_decay, dt, kernel)
         return bool(keep.any())
 
-    # the dissipation rate g = sum w psi^2 of each step goes into the next column of its row of ``rates``,
-    # after the g of the step before them; their trapezoid sum and finiteness test wait for a record or a full block
-    half_dt, held = 0.5 * dt, 0
-    squares, rates = np.empty(psi.shape), np.repeat(g_prev[:, None], _RATE_BLOCK + 1, axis=1)
-    diss_acc = np.zeros(len(spectra))
     # overflow in a step is caught by the finiteness test that follows it; the
     # diagnostics of a state too large to square read inf, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
+        # the squares are weighted by dt w as they are summed, so a sum overflows only where its share of D does
+        diss_weights *= dt
+        squares = diss_weights * psi**2
+        sums = 0.5 * squares
         # k = 0 only records, so data under-resolved from the start stops there
         for k in range(n_steps + 1):
             if k:
                 psi = step(psi)
                 np.multiply(psi, psi, out=squares)
                 squares *= diss_weights
-                held += 1
-                np.add.reduce(squares, axis=-1, out=rates[:, held])
+                sums += squares
             at_record = k % diag.stride == 0 or k == n_steps
-            if at_record or held == _RATE_BLOCK:
-                g = rates[:, : held + 1]
-                trapezoids = (g[:, :-1] + g[:, 1:]) * half_dt
-                # in sequence along each row: the bits of adding each trapezoid to diss_acc step by step
-                diss_acc = np.add.accumulate(np.concatenate((diss_acc[:, None], trapezoids), axis=1), axis=1)[:, -1]
-                rates[:, 0], held = g[:, -1], 0
-                # a NaN or inf coefficient makes its row's g NaN or inf (0 * inf is NaN), and its state in every later step
-                if not np.isfinite(g).all():
-                    failed = ~np.isfinite(psi).all(axis=-1)
-                    if failed.any() and not retire(failed, TERMINATION_STEP_FAILURE):
-                        break
+            # a NaN or inf coefficient makes its row of sums NaN or inf (0 * inf is NaN) at every later step
+            if (at_record or k % _CHECK_INTERVAL == 0) and not np.isfinite(sums).all():
+                failed = ~np.isfinite(psi).all(axis=-1)
+                if failed.any() and not retire(failed, TERMINATION_STEP_FAILURE):
+                    break
             if at_record:
-                blown = record(k, psi, diss_acc) > diag.tail_threshold
+                diss = (sums - 0.5 * squares).sum(axis=-1)
+                blown = record(k, psi, diss) > diag.tail_threshold
                 if blown.any() and not retire(blown, TERMINATION_BLOWUP):
                     break
         flush()

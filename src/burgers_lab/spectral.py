@@ -161,16 +161,11 @@ def synthesize_slope(psi: np.ndarray, M: int) -> np.ndarray:
     return _alternating_synthesis(psi, M, _slope_prefactor(psi.shape[-1], M))
 
 
-def oddness_residual(samples: np.ndarray, Y: np.ndarray | None = None) -> float:
-    """Relative energy in the cosine/mean modes of a grid function; Y is its real FFT, if already taken.
-
-    Zero for exactly odd grids; returns 0 for the zero field.
-    """
-    u = np.asarray(samples, dtype=float)
-    Y = np.fft.rfft(u) if Y is None else Y
+def _oddness_residual(Y: np.ndarray, M: int) -> float:
+    """sqrt of the relative energy in the cosine/mean modes of M grid samples with real FFT Y; 0 for the zero field."""
     weights = np.full(Y.size, 2.0)
     weights[0] = 1.0
-    if u.size % 2 == 0:
+    if M % 2 == 0:
         weights[-1] = 1.0
     cos_energy = float(np.sum(weights * Y.real**2))
     total = float(np.sum(weights * np.abs(Y) ** 2))
@@ -196,7 +191,7 @@ def analyze(grid: np.ndarray, N: int) -> SineSpectrum:
     k = np.frexp(peak)[1]
     scaled = np.ldexp(u, -k)
     Y = np.fft.rfft(scaled)
-    residual = oddness_residual(scaled, Y)
+    residual = _oddness_residual(Y, M)
     if not residual <= ODDNESS_TOL:  # NaN fails too
         raise NonOddInputError(
             f"cosine/mean energy fraction {residual:.3e} exceeds tolerance {ODDNESS_TOL:.1e}"

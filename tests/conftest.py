@@ -118,9 +118,12 @@ def if_rk4_step_reference(psi, dt, factors, nonlinear):
 def march_reference(spectra, params, t_end, dt, diag, kernel=nonlinear_pseudospectral):
     """Each spectrum marched alone, one step at a time, as ``evolve_batch`` is specified.
 
-    Every step is tested for a non-finite state and adds its trapezoid
-    (g_prev + g) dt/2 to the dissipation integral; every record forms its
-    seven columns from its own (1, N) row, with the formulas of the march.
+    Every step is tested for a non-finite state and adds dt w_n psi_n^2 to
+    the running sum S_n = dt w_n (psi_{0,n}^2 / 2 + sum_{1<=j<=k} psi_{j,n}^2)
+    of each mode; every record forms its seven columns from its own (1, N)
+    row, with the formulas of the march: the dissipation integral, the
+    trapezoid sum of g = sum_n w_n psi_n^2 summed per mode first, is
+    sum_n (S_n - dt w_n psi_{k,n}^2 / 2).
     Per spectrum: times, the columns by name, termination, the stored
     spectra (or None) and the number of steps taken.
     """
@@ -134,17 +137,17 @@ def march_reference(spectra, params, t_end, dt, diag, kernel=nonlinear_pseudospe
         weights = 2.0 * p.nu * FOUR_PI * n ** (2.0 * p.alpha)
         psi = spec.psi[None].copy()
         r = optimal_scale(psi) if diag.r is None else np.array([float(diag.r)])
-        rows, kept, termination, acc, steps = [], [], "t_end_reached", 0.0, 0
+        rows, kept, termination, steps = [], [], "t_end_reached", 0
         with np.errstate(over="ignore", invalid="ignore"):
-            g_prev = np.sum(weights * psi[0] ** 2)
+            weights = dt * weights
+            sums = 0.5 * (weights * psi**2)
             for k in range(n_steps + 1):
                 if k:
                     psi, steps = if_rk4_step_reference(psi, dt, factors, kernel), k
                     if not np.isfinite(psi).all():
                         termination = "step_failure"
                         break
-                    g = np.sum(weights * psi[0] ** 2)
-                    acc, g_prev = acc + (g_prev + g) * (0.5 * dt), g
+                    sums = sums + weights * psi**2
                 if k % diag.stride == 0 or k == n_steps:
                     scaled, exp2 = _unit_scaled(psi)
                     squares = scaled**2
@@ -154,7 +157,7 @@ def march_reference(spectra, params, t_end, dt, diag, kernel=nonlinear_pseudospe
                     tail = np.divide(squares[..., cut:].sum(axis=-1), total, out=np.zeros_like(total), where=total != 0.0)
                     columns = (
                         np.ldexp(energy, 2 * exp2),
-                        acc,
+                        (sums - 0.5 * (weights * psi**2)).sum(axis=-1),
                         lyap,
                         profile_distance(energy, lyap, r, exp2),
                         np.ldexp(np.sqrt(FOUR_PI * (n**2 * squares).sum(axis=-1)), exp2),

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 import warnings
@@ -403,6 +404,21 @@ class TestSeriesConstants:
         # 4.4e99 terms: refused before any array is formed
         with pytest.raises(ValueError, match=r"needs 4.37e\+99 terms .* more than 1e\+07"):
             power_sum(2.0, 1e-300)
+
+    def test_power_sum_counts_terms_past_an_overflowing_ratio(self):
+        # p / (24 tol) overflows; these were refused as needing inf terms, though each sum is 1 to round-off
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert power_sum(1e308, 1e-9) == 1.0
+            assert power_sum(1e10, 1e-300) == pytest.approx(1.0, rel=1e-15)
+            assert power_sum(math.inf, 1e-9) == 1.0
+
+    def test_series_constants_keep_their_bits(self):
+        # the values before the logarithmic count was added: every pair whose ratio is finite keeps its n0
+        assert [series_s(alpha).hex() for alpha in (0.1, 0.25, 0.4)] == [
+            "0x1.e1d9cce196d01p+0", "0x1.4e6250c1e200ap+1", "0x1.65dc7c9a82850p+2"
+        ]
+        assert power_sum(2.0, 1e-12).hex() == "0x1.a51a66253196ap+0"
 
     def test_monotone_in_alpha(self):
         grid = np.linspace(0.05, 0.49, 12)

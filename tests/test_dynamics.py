@@ -643,26 +643,49 @@ class TestEvolveBatch:
         failed_at = rec.times.size  # a record at every step before the one that failed
         assert len(calls) == 4 * failed_at
 
-    def test_diss_integral_is_the_trapezoid_written_out(self):
-        # g = sum_n 2 nu 4 pi n^(2 alpha) psi_n^2 at every step, summed by the trapezoid rule; nu = 0 in one row
-        N, dt, t_end = 32, 1e-3, 0.05
+    @pytest.mark.parametrize("N, dt, n_steps, stride", [(32, 1e-3, 50, 7), (16, 1e-5, 10**4, 999)])
+    def test_diss_integral_is_the_trapezoid_written_out(self, N, dt, n_steps, stride):
+        """D against the trapezoid sum of g = sum_n 2 nu 4 pi n^(2 alpha) psi_n^2, written out step by step.
+
+        The march sums each mode over the steps first, so the two differ by round-off, bounded here to
+        first order in u = 2^-53.  Each square psi_{j,n}^2 is the same rounded number in both.  The
+        march weights it by the rounded dt w_n (2 u), and its running sum S_n of k + 1 nonnegative terms
+        is within k u more of its exact value; S_n - dt w_n psi_{k,n}^2 / 2 >= S_n / 2 at most doubles
+        that, and the subtraction and the sum over N modes add N u: (2k + N + 4) u in all.  The
+        written-out sum has g within N u, each trapezoid 2 u more and the sum of k of them (k - 1) u:
+        (N + k + 1) u.  So |D - trapezoid| <= (3k + 2N + 5) u D, checked with 8 for the 5 to cover
+        higher orders.  The nu = 0 row must read exactly 0.
+        """
         specs = [SineSpectrum.sine_wave(R, N) for R in (1.0, 2.0, 1.5)]
         params = [ModelParams(0.25, 0.04), ModelParams(0.5, 0.0), ModelParams(0.75, 0.3)]
-        records = evolve_batch(specs, params, t_end, dt, DiagnosticsConfig(stride=7))
-        states = evolve_batch(specs, params, t_end, dt, DiagnosticsConfig(stride=1, store_spectra=True))
+        records = evolve_batch(specs, params, n_steps * dt, dt, DiagnosticsConfig(stride=stride))
+        states = evolve_batch(specs, params, n_steps * dt, dt, DiagnosticsConfig(stride=1, store_spectra=True))
         n = np.arange(1, N + 1, dtype=float)
         for p, rec, every in zip(params, records, states):
-            assert every.termination == "t_end_reached" and len(every.spectra) == 51
+            assert every.termination == "t_end_reached" and len(every.spectra) == n_steps + 1
             weights = 2.0 * p.nu * FOUR_PI * n ** (2.0 * p.alpha)
-            acc, g_prev, want = 0.0, (weights * every.spectra[0] ** 2).sum(), [0.0]
+            acc, g_prev, want, k_at = 0.0, (weights * every.spectra[0] ** 2).sum(), [0.0], [0]
             for k, psi in enumerate(every.spectra[1:], start=1):
                 g = (weights * psi**2).sum()
                 acc = acc + 0.5 * dt * (g_prev + g)
                 g_prev = g
-                if k % 7 == 0 or k == 50:
+                if k % stride == 0 or k == n_steps:
                     want.append(acc)
-            assert rec.diss_integral.tolist() == want
-            assert p.nu > 0.0 or not any(want)
+                    k_at.append(k)
+            bound = (3 * np.array(k_at) + 2 * N + 8) * 2.0**-53 * np.array(want)
+            assert rec.diss_integral.size == len(want)
+            assert np.all(np.abs(rec.diss_integral - want) <= bound)
+            assert p.nu > 0.0 or (not any(want) and not rec.diss_integral.any())
+
+    def test_diss_integral_of_a_huge_state_is_finite(self):
+        # psi_1^2 = 2.5e305 over 1000 steps sums past the float range, but dt w psi_1^2 summed does not
+        spec, dt, n_steps = SineSpectrum.sine_wave(1e153, 16), 1e-160, 1000
+        params = [ModelParams(0.5, 0.0), ModelParams(0.5, 1e-3)]
+        inviscid, viscous = evolve_batch([spec, spec], params, n_steps * dt, dt, DiagnosticsConfig(stride=250))
+        assert inviscid.termination == viscous.termination == "t_end_reached"
+        assert not inviscid.diss_integral.any()
+        g0 = 2.0 * 1e-3 * FOUR_PI * float(np.sum(np.arange(1.0, 17.0) * spec.psi**2))
+        np.testing.assert_allclose(viscous.diss_integral, g0 * viscous.times, rtol=1e-6)  # t |u| ~ 1e-4: g barely moves
 
     def test_overflowing_initial_dissipation_rate_refused(self):
         # the weight 8 pi nu N^(2 alpha) is finite, but g(u0) = sum w psi^2 is not
@@ -812,8 +835,9 @@ class TestMarchMatchesReference:
             assert [ref.termination for ref in references] == ["step_failure", "step_failure", "t_end_reached"]
             assert [ref.steps for ref in references[:2]] == [5, 20] and 5 % stride and 20 % stride  # between records
 
-    @pytest.mark.parametrize("stride", [3, 7, 30])
+    @pytest.mark.parametrize("stride", [3, 7, 30, 1000])
     def test_lone_row_failing_between_records_stops_within_a_stride(self, stride):
+        # the row fails at step 5 of 200; past a stride of 64 steps the march's check interval stops it
         calls = []
 
         def counted(psi):
@@ -822,11 +846,11 @@ class TestMarchMatchesReference:
 
         spec, p = _FAILING_CELLS[0][2], ModelParams(*_FAILING_CELLS[0][:2])
         diag = DiagnosticsConfig(stride=stride, tail_threshold=1.0)
-        (ref,) = march_reference([spec], [p], 2.0, 0.05, diag)
-        rec = evolve(spec, p, 2.0, 0.05, diag, kernel=counted)
+        (ref,) = march_reference([spec], [p], 10.0, 0.05, diag)
+        rec = evolve(spec, p, 10.0, 0.05, diag, kernel=counted)
         _assert_matches_reference([rec], [ref])
-        assert rec.termination == "step_failure" and ref.steps % stride
-        assert ref.steps <= len(calls) // 4 < ref.steps + stride
+        assert rec.termination == "step_failure" and ref.steps % stride and ref.steps + 64 < 200
+        assert ref.steps <= len(calls) // 4 < ref.steps + min(stride, 64)
 
     def test_memory_grows_only_by_the_records(self):
         # at N = 1024 and stride 1, ten times the steps may add the records' own columns (times and 7
