@@ -35,7 +35,7 @@ from .blowup import (
     detect_numerical_blowup,
     save_certificate,
 )
-from .characteristics import HorizonError, InitialField, RootFindError, tmax_inviscid
+from .characteristics import InitialField, RootFindError, tmax_inviscid
 from .dynamics import (
     TERMINATION_STEP_FAILURE,
     DiagnosticsConfig,
@@ -47,6 +47,7 @@ from .dynamics import (
     evolve_batch,
     record_to_csv,
     write_record_metadata,
+    write_table,
 )
 from .spectral import SineSpectrum, _is_number, _weighted_energy, load_spectrum
 from .verify import SUITES, run_suites
@@ -270,10 +271,7 @@ def run_inviscid(cfg: ExperimentConfig) -> int:
     table = attractor_decay_series(u0, times, attractor, M=cfg.grid_size)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    lines = ["t,dist,predicted"]
-    for i in range(times.size):
-        lines.append(f"{_fmt(times[i])},{_fmt(table.distance[i])},{_fmt(table.predicted[i])}")
-    (out / "decay.csv").write_text("\n".join(lines) + "\n")
+    write_table(out / "decay.csv", "t,dist,predicted", [times, table.distance, table.predicted])
     print(f"T_max = {_fmt(t_max)}")
     print(f"blowup_time_bound = {_fmt(scaling.g_r0)}")
     print(f"wrote {out / 'decay.csv'}")

@@ -593,12 +593,16 @@ def evolve_batch(
     ]
 
 
-def record_to_csv(record: SimulationRecord, path: str | Path) -> None:
-    """CSV time series, 17 significant digits per value."""
-    columns = [record.times] + [getattr(record, name) for name in _DIAGNOSTIC_COLUMNS]
+def write_table(path: str | Path, header: str, columns: Sequence[np.ndarray]) -> None:
+    """Write equal-length columns to path as CSV under header, every value "%.17g", which float() reads back exactly."""
     row = ",".join(["%.17g"] * len(columns))
-    lines = [SimulationRecord.CSV_HEADER] + [row % tuple(values) for values in np.column_stack(columns).tolist()]
+    lines = [header] + [row % tuple(values) for values in np.column_stack(columns).tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def record_to_csv(record: SimulationRecord, path: str | Path) -> None:
+    """Write the record's times and diagnostics to path under ``SimulationRecord.CSV_HEADER``, via ``write_table``."""
+    write_table(path, SimulationRecord.CSV_HEADER, [record.times] + [getattr(record, n) for n in _DIAGNOSTIC_COLUMNS])
 
 
 def write_record_metadata(record: SimulationRecord, path: str | Path, extra: dict) -> None:

@@ -202,7 +202,7 @@ class TestVerifyComparisonLemma:
     @pytest.mark.parametrize("case", [(1.0, 1.0, 0.2), (2.0, 1.0, 0.5), (1.0, 0.5, 0.1)])
     def test_forced_cases_pass(self, case):
         rep = verify_comparison_lemma(*case)
-        assert rep.passed and rep.hypothesis_ok
+        assert rep.hypothesis_ok
         assert rep.max_comparison_violation <= 1e-9
         assert rep.max_simplified_violation <= 1e-9
         assert rep.numeric_blowup_time is not None
@@ -210,7 +210,7 @@ class TestVerifyComparisonLemma:
 
     def test_riccati_closed_form(self):
         rep = verify_comparison_lemma(1.0, 1.0, 0.0)
-        assert rep.passed
+        assert rep.max_comparison_violation <= 1e-9 and rep.max_simplified_violation <= 1e-9
         assert rep.riccati_max_error <= 1e-9
 
     def test_violated_hypothesis_still_checks_first_bound(self):
@@ -219,6 +219,13 @@ class TestVerifyComparisonLemma:
         assert not rep.hypothesis_ok
         assert rep.max_simplified_violation is None
         assert rep.max_comparison_violation <= 1e-9
+
+    def test_report_measures_without_a_verdict(self):
+        # an absolute 1e-9 slack once failed this correct run: y nears the stop level 1e9, and the violation
+        # 9.5e-7 is round-off of about 1e-15 relative; the comparison-lemma suite in verify is the one verdict
+        rep = verify_comparison_lemma(1e8, 1e-3, 0.0)
+        assert not hasattr(rep, "passed")
+        assert rep.max_comparison_violation <= 1e-14 * 1e9
 
     @pytest.mark.parametrize("y0", [0.5, 1.0, 2.0, 5.0])
     @pytest.mark.parametrize("kappa", [0.5, 1.0, 3.0])
@@ -235,7 +242,8 @@ class TestVerifyComparisonLemma:
     def test_extreme_scales_pass(self, case):
         # the series runs in unit variables, so no scale of the inputs leaves the float range
         rep = verify_comparison_lemma(*case)
-        assert rep.passed
+        assert rep.max_comparison_violation <= 1e-9
+        assert rep.max_simplified_violation is None or rep.max_simplified_violation <= 1e-9
         if case[2] == 0.0:
             # the grid's 1e-12 pin on y0 ~ 1, taken relative to y0
             assert rep.riccati_max_error <= 1e-12 * case[0]
@@ -699,7 +707,8 @@ class TestScalarEntryPoints:
         # of 1.36e7 and the bound came back as np.float32(0.89040744)
         assert corollary_condition(2.0, ModelParams(np.float32(0.25), 0.04)) == corollary_condition(2.0, SUPER)
         report = verify_comparison_lemma(1.0, 1.0, np.float32(0.2))
-        assert report.passed and report == verify_comparison_lemma(1.0, 1.0, np.float32(0.2).item())
+        assert report.max_comparison_violation <= 1e-9 and report.max_simplified_violation <= 1e-9
+        assert report == verify_comparison_lemma(1.0, 1.0, np.float32(0.2).item())
         bound = comparison_lower_bound(1.0, 1.0, np.float32(0.5), 0.1)
         assert type(bound) is float and bound == comparison_lower_bound(1.0, 1.0, 0.5, 0.1)
 

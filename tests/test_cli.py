@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import shlex
 import tempfile
 import warnings
 from dataclasses import asdict
@@ -30,6 +31,7 @@ from burgers_lab.cli import (
 from burgers_lab.dynamics import ModelParams, _step_count
 from burgers_lab.spectral import SineSpectrum
 from burgers_lab.verify import SUITES
+from golden.regenerate import RUNS
 
 R0_SINE = np.sqrt(3.0) / (np.pi * np.sqrt(2.0))
 
@@ -639,6 +641,49 @@ class TestDeterminism:
         )
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
+
+
+class TestRoundTrip:
+    """cli's promise: float() reads every number of run.csv, a sweep cell's CSV and decay.csv back to
+    the bits of the record or table it was written from."""
+
+    #: CSV header name -> attribute, where the two differ
+    ATTRIBUTES = {"t": "times", "dist": "distance"}
+
+    def assert_read_back(self, path, source):
+        lines = path.read_text().splitlines()
+        for j, name in enumerate(lines[0].split(",")):
+            written = np.array([float(line.split(",")[j]) for line in lines[1:]])
+            kept = np.asarray(getattr(source, self.ATTRIBUTES.get(name, name)), dtype=float)
+            assert written.view(np.int64).tolist() == kept.view(np.int64).tolist(), (path.name, name)
+
+    def test_files_read_back_bit_for_bit(self, tmp_path, monkeypatch):
+        written = []
+
+        def record_to_csv(record, path, write=cli.record_to_csv):
+            written.append((Path(path), record))
+            write(record, path)
+
+        def decay_series(*args, compute=cli.attractor_decay_series, **kwargs):
+            written.append((tmp_path / "inviscid" / "decay.csv", compute(*args, **kwargs)))
+            return written[-1][1]
+
+        monkeypatch.setattr(cli, "record_to_csv", record_to_csv)
+        monkeypatch.setattr(cli, "attractor_decay_series", decay_series)
+        # the sweep's 1e150 cells hold values near 1e300 and end at a step failure; the inviscid distances are
+        # subnormal
+        for name, argv in (("simulate", RUNS["simulate"]), ("sweep", RUNS["sweep"]),
+                           ("inviscid", "inviscid --init sine:1e-160 --dt 0.1 --t-end 0.9")):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                main(shlex.split(argv) + ["--out", str(tmp_path / name)])
+        names = [path.name for path, _ in written]
+        assert {"run.csv", "cell_a0.25_nu0.04_R1e+150.csv", "decay.csv"} <= set(names), names
+        for path, source in written:
+            self.assert_read_back(path, source)
+        cell = dict(written)[tmp_path / "sweep" / "cell_a0.25_nu0.04_R1e+150.csv"]
+        assert cell.termination == "step_failure" and cell.energy.max() > 1e300
+        decay = dict(written)[tmp_path / "inviscid" / "decay.csv"]
+        assert 0.0 < decay.distance.max() < sys.float_info.min
 
 
 def _scipy_modules_after(code: str) -> list[str]:
