@@ -93,6 +93,12 @@ def comparison_lower_bound(y0: float, kappa: float, M: float, t: float) -> float
     r = M * math.sqrt(t) / y0
     if not r < 1.0:
         raise OutsideValidityError(f"t={t} >= y0^2/M^2: M sqrt(t)/y0 = {r:.6g}")
+    return _comparison_bound(y0, kappa, M, t)
+
+
+def _comparison_bound(y0: float, kappa: float, M: float, t: float) -> float:
+    """``comparison_lower_bound``'s formula, for inputs it accepts."""
+    r = M * math.sqrt(t) / y0
     denominator = 1.0 + r / ((1.0 - r) * (1.0 - r)) - _product(kappa, y0, t)
     return y0 / denominator if denominator > 0.0 else math.inf
 
@@ -160,6 +166,11 @@ def simplified_lower_bound(y0: float, kappa: float, M: float, t: float) -> float
         raise HypothesisError(f"y0^3 kappa / (12 M^2) = {margin:.6g} < 1")
     if t != 0.0 and not 0.0 < t < min(simplified_window(y0, kappa, M), simplified_horizon(y0, kappa)):
         raise OutsideValidityError(f"t={t} outside the simplified bound's window")
+    return _simplified_bound(y0, kappa, t)
+
+
+def _simplified_bound(y0: float, kappa: float, t: float) -> float:
+    """``simplified_lower_bound``'s formula, for inputs it accepts."""
     return y0 / (3.0 - _product(kappa, y0, t))
 
 
@@ -273,16 +284,17 @@ def verify_comparison_lemma(y0: float, kappa: float, M: float) -> ComparisonRepo
         ts = np.linspace(t_hi / _LEMMA_SAMPLES, t_hi, _LEMMA_SAMPLES)
         return ts, y(ts)
 
-    def max_violation(bound: Callable[..., float], ts: np.ndarray, ys: np.ndarray) -> float:
-        values = np.array([bound(y0, kappa, M, float(t)) for t in ts])
+    def max_violation(bound: Callable[[float], float], ts: np.ndarray, ys: np.ndarray) -> float:
+        # the inputs are checked above and every t lies inside the bound's window (``sample``): the bare formula runs
+        values = np.array([bound(float(t)) for t in ts])
         finite = np.isfinite(values)
         return float(np.max(values[finite] - ys[finite])) if finite.any() else -math.inf
 
     ts, ys = sample(window_prop)
-    max_comp = max_violation(comparison_lower_bound, ts, ys)
+    max_comp = max_violation(lambda t: _comparison_bound(y0, kappa, M, t), ts, ys)
     max_simp = None
     if hypothesis_ok:
-        max_simp = max_violation(simplified_lower_bound, *sample(simplified_window(y0, kappa, M), horizon))
+        max_simp = max_violation(lambda t: _simplified_bound(y0, kappa, t), *sample(simplified_window(y0, kappa, M), horizon))
 
     riccati_err = None
     if M == 0:

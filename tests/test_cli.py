@@ -339,6 +339,22 @@ class TestVerify:
         assert captured.err.startswith("error: unknown suite ''") and captured.err.count("\n") == 1
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--seed", "-1"], 1),  # random.Random would seed it as 1
+            (["--seed", "-1", "--suite", "comparison-lemma"], 0),  # a deterministic suite reads no seed
+            (["--seed", str(2**64)], 0),
+        ],
+    )
+    def test_seed_rule(self, argv, code, capsys):
+        assert main(["verify", *argv]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err == "error: seed must be an integer >= 0, got -1\n" and captured.out == ""
+        else:
+            assert "FAIL" not in captured.out and captured.out.count("  PASS  ") == (1 if "--suite" in argv else len(SUITES))
+
     def test_named_worsts_and_where(self, capsys):
         assert main(["verify", "--suite", "key-identity", "--seed", "1"]) == 0
         out = capsys.readouterr().out
@@ -720,7 +736,9 @@ class TestColdStart:
             "assert main(['simulate', '--alpha', '0.25', '--nu', '0.04', '--modes', '32', '--dt', '0.01', "
             f"'--t-end', '0.1', '--out', {str(tmp_path / 'sim')!r}]) == 0\n"
             "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'a march loads scipy'\n"
-            "assert main(['verify']) == 0"
+            "assert main(['verify']) == 0\n"
+            "drawn = [m for m in sys.modules if m.startswith('numpy.random') or m in ('secrets', '_hashlib')]\n"
+            "assert not drawn, f'verify loads {drawn}'"
         )
         assert loaded == []
 

@@ -9,6 +9,7 @@ from burgers_lab.verify import (
     SUITES,
     comparison_lemma_suite,
     energy_neutrality_suite,
+    key_identity_suite,
     lyapunov_identity_suite,
     run_suites,
 )
@@ -25,6 +26,16 @@ def test_all_suites_pass_at_default_seed():
 def test_suites_pass_at_other_seeds():
     for seed in (1, 12345):
         assert all(r.passed for r in run_suites(seed=seed))
+
+
+@pytest.mark.parametrize("run, seed", [(run_suites, True), (run_suites, -1), (key_identity_suite, 1.5)])
+def test_seed_must_be_a_nonnegative_integer(run, seed):
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+        run(seed=seed)
+
+
+def test_numpy_integer_seed_draws_the_same_cases():
+    assert run_suites(seed=np.int64(3)) == run_suites(seed=3)
 
 
 def test_comparison_lemma_names_its_cases():
