@@ -27,6 +27,7 @@ from .attractors import (
     DivergentSeriesError,
     F_L2_NORM_SQ,
     PROFILES,
+    UnsupportedRegimeError,
     attractor_decay_series,
     attractor_distance,
     c_alpha,
@@ -38,7 +39,6 @@ from .blowup import (
     HypothesisError,
     KAPPA_F,
     OutsideValidityError,
-    UnsupportedRegimeError,
     certify_blowup_F,
     certify_blowup_H,
     comparison_lower_bound,

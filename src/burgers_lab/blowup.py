@@ -31,8 +31,8 @@ from typing import Callable
 import numpy as np
 
 from . import attractors
-# power_sum, nonlinear_direct and UnsupportedRegimeError are unused here: tests/test_imports.py lists why
-from .attractors import AttractorFn, UnsupportedRegimeError, c_alpha, lyapunov, power_sum, series_s
+# power_sum and nonlinear_direct are unused here: tests/test_imports.py lists why
+from .attractors import AttractorFn, c_alpha, lyapunov, power_sum, series_s
 from .dynamics import F_L2_NORM_SQ, TERMINATION_BLOWUP, ModelParams, SimulationRecord, _checked, nonlinear_direct
 from .spectral import FOUR_PI, SineSpectrum, sobolev_norm
 

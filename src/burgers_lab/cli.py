@@ -26,9 +26,8 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .attractors import PROFILES, AttractorFn, attractor_decay_series, optimal_r
+from .attractors import PROFILES, AttractorFn, UnsupportedRegimeError, attractor_decay_series, optimal_r
 from .blowup import (
-    UnsupportedRegimeError,
     certify_blowup_F,
     certify_blowup_H,
     corollary_condition,
@@ -54,7 +53,7 @@ from .verify import SUITES, run_suites
 
 #: the ExperimentConfig keys each command reads: its flags and config keys, and no others
 SETTINGS = {
-    "simulate": ("alpha", "nu", "init", "modes", "dt", "t_end", "stride", "r", "out", "seed", "tail_threshold", "certify"),
+    "simulate": ("alpha", "nu", "init", "modes", "dt", "t_end", "stride", "r", "out", "tail_threshold", "certify"),
     "inviscid": ("init", "dt", "t_end", "grid_size", "attractor", "r", "out"),
     "verify": ("seed", "suite"),
     "certify": ("alpha", "nu", "init", "attractor", "out"),
@@ -238,7 +237,7 @@ def run_simulate(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     record_to_csv(record, out / "run.csv")
-    write_record_metadata(record, out / "run.json", extra={"init": cfg.init, "seed": cfg.seed})
+    write_record_metadata(record, out / "run.json", extra={"init": cfg.init})
     print(f"termination: {record.termination} at t = {_fmt(float(record.times[-1]))}")
     if cfg.certify:
         try:
@@ -423,9 +422,10 @@ def main(argv=None) -> int:
             raise ConfigError(f"{args.mode} does not take {unread[0].partition('=')[0]}")
         cfg = merge_config(args.mode, args)
         return RUNNERS[cfg.mode](cfg)
-    except (argparse.ArgumentError, ValueError, OSError, RootFindError) as exc:
+    except (argparse.ArgumentError, ValueError, OSError, RootFindError, ImportError) as exc:
         # covers a flag value argparse cannot read, ConfigError, HorizonError, regime/series guards,
-        # malformed or unreadable files, and a characteristic foot the root finder could not reach
+        # malformed or unreadable files, a characteristic foot the root finder could not reach,
+        # and a scipy install without the pocketfft binding that the half-grid kernel calls
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

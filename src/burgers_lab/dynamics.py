@@ -130,7 +130,7 @@ def nonlinear_direct(psi: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _load_pocketfft():
-    """pocketfft's compiled binding, loaded from its file in scipy's tree; None if that fails.
+    """pocketfft's compiled binding, loaded from its file in scipy's tree; ImportError naming it where there is none.
 
     ``find_spec`` locates scipy without importing it, and the extension is
     loaded by itself, unregistered, so that no scipy module runs: a march
@@ -143,21 +143,17 @@ def _load_pocketfft():
     for root in (spec.submodule_search_locations if spec else None) or ():
         for suffix in importlib.machinery.EXTENSION_SUFFIXES:
             path = os.path.join(root, "fft", "_pocketfft", "pypocketfft" + suffix)
-            if not os.path.isfile(path):
-                continue
-            loader = importlib.machinery.ExtensionFileLoader(name, path)
-            try:
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
                 binding = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
                 loader.exec_module(binding)
-            except (ImportError, OSError):
-                return None
-            return binding if all(hasattr(binding, f) for f in ("dst", "dct", "good_size")) else None
-    return None
+                return binding
+    raise ImportError(f"the half-grid kernel needs pocketfft's binding {name}, which this scipy install lacks")
 
 
 @lru_cache(maxsize=64)
-def _half_grid(N: int) -> tuple[int, np.ndarray, Callable, Callable]:
-    """Half-grid length L (2L > 3N, fast FFT size), the output scale -n/(4L), DST and DCT.
+def _half_grid(N: int) -> tuple[int, Callable, Callable]:
+    """Half-grid length L (2L > 3N, fast FFT size), DST and DCT.
 
     The transforms are pocketfft's own ``dst``/``dct``, the binding that
     ``scipy.fft`` and ``scipy.fftpack`` both wrap, called as
@@ -166,37 +162,10 @@ def _half_grid(N: int) -> tuple[int, np.ndarray, Callable, Callable]:
     transforms, and keywords cost about a microsecond more a call.  L is
     the binding's ``good_size(n, True)``, which ``scipy.fft.next_fast_len``
     caches.  The binding is loaded from its file (``_load_pocketfft``), so
-    a march imports no scipy module.  If a scipy release moves, renames or
-    breaks it, the public ``scipy.fft`` transforms and ``next_fast_len``
-    stand in behind the same calls (bit-identical, only slower).
-
-    The scale is read-only: the cache shares it with every caller.
+    a march imports no scipy module.
     """
     binding = _load_pocketfft()
-    if binding is None:
-        from scipy import fft
-
-        fast_len, dst, dct = fft.next_fast_len, _positional(fft.dst), _positional(fft.dct)
-    else:
-        fast_len, dst, dct = binding.good_size, binding.dst, binding.dct
-
-    L = fast_len(3 * N // 2 + 1, True)
-    scale = -np.arange(1, N + 1, dtype=float) / (4.0 * L)
-    scale.flags.writeable = False
-    return L, scale, dst, dct
-
-
-def _positional(transform: Callable) -> Callable:
-    """A public ``scipy.fft`` transform behind the binding's call, written into ``out`` as the binding writes; inorm 0 only."""
-
-    def call(a, type, axes, inorm, out, nthreads):
-        result = transform(a, type, axis=axes[0], overwrite_x=out is a, workers=nthreads)
-        if out is not None and result is not out:
-            np.copyto(out, result)
-            result = out
-        return result
-
-    return call
+    return binding.good_size(3 * N // 2 + 1, True), binding.dst, binding.dct
 
 
 def _half_grid_quadratic(padded: np.ndarray, work: np.ndarray, N: int) -> Callable[..., np.ndarray]:
@@ -204,9 +173,9 @@ def _half_grid_quadratic(padded: np.ndarray, work: np.ndarray, N: int) -> Callab
 
     The transforms are bound once.  The DST-III goes into ``work`` (which may be ``padded``), where the square and the DCT-II run in place.
     """
-    _, scale, dst, dct = _half_grid(N)
+    L, dst, dct = _half_grid(N)
     modes = work[..., 1 : N + 1]
-    scale = np.full(modes.shape, scale)  # of the modes' shape: a product that broadcasts is slower
+    scale = np.full(modes.shape, -np.arange(1, N + 1, dtype=float) / (4.0 * L))  # of the modes' shape: a product that broadcasts is slower
 
     def quadratic(out: np.ndarray | None = None) -> np.ndarray:
         dst(padded, 3, (-1,), 0, work, 1)

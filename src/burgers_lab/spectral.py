@@ -178,18 +178,16 @@ def analyze(grid: np.ndarray, N: int) -> SineSpectrum:
     """Recover psi_n, n = 1..N from grid samples (u_hat(n) = i*psi_n).
 
     Raises NonOddInputError when the relative cosine/mean energy exceeds ODDNESS_TOL, UnderResolvedError
-    when M < 2N, and ValueError for a non-finite sample.  It transforms u / 2^k, max |u_j| / 2^k in
-    [1/2, 1) as in ``_unit_scaled``, so no square overflows: exact in the normal range.
+    when M < 2N, and ValueError for a non-finite sample.  It transforms the ``_unit_scaled`` samples,
+    so no square overflows: exact in the normal range.
     """
     u = np.asarray(grid, dtype=float)
     M = u.size
     if M < 2 * N:
         raise UnderResolvedError(f"grid size {M} < 2N = {2 * N}")
-    peak = np.abs(u).max()
-    if not np.isfinite(peak):
+    if not np.isfinite(u).all():
         raise ValueError("grid samples must be finite")
-    k = np.frexp(peak)[1]
-    scaled = np.ldexp(u, -k)
+    scaled, k = _unit_scaled(u)
     Y = np.fft.rfft(scaled)
     residual = _oddness_residual(Y, M)
     if not residual <= ODDNESS_TOL:  # NaN fails too

@@ -14,6 +14,7 @@ from burgers_lab.attractors import (
     AttractorFn,
     DivergentSeriesError,
     F_L2_NORM_SQ,
+    UnsupportedRegimeError,
     _gauss_legendre,
     _panel_rule,
     attractor_decay_series,
@@ -25,7 +26,6 @@ from burgers_lab.attractors import (
     power_sum,
     series_s,
 )
-from burgers_lab.blowup import UnsupportedRegimeError
 from burgers_lab import characteristics
 from burgers_lab.characteristics import HorizonError, InitialField, sample_solution
 from burgers_lab.spectral import SineSpectrum, UnderResolvedError, evaluate_field, evaluate_slope, grid_points, sobolev_norm

@@ -10,12 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from burgers_lab import blowup, dynamics
-from burgers_lab.attractors import PROFILES, attractor_distance, c_alpha, optimal_r
+from burgers_lab.attractors import PROFILES, UnsupportedRegimeError, attractor_distance, c_alpha, optimal_r
 from burgers_lab.blowup import (
     KAPPA_F,
     HypothesisError,
     OutsideValidityError,
-    UnsupportedRegimeError,
     _equality_case,
     _margin,
     certify_blowup_F,

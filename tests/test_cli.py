@@ -640,7 +640,6 @@ class TestDeterminism:
             "--modes", "128",
             "--dt", "1e-3",
             "--t-end", "0.2",
-            "--seed", "7",
         ]
         outputs = []
         for name in ("one", "two"):
@@ -1161,6 +1160,7 @@ class TestSettings:
         "mode, key, value",
         [
             ("simulate", "attractor", "sawtooth"),
+            ("simulate", "seed", 7),
             ("inviscid", "nu", 0.1),
             ("verify", "out", None),
             ("certify", "dt", 0.01),
@@ -1309,7 +1309,6 @@ _EDGES_OF = {
     "stride": ["1", "1000", "0", "-1", "", "x"],
     "r": ["1", "1e153", "1e200", "1e308", *_REALS],
     "tail_threshold": ["1", "1e-300", *_REALS],
-    "seed": ["-1", str(10**30), "", "x"],
     "grid_size": ["16", "4", "3", "0", "-1", "", "x"],
     "attractor": ["phi", "sawtooth", "F:x", "", "x"],
 }
@@ -1353,7 +1352,7 @@ def _work_dir(settings_: dict):
 
 class TestSimulateProperty:
     VALID = {"alpha": "0.25", "nu": "0.04", "init": "sine:1", "modes": "16", "dt": "0.05", "t_end": "0.5",
-             "stride": "3", "r": "auto", "tail_threshold": "1e-3", "seed": "0", "certify": False}
+             "stride": "3", "r": "auto", "tail_threshold": "1e-3", "certify": False}
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(data=st.data())

@@ -18,7 +18,6 @@ from burgers_lab.dynamics import (
     _if_rk4_stepper,
     _load_pocketfft,
     _march_steps,
-    _positional,
     _step_count,
     dissipation_symbol,
     evolve,
@@ -248,8 +247,8 @@ class TestPseudospectralKernel:
 
     def test_half_grid_is_alias_free(self):
         for N in range(1, 5001):
-            L, scale, _, _ = _half_grid(N)
-            assert 2 * L > 3 * N and scale.size == N and not scale.flags.writeable
+            L, _, _ = _half_grid(N)
+            assert 2 * L > 3 * N
 
     def test_concurrent_calls_match_direct(self, rng):
         # library callers may run evolve on several threads at once
@@ -298,21 +297,8 @@ class TestPseudospectralKernel:
                 assert out is a
                 assert np.array_equal(out, reference(x, type=kind))
 
-    def test_public_stand_in_writes_into_out(self, rng):
-        # the stand-in called as the binding is: into a distinct out, leaving the input as it was, or in place
-        from scipy import fft
-        from scipy.fftpack import dct as fftpack_dct, dst as fftpack_dst
-
-        for transform, reference, kind in ((fft.dst, fftpack_dst, 3), (fft.dct, fftpack_dct, 2)):
-            x = rng.uniform(-1.0, 1.0, (3, 200))
-            a, out = x.copy(), np.full_like(x, np.nan)
-            assert _positional(transform)(a, kind, (-1,), 0, out, 1) is out
-            assert np.array_equal(out, reference(x, type=kind)) and np.array_equal(a, x)
-            assert _positional(transform)(a, kind, (-1,), 0, a, 1) is a
-            assert np.array_equal(a, out)
-
     def test_loaded_binding_is_scipys(self):
-        # a scipy release that moves the binding fails here rather than silently taking the public path
+        # a scipy release that moves the binding fails here, as every march would fail on it
         import scipy.fft._pocketfft.pypocketfft as binding
 
         assert _load_pocketfft().__file__ == binding.__file__
@@ -343,32 +329,22 @@ class TestPseudospectralKernel:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
-    @pytest.fixture
-    def public_transforms(self, monkeypatch):
-        """_half_grid as it is when the private binding cannot be loaded."""
-        monkeypatch.setattr(dynamics, "_load_pocketfft", lambda: None)
-        _half_grid.cache_clear()
-        yield
-        _half_grid.cache_clear()
+    def test_missing_binding_ends_a_march_in_one_error(self, monkeypatch, tmp_path, capsys):
+        # a scipy without the binding: the march stops in one error line, and certify, which marches nothing, still runs
+        from burgers_lab.cli import main
 
-    @pytest.mark.parametrize("N", _PINNED_N)
-    def test_public_fallback_bit_identical(self, N, rng, public_transforms):
-        assert all(t.__module__ == "burgers_lab.dynamics" for t in _half_grid(N)[2:])  # the adapted public pair
-        for shape in ((N,), (5, N)):
-            psi = rng.uniform(-1.0, 1.0, shape)
-            assert np.array_equal(nonlinear_pseudospectral(psi), nonlinear_pseudospectral_fftpack(psi))
-
-    def test_march_on_public_fallback_bit_identical(self, request):
-        specs = [SineSpectrum.sine_wave(R, 64) for R in (1.0, 60.0)]
-        params = [ModelParams(0.25, 0.04)] * 2
-        diag = DiagnosticsConfig(stride=2, store_spectra=True)
-        want = evolve_batch(specs, params, 0.03, 1e-3, diag)  # on the binding
-        request.getfixturevalue("public_transforms")
-        assert all(t.__module__ == "burgers_lab.dynamics" for t in _half_grid(64)[2:])
-        got = evolve_batch(specs, params, 0.03, 1e-3, diag)
-        assert [rec.termination for rec in got] == ["t_end_reached", "blowup_detected"]
-        for rec, ref in zip(got, want):
-            _assert_same_record(rec, ref)
+        monkeypatch.setattr(dynamics.importlib.machinery, "EXTENSION_SUFFIXES", [])
+        _load_pocketfft.cache_clear()
+        _half_grid.cache_clear()
+        try:
+            data = ["--alpha", "0.25", "--nu", "0.04", "--init", "sine:10"]
+            assert main(["simulate", *data, "--modes", "16", "--dt", "0.01", "--t-end", "0.02", "--out", str(tmp_path / "run")]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ") and "pypocketfft" in err[0]
+            assert main(["certify", *data, "--out", str(tmp_path / "cert")]) == 0
+        finally:
+            _load_pocketfft.cache_clear()
+            _half_grid.cache_clear()
 
     @pytest.mark.parametrize("shape", [(24, 128), (8, 256), (2, 512), (24, 512), (1, 64), (2, 3, 40)])
     def test_stack_matches_rows(self, shape, rng):

@@ -9,7 +9,6 @@ import burgers_lab
 ALLOWED_UNUSED = {
     "blowup.nonlinear_direct": "perfbench/tracing.py patches blowup.nonlinear_direct to time the direct kernel",
     "blowup.power_sum": "perfbench/tracing.py patches blowup.power_sum to count its calls",
-    "blowup.UnsupportedRegimeError": "cli imports UnsupportedRegimeError from blowup",
     "__init__.*": "the package re-exports its public names",
 }
 
