@@ -15,6 +15,7 @@ from burgers_lab.dynamics import (
     ModelParams,
     SimulationRecord,
     _half_grid,
+    _half_grid_quadratic,
     _if_rk4_stepper,
     _load_pocketfft,
     _march_steps,
@@ -283,6 +284,30 @@ class TestPseudospectralKernel:
         for shape in ((N,), (5, N)):
             psi = rng.uniform(-1.0, 1.0, shape)
             assert np.array_equal(nonlinear_pseudospectral(psi), nonlinear_pseudospectral_fftpack(psi))
+
+    @pytest.mark.parametrize("N", _PINNED_N)
+    def test_stepper_quadratic_into_out_bit_identical(self, N, rng):
+        # the stepper's call: the pad only read, the DST-III into a work buffer of its own, the result into out
+        for shape in ((N,), (5, N)):
+            psi = rng.uniform(-1.0, 1.0, shape)
+            pad = np.zeros(shape[:-1] + (_half_grid(N)[0],))
+            pad[..., :N] = psi
+            before, out = pad.copy(), np.full(shape, np.nan)
+            quadratic = _half_grid_quadratic(pad, np.full_like(pad, np.nan), N)
+            for _ in range(2):  # a step calls it four times on the same buffers
+                assert quadratic(out) is out
+                assert np.array_equal(out, nonlinear_pseudospectral_fftpack(psi)) and np.array_equal(pad, before)
+
+    def test_march_bit_identical_on_fftpack_reference_kernel(self):
+        # the whole batched march, a row that ends and one that blows up, as it is with scipy.fftpack's public transforms
+        specs = [SineSpectrum.sine_wave(R, 64) for R in (1.0, 60.0)]
+        params = [ModelParams(0.25, 0.04)] * 2
+        diag = DiagnosticsConfig(stride=2, store_spectra=True)
+        got = evolve_batch(specs, params, 0.03, 1e-3, diag)
+        want = evolve_batch(specs, params, 0.03, 1e-3, diag, nonlinear_pseudospectral_fftpack)
+        assert [rec.termination for rec in got] == ["t_end_reached", "blowup_detected"]
+        for rec, ref in zip(got, want, strict=True):
+            _assert_same_record(rec, ref)
 
     def test_binding_call_signature(self, rng):
         # the kernel's exact call; a scipy that renames the binding or changes its signature fails here
