@@ -19,7 +19,9 @@ xi_k = pi (k + 1/2) / L, k = 0..L-1: a type-3 DST of the zero-padded psi
 gives the samples of u, and a type-2 DCT of u^2 gives its cosine modes.
 Products of modes <= N reach 2N, and on this grid mode j of u^2 aliases
 (with a sign flip) onto 2L - j; with 2L > 3N that lands above N, so the
-retained modes are alias-free.
+retained modes are alias-free.  Both transforms, and the slope samples of
+each record's min du/dx, come from the one pocketfft binding that
+``spectral`` loads; without it a march raises one ImportError naming it.
 
 Kernel contract: a kernel maps an array of shape (..., N) to the quadratic
 term of each row along the last axis, one row independently of the
@@ -48,12 +50,9 @@ its one-row case.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import json
 import math
 import numbers
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -61,7 +60,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .spectral import FOUR_PI, SineSpectrum, _checked, _unit_scaled, _weighted_energy, next_pow2, synthesize_slope
+from .spectral import FOUR_PI, SineSpectrum, _checked, _load_pocketfft, _unit_scaled, _weighted_energy, next_pow2, synthesize_slope
 
 #: ||F||_{L2}^2 = 4*pi * sum 1/n^2 = 2*pi^3/3 for the attractor profile F,
 #: whose sine coefficients 1/n make  L = 4*pi*sum(psi_n/n)  the natural
@@ -128,29 +127,6 @@ def nonlinear_direct(psi: np.ndarray) -> np.ndarray:
     return n * (0.5 * s1 - s2)
 
 
-@lru_cache(maxsize=None)
-def _load_pocketfft():
-    """pocketfft's compiled binding, loaded from its file in scipy's tree; ImportError naming it where there is none.
-
-    ``find_spec`` locates scipy without importing it, and the extension is
-    loaded by itself, unregistered, so that no scipy module runs: a march
-    then pays about a millisecond where ``import scipy.fft`` costs about
-    0.3 s.  A later ``import scipy.fft`` gets this same module object
-    back from the interpreter's table of loaded extensions.
-    """
-    spec = importlib.util.find_spec("scipy")
-    name = "scipy.fft._pocketfft.pypocketfft"
-    for root in (spec.submodule_search_locations if spec else None) or ():
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(root, "fft", "_pocketfft", "pypocketfft" + suffix)
-            if os.path.isfile(path):
-                loader = importlib.machinery.ExtensionFileLoader(name, path)
-                binding = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
-                loader.exec_module(binding)
-                return binding
-    raise ImportError(f"the half-grid kernel needs pocketfft's binding {name}, which this scipy install lacks")
-
-
 @lru_cache(maxsize=64)
 def _half_grid(N: int) -> tuple[int, Callable, Callable]:
     """Half-grid length L (2L > 3N, fast FFT size), DST and DCT.
@@ -161,8 +137,9 @@ def _half_grid(N: int) -> tuple[int, Callable, Callable]:
     a march the wrappers' argument handling costs about as much as the
     transforms, and keywords cost about a microsecond more a call.  L is
     the binding's ``good_size(n, True)``, which ``scipy.fft.next_fast_len``
-    caches.  The binding is loaded from its file (``_load_pocketfft``), so
-    a march imports no scipy module.
+    caches.  The binding is ``spectral._load_pocketfft``'s, the one copy of
+    pocketfft whose ``c2r`` also gives the march's slope samples, so a
+    march imports neither a scipy module nor ``numpy.fft``.
     """
     binding = _load_pocketfft()
     return binding.good_size(3 * N // 2 + 1, True), binding.dst, binding.dct

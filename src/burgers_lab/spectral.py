@@ -14,13 +14,18 @@ u_hat(k) = (1/2pi) * integral of u(y) exp(-i k y) dy.  With that scaling,
 Grids are uniform with x_j = -pi + 2*pi*j/M and M a power of two, so x = 0
 is always a sample point.  Only odd content is representable; analyze()
 rejects grids with cosine/mean energy instead of silently projecting.
+Every transform runs through one copy of pocketfft, scipy's compiled binding
+(``_load_pocketfft``), whose ``c2r``/``r2c`` give numpy.fft's bits here.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import json
 import math
 import numbers
+import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -45,6 +50,30 @@ def _checked(name: str, value, what: str, ok: Callable | None = None, kind: type
     if not isinstance(checked, kind) or isinstance(checked, bool) != (kind is bool) or not (ok is None or ok(checked)):
         raise ValueError(f"{name} must be {what}, got {value!r}")
     return checked
+
+
+@lru_cache(maxsize=None)
+def _load_pocketfft():
+    """pocketfft's compiled binding, loaded from its file in scipy's tree; ImportError naming it where there is none.
+
+    ``find_spec`` locates scipy without importing it, and the extension is
+    loaded by itself, unregistered, so that no scipy module runs: a
+    conversion or a march then pays about a millisecond where
+    ``import scipy.fft`` costs about 0.3 s.  A later ``import scipy.fft``
+    gets this same module object back from the interpreter's table of
+    loaded extensions.
+    """
+    spec = importlib.util.find_spec("scipy")
+    name = "scipy.fft._pocketfft.pypocketfft"
+    for root in (spec.submodule_search_locations if spec else None) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "fft", "_pocketfft", "pypocketfft" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                binding = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+                loader.exec_module(binding)
+                return binding
+    raise ImportError(f"the sine transforms need pocketfft's binding {name}, which this scipy install lacks")
 
 
 class UnderResolvedError(ValueError):
@@ -124,8 +153,9 @@ def _alternating_signs(count: int) -> np.ndarray:
 def _alternating_synthesis(psi: np.ndarray, M: int, signed_prefactor) -> np.ndarray:
     """Inverse real FFT, along the last axis, of mode n = signed_prefactor_n psi_n.
 
-    The signed prefactor carries a sign (-1)^n, which moves the samples
-    onto x_j = -pi + 2 pi j/M.  ``psi`` may be one coefficient row or a
+    The binding's ``c2r`` with numpy.fft.irfft's 1/M, called positionally
+    as ``(a, axes, lastsize, forward, inorm, out, nthreads)``.  The signed
+    prefactor carries a sign (-1)^n, which moves the samples onto x_j = -pi + 2 pi j/M.  ``psi`` may be one coefficient row or a
     (..., N) stack; M >= 2N resolves every mode.
     """
     N = psi.shape[-1]
@@ -133,7 +163,7 @@ def _alternating_synthesis(psi: np.ndarray, M: int, signed_prefactor) -> np.ndar
         raise UnderResolvedError(f"grid size {M} < 2N = {2 * N}")
     coeffs = np.zeros(psi.shape[:-1] + (M // 2 + 1,), dtype=complex)
     coeffs[..., 1 : N + 1] = signed_prefactor * psi
-    return np.fft.irfft(coeffs, n=M)
+    return _load_pocketfft().c2r(coeffs, (-1,), M, False, 2, None, 1)
 
 
 @lru_cache(maxsize=64)
@@ -178,17 +208,21 @@ def analyze(grid: np.ndarray, N: int) -> SineSpectrum:
     """Recover psi_n, n = 1..N from grid samples (u_hat(n) = i*psi_n).
 
     Raises NonOddInputError when the relative cosine/mean energy exceeds ODDNESS_TOL, UnderResolvedError
-    when M < 2N, and ValueError for a non-finite sample.  It transforms the ``_unit_scaled`` samples,
-    so no square overflows: exact in the normal range.
+    when M < 2N, and ValueError for an N that is not a positive integer, a grid that is not 1-D, or a
+    non-finite sample.  It transforms the ``_unit_scaled`` samples with the binding's unnormalised
+    ``r2c`` (numpy.fft.rfft's bits), so no square overflows: exact in the normal range.
     """
+    N = _checked("N", N, "a positive integer", lambda n: n >= 1, numbers.Integral)
     u = np.asarray(grid, dtype=float)
+    if u.ndim != 1:
+        raise ValueError(f"grid must be a 1-D array of samples, got shape {u.shape}")
     M = u.size
     if M < 2 * N:
         raise UnderResolvedError(f"grid size {M} < 2N = {2 * N}")
     if not np.isfinite(u).all():
         raise ValueError("grid samples must be finite")
     scaled, k = _unit_scaled(u)
-    Y = np.fft.rfft(scaled)
+    Y = _load_pocketfft().r2c(scaled, (-1,), True, 0, None, 1)
     residual = _oddness_residual(Y, M)
     if not residual <= ODDNESS_TOL:  # NaN fails too
         raise NonOddInputError(

@@ -701,23 +701,23 @@ class TestRoundTrip:
         assert 0.0 < decay.distance.max() < sys.float_info.min
 
 
-def _scipy_modules_after(code: str) -> list[str]:
-    """The scipy modules a fresh interpreter has loaded after running ``code``."""
-    probe = code + "\nimport sys\nprint('scipy:', *(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def _transform_modules_after(code: str) -> list[str]:
+    """The scipy and ``numpy.fft`` modules a fresh interpreter has loaded after running ``code``."""
+    probe = code + "\nimport sys\nprint('loaded:', *(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.fft')))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     last = proc.stdout.splitlines()[-1]
-    assert last.startswith("scipy:")
+    assert last.startswith("loaded:")
     return last.split()[1:]
 
 
 class TestColdStart:
-    """No command loads a scipy module: a march loads only pocketfft's binding, by itself."""
+    """No command loads a scipy module or ``numpy.fft``: a transform loads only pocketfft's binding, by itself."""
 
     def test_import_inviscid_and_certify_load_no_scipy(self, tmp_path):
-        assert _scipy_modules_after("import burgers_lab, burgers_lab.cli") == []
+        assert _transform_modules_after("import burgers_lab, burgers_lab.cli") == []
         out = tmp_path / "out"
-        loaded = _scipy_modules_after(
+        loaded = _transform_modules_after(
             "from burgers_lab.cli import main\n"
             f"assert main(['inviscid', '--dt', '0.1', '--t-end', '0.5', '--out', {str(out / 'inv')!r}]) == 0\n"
             "import sys\n"
@@ -729,7 +729,7 @@ class TestColdStart:
         assert (out / "inv" / "decay.csv").exists() and (out / "cert" / "certificate_sine_corollary.json").exists()
 
     def test_simulate_and_verify_load_no_scipy(self, tmp_path):
-        loaded = _scipy_modules_after(
+        loaded = _transform_modules_after(
             "import sys\n"
             "from burgers_lab.cli import main\n"
             "assert main(['simulate', '--alpha', '0.25', '--nu', '0.04', '--modes', '32', '--dt', '0.01', "

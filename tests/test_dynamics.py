@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burgers_lab import dynamics
+from burgers_lab import dynamics, spectral
 from burgers_lab.dynamics import (
     DiagnosticsConfig,
     ModelParams,
@@ -17,7 +17,6 @@ from burgers_lab.dynamics import (
     _half_grid,
     _half_grid_quadratic,
     _if_rk4_stepper,
-    _load_pocketfft,
     _march_steps,
     _step_count,
     dissipation_symbol,
@@ -30,7 +29,7 @@ from burgers_lab.dynamics import (
     tail_energy_fraction,
     write_record_metadata,
 )
-from burgers_lab.spectral import FOUR_PI, SineSpectrum, synthesize, synthesize_slope
+from burgers_lab.spectral import FOUR_PI, SineSpectrum, _load_pocketfft, synthesize, synthesize_slope
 
 from conftest import (
     brute_force_nonlinear,
@@ -355,17 +354,23 @@ class TestPseudospectralKernel:
         assert proc.returncode == 0, proc.stderr
 
     def test_missing_binding_ends_a_march_in_one_error(self, monkeypatch, tmp_path, capsys):
-        # a scipy without the binding: the march stops in one error line, and certify, which marches nothing, still runs
+        # a scipy without the binding: every command that transforms stops in one error line naming it,
+        # and certify, which transforms nothing, still runs
         from burgers_lab.cli import main
 
-        monkeypatch.setattr(dynamics.importlib.machinery, "EXTENSION_SUFFIXES", [])
+        monkeypatch.setattr(spectral.importlib.machinery, "EXTENSION_SUFFIXES", [])
         _load_pocketfft.cache_clear()
         _half_grid.cache_clear()
         try:
             data = ["--alpha", "0.25", "--nu", "0.04", "--init", "sine:10"]
-            assert main(["simulate", *data, "--modes", "16", "--dt", "0.01", "--t-end", "0.02", "--out", str(tmp_path / "run")]) == 1
-            err = capsys.readouterr().err.splitlines()
-            assert len(err) == 1 and err[0].startswith("error: ") and "pypocketfft" in err[0]
+            for argv in (
+                ["simulate", *data, "--modes", "16", "--dt", "0.01", "--t-end", "0.02", "--out", str(tmp_path / "run")],
+                ["inviscid", "--dt", "0.1", "--t-end", "0.2", "--out", str(tmp_path / "inv")],
+                ["verify", "--suite", "lq-conservation"],
+            ):
+                assert main(argv) == 1, argv
+                err = capsys.readouterr().err.splitlines()
+                assert len(err) == 1 and err[0].startswith("error: ") and "pypocketfft" in err[0], (argv, err)
             assert main(["certify", *data, "--out", str(tmp_path / "cert")]) == 0
         finally:
             _load_pocketfft.cache_clear()

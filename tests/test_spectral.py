@@ -13,6 +13,7 @@ from burgers_lab.spectral import (
     NonOddInputError,
     SineSpectrum,
     UnderResolvedError,
+    _load_pocketfft,
     analyze,
     evaluate_field,
     evaluate_slope,
@@ -178,6 +179,49 @@ class TestAnalyze:
         g[5] = bad
         with pytest.raises(ValueError, match="grid samples must be finite"):
             analyze(g, 4)
+
+    def test_mode_count_is_a_positive_integer(self):
+        # True once analysed one mode, 2.5 ended in numpy's TypeError and 0 in an empty spectrum's error
+        g = np.sin(grid_points(16))
+        for N in (True, np.True_, 2.5, np.float64(3.0), 0, -1, "3", None):
+            with pytest.raises(ValueError, match="N must be a positive integer, got"):
+                analyze(g, N)
+        assert np.array_equal(analyze(g, np.int64(3)).psi, analyze(g, 3).psi)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (1, 16), ()])
+    def test_grid_that_is_not_1d_refused(self, shape):
+        # a (4, 4) grid ended in numpy's broadcast ValueError, which named no argument
+        g = np.sin(grid_points(16)).reshape(shape) if shape else np.float64(0.5)
+        with pytest.raises(ValueError, match=r"grid must be a 1-D array of samples, got shape"):
+            analyze(g, 2)
+
+
+class TestBinding:
+    """pocketfft's binding with the lab's normalisation against ``numpy.fft``, the test-side reference.
+
+    A numpy or scipy release under which the two differ fails here, at the size named, rather than as a golden diff.
+    """
+
+    @pytest.mark.parametrize("M", [2**p for p in range(2, 17)])
+    def test_matches_numpy_fft_bit_for_bit(self, M, rng):
+        binding = _load_pocketfft()
+        for shape in ((M,), (3, M)):
+            x = rng.uniform(-1.0, 1.0, shape)
+            half = shape[:-1] + (M // 2 + 1,)
+            c = rng.uniform(-1.0, 1.0, half) + 1j * rng.uniform(-1.0, 1.0, half)
+            assert np.array_equal(binding.r2c(x, (-1,), True, 0, None, 1), np.fft.rfft(x)), f"r2c at M={M}, {shape}"
+            assert np.array_equal(binding.c2r(c, (-1,), M, False, 2, None, 1), np.fft.irfft(c, n=M)), f"c2r at M={M}, {shape}"
+
+    def test_synthesize_and_analyze_match_numpy_fft(self, rng):
+        # the lab's own calls: synthesis is numpy's irfft of i M (-1)^n psi_n, analysis its rfft of the samples
+        spec = SineSpectrum(rng.uniform(-1.0, 1.0, 200))
+        coeffs = np.zeros(513, dtype=complex)
+        coeffs[1:201] = 1j * 1024 * (-1.0) ** np.arange(1, 201) * spec.psi
+        g = synthesize(spec, 1024)
+        assert np.array_equal(g, np.fft.irfft(coeffs, n=1024))
+        Y = np.fft.rfft(np.ldexp(g, -np.frexp(np.abs(g).max())[1]))
+        want = np.ldexp((-1.0) ** np.arange(1, 201) * Y[1:201].imag / 1024, np.frexp(np.abs(g).max())[1])
+        assert np.array_equal(analyze(g, 200).psi, want)
 
 
 class TestNormsAndPairing:
